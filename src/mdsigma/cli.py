@@ -106,6 +106,8 @@ def _print_sim(result) -> bool:
 
 def _cmd_design_filter(args) -> int:
     if args.band_edges:
+        if args.band_weights is None:
+            raise ValueError("--band-edges needs --band-weights")
         edges = [float(v) * math.pi for v in args.band_edges.split(",")]
         weights = [float(v) for v in args.band_weights.split(",")]
         filt = design_multiband(args.p, edges, weights)

@@ -19,16 +19,17 @@ Decoders (reception cases):
 
 The feedback recursion is sequential by nature.  ``_dsq_loop_py`` is the
 array kernel, compiled with numba when it is installed.  Without numba the
-encoder runs ``_dsq_loop_list``, the same recursion over Python lists: the
-same operations in the same order, so its indices, errors and feedback are
-bit-identical to the compiled kernel's.  The fallback is not a slow path
-reserved for tests; on its own it meets the acceptance timing gates.
+encoder runs ``_dsq_loop_unrolled``, a straight-line Python kernel generated
+per call from the filter order: the same operations in the same order, so
+its indices, errors and feedback are bit-identical to the compiled
+kernel's.  It is not a slow path reserved for tests; on its own it meets
+the acceptance timing gates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -85,31 +86,61 @@ def _dsq_loop_py(a, c_tail, z, step, q_out, e_out, fb_out):
         fb_out[k] = acc
 
 
-def _dsq_loop_list(a, c_tail, z, step, q_out, e_out, fb_out):
-    # _dsq_loop_py over Python floats: indexing a numpy array boxes a scalar
-    # per access, which costs several times the arithmetic.  hist holds the
-    # last min(k, p) errors, newest first, so hist[i] is e[k-1-i] and the
-    # zip stops at jmax; products and sums run in the kernel's order (no
-    # sum(), fsum or sumprod, which round differently)
-    floor = math.floor
-    c = c_tail.tolist()
-    hist = deque(maxlen=len(c))
-    q, e, fb = [], [], []
-    for ak, zk in zip(a.tolist(), z.tolist()):
-        acc = 0.0
-        for ci, ei in zip(c, hist):
-            acc += ci * ei
-        a_in = ak + acc
-        y = (a_in + zk) / step
-        qk = floor(y + 0.5)
-        ek = step * qk - zk - a_in
-        hist.appendleft(ek)
-        q.append(qk)
-        e.append(ek)
-        fb.append(acc)
-    q_out[:] = q
-    e_out[:] = e
-    fb_out[:] = fb
+def _unrolled_loop_source(p: int) -> str:
+    """Source of a straight-line ``_dsq_loop_py`` for filter order ``p``.
+
+    The last p errors live in locals h0..h{p-1}, written round-robin, and
+    the body is unrolled p times so that sub-step r finds e[k-1-i] in
+    h{(r-1-i) % p}: no value is ever shifted.  Each feedback sum adds the
+    products newest error first, after a leading 0.0, as the reference
+    kernel does.  The source depends on p alone; no data is formatted in.
+    """
+    lines = ["def kernel(it, c, step, q_append, e_append, fb_append, floor, next):"]
+    if p:
+        lines.append("    " + ", ".join(f"c{i}" for i in range(p)) + ", = c")
+        lines.append("    " + " = ".join(f"h{i}" for i in range(p)) + " = 0.0")
+    lines.append("    for ak, zk in it:")
+    for r in range(max(p, 1)):
+        if r:
+            lines += [
+                "        try:",
+                "            ak, zk = next(it)",
+                "        except StopIteration:",
+                "            return",
+            ]
+        terms = "".join(f" + c{i}*h{(r - 1 - i) % p}" for i in range(p))
+        lines += [
+            f"        acc = 0.0{terms}",
+            "        s = ak + acc",
+            "        qk = floor((s + zk) / step + 0.5)",
+            f"        {f'h{r} = ' if p else ''}ek = step * qk - zk - s",
+            "        q_append(qk)",
+            "        e_append(ek)",
+            "        fb_append(acc)",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _dsq_loop_unrolled(a, c_tail, z, step, q_out, e_out, fb_out):
+    # _dsq_loop_py without numba: indexing a numpy array boxes a scalar per
+    # access, so the samples stream as Python floats through memoryviews of
+    # the inputs (as fast as iterating an array.array copy, without the
+    # copy) and the outputs gather in array.array buffers, never as lists.  The
+    # history starts at 0.0 instead of a cold-start branch: each sum starts
+    # from 0.0, so in round-to-nearest acc is never -0.0, and adding a +-0.0
+    # product (ShapingFilter rejects non-finite coefficients) leaves it
+    # unchanged bit for bit, as if the term were absent
+    p = c_tail.shape[0]
+    namespace = {}
+    exec(compile(_unrolled_loop_source(p), f"<dsq loop p={p}>", "exec"), namespace)
+    q, e, fb = array("q"), array("d"), array("d")
+    it = zip(memoryview(a), memoryview(z))
+    namespace["kernel"](
+        it, c_tail.tolist(), step, q.append, e.append, fb.append, math.floor, next
+    )
+    q_out[:] = np.frombuffer(q, dtype=np.int64)
+    e_out[:] = np.frombuffer(e, dtype=np.float64)
+    fb_out[:] = np.frombuffer(fb, dtype=np.float64)
 
 
 try:  # pragma: no cover - exercised implicitly
@@ -117,7 +148,7 @@ try:  # pragma: no cover - exercised implicitly
 
     _dsq_loop = numba.njit(cache=True)(_dsq_loop_py)
 except ImportError:  # pragma: no cover
-    _dsq_loop = _dsq_loop_list
+    _dsq_loop = _dsq_loop_unrolled
 
 
 @dataclass(frozen=True)
@@ -139,7 +170,8 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     """Run the noise-feedback quantization recursion over a block.
 
     Past errors start at zero, so the first ``order`` outputs see a cold
-    feedback state; callers exclude them from statistics.
+    feedback state; callers exclude them from statistics.  A non-finite
+    signal or dither sample is rejected before any kernel runs.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     z = np.ascontiguousarray(dither, dtype=np.float64)
@@ -147,6 +179,8 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
         raise ValueError("dither length must match the oversampled block")
     if not step > 0:
         raise ValueError("step must be positive")
+    if not (np.isfinite(a).all() and np.isfinite(z).all()):
+        raise ValueError("signal and dither must be finite")
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
     n = a.shape[0]
     q = np.empty(n, dtype=np.int64)
@@ -417,6 +451,8 @@ def decode_subset_k4(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dit
     phases = sorted(p.phase for p in packets)
     if phases not in ([0, 2], [1, 3]):
         raise ValueError("non-uniform subset unsupported")
+    if len({p.dither_seed for p in packets}) != 1:
+        raise ValueError("packets disagree on the dither seed")
     parity = phases[0]
     n = packets[0].indices.shape[0]
     half = np.empty(2 * n)

@@ -421,6 +421,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
         packets, trace = encode(x, cfg)
         g = cfg.guard * config.oversampling
         var_trials.append(float(np.var(trace.quantized[g:])))
+        del trace  # six oversampled arrays; only the variance is kept
         all_indices.extend(pkt.indices for pkt in packets)
         for pat in patterns:
             decoded = _decode_pattern(pat, packets, cfg)

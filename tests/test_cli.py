@@ -100,6 +100,11 @@ def test_usage_error_exit_code():
     assert main(["simulate", "--p", "not-a-number"]) == 1
 
 
+def test_band_edges_without_weights_is_usage_error(capsys):
+    assert main(["design-filter", "--p", "8", "--band-edges", "0.25,0.75,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_k4_small(capsys):
     rc = main(
         [

@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 
 from mdsigma.codec import (
     CodecConfig,
+    DescriptionPacket,
     compute_multipliers,
     decode_central,
     decode_side,
@@ -133,38 +134,59 @@ class TestLoop:
         with pytest.raises(ValueError, match="dither"):
             delta_sigma_loop(np.ones(8), ShapingFilter((1.0,)), np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["signal", "dither"])
+    def test_non_finite_input_rejected_before_the_kernel(self, monkeypatch, value, where):
+        import mdsigma.codec
+
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel ran on non-finite input")
+
+        monkeypatch.setattr(mdsigma.codec, "_dsq_loop", kernel_must_not_run)
+        a, z = np.zeros(16), np.zeros(16)
+        (a if where == "signal" else z)[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            delta_sigma_loop(a, design_yule_walker(4, 0.1), dither=z, step=1.0)
+
     def test_compiled_and_fallback_kernels_agree_bitwise(self):
         # every loop realization shares the reference kernel's operation
-        # order: the list-based fallback always, the numba build where numba
-        # imports; blocks are long enough to cover the k < p cold start
-        from mdsigma.codec import _dsq_loop, _dsq_loop_list, _dsq_loop_py
+        # order: the generated straight-line kernel always, the numba build
+        # where numba imports.  Lengths around p cover the cold start and a
+        # partial last unrolled pass; the all-zero block covers signed zeros
+        from mdsigma.codec import _dsq_loop, _dsq_loop_py, _dsq_loop_unrolled
 
-        kernels = [_dsq_loop_list]
+        kernels = [_dsq_loop_unrolled]
         try:
             import numba  # noqa: F401
         except ImportError:
             pass
         else:
-            assert _dsq_loop is not _dsq_loop_list
+            assert _dsq_loop is not _dsq_loop_unrolled
             kernels.append(_dsq_loop)
-        n = 4096
         rng = np.random.default_rng(99)
-        a = rng.standard_normal(n)
-        for p in (1, 12, 48):
-            ct = np.ascontiguousarray(design_yule_walker(p, 0.05).as_array()[1:])
-            for step in (1.0, 0.37):
-                z = rng.uniform(-step / 2, step / 2, n)
-                outs = []
-                for kernel in (_dsq_loop_py, *kernels):
-                    q = np.empty(n, dtype=np.int64)
-                    e = np.empty(n)
-                    fb = np.empty(n)
-                    kernel(a, ct, z, step, q, e, fb)
-                    outs.append((q.tobytes(), e.tobytes(), fb.tobytes()))
-                for out in outs[1:]:
-                    assert out[0] == outs[0][0], (p, step, "indices")
-                    assert out[1] == outs[0][1], (p, step, "quant_error")
-                    assert out[2] == outs[0][2], (p, step, "feedback")
+        for p in (0, 1, 2, 12, 48, 64):
+            filt = design_yule_walker(p, 0.05) if p else ShapingFilter((1.0,))
+            ct = np.ascontiguousarray(filt.as_array()[1:])
+            for n in sorted({0, 1, max(p - 1, 0), p, p + 1, 4096}):
+                for step in (1.0, 0.37):
+                    for zeros in (False, True):
+                        if zeros:
+                            a, z = np.zeros(n), np.zeros(n)
+                        else:
+                            a = rng.standard_normal(n)
+                            z = rng.uniform(-step / 2, step / 2, n)
+                        outs = []
+                        for kernel in (_dsq_loop_py, *kernels):
+                            q = np.empty(n, dtype=np.int64)
+                            e = np.empty(n)
+                            fb = np.empty(n)
+                            kernel(a, ct, z, step, q, e, fb)
+                            outs.append((q.tobytes(), e.tobytes(), fb.tobytes()))
+                        case = (p, n, step, zeros)
+                        for out in outs[1:]:
+                            assert out[0] == outs[0][0], (*case, "indices")
+                            assert out[1] == outs[0][1], (*case, "quant_error")
+                            assert out[2] == outs[0][2], (*case, "feedback")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +273,13 @@ class TestDecoderContracts:
         packets, _ = encode(np.zeros(64), cfg)
         with pytest.raises(ValueError, match="non-uniform subset unsupported"):
             decode_subset_k4([packets[0], packets[1]], cfg)
+
+    def test_subset_rejects_mixed_seeds(self):
+        cfg = make_config(filt=design_yule_walker(16, 0.05), k=4)
+        packets, _ = encode(np.random.default_rng(8).standard_normal(1 << 10), cfg)
+        bad = DescriptionPacket(2, packets[2].indices, 999, 2)
+        with pytest.raises(ValueError, match="packets disagree on the dither seed"):
+            decode_subset_k4([packets[0], bad], cfg)
 
     def test_subset_requires_k4(self):
         cfg = make_config(k=2)
