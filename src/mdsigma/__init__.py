@@ -8,16 +8,10 @@ and a seeded Monte-Carlo harness that checks one against the other.
 """
 
 from .dsp import (
-    InterpolatorSpec,
     SignalBlock,
-    base_block,
-    halfsample_allpass,
-    ideal_fractional_delay,
     ideal_lowpass_downsample,
     ideal_upsample,
-    lowpass_downsample2,
     spectrum_power,
-    upsample2,
 )
 from .ecdq import (
     DitherStream,
@@ -58,9 +52,7 @@ from .codec import (
     EncodeTrace,
     Multipliers,
     compute_multipliers,
-    decode_central,
-    decode_side,
-    decode_subset_k4,
+    decode,
     delta_sigma_loop,
     encode,
     reconstruction_mse,

@@ -1,4 +1,4 @@
-"""Oversampled dithered feedback codec: encoder, packetization, decoders.
+"""Oversampled dithered feedback codec: encoder, packetization, decoder.
 
 Encoder: the source block is oversampled by K, the quantization error of
 each sample is fed back through the tail of the monic shaping filter and
@@ -7,15 +7,14 @@ fresh subtractive dither.  Quantizer outputs are split by time index
 modulo K into K descriptions, each carrying one index per source sample
 plus the (seed, phase) pair that regenerates its dither.
 
-Decoders (reception cases):
-  * all K received: interlace, brick-wall lowpass to |w| <= pi/K,
-    decimate, scale by the central post-multiplier;
-  * one description: regenerate dither, rebuild samples, fractional-delay
-    by phase/K base samples to re-align the sampling grid, scale by the
-    side post-multiplier;
-  * two interleaved descriptions out of four: interlace to a half-rate
-    stream, lowpass, fractional-delay if the pair is odd-offset, decimate,
-    scale.
+Decoder: the scheme is symmetric and time-invariant, so one chain serves
+every uniform subset of descriptions, i.e. phases {r, r+s, ...} with
+stride s = K/m for m received packets and offset r < s.  ``decode``
+regenerates each packet's samples, interlaces them into a rate-m stream
+whose sample i sits at base position (r + i*s)/K, lowpasses to the source
+band, re-aligns by r/s stream samples, decimates by m, and scales by the
+post-multiplier for stride s.  All K descriptions (s = 1) give the central
+reconstruction, a single one (s = K) a side reconstruction.
 
 The feedback recursion is sequential by nature.  ``_dsq_loop_py`` is the
 array kernel, compiled with numba when it is installed.  Without numba the
@@ -30,21 +29,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dsp import (
-    InterpolatorSpec,
-    SignalBlock,
-    halfsample_allpass,
-    ideal_fractional_delay,
-    ideal_lowpass_downsample,
-    ideal_upsample,
-    lowpass_downsample2,
-    upsample2,
-)
+from .dsp import SignalBlock, ideal_lowpass_downsample, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import ShapingFilter, band_power, filter_powers
 
@@ -57,9 +47,7 @@ __all__ = [
     "compute_multipliers",
     "delta_sigma_loop",
     "encode",
-    "decode_central",
-    "decode_side",
-    "decode_subset_k4",
+    "decode",
     "pattern_noise_power",
     "reconstruction_mse",
 ]
@@ -204,9 +192,7 @@ class CodecConfig:
     quantizer: QuantizerSpec
     filter: ShapingFilter
     oversampling: int = 2
-    interpolator: InterpolatorSpec = field(default_factory=InterpolatorSpec)
     dither_seed: int = 0
-    resampler: str = "ideal"          # "ideal" (exact DFT masks) or "fir"
     post_multipliers: str = "wiener"  # "wiener" or "unit"
 
     def __post_init__(self):
@@ -214,12 +200,8 @@ class CodecConfig:
             raise ValueError("oversampling must be 2 or 4")
         if not self.source_variance > 0:
             raise ValueError("source variance must be positive")
-        if self.resampler not in ("ideal", "fir"):
-            raise ValueError("resampler must be 'ideal' or 'fir'")
         if self.post_multipliers not in ("wiener", "unit"):
             raise ValueError("post_multipliers must be 'wiener' or 'unit'")
-        if self.resampler == "fir" and self.oversampling != 2:
-            raise ValueError("fir resampler supports oversampling 2 only")
 
     @property
     def guard(self) -> int:
@@ -256,7 +238,6 @@ class EncodeTrace:
     quant_error: np.ndarray    # e
     shaped_error: np.ndarray   # eps = a^ - a = (c * e)
     feedback: np.ndarray       # tail-filtered past errors
-    margin: int                # oversampled-domain margin (fir mode)
 
 
 def compute_multipliers(sigma_x2: float, sigma_e2: float, pdc: float, pds: float) -> Multipliers:
@@ -276,9 +257,7 @@ def compute_multipliers(sigma_x2: float, sigma_e2: float, pdc: float, pds: float
 
 def _as_base_array(x) -> np.ndarray:
     if isinstance(x, SignalBlock):
-        if x.rate != 1:
-            raise ValueError("encoder input must be a base-rate block")
-        return np.asarray(x.samples, dtype=np.float64)
+        x = x.samples
     return np.asarray(x, dtype=np.float64)
 
 
@@ -291,27 +270,27 @@ def _dither_block(cfg: CodecConfig, n_base: int) -> np.ndarray:
     return z
 
 
-def pattern_noise_power(cfg: CodecConfig, pattern: str) -> float:
-    """Shaped-noise power (relative to the cell noise variance) seen by a
-    reception pattern: 'central' keeps the in-band part, 'side' collects the
-    whole spectrum, 'pair' adds the aliased top band to the in-band part."""
+def pattern_noise_power(cfg: CodecConfig, stride: int) -> float:
+    """Shaped-noise power (relative to the cell noise variance) seen by the
+    uniform subset of descriptions with the given phase stride: stride 1
+    (all K) keeps the in-band part, stride K (one description) collects the
+    whole spectrum, stride 2 of K=4 adds the aliased top band to the
+    in-band part."""
     pdc, pds = filter_powers(cfg.filter)
     k = cfg.oversampling
-    if pattern == "central":
+    if stride == 1:
         return pdc if k == 2 else band_power(cfg.filter, 0.0, np.pi / 4)
-    if pattern == "side":
+    if stride == k:
         return pds
-    if pattern == "pair":
-        if k != 4:
-            raise ValueError("pair pattern requires oversampling 4")
+    if stride == 2 and k == 4:
         return band_power(cfg.filter, 0.0, np.pi / 4) + band_power(cfg.filter, 3 * np.pi / 4, np.pi)
-    raise ValueError(f"unknown pattern {pattern!r}")
+    raise ValueError(f"stride {stride!r} invalid for oversampling {k}")
 
 
-def _multiplier(cfg: CodecConfig, pattern: str) -> float:
+def _multiplier(cfg: CodecConfig, stride: int) -> float:
     if cfg.post_multipliers == "unit":
         return 1.0
-    power = pattern_noise_power(cfg, pattern)
+    power = pattern_noise_power(cfg, stride)
     sx2 = cfg.source_variance
     return sx2 / (sx2 + cfg.quantizer.noise_variance * power)
 
@@ -333,15 +312,10 @@ def encode(x, cfg: CodecConfig, dither=None):
         raise ValueError("empty signal")
     if n % 2 != 0:
         raise ValueError("block length must be even")
+    if not np.isfinite(base).all():
+        raise ValueError("signal must be finite")
     k = cfg.oversampling
-
-    if cfg.resampler == "ideal":
-        a = ideal_upsample(base, k)
-        margin = 0
-    else:
-        blk = upsample2(SignalBlock(base), cfg.interpolator)
-        a = np.asarray(blk.samples)
-        margin = blk.margin
+    a = ideal_upsample(base, k)
 
     if dither is None:
         z = _dither_block(cfg, n)
@@ -367,13 +341,12 @@ def encode(x, cfg: CodecConfig, dither=None):
         quant_error=loop.quant_error,
         shaped_error=loop.quantized - a,
         feedback=loop.feedback,
-        margin=margin,
     )
     return packets, trace
 
 
 # ---------------------------------------------------------------------------
-# Decoders
+# Decoder
 # ---------------------------------------------------------------------------
 
 
@@ -387,89 +360,45 @@ def _regenerate_samples(packet: DescriptionPacket, cfg: CodecConfig, dither=None
     return cfg.quantizer.step * packet.indices.astype(np.float64) - z
 
 
-def _interlace(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> np.ndarray:
-    k = cfg.oversampling
-    n = packets[0].indices.shape[0]
-    out = np.empty(k * n)
-    for pkt in packets:
-        out[pkt.phase :: k] = _regenerate_samples(pkt, cfg, dither)
-    return out
+def _uniform_subset(phases: Sequence[int], k: int) -> tuple:
+    """(offset r, stride s) of phases {r, r+s, ...} covering 0..k-1 uniformly."""
+    ordered = sorted(phases)
+    m = len(ordered)
+    if m and k % m == 0:
+        s = k // m
+        r = ordered[0]
+        if 0 <= r < s and ordered == list(range(r, k, s)):
+            return r, s
+    raise ValueError(f"phases {ordered} are not a uniform subset of 0..{k - 1}")
 
 
-def decode_central(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
-    """Reconstruct from all K descriptions: interlace, lowpass, decimate, scale."""
-    k = cfg.oversampling
-    phases = sorted(p.phase for p in packets)
-    if phases != list(range(k)):
-        raise ValueError("central decoding requires all descriptions")
-    seeds = {p.dither_seed for p in packets}
-    if len(seeds) != 1:
-        raise ValueError("packets disagree on the dither seed")
-    ahat = _interlace(packets, cfg, dither)
-    beta = _multiplier(cfg, "central")
-    if cfg.resampler == "ideal":
-        u = ideal_lowpass_downsample(ahat, k)
-        return SignalBlock(beta * u, rate=1, margin=cfg.guard)
-    blk = SignalBlock(ahat, rate=2, margin=cfg.interpolator.half_length)
-    down = lowpass_downsample2(blk, cfg.interpolator)
-    return SignalBlock(beta * down.samples, rate=1, margin=down.margin + cfg.guard)
+def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
+    """Reconstruct the source block from any uniform subset of descriptions.
 
-
-def decode_side(packet: DescriptionPacket, cfg: CodecConfig, dither=None) -> SignalBlock:
-    """Reconstruct from a single description.
-
-    Phase-0 samples sit on the source grid already; other phases are
-    re-aligned by a fractional delay of phase/K base samples before the
-    side post-multiplier.
+    The m received packets must carry phases {r, r+s, ...} with stride
+    s = K/m and offset r < s, one dither seed, and equal index counts; a
+    ``dither`` override must cover the oversampled block, as in
+    :func:`encode`.  Their samples are interlaced into a rate-m stream,
+    lowpassed to the source band, re-aligned by r/s stream samples,
+    decimated by m, and scaled by the post-multiplier for stride s.
     """
-    k = cfg.oversampling
-    if not (0 <= packet.phase < k):
-        raise ValueError(f"unknown description id {packet.description_id}")
-    u = _regenerate_samples(packet, cfg, dither)
-    shift = packet.phase / k
-    alpha = _multiplier(cfg, "side")
-    if packet.phase == 0:
-        return SignalBlock(alpha * u, rate=1, margin=cfg.guard)
-    if cfg.resampler == "ideal":
-        aligned = ideal_fractional_delay(u, shift)
-        return SignalBlock(alpha * aligned, rate=1, margin=cfg.guard)
-    aligned = halfsample_allpass(SignalBlock(u), cfg.interpolator, shift)
-    extra = -(-cfg.interpolator.half_length // 2)  # encoder margin at base rate
-    return SignalBlock(
-        alpha * aligned.samples, rate=1, margin=aligned.margin + extra + cfg.guard
-    )
-
-
-def decode_subset_k4(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
-    """Reconstruct from two interleaved descriptions of a K=4 encoding.
-
-    Only the uniform subsets {0,2} and {1,3} are supported; other pairs
-    need non-uniform reconstruction rules.
-    """
-    if cfg.oversampling != 4:
-        raise ValueError("subset decoding requires oversampling 4")
-    phases = sorted(p.phase for p in packets)
-    if phases not in ([0, 2], [1, 3]):
-        raise ValueError("non-uniform subset unsupported")
+    r, s = _uniform_subset([p.phase for p in packets], cfg.oversampling)
     if len({p.dither_seed for p in packets}) != 1:
         raise ValueError("packets disagree on the dither seed")
-    parity = phases[0]
-    n = packets[0].indices.shape[0]
-    half = np.empty(2 * n)
+    lengths = sorted({p.indices.shape[0] for p in packets})
+    if len(lengths) != 1:
+        raise ValueError(f"packets disagree on the index count: {lengths}")
+    n = lengths[0]
+    if dither is not None and np.shape(dither) != (cfg.oversampling * n,):
+        raise ValueError("dither override must cover the oversampled block")
+    m = len(packets)
+    y = np.empty(m * n)
     for pkt in packets:
-        half[(pkt.phase - parity) // 2 :: 2] = _regenerate_samples(pkt, cfg, dither)
-    # half[i] sits at base position (2*i + parity)/4: lowpass to the source
-    # band, re-align odd-offset pairs by half a half-rate sample, decimate
-    spec = np.fft.rfft(half)
-    spec[n // 2 + 1 :] = 0.0
-    if parity == 1:
-        bins = np.arange(n + 1)
-        ramp = np.exp(-2j * np.pi * bins * 0.5 / (2 * n))
-        ramp[-1] = 0.0
-        spec = spec * ramp[: spec.shape[0]]
-    u = np.fft.irfft(spec, n=2 * n)[::2]
-    scale = _multiplier(cfg, "pair")
-    return SignalBlock(scale * u, rate=1, margin=cfg.guard)
+        # y[i] sits at base position (r + i*s)/K
+        y[(pkt.phase - r) // s :: m] = _regenerate_samples(pkt, cfg, dither)
+    if m > 1 or r:  # a lone phase-0 description already sits on the source grid
+        y = ideal_lowpass_downsample(y, m, r / s)
+    return SignalBlock(_multiplier(cfg, s) * y, margin=cfg.guard)
 
 
 def reconstruction_mse(decoded: SignalBlock, reference) -> float:
@@ -478,9 +407,7 @@ def reconstruction_mse(decoded: SignalBlock, reference) -> float:
     if len(decoded) != ref.shape[0]:
         raise ValueError("length mismatch")
     m = decoded.margin
-    err = decoded.samples - ref
-    if m > 0:
-        err = err[m : len(err) - m if m < len(err) else None]
+    err = decoded.interior - ref[m : ref.shape[0] - m]
     if err.size == 0:
         raise ValueError("no interior samples left")
     return float(np.mean(err * err))

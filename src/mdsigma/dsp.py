@@ -1,64 +1,42 @@
-"""Resampling and filtering primitives for the oversampled codec.
+"""Exact DFT-domain resampling primitives for the oversampled codec.
 
-Two realizations of the ideal half-band / all-pass filters are provided:
+The codec treats every block as one period (circular convention) and
+realizes its ideal filters exactly on the block's DFT grid:
 
-* Windowed-sinc FIR operators (`upsample2`, `lowpass_downsample2`,
-  `halfsample_allpass`) with linear convolution and explicit margin
-  bookkeeping.  These approximate the ideal responses to the accuracy of
-  the window design and are the primitives exercised directly in tests.
+* `ideal_upsample` oversamples by K with a brick-wall interpolator; the
+  coarse-grid samples of the output equal the input, a_{Kn} = x_n.
+* `ideal_lowpass_downsample` lowpasses to the source band, optionally
+  re-aligns by a fractional delay (a phase ramp), and decimates.  With
+  factor 1 it is a pure fractional delay.
 
-* Exact DFT-domain operators (`ideal_upsample`, `ideal_lowpass_downsample`,
-  `ideal_fractional_delay`) that apply brick-wall masks / phase ramps on
-  the FFT grid of a whole block, i.e. circular convolution with the ideal
-  kernel.  On a length-N block these are exact for every DFT bin, so the
-  analytic second-order accounting holds to machine precision.  The codec
-  uses these by default.
-
-Both families keep the even samples of an upsampled-by-two block exactly
-equal to the source samples (half-band structure), which fixes the
-sample-preserving convention a_{2n} = x_n.
+On a length-N block both are exact for every DFT bin, so the analytic
+second-order accounting holds to machine precision.  `spectrum_power`
+evaluates |c(e^{jw})|^2 for a coefficient sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "SignalBlock",
-    "InterpolatorSpec",
-    "base_block",
-    "upsample2",
-    "lowpass_downsample2",
-    "halfsample_allpass",
     "spectrum_power",
-    "stopband_attenuation_db",
-    "allpass_magnitude_error",
     "ideal_upsample",
     "ideal_lowpass_downsample",
-    "ideal_fractional_delay",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Block container
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SignalBlock:
-    """A finite block of real samples.
+    """A finite block of real base-rate samples.
 
-    ``rate`` is 1 for base-rate blocks and K for blocks oversampled by K.
-    ``margin`` counts leading/trailing samples that are contaminated by
-    filter transients and must be excluded from statistics.
+    ``margin`` counts leading/trailing samples that see the feedback loop's
+    cold start and must be excluded from statistics.
     """
 
     samples: np.ndarray
-    rate: int = 1
     margin: int = 0
 
     def __post_init__(self):
@@ -67,8 +45,6 @@ class SignalBlock:
             arr = arr.copy()  # never freeze caller-owned storage
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if self.rate < 1:
-            raise ValueError("rate must be >= 1")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
 
@@ -83,128 +59,6 @@ class SignalBlock:
         if 2 * self.margin >= len(self):
             return self.samples[0:0]
         return self.samples[self.margin : len(self) - self.margin]
-
-    def with_margin(self, margin: int) -> "SignalBlock":
-        return replace(self, margin=margin)
-
-
-def base_block(samples) -> SignalBlock:
-    return SignalBlock(np.asarray(samples, dtype=np.float64), rate=1, margin=0)
-
-
-# ---------------------------------------------------------------------------
-# FIR designs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterpolatorSpec:
-    """Windowed-sinc realization parameters.
-
-    ``half_length``/``beta`` control the Kaiser half-band interpolator and
-    anti-aliasing decimator.  ``phase_half_length``/``phase_beta`` control
-    the fractional-delay all-pass; it needs far more taps than the
-    half-band filters because half-sample interpolation coefficients decay
-    only like 1/m (beta 0 is a plain truncated sinc, which minimizes the
-    L2 truncation error).
-    """
-
-    half_length: int = 128
-    beta: float = 10.0
-    phase_half_length: int = 4096
-    phase_beta: float = 0.0
-
-    def __post_init__(self):
-        if self.half_length < 1 or self.phase_half_length < 1:
-            raise ValueError("filter half-lengths must be positive")
-
-
-@lru_cache(maxsize=32)
-def _halfband_taps(half_length: int, beta: float) -> np.ndarray:
-    """Interpolating half-band FIR, passband gain 2, h[0]=1, h[2m]=0.
-
-    The odd (interpolating) branch is renormalized to unit DC so a
-    constant input is reproduced exactly.
-    """
-    m = np.arange(-half_length, half_length + 1)
-    h = np.sinc(m / 2.0) * np.kaiser(2 * half_length + 1, beta)
-    odd = (m % 2) != 0
-    h[odd] /= h[odd].sum()
-    h.flags.writeable = False
-    return h
-
-
-@lru_cache(maxsize=64)
-def _fractional_delay_taps(half_length: int, beta: float, delay: float) -> np.ndarray:
-    """Windowed-sinc fractional-delay filter, DC-normalized."""
-    m = np.arange(-half_length, half_length + 1)
-    h = np.sinc(m - delay)
-    if beta > 0.0:
-        h = h * np.kaiser(2 * half_length + 1, beta)
-    h = h / h.sum()
-    h.flags.writeable = False
-    return h
-
-
-def _convolve_same(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # fftconvolve 'same' keeps the output aligned with x for odd-length h
-    return fftconvolve(x, h, mode="same")
-
-
-# ---------------------------------------------------------------------------
-# FIR operators
-# ---------------------------------------------------------------------------
-
-
-def upsample2(x: SignalBlock, spec: InterpolatorSpec) -> SignalBlock:
-    """Oversample by two: insert zeros, then interpolate with the half-band FIR.
-
-    Interior even-index outputs equal the input samples exactly.
-    """
-    if len(x) == 0:
-        raise ValueError("empty signal")
-    h = _halfband_taps(spec.half_length, spec.beta)
-    stuffed = np.zeros(2 * len(x))
-    stuffed[::2] = x.samples
-    out = _convolve_same(stuffed, h)
-    # exact sample preservation on the even grid (h[0]=1, h[2m]=0)
-    out[::2] = x.samples
-    return SignalBlock(out, rate=2 * x.rate, margin=2 * x.margin + spec.half_length)
-
-
-def lowpass_downsample2(a: SignalBlock, spec: InterpolatorSpec) -> SignalBlock:
-    """Half-band anti-aliasing filter (passband gain 1) followed by 2:1 decimation."""
-    if len(a) % 2 != 0:
-        raise ValueError("length must be even")
-    if len(a) == 0:
-        raise ValueError("empty signal")
-    h = _halfband_taps(spec.half_length, spec.beta) * 0.5
-    filtered = _convolve_same(a.samples, h)
-    out = filtered[::2]
-    margin = -(-(a.margin + spec.half_length) // 2)  # ceil division
-    return SignalBlock(out, rate=max(a.rate // 2, 1), margin=margin)
-
-
-def halfsample_allpass(y: SignalBlock, spec: InterpolatorSpec, delay: float) -> SignalBlock:
-    """Fractional-delay all-pass: approximates e^{-j w delay} over |w| <= 0.95 pi.
-
-    Only sub-sample shifts are supported; compose with integer shifts
-    otherwise.
-    """
-    if not abs(delay) < 1.0:
-        raise ValueError("|delay| must be < 1; compose with integer shifts instead")
-    if len(y) == 0:
-        raise ValueError("empty signal")
-    if delay == 0.0:
-        return y
-    h = _fractional_delay_taps(spec.phase_half_length, spec.phase_beta, delay)
-    out = _convolve_same(y.samples, h)
-    return SignalBlock(out, rate=y.rate, margin=y.margin + spec.phase_half_length)
-
-
-# ---------------------------------------------------------------------------
-# Spectrum evaluation
-# ---------------------------------------------------------------------------
 
 
 def spectrum_power(coeffs, omega):
@@ -222,42 +76,11 @@ def spectrum_power(coeffs, omega):
     return float(out) if np.isscalar(omega) else out
 
 
-def _freq_response(taps: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    half = (len(taps) - 1) // 2
-    m = np.arange(-half, half + 1)
-    return np.exp(-1j * np.multiply.outer(omega, m)) @ taps
-
-
-def stopband_attenuation_db(spec: InterpolatorSpec, edge: float = 0.55 * np.pi, n_grid: int = 4096) -> float:
-    """Realized stopband attenuation of the half-band interpolator in dB.
-
-    Measured as the worst |H(w)| / H(0) on [edge, pi] over an ``n_grid``
-    frequency grid.
-    """
-    h = _halfband_taps(spec.half_length, spec.beta)
-    w = np.linspace(edge, np.pi, n_grid)
-    mag = np.abs(_freq_response(h, w)) / 2.0
-    return float(-20.0 * np.log10(mag.max()))
-
-
-def allpass_magnitude_error(spec: InterpolatorSpec, delay: float, band: float = 0.95 * np.pi, n_grid: int = 2048) -> float:
-    """Worst-case | |H_p(w)| - 1 | over [0, band] for the fractional-delay filter."""
-    h = _fractional_delay_taps(spec.phase_half_length, spec.phase_beta, delay)
-    w = np.linspace(0.0, band, n_grid)
-    return float(np.abs(np.abs(_freq_response(h, w)) - 1.0).max())
-
-
-# ---------------------------------------------------------------------------
-# Exact DFT-domain (circular) operators
-# ---------------------------------------------------------------------------
-
-
 def ideal_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Oversample by ``factor`` with an exact brick-wall interpolator.
 
-    Circular convention: the block is treated as one period.  Output
-    samples on the coarse grid equal the input exactly; the band edge bin
-    carries half weight, which is the symmetric ideal-filter limit.
+    Output samples on the coarse grid equal the input exactly; the band
+    edge bin carries half weight, which is the symmetric ideal-filter limit.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -272,14 +95,16 @@ def ideal_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.irfft(out, n=factor * n)
 
 
-def ideal_lowpass_downsample(a: np.ndarray, factor: int, keep_edge: bool = True) -> np.ndarray:
-    """Brick-wall lowpass to the band |w| <= pi/factor, then keep every
-    ``factor``-th sample (phase 0).
+def ideal_lowpass_downsample(a: np.ndarray, factor: int, delay: float = 0.0) -> np.ndarray:
+    """Brick-wall lowpass to |w| <= pi/factor, delay by ``delay`` input
+    samples, then keep every ``factor``-th sample.
 
-    With ``keep_edge`` the band-edge bin passes at full weight so that the
-    cascade with :func:`ideal_upsample` is the identity (the encoder
-    already half-weights that bin, and decimation folds the edge line onto
-    its own conjugate).
+    The band-edge bin passes at full weight, so the cascade with
+    :func:`ideal_upsample` is the identity (the encoder already
+    half-weights that bin, and decimation folds the edge line onto its own
+    conjugate).  With ``factor`` 1 the top bin is the Nyquist line and is
+    scaled by cos(pi*delay), the real symmetric convention for a half-open
+    shift; otherwise it lies above the band and is cleared.
     """
     a = np.asarray(a, dtype=np.float64)
     total = a.shape[0]
@@ -289,24 +114,10 @@ def ideal_lowpass_downsample(a: np.ndarray, factor: int, keep_edge: bool = True)
     if n % 2 != 0:
         raise ValueError("base block length must be even")
     spec = np.fft.rfft(a)
-    if not keep_edge:
-        spec[n // 2] *= 0.5
     spec[n // 2 + 1 :] = 0.0
+    if delay:
+        k = np.arange(total // 2 + 1)
+        ramp = np.exp(-2j * np.pi * k * delay / total)
+        ramp[-1] = np.cos(np.pi * delay) if factor == 1 else 0.0
+        spec = spec * ramp
     return np.fft.irfft(spec, n=total)[::factor]
-
-
-def ideal_fractional_delay(y: np.ndarray, delay: float) -> np.ndarray:
-    """Exact circular fractional delay by ``delay`` samples.
-
-    The Nyquist bin is scaled by cos(pi*delay), the real symmetric
-    convention for a half-open shift.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if n % 2 != 0:
-        raise ValueError("block length must be even")
-    spec = np.fft.rfft(y)
-    k = np.arange(n // 2 + 1)
-    ramp = np.exp(-2j * np.pi * k * delay / n)
-    ramp[-1] = np.cos(np.pi * delay)
-    return np.fft.irfft(spec * ramp, n=n)

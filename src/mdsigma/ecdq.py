@@ -7,9 +7,10 @@ every input.  Under dither uniform on the cell the error is uniform,
 white, and independent of the input, which is what makes the feedback
 loop of the codec exactly linear.
 
-Scalar and L-fold product lattices are supported; true shaped lattices
-are not constructed, their rate advantage is accounted analytically as
-the space-filling term (1/2) log2(2 pi e / 12) per dimension.
+The lattice is scalar (a product lattice behaves identically per
+dimension); shaped lattices are not constructed, their rate advantage is
+accounted analytically as the space-filling term (1/2) log2(2 pi e / 12)
+per dimension.
 
 Randomness is counter-based (Philox) with documented stream splitting:
 a master seed spawns per-trial and per-role substreams, and dither
@@ -45,16 +46,13 @@ ROLE_DITHER = 1
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Scalar or product lattice: cell width ``step``, ``dimension`` parallel streams."""
+    """Scalar lattice with cell width ``step``."""
 
     step: float
-    dimension: int = 1
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
 
     @property
     def noise_variance(self) -> float:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec as codec_mod
-from .codec import CodecConfig, decode_central, decode_side, decode_subset_k4, encode, reconstruction_mse
+from .codec import CodecConfig, decode, encode, reconstruction_mse
 from .ecdq import QuantizerSpec, ROLE_SOURCE, derive_seed, substream
 from .shaping import (
     ShapingFilter,
@@ -69,6 +69,21 @@ CSV_COLUMNS = (
 
 _SOURCE_DISTS = ("gaussian", "laplace", "uniform")
 _FILTER_KINDS = ("yule_walker", "yule_walker_gamma", "explicit", "multiband")
+
+# reception pattern -> phases of the received descriptions, per K; patterns
+# are validated against it when an ExperimentConfig is built
+_PATTERN_PHASES = {
+    2: {"central": (0, 1), "even": (0,), "odd": (1,)},
+    4: {
+        "central": (0, 1, 2, 3),
+        "pair02": (0, 2),
+        "pair13": (1, 3),
+        "single0": (0,),
+        "single1": (1,),
+        "single2": (2,),
+        "single3": (3,),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -118,9 +133,7 @@ class ExperimentConfig:
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")
 
     def valid_patterns(self) -> tuple:
-        if self.oversampling == 2:
-            return ("central", "even", "odd")
-        return ("central", "pair02", "pair13", "single0", "single1", "single2", "single3")
+        return tuple(_PATTERN_PHASES[self.oversampling])
 
     @property
     def step(self) -> float:
@@ -247,26 +260,15 @@ def _draw_source(config: ExperimentConfig, trial: int) -> np.ndarray:
 
 
 def _decode_pattern(pattern: str, packets, cfg: CodecConfig):
-    if pattern == "central":
-        return decode_central(packets, cfg)
-    if pattern == "even":
-        return decode_side(packets[0], cfg)
-    if pattern == "odd":
-        return decode_side(packets[1], cfg)
-    if pattern == "pair02":
-        return decode_subset_k4([packets[0], packets[2]], cfg)
-    if pattern == "pair13":
-        return decode_subset_k4([packets[1], packets[3]], cfg)
-    if pattern.startswith("single"):
-        return decode_side(packets[int(pattern[-1])], cfg)
-    raise ConfigError(f"unknown pattern {pattern!r}")
+    phases = _PATTERN_PHASES[cfg.oversampling][pattern]
+    return decode([packets[j] for j in phases], cfg)
 
 
 def _pattern_theory_mse(config: ExperimentConfig, cfg: CodecConfig, pattern: str) -> float:
     """Analytic MSE for a pattern: noise power through the reception chain,
     shrunk by the Wiener multiplier when multipliers are enabled."""
-    key = "central" if pattern == "central" else ("pair" if pattern.startswith("pair") else "side")
-    power = codec_mod.pattern_noise_power(cfg, key)
+    k = cfg.oversampling
+    power = codec_mod.pattern_noise_power(cfg, k // len(_PATTERN_PHASES[k][pattern]))
     se2, sx2 = config.noise_variance, config.sigma_x2
     if cfg.post_multipliers == "unit":
         return se2 * power

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from mdsigma.dsp import InterpolatorSpec
-
-
-@pytest.fixture(scope="session")
-def interp():
-    """Default FIR realization used across dsp tests."""
-    return InterpolatorSpec()
-
 
 @pytest.fixture()
 def rng():
@@ -18,8 +10,8 @@ def rng():
 def bandlimited_noise(rng, n, cutoff=0.9 * np.pi, var=1.0):
     """Gaussian noise band-limited to |w| <= cutoff, unit variance by default.
 
-    Useful as a probe for FIR chains whose approximation error concentrates
-    at the band edge.
+    Useful as a probe for operators whose conventions differ only at the
+    band edge (e.g. the Nyquist line of a fractional delay).
     """
     x = rng.standard_normal(n)
     spec = np.fft.rfft(x)

@@ -1,5 +1,7 @@
 """Encoder/decoder behavior: loop algebra, noiseless chains, statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -9,19 +11,14 @@ from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
     compute_multipliers,
-    decode_central,
-    decode_side,
-    decode_subset_k4,
+    decode,
     delta_sigma_loop,
     encode,
     reconstruction_mse,
 )
-from mdsigma.dsp import InterpolatorSpec
 from mdsigma.ecdq import QuantizerSpec
 from mdsigma.shaping import ShapingFilter, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
-
-from conftest import bandlimited_noise
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
 
@@ -148,6 +145,15 @@ class TestLoop:
         with pytest.raises(ValueError, match="finite"):
             delta_sigma_loop(a, design_yule_walker(4, 0.1), dither=z, step=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_encode_rejects_non_finite_source_before_the_fft(self, value):
+        x = np.zeros(64)
+        x[7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="signal must be finite"):
+                encode(x, make_config())
+
     def test_compiled_and_fallback_kernels_agree_bitwise(self):
         # every loop realization shares the reference kernel's operation
         # order: the generated straight-line kernel always, the numba build
@@ -190,7 +196,7 @@ class TestLoop:
 
 
 # ---------------------------------------------------------------------------
-# noiseless chains (tiny quantizer cell, ideal resampler)
+# noiseless chains (tiny quantizer cell)
 # ---------------------------------------------------------------------------
 
 
@@ -200,14 +206,14 @@ class TestNoiselessChains:
         rng = np.random.default_rng(10)
         x = rng.standard_normal(1 << 14)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode_central(packets, cfg), x) <= 1e-10
+        assert reconstruction_mse(decode(packets, cfg), x) <= 1e-10
 
     def test_even_side_reconstructs(self):
         cfg = make_config(step=1e-6)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(1 << 14)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode_side(packets[0], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode([packets[0]], cfg), x) <= 1e-6
 
     def test_odd_side_reconstructs(self):
         # the odd stream carries no sample of the base Nyquist line, so one
@@ -216,25 +222,25 @@ class TestNoiselessChains:
         rng = np.random.default_rng(12)
         x = rng.standard_normal(1 << 18)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode_side(packets[1], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode([packets[1]], cfg), x) <= 1e-6
 
     def test_k4_all_patterns(self):
         cfg = make_config(step=1e-6, k=4, post_multipliers="unit")
         rng = np.random.default_rng(13)
         x = rng.standard_normal(1 << 18)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode_central(packets, cfg), x) <= 1e-10
-        assert reconstruction_mse(decode_subset_k4([packets[0], packets[2]], cfg), x) <= 1e-10
-        assert reconstruction_mse(decode_subset_k4([packets[1], packets[3]], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode(packets, cfg), x) <= 1e-10
+        assert reconstruction_mse(decode([packets[0], packets[2]], cfg), x) <= 1e-10
+        assert reconstruction_mse(decode([packets[3], packets[1]], cfg), x) <= 1e-6
         for j in range(4):
-            assert reconstruction_mse(decode_side(packets[j], cfg), x) <= 1e-6
+            assert reconstruction_mse(decode([packets[j]], cfg), x) <= 1e-6
 
     def test_all_zero_indices_decode_to_zero(self):
         cfg = make_config()
         x = np.zeros(512)
         z = np.zeros(1024)
         packets, _ = encode(x, cfg, dither=z)
-        out = decode_central(packets, cfg, dither=z)
+        out = decode(packets, cfg, dither=z)
         assert np.all(out.samples == 0.0)
 
 
@@ -244,11 +250,31 @@ class TestNoiselessChains:
 
 
 class TestDecoderContracts:
-    def test_central_requires_all_packets(self):
-        cfg = make_config()
+    @pytest.mark.parametrize(
+        "phases", [(0, 1), (0, 1, 2), (0, 1, 3), (0, 0), (), (5,)], ids=str
+    )
+    def test_rejects_non_uniform_subsets(self, phases):
+        import dataclasses
+
+        cfg = make_config(k=4)
         packets, _ = encode(np.zeros(64), cfg)
-        with pytest.raises(ValueError, match="all descriptions"):
-            decode_central(packets[:1], cfg)
+        chosen = [dataclasses.replace(packets[0], phase=j) for j in phases]
+        with pytest.raises(ValueError, match="not a uniform subset of 0..3"):
+            decode(chosen, cfg)
+
+    def test_rejects_packets_of_different_lengths(self):
+        cfg = make_config()
+        short, _ = encode(np.zeros(128), cfg)
+        long, _ = encode(np.zeros(256), cfg)
+        with pytest.raises(ValueError, match="disagree on the index count"):
+            decode([short[0], long[1]], cfg)
+
+    @pytest.mark.parametrize("length", [300, 1000])
+    def test_dither_override_must_cover_the_block(self, length):
+        cfg = make_config()
+        packets, _ = encode(np.zeros(256), cfg, dither=np.zeros(512))
+        with pytest.raises(ValueError, match="dither override must cover"):
+            decode(packets, cfg, dither=np.zeros(length))
 
     def test_central_rejects_mixed_seeds(self):
         cfg = make_config()
@@ -257,35 +283,14 @@ class TestDecoderContracts:
 
         bad = dataclasses.replace(packets[1], dither_seed=packets[1].dither_seed + 1)
         with pytest.raises(ValueError, match="dither seed"):
-            decode_central([packets[0], bad], cfg)
-
-    def test_side_rejects_unknown_phase(self):
-        cfg = make_config()
-        packets, _ = encode(np.zeros(64), cfg)
-        import dataclasses
-
-        bad = dataclasses.replace(packets[0], phase=5)
-        with pytest.raises(ValueError, match="unknown description"):
-            decode_side(bad, cfg)
-
-    def test_subset_rejects_nonuniform_pairs(self):
-        cfg = make_config(k=4)
-        packets, _ = encode(np.zeros(64), cfg)
-        with pytest.raises(ValueError, match="non-uniform subset unsupported"):
-            decode_subset_k4([packets[0], packets[1]], cfg)
+            decode([packets[0], bad], cfg)
 
     def test_subset_rejects_mixed_seeds(self):
         cfg = make_config(filt=design_yule_walker(16, 0.05), k=4)
         packets, _ = encode(np.random.default_rng(8).standard_normal(1 << 10), cfg)
         bad = DescriptionPacket(2, packets[2].indices, 999, 2)
         with pytest.raises(ValueError, match="packets disagree on the dither seed"):
-            decode_subset_k4([packets[0], bad], cfg)
-
-    def test_subset_requires_k4(self):
-        cfg = make_config(k=2)
-        packets, _ = encode(np.zeros(64), cfg)
-        with pytest.raises(ValueError, match="oversampling 4"):
-            decode_subset_k4(packets, cfg)
+            decode([packets[0], bad], cfg)
 
     def test_packet_shape(self):
         cfg = make_config(k=4)
@@ -316,9 +321,9 @@ class TestCodecStatistics:
         cfg, x, packets, _ = run_d4
         pdc, pds = filter_powers(cfg.filter)
         point = finite_p_point(pdc, pds, cfg.quantizer.noise_variance, 1.0)
-        mse_c = reconstruction_mse(decode_central(packets, cfg), x)
-        mse_e = reconstruction_mse(decode_side(packets[0], cfg), x)
-        mse_o = reconstruction_mse(decode_side(packets[1], cfg), x)
+        mse_c = reconstruction_mse(decode(packets, cfg), x)
+        mse_e = reconstruction_mse(decode([packets[0]], cfg), x)
+        mse_o = reconstruction_mse(decode([packets[1]], cfg), x)
         assert mse_c == pytest.approx(point.dc, rel=0.03)
         assert mse_e == pytest.approx(point.ds, rel=0.03)
         assert mse_o == pytest.approx(point.ds, rel=0.03)
@@ -335,18 +340,18 @@ class TestCodecStatistics:
         se2 = cfg.quantizer.noise_variance
         g = cfg.guard
         for pkt, power in ((packets[0], pds), (packets[1], pds)):
-            u = decode_side(pkt, raw_cfg).samples[g:-g]
+            u = decode([pkt], raw_cfg).samples[g:-g]
             assert float(np.mean(u * x[g:-g])) == pytest.approx(1.0, rel=0.01)
             assert float(np.mean(u * u)) == pytest.approx(1.0 + se2 * power, rel=0.01)
-        uc = decode_central(packets, raw_cfg).samples[g:-g]
+        uc = decode(packets, raw_cfg).samples[g:-g]
         assert float(np.mean(uc * x[g:-g])) == pytest.approx(1.0, rel=0.01)
         assert float(np.mean(uc * uc)) == pytest.approx(1.0 + se2 * pdc, rel=0.01)
 
     def test_erasure_symmetry(self, run_d4):
         cfg, x, packets, _ = run_d4
         n = 10**5
-        err_e = (decode_side(packets[0], cfg).samples - x)[cfg.guard : cfg.guard + n]
-        err_o = (decode_side(packets[1], cfg).samples - x)[cfg.guard : cfg.guard + n]
+        err_e = (decode([packets[0]], cfg).samples - x)[cfg.guard : cfg.guard + n]
+        err_o = (decode([packets[1]], cfg).samples - x)[cfg.guard : cfg.guard + n]
         assert ks_2samp(err_e, err_o).statistic <= 0.01
 
     def test_scale_equivariance(self):
@@ -367,9 +372,9 @@ class TestCodecStatistics:
         p3, _ = encode(scale * x, cfg3)
         for a, b in zip(p1, p3):
             assert np.array_equal(a.indices, b.indices)
-        for decoder, pick in [(decode_central, None), (decode_side, 0), (decode_side, 1)]:
-            d1 = decoder(p1 if pick is None else p1[pick], cfg1)
-            d3 = decoder(p3 if pick is None else p3[pick], cfg3)
+        for phases in ((0, 1), (0,), (1,)):
+            d1 = decode([p1[j] for j in phases], cfg1)
+            d3 = decode([p3[j] for j in phases], cfg3)
             m1 = reconstruction_mse(d1, x)
             m3 = reconstruction_mse(d3, scale * x)
             assert m3 / m1 == pytest.approx(scale**2, rel=1e-6)
@@ -401,15 +406,9 @@ class TestCodecStatistics:
         def wiener_mse(power):
             return se2 * power / (1.0 + se2 * power)
 
-        cases = [
-            (decode_central(packets, cfg), "central"),
-            (decode_subset_k4([packets[0], packets[2]], cfg), "pair"),
-            (decode_subset_k4([packets[1], packets[3]], cfg), "pair"),
-            (decode_side(packets[0], cfg), "side"),
-            (decode_side(packets[3], cfg), "side"),
-        ]
-        for decoded, kind in cases:
-            expected = wiener_mse(pattern_noise_power(cfg, kind))
+        for phases in ((0, 1, 2, 3), (0, 2), (1, 3), (0,), (3,)):
+            decoded = decode([packets[j] for j in phases], cfg)
+            expected = wiener_mse(pattern_noise_power(cfg, 4 // len(phases)))
             assert reconstruction_mse(decoded, x) == pytest.approx(expected, rel=0.05)
 
     def test_central_not_worse_than_side_across_deltas(self):
@@ -418,71 +417,6 @@ class TestCodecStatistics:
         for lam in (0.02, 0.2, 2.0):
             cfg = make_config(filt=design_yule_walker(12, lam), seed=5)
             packets, _ = encode(x, cfg)
-            mse_c = reconstruction_mse(decode_central(packets, cfg), x)
-            mse_s = reconstruction_mse(decode_side(packets[0], cfg), x)
+            mse_c = reconstruction_mse(decode(packets, cfg), x)
+            mse_s = reconstruction_mse(decode([packets[0]], cfg), x)
             assert mse_c <= mse_s
-
-
-# ---------------------------------------------------------------------------
-# FIR realization cross-check
-# ---------------------------------------------------------------------------
-
-
-class TestFirResampler:
-    def _mses(self, cfg, x):
-        pk, _ = encode(x, cfg)
-        return {
-            "central": reconstruction_mse(decode_central(pk, cfg), x),
-            "even": reconstruction_mse(decode_side(pk[0], cfg), x),
-            "odd": reconstruction_mse(decode_side(pk[1], cfg), x),
-        }
-
-    def test_fir_converges_to_ideal_with_length(self):
-        # a white source exercises the band edge, where windowed-sinc
-        # interpolation carries an O(1/half_length) truncation floor; the
-        # gap to the exact DFT chain must shrink as the filters lengthen
-        filt = design_yule_walker(8, 0.1)
-        base = dict(
-            source_variance=1.0,
-            quantizer=QuantizerSpec(step=STEP_001),
-            filter=filt,
-            oversampling=2,
-            dither_seed=9,
-        )
-        rng = np.random.default_rng(50)
-        x = rng.standard_normal(1 << 16)
-        ideal = self._mses(CodecConfig(**base), x)
-        gaps = {}
-        for m in (128, 512):
-            interp = InterpolatorSpec(half_length=m, phase_half_length=8 * m)
-            fir = self._mses(CodecConfig(**base, interpolator=interp, resampler="fir"), x)
-            gaps[m] = {k: abs(fir[k] - ideal[k]) for k in fir}
-        for pattern in ("central", "odd"):
-            assert gaps[512][pattern] <= 0.5 * gaps[128][pattern]
-        # the even branch passes source samples exactly in both realizations
-        assert gaps[128]["even"] <= 1e-3
-        assert gaps[512]["even"] <= 1e-3
-
-    def test_fir_noiseless_odd_with_bandlimited_probe(self):
-        # validates the sign/alignment of the odd-branch phase correction in
-        # the FIR chain; a band-limited probe keeps the truncation floor out
-        filt = ShapingFilter((1.0, -0.5))
-        cfg = CodecConfig(
-            source_variance=1.0,
-            quantizer=QuantizerSpec(step=1e-6),
-            filter=filt,
-            oversampling=2,
-            dither_seed=3,
-            interpolator=InterpolatorSpec(half_length=128, phase_half_length=4096),
-            resampler="fir",
-        )
-        rng = np.random.default_rng(60)
-        x = bandlimited_noise(rng, 1 << 15, cutoff=0.9 * np.pi)
-        packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode_side(packets[1], cfg), x) <= 1e-6
-        assert reconstruction_mse(decode_side(packets[0], cfg), x) <= 1e-6
-        assert reconstruction_mse(decode_central(packets, cfg), x) <= 1e-6
-
-    def test_fir_k4_rejected(self):
-        with pytest.raises(ValueError, match="oversampling 2"):
-            make_config(k=4, resampler="fir")

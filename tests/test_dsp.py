@@ -1,128 +1,17 @@
-"""Resampling / filtering primitives: examples, invariants, both realizations."""
+"""Exact DFT-domain resampling primitives and spectrum evaluation."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdsigma.dsp import (
-    InterpolatorSpec,
-    SignalBlock,
-    allpass_magnitude_error,
-    base_block,
-    halfsample_allpass,
-    ideal_fractional_delay,
-    ideal_lowpass_downsample,
-    ideal_upsample,
-    lowpass_downsample2,
-    spectrum_power,
-    stopband_attenuation_db,
-    upsample2,
-)
+import mdsigma
+from mdsigma.dsp import ideal_lowpass_downsample, ideal_upsample, spectrum_power
 
 from conftest import bandlimited_noise
-
-
-# ---------------------------------------------------------------------------
-# upsample2
-# ---------------------------------------------------------------------------
-
-
-class TestUpsample2:
-    def test_dc_preserved(self, interp):
-        out = upsample2(base_block(np.ones(512)), interp)
-        assert np.abs(out.interior - 1.0).max() <= 1e-6
-
-    def test_impulse_gives_halfband_kernel(self, interp):
-        # windowed interpolation kernel tracks sinc(k/2); the window costs
-        # a few 1e-4 on the first taps
-        n = 257
-        x = np.zeros(n)
-        x[n // 2] = 1.0
-        out = upsample2(base_block(x), interp)
-        center = 2 * (n // 2)  # impulse lands on the even output grid
-        expected = [1.0, 2.0 / np.pi, 0.0, -2.0 / (3.0 * np.pi)]
-        got = [out.samples[center + k] for k in range(4)]
-        assert got == pytest.approx(expected, abs=2e-3)
-        assert got[0] == 1.0 and got[2] == 0.0  # half-band taps are exact
-
-    def test_white_noise_variance_preserved(self, rng, interp):
-        x = rng.standard_normal(1 << 18)
-        out = upsample2(base_block(x), interp)
-        assert out.interior.var() == pytest.approx(1.0, abs=0.02)
-
-    def test_even_samples_equal_input(self, rng, interp):
-        x = rng.standard_normal(1024)
-        out = upsample2(base_block(x), interp)
-        assert np.array_equal(out.samples[::2], x)
-
-    def test_empty_input_rejected(self, interp):
-        with pytest.raises(ValueError, match="empty signal"):
-            upsample2(base_block([]), interp)
-
-    def test_rate_and_margin(self, interp):
-        out = upsample2(base_block(np.ones(64)), interp)
-        assert out.rate == 2
-        assert out.margin == interp.half_length
-
-
-# ---------------------------------------------------------------------------
-# lowpass_downsample2
-# ---------------------------------------------------------------------------
-
-
-class TestLowpassDownsample2:
-    def test_roundtrip_identity_on_interior(self, rng):
-        # perfect-reconstruction cascade up to the FIR approximation; probed
-        # with in-band content since the crossover at the band edge is where
-        # any finite realization must deviate
-        spec = InterpolatorSpec(half_length=64)
-        x = bandlimited_noise(rng, 4096, cutoff=0.9 * np.pi)
-        back = lowpass_downsample2(upsample2(base_block(x), spec), spec)
-        err = back.interior - x[back.margin : len(x) - back.margin]
-        assert np.abs(err).max() <= 1e-3
-
-    def test_white_noise_halved_variance(self, rng, interp):
-        a = SignalBlock(rng.standard_normal(1 << 18), rate=2)
-        out = lowpass_downsample2(a, interp)
-        assert out.interior.var() == pytest.approx(0.5, rel=0.03)
-
-    def test_dc(self, interp):
-        a = SignalBlock(np.full(512, 3.25), rate=2)
-        out = lowpass_downsample2(a, interp)
-        assert np.abs(out.interior - 3.25).max() <= 1e-6
-
-    def test_odd_length_rejected(self, interp):
-        with pytest.raises(ValueError, match="even"):
-            lowpass_downsample2(SignalBlock(np.ones(333), rate=2), interp)
-
-
-# ---------------------------------------------------------------------------
-# halfsample_allpass
-# ---------------------------------------------------------------------------
-
-
-class TestHalfsampleAllpass:
-    def test_zero_delay_identity(self, rng, interp):
-        y = base_block(rng.standard_normal(256))
-        out = halfsample_allpass(y, interp, 0.0)
-        assert np.abs(out.samples - y.samples).max() <= 1e-9
-
-    def test_half_sample_delay_of_cosine(self):
-        spec = InterpolatorSpec(phase_half_length=2048)
-        w0 = np.pi / 4
-        k = np.arange(8192, dtype=float)
-        out = halfsample_allpass(base_block(np.cos(w0 * k)), spec, 0.5)
-        expected = np.cos(w0 * (k - 0.5))
-        m = out.margin
-        assert np.abs(out.samples[m:-m] - expected[m:-m]).max() <= 1e-3
-
-    def test_energy_preservation_on_white_noise(self, rng, interp):
-        x = rng.standard_normal(1 << 17)
-        out = halfsample_allpass(base_block(x), interp, 0.5)
-        assert out.interior.var() == pytest.approx(x.var(), rel=0.01)
-
-    def test_full_sample_delay_rejected(self, interp):
-        with pytest.raises(ValueError, match="integer shifts"):
-            halfsample_allpass(base_block(np.ones(8)), interp, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,55 +43,6 @@ class TestSpectrumPower:
 
 
 # ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-
-
-class TestFirInvariants:
-    def test_stopband_attenuation(self, interp):
-        # spec floor is 60 dB; the default design targets >= 80 dB
-        assert stopband_attenuation_db(interp) >= 80.0
-
-    def test_allpass_magnitude_band(self, interp):
-        for d in (0.25, 0.5, 0.75):
-            assert allpass_magnitude_error(interp, d) <= 0.01
-
-    def test_margin_at_least_half_length(self, rng, interp):
-        out = upsample2(base_block(rng.standard_normal(64)), interp)
-        assert out.margin >= interp.half_length
-        down = lowpass_downsample2(out, interp)
-        assert down.margin >= interp.half_length // 2
-
-    @pytest.mark.parametrize("op", ["up", "down", "allpass"])
-    def test_linearity(self, rng, interp, op):
-        x = rng.standard_normal(1024)
-        y = rng.standard_normal(1024)
-        a, b = 1.7, -0.3
-
-        def apply(v):
-            blk = SignalBlock(v, rate=1 if op != "down" else 2)
-            if op == "up":
-                return upsample2(blk, interp).samples
-            if op == "down":
-                return lowpass_downsample2(blk, interp).samples
-            return halfsample_allpass(blk, interp, 0.5).samples
-
-        lhs = apply(a * x + b * y)
-        rhs = a * apply(x) + b * apply(y)
-        assert np.abs(lhs - rhs).max() <= 1e-9
-
-    def test_filtered_noise_energy_matches_response_integral(self, rng, interp):
-        # output variance of a filtered white input tracks the |H|^2 integral
-        x = rng.standard_normal(1 << 18)
-        out = halfsample_allpass(base_block(x), interp, 0.5)
-        from mdsigma.dsp import _fractional_delay_taps
-
-        taps = _fractional_delay_taps(interp.phase_half_length, interp.phase_beta, 0.5)
-        gain = float(np.sum(taps * taps))
-        assert out.interior.var() == pytest.approx(gain * x.var(), rel=0.03)
-
-
-# ---------------------------------------------------------------------------
 # exact DFT-domain operators
 # ---------------------------------------------------------------------------
 
@@ -228,16 +68,36 @@ class TestIdealOps:
 
     def test_fractional_delay_on_bandlimited(self, rng):
         x = bandlimited_noise(rng, 1 << 12, cutoff=0.9 * np.pi)
-        shifted = ideal_fractional_delay(x, 0.5)
-        back = ideal_fractional_delay(shifted, -0.5)
+        shifted = ideal_lowpass_downsample(x, 1, 0.5)
+        back = ideal_lowpass_downsample(shifted, 1, -0.5)
         assert np.abs(back - x).max() <= 1e-11
 
     def test_fractional_delay_of_cosine(self):
         w0 = np.pi / 4  # on the DFT grid for n = 4096
         k = np.arange(4096, dtype=float)
-        out = ideal_fractional_delay(np.cos(w0 * k), 0.5)
+        out = ideal_lowpass_downsample(np.cos(w0 * k), 1, 0.5)
         assert np.abs(out - np.cos(w0 * (k - 0.5))).max() <= 1e-11
+
+    def test_delayed_decimation_from_an_offset_grid(self, rng):
+        # phases 1 and 3 of a 4x oversampled block sit at base positions
+        # (1 + 2i)/4: lowpass, delay by half a stream sample, decimate by 2
+        x = bandlimited_noise(rng, 1 << 12, cutoff=0.9 * np.pi)
+        y = ideal_upsample(x, 4)[1::2]
+        back = ideal_lowpass_downsample(y, 2, 0.5)
+        assert np.abs(back - x).max() <= 1e-11
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             ideal_upsample(np.ones(31), 2)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; the library must not pull it in
+    src = str(Path(mdsigma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mdsigma; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -78,22 +78,18 @@ class TestQuantizeDithered:
 
 class TestQuantizerSpec:
     def test_noise_variance(self):
-        q = QuantizerSpec(step=0.6, dimension=8)
+        q = QuantizerSpec(step=0.6)
         assert q.noise_variance == pytest.approx(0.36 / 12.0, abs=1e-15)
 
     def test_space_filling_constant(self):
-        # (1/2) log2(2 pi e / 12), independent of dimension for product lattices
+        # (1/2) log2(2 pi e / 12), independent of the step
         expected = 0.25461433482006296
         assert QuantizerSpec(step=1.0).space_filling_bits == pytest.approx(expected, abs=1e-12)
-        assert QuantizerSpec(step=2.0, dimension=8).space_filling_bits == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert QuantizerSpec(step=2.0).space_filling_bits == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QuantizerSpec(step=0.0)
-        with pytest.raises(ValueError):
-            QuantizerSpec(step=1.0, dimension=0)
 
 
 class TestDitherStream:
@@ -196,10 +192,9 @@ class TestRateAccounting:
         assert acc.gaussian_rate_bits == pytest.approx(0.5, abs=1e-12)
 
     def test_penalty_reported_not_added(self):
-        for dim in (1, 8):
-            q = QuantizerSpec(step=0.3, dimension=dim)
-            acc = rate_accounting(1.0, q)
-            assert acc.finite_L_penalty_bits == pytest.approx(0.25461433482006296, abs=1e-12)
+        q = QuantizerSpec(step=0.3)
+        acc = rate_accounting(1.0, q)
+        assert acc.finite_L_penalty_bits == pytest.approx(0.25461433482006296, abs=1e-12)
 
     def test_subnoise_variance_rejected(self):
         q = QuantizerSpec(step=1.0)
