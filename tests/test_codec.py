@@ -250,9 +250,7 @@ class TestNoiselessChains:
 
 
 class TestDecoderContracts:
-    @pytest.mark.parametrize(
-        "phases", [(0, 1), (0, 1, 2), (0, 1, 3), (0, 0), (), (5,)], ids=str
-    )
+    @pytest.mark.parametrize("phases", [(0, 1, 2), (0, 1, 3), (0, 0), (), (5,)], ids=str)
     def test_rejects_non_uniform_subsets(self, phases):
         import dataclasses
 
@@ -261,6 +259,21 @@ class TestDecoderContracts:
         chosen = [dataclasses.replace(packets[0], phase=j) for j in phases]
         with pytest.raises(ValueError, match="not a uniform subset of 0..3"):
             decode(chosen, cfg)
+
+    def test_side_rejects_unknown_phase(self):
+        cfg = make_config()
+        packets, _ = encode(np.zeros(64), cfg)
+        import dataclasses
+
+        bad = dataclasses.replace(packets[0], phase=5)
+        with pytest.raises(ValueError, match="not a uniform subset of 0..1"):
+            decode([bad], cfg)
+
+    def test_subset_rejects_nonuniform_pairs(self):
+        cfg = make_config(k=4)
+        packets, _ = encode(np.zeros(64), cfg)
+        with pytest.raises(ValueError, match="not a uniform subset of 0..3"):
+            decode([packets[0], packets[1]], cfg)
 
     def test_rejects_packets_of_different_lengths(self):
         cfg = make_config()

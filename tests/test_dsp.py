@@ -15,6 +15,61 @@ from conftest import bandlimited_noise
 
 
 # ---------------------------------------------------------------------------
+# factor-2 interpolation, factor-2 decimation and the half-sample delay, as
+# the codec realizes them with the exact operators
+# ---------------------------------------------------------------------------
+
+
+class TestUpsample2:
+    def test_dc_preserved(self):
+        out = ideal_upsample(np.ones(512), 2)
+        assert np.abs(out - 1.0).max() <= 1e-12
+
+    def test_impulse_gives_halfband_kernel(self):
+        # the circular interpolation kernel tracks sinc(k/2) up to O(1/n^2)
+        n = 256
+        x = np.zeros(n)
+        x[n // 2] = 1.0
+        out = ideal_upsample(x, 2)
+        center = 2 * (n // 2)  # impulse lands on the even output grid
+        expected = [1.0, 2.0 / np.pi, 0.0, -2.0 / (3.0 * np.pi)]
+        got = [out[center + k] for k in range(4)]
+        assert got == pytest.approx(expected, abs=2e-3)
+        assert abs(got[0] - 1.0) <= 1e-12 and abs(got[2]) <= 1e-12  # half-band zeros
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty signal"):
+            ideal_upsample(np.zeros(0), 2)
+
+
+class TestLowpassDownsample2:
+    def test_white_noise_halved_variance(self, rng):
+        out = ideal_lowpass_downsample(rng.standard_normal(1 << 18), 2)
+        assert out.var() == pytest.approx(0.5, rel=0.03)
+
+    def test_dc(self):
+        out = ideal_lowpass_downsample(np.full(512, 3.25), 2)
+        assert np.abs(out - 3.25).max() <= 1e-12
+
+    def test_odd_length_rejected(self):
+        # 666 input samples decimate to an odd base block of 333
+        with pytest.raises(ValueError, match="even"):
+            ideal_lowpass_downsample(np.ones(666), 2)
+
+
+class TestHalfsampleAllpass:
+    def test_zero_delay_identity(self, rng):
+        y = rng.standard_normal(256)
+        out = ideal_lowpass_downsample(y, 1, 0.0)
+        assert np.abs(out - y).max() <= 1e-9
+
+    def test_energy_preservation_on_white_noise(self, rng):
+        x = rng.standard_normal(1 << 17)
+        out = ideal_lowpass_downsample(x, 1, 0.5)
+        assert out.var() == pytest.approx(x.var(), rel=0.01)
+
+
+# ---------------------------------------------------------------------------
 # spectrum_power
 # ---------------------------------------------------------------------------
 
