@@ -23,16 +23,12 @@ from .ecdq import (
 from .shaping import (
     BrickWallSpec,
     ShapingFilter,
-    YuleWalkerSystem,
-    approx_error_vs_brickwall,
     band_power,
     design_multiband,
     design_yule_walker,
     filter_powers,
     find_lambda_for_ratio,
     min_phase_check,
-    pdc_closed,
-    pds_closed,
     truncated_fourier_brickwall_error,
 )
 from .theory import (
@@ -50,8 +46,6 @@ from .codec import (
     CodecConfig,
     DescriptionPacket,
     EncodeTrace,
-    Multipliers,
-    compute_multipliers,
     decode,
     delta_sigma_loop,
     encode,

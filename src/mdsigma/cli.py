@@ -36,8 +36,9 @@ def _add_common_sim_flags(sp):
     sp.add_argument("--sigma-e2", type=float)
     sp.add_argument("--step", type=float, help="quantizer step (alternative to --sigma-e2)")
     sp.add_argument("--p", type=int)
-    sp.add_argument("--gamma", type=float, help="target P_ds/P_dc ratio")
-    sp.add_argument("--lambda-ratio", type=float)
+    shape = sp.add_mutually_exclusive_group()
+    shape.add_argument("--gamma", type=float, help="target P_ds/P_dc ratio")
+    shape.add_argument("--lambda-ratio", type=float)
     sp.add_argument("--n-samples", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
@@ -105,9 +106,9 @@ def _print_sim(result) -> bool:
 
 
 def _cmd_design_filter(args) -> int:
+    if (args.band_edges is None) != (args.band_weights is None):
+        raise ValueError("--band-edges and --band-weights go together")
     if args.band_edges:
-        if args.band_weights is None:
-            raise ValueError("--band-edges needs --band-weights")
         edges = [float(v) * math.pi for v in args.band_edges.split(",")]
         weights = [float(v) for v in args.band_weights.split(",")]
         filt = design_multiband(args.p, edges, weights)
@@ -211,9 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("design-filter", help="design and report a shaping filter")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda-ratio", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--band-edges", help="comma list, units of pi")
+    shape = sp.add_mutually_exclusive_group()
+    shape.add_argument("--lambda-ratio", type=float)
+    shape.add_argument("--gamma", type=float)
+    shape.add_argument("--band-edges", help="comma list, units of pi")
     sp.add_argument("--band-weights", help="comma list")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_design_filter)

@@ -36,15 +36,13 @@ import numpy as np
 
 from .dsp import SignalBlock, ideal_lowpass_downsample, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
-from .shaping import ShapingFilter, band_power, filter_powers
+from .shaping import ShapingFilter, band_power
 
 __all__ = [
     "CodecConfig",
     "DescriptionPacket",
-    "Multipliers",
     "EncodeTrace",
     "LoopResult",
-    "compute_multipliers",
     "delta_sigma_loop",
     "encode",
     "decode",
@@ -223,12 +221,6 @@ class DescriptionPacket:
 
 
 @dataclass(frozen=True)
-class Multipliers:
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class EncodeTrace:
     """Oversampled-domain signals kept for verification."""
 
@@ -238,16 +230,6 @@ class EncodeTrace:
     quant_error: np.ndarray    # e
     shaped_error: np.ndarray   # eps = a^ - a = (c * e)
     feedback: np.ndarray       # tail-filtered past errors
-
-
-def compute_multipliers(sigma_x2: float, sigma_e2: float, pdc: float, pds: float) -> Multipliers:
-    """Wiener post-multipliers: alpha = sx2/(sx2 + se2*P_ds), beta likewise with P_dc."""
-    if sigma_x2 <= 0 or sigma_e2 < 0 or pdc < 0 or pds < 0:
-        raise ValueError("invalid multiplier inputs")
-    return Multipliers(
-        alpha=sigma_x2 / (sigma_x2 + sigma_e2 * pds),
-        beta=sigma_x2 / (sigma_x2 + sigma_e2 * pdc),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +253,25 @@ def _dither_block(cfg: CodecConfig, n_base: int) -> np.ndarray:
 
 
 def pattern_noise_power(cfg: CodecConfig, stride: int) -> float:
-    """Shaped-noise power (relative to the cell noise variance) seen by the
-    uniform subset of descriptions with the given phase stride: stride 1
-    (all K) keeps the in-band part, stride K (one description) collects the
-    whole spectrum, stride 2 of K=4 adds the aliased top band to the
-    in-band part."""
-    pdc, pds = filter_powers(cfg.filter)
+    """Shaped-noise power, relative to the cell noise variance, behind the
+    uniform subset of descriptions with phase stride s.
+
+    Keeping every s-th of the K phases aliases the spectrum with period
+    2pi/s onto the source band |w| <= pi/K, so the power is that of |c|^2 in
+    [2pi*j/s - pi/K, 2pi*j/s + pi/K] & [0, pi] for j = 0..floor(s/2): the
+    lags d with s | d.  Stride 1 keeps the in-band power, stride K the total.
+    """
     k = cfg.oversampling
-    if stride == 1:
-        return pdc if k == 2 else band_power(cfg.filter, 0.0, np.pi / 4)
-    if stride == k:
-        return pds
-    if stride == 2 and k == 4:
-        return band_power(cfg.filter, 0.0, np.pi / 4) + band_power(cfg.filter, 3 * np.pi / 4, np.pi)
-    raise ValueError(f"stride {stride!r} invalid for oversampling {k}")
+    if not (stride >= 1 and k % stride == 0):
+        raise ValueError(f"stride {stride!r} invalid for oversampling {k}")
+    return sum(
+        band_power(
+            cfg.filter,
+            max(0.0, math.pi * (2 * j / stride - 1 / k)),
+            min(math.pi, math.pi * (2 * j / stride + 1 / k)),
+        )
+        for j in range(stride // 2 + 1)
+    )
 
 
 def _multiplier(cfg: CodecConfig, stride: int) -> float:

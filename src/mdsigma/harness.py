@@ -265,14 +265,11 @@ def _decode_pattern(pattern: str, packets, cfg: CodecConfig):
 
 
 def _pattern_theory_mse(config: ExperimentConfig, cfg: CodecConfig, pattern: str) -> float:
-    """Analytic MSE for a pattern: noise power through the reception chain,
-    shrunk by the Wiener multiplier when multipliers are enabled."""
-    k = cfg.oversampling
-    power = codec_mod.pattern_noise_power(cfg, k // len(_PATTERN_PHASES[k][pattern]))
-    se2, sx2 = config.noise_variance, config.sigma_x2
-    if cfg.post_multipliers == "unit":
-        return se2 * power
-    return sx2 * se2 * power / (sx2 + se2 * power)
+    """Analytic MSE for a pattern: the noise power behind its stride, times
+    the post-multiplier the decoder applies (the Wiener shrink or 1)."""
+    s = cfg.oversampling // len(_PATTERN_PHASES[cfg.oversampling][pattern])
+    power = codec_mod.pattern_noise_power(cfg, s)
+    return codec_mod._multiplier(cfg, s) * config.noise_variance * power
 
 
 # ---------------------------------------------------------------------------

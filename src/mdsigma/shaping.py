@@ -18,6 +18,10 @@ remain well defined.
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
 function, which is still Toeplitz and handled by the same recursion.
+
+Every noise power the codec and the harness report (P_dc, P_ds and the
+power behind each reception pattern) comes from ``band_power``, evaluated
+exactly on the float64 coefficients the feedback loop runs.
 """
 
 from __future__ import annotations
@@ -33,18 +37,15 @@ import numpy as np
 from .dsp import spectrum_power
 
 __all__ = [
+    "MAX_ORDER",
     "ShapingFilter",
-    "YuleWalkerSystem",
     "BrickWallSpec",
     "MinPhaseReport",
     "design_yule_walker",
     "design_multiband",
-    "pdc_closed",
-    "pds_closed",
     "band_power",
     "filter_powers",
     "min_phase_check",
-    "approx_error_vs_brickwall",
     "truncated_fourier_brickwall_error",
     "brickwall_autocorrelation",
     "find_lambda_for_ratio",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 QUADRATURE_POINTS = 8192
+# highest filter order: the range _design_dps claims precision for, and a
+# bound on the size of the generated loop kernel, which grows as p^2
+MAX_ORDER = 128
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +65,16 @@ QUADRATURE_POINTS = 8192
 
 @dataclass(frozen=True)
 class ShapingFilter:
-    """Monic noise-shaping filter c_0..c_p with c_0 = 1.
-
-    Designed filters carry their in-band/total powers (``pdc``/``pds``)
-    computed in extended precision by the designer; for degenerate
-    small-lambda designs the float64 double sum loses all significant
-    digits to cancellation, so the carried values are authoritative.
-    """
+    """Monic noise-shaping filter c_0..c_p with c_0 = 1 and p <= MAX_ORDER."""
 
     coeffs: tuple
-    pdc: float | None = None
-    pds: float | None = None
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
         if len(c) == 0:
             raise ValueError("filter needs at least the leading coefficient")
+        if len(c) - 1 > MAX_ORDER:
+            raise ValueError(f"filter order {len(c) - 1} exceeds MAX_ORDER = {MAX_ORDER}")
         if c[0] != 1.0:
             raise ValueError("filter must be monic (c_0 = 1)")
         if not all(math.isfinite(v) for v in c):
@@ -86,30 +84,6 @@ class ShapingFilter:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class YuleWalkerSystem:
-    """Normal-equation data for the half-band design problem."""
-
-    order: int
-    lambda_ratio: float
-
-    @property
-    def gram(self) -> np.ndarray:
-        i = np.arange(1, self.order + 1)
-        return np.sinc((i[:, None] - i[None, :]) / 2.0)
-
-    @property
-    def gram_regularized(self) -> np.ndarray:
-        return self.gram + 2.0 * self.lambda_ratio * np.eye(self.order)
-
-    @property
-    def cross(self) -> np.ndarray:
-        return np.sinc(np.arange(1, self.order + 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -187,31 +161,32 @@ def _levinson_mp(r: list, p: int):
 
 def _design_dps(p: int) -> int:
     # conditioning of the band-limited Gram matrix collapses roughly
-    # exponentially in p; this leaves a wide precision margin up to p ~ 128
+    # exponentially in p; this leaves a wide precision margin up to MAX_ORDER
     return max(60, 3 * p + 20)
+
+
+def _check_order(p: int) -> None:
+    if not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
+
+
+def _yule_walker_mp(p: int, lam: mp.mpf):
+    """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
+    c^T (G + 2*lam*I) c, at the current mp precision."""
+    r = [_sinc_half_mp(m) for m in range(p + 1)]
+    r[0] = r[0] + 2 * lam
+    return _levinson_mp(r, p)
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     """Order-p minimizer of P_dc + lambda_ratio * P_ds over monic filters,
-    i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g.
-
-    Returns the filter with its exact P_dc/P_ds attached.
-    """
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g."""
+    _check_order(p)
     if lambda_ratio < 0:
         raise ValueError("lambda ratio must be >= 0")
     with mp.workdps(_design_dps(p)):
-        lam = mp.mpf(repr(float(lambda_ratio)))
-        r = [_sinc_half_mp(m) for m in range(p + 1)]
-        r[0] = r[0] + 2 * lam
-        coeffs, energy = _levinson_mp(r, p)
-        pds = mp.fsum(c * c for c in coeffs)
-        # energy = c^T R c = 2*Pdc + 2*lambda*Pds
-        pdc = (energy - 2 * lam * pds) / 2
-        return ShapingFilter(
-            tuple(float(c) for c in coeffs), pdc=float(pdc), pds=float(pds)
-        )
+        coeffs, _ = _yule_walker_mp(p, mp.mpf(repr(float(lambda_ratio))))
+        return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
 def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence[float]) -> ShapingFilter:
@@ -221,8 +196,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
     increasing in (0, pi].  Weights must be nonnegative with at least one
     strictly positive (a zero weight leaves that band unconstrained).
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(p)
     edges = [float(e) for e in band_edges]
     weights = [float(w) for w in band_weights]
     if len(edges) != len(weights) or not edges:
@@ -255,55 +229,40 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             coeffs, _ = _levinson_mp(r, p)
         except ValueError as exc:
             raise ValueError(f"singular system: {exc}") from None
-        pds = mp.fsum(c * c for c in coeffs)
-        pdc = mp.mpf(0)
-        for i in range(p + 1):
-            for j in range(p + 1):
-                pdc += _sinc_half_mp(abs(i - j)) * coeffs[i] * coeffs[j]
-        pdc = pdc / 2
-        return ShapingFilter(
-            tuple(float(c) for c in coeffs), pdc=float(pdc), pds=float(pds)
-        )
+        return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form powers
+# Band powers
 # ---------------------------------------------------------------------------
-
-
-def pdc_closed(filt: ShapingFilter) -> float:
-    """In-band power: (1/2) sum_ij sinc((i-j)/2) c_i c_j."""
-    c = filt.as_array()
-    i = np.arange(c.shape[0])
-    s = np.sinc((i[:, None] - i[None, :]) / 2.0)
-    return float(0.5 * c @ s @ c)
-
-
-def pds_closed(filt: ShapingFilter) -> float:
-    """Total power: sum_i c_i^2."""
-    c = filt.as_array()
-    return float(np.sum(c * c))
 
 
 def band_power(filt: ShapingFilter, lo: float, hi: float) -> float:
-    """(1/2pi) int over lo <= |w| <= hi of |c(e^{jw})|^2 dw, closed form."""
+    """(1/2pi) int over lo <= |w| <= hi of |c(e^{jw})|^2 dw, exactly.
+
+    The share of the cell-noise power that the band and its mirror image
+    carry, for the float64 coefficients the loop runs.  The lags r_d =
+    sum_i c_i c_{i+d} and the term-by-term integral (1/pi) [r_0 (hi - lo) +
+    2 sum_d r_d (sin(hi d) - sin(lo d)) / d] are evaluated at the design
+    precision, where products of doubles are exact, so no digit is lost to
+    cancellation.  Edges are read as fractions of pi (lo/pi, hi/pi in
+    float64): pi/4, pi/2 and pi written as floats stand for those exactly.
+    """
     if not (0.0 <= lo < hi <= np.pi + 1e-12):
         raise ValueError("band must satisfy 0 <= lo < hi <= pi")
-    c = filt.as_array()
-    i = np.arange(c.shape[0])
-    d = i[:, None] - i[None, :]
-    gram = np.empty_like(d, dtype=np.float64)
-    nz = d != 0
-    gram[nz] = (np.sin(hi * d[nz]) - np.sin(lo * d[nz])) / (np.pi * d[nz])
-    gram[~nz] = (hi - lo) / np.pi
-    return float(c @ gram @ c)
+    p = filt.order
+    with mp.workdps(_design_dps(p)):
+        c = [mp.mpf(v) for v in filt.coeffs]
+        r = [mp.fdot(c[: p + 1 - d], c[d:]) for d in range(p + 1)]
+        lo_m = mp.pi * mp.mpf(lo / math.pi)
+        hi_m = mp.pi * mp.mpf(hi / math.pi)
+        tail = mp.fsum(r[d] * (mp.sin(hi_m * d) - mp.sin(lo_m * d)) / d for d in range(1, p + 1))
+        return float((r[0] * (hi_m - lo_m) + 2 * tail) / mp.pi)
 
 
 def filter_powers(filt: ShapingFilter) -> tuple:
-    """(P_dc, P_ds), preferring the designer-carried extended-precision values."""
-    pdc = filt.pdc if filt.pdc is not None else pdc_closed(filt)
-    pds = filt.pds if filt.pds is not None else pds_closed(filt)
-    return pdc, pds
+    """(P_dc, P_ds): the half-band power |w| <= pi/2 and the total power."""
+    return band_power(filt, 0.0, np.pi / 2), band_power(filt, 0.0, np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +273,6 @@ def filter_powers(filt: ShapingFilter) -> tuple:
 def quadrature_grid(n: int = QUADRATURE_POINTS) -> np.ndarray:
     """Uniform midpoint grid on [-pi, pi]; fixed so oracle comparisons are bit-stable."""
     return -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-
-
-def approx_error_vs_brickwall(filt: ShapingFilter, target: BrickWallSpec, n: int = QUADRATURE_POINTS) -> float:
-    """(1/2pi) int |S_target(w) - |c(e^{jw})|^2|^2 dw by midpoint quadrature."""
-    w = quadrature_grid(n)
-    diff = target.power(w) - spectrum_power(filt.coeffs, w)
-    return float(np.mean(diff * diff))
 
 
 def brickwall_autocorrelation(target: BrickWallSpec, lag: int) -> float:
@@ -403,8 +355,14 @@ def min_phase_check(filt: ShapingFilter, n: int = QUADRATURE_POINTS) -> MinPhase
 
 
 def _ratio_at(p: int, lam: float) -> float:
-    filt = design_yule_walker(p, lam)
-    return filt.pds / filt.pdc
+    # P_ds/P_dc of the extended-precision design, not of its float64 rounding
+    with mp.workdps(_design_dps(p)):
+        lam_mp = mp.mpf(repr(float(lam)))
+        coeffs, energy = _yule_walker_mp(p, lam_mp)
+        pds = mp.fsum(c * c for c in coeffs)
+        # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
+        pdc = (energy - 2 * lam_mp * pds) / 2
+        return float(pds) / float(pdc)
 
 
 def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
@@ -416,8 +374,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
     """
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(p)
     hi_ratio = _ratio_at(p, 0.0)
     if not (2.0 < gamma <= hi_ratio):
         raise ValueError(

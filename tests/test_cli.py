@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output files, flag plumbing."""
 
+import pytest
+
 from mdsigma.cli import main
 
 
@@ -103,6 +105,26 @@ def test_usage_error_exit_code():
 def test_band_edges_without_weights_is_usage_error(capsys):
     assert main(["design-filter", "--p", "8", "--band-edges", "0.25,0.75,1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design-filter", "--p", "8", "--band-weights", "1,2"],
+        ["design-filter", "--p", "8", "--gamma", "5", "--lambda-ratio", "0.3"],
+        ["design-filter", "--p", "8", "--gamma", "5", "--band-edges", "0.5,1", "--band-weights", "1,2"],
+        ["simulate", "--p", "8", "--gamma", "5", "--lambda-ratio", "0.3", "--n-samples", "16384"],
+    ],
+    ids=["weights-without-edges", "gamma-and-lambda", "gamma-and-edges", "simulate-gamma-and-lambda"],
+)
+def test_conflicting_filter_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_order_above_the_bound_is_usage_error(capsys):
+    assert main(["simulate", "--p", "129", "--gamma", "17", "--n-samples", "16384", "--trials", "1"]) == 1
+    assert "order must be in 1..128" in capsys.readouterr().err
 
 
 def test_simulate_k4_small(capsys):

@@ -10,14 +10,14 @@ from scipy.stats import ks_2samp
 from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
-    compute_multipliers,
     decode,
     delta_sigma_loop,
     encode,
+    pattern_noise_power,
     reconstruction_mse,
 )
 from mdsigma.ecdq import QuantizerSpec
-from mdsigma.shaping import ShapingFilter, design_yule_walker, filter_powers
+from mdsigma.shaping import ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
@@ -41,23 +41,64 @@ def make_config(step=STEP_001, filt=None, k=2, seed=7, **kw):
 
 
 class TestMultipliers:
+    # the Wiener multipliers alpha (one description) and beta (all of them)
+    # as finite_p_point reports them from (P_dc, P_ds)
     def test_brickwall_reference(self):
-        m = compute_multipliers(1.0, 0.01, 0.125, 2.125)
+        m = finite_p_point(0.125, 2.125, 0.01, 1.0)
         assert m.alpha == pytest.approx(0.9791921664626683, rel=1e-12)
         assert m.beta == pytest.approx(0.9987515605493134, rel=1e-12)
 
     def test_noiseless_limit(self):
-        m = compute_multipliers(1.0, 0.0, 0.125, 2.125)
+        m = finite_p_point(0.125, 2.125, 0.0, 1.0)
         assert m.alpha == 1.0 and m.beta == 1.0
 
     def test_white_filter_at_unit_snr(self):
-        m = compute_multipliers(1.0, 1.0, 0.5, 1.0)
+        m = finite_p_point(0.5, 1.0, 1.0, 1.0)
         assert m.alpha == pytest.approx(0.5, abs=1e-15)
         assert m.beta == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_ordering_invariant(self):
-        m = compute_multipliers(2.0, 0.3, 0.2, 1.7)
+        m = finite_p_point(0.2, 1.7, 0.3, 2.0)
         assert 0.0 < m.alpha <= m.beta <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# reception-pattern noise power
+# ---------------------------------------------------------------------------
+
+
+def aliased_quadrature_power(filt, k, s, n):
+    """(1/2pi) int_{|w| <= pi/K} sum_{j<s} |c(e^{j(w + 2pi j/s)})|^2 dw by the
+    midpoint rule on n points: the noise that the stride-s subset folds onto
+    the source band, straight from the aliasing definition."""
+    h = 2.0 * np.pi / k / n
+    w = -np.pi / k + (np.arange(n) + 0.5) * h
+    total = 0.0
+    for j in range(s):
+        z = np.exp(-1j * (w + 2.0 * np.pi * j / s))
+        total += float(np.sum(np.abs(np.polynomial.polynomial.polyval(z, filt.coeffs)) ** 2))
+    return total * h / (2.0 * np.pi)
+
+
+class TestPatternNoisePower:
+    @pytest.mark.parametrize("k,s", [(2, 1), (2, 2), (4, 1), (4, 2), (4, 4)])
+    def test_matches_quadrature_over_the_aliased_bands(self, k, s):
+        if k == 2:
+            filt = design_yule_walker(12, 0.1)
+        else:
+            filt = design_multiband(24, [np.pi / 4, 3 * np.pi / 4, np.pi], [5.0, 0.45, 1.0])
+        cfg = make_config(filt=filt, k=k)
+        quad = aliased_quadrature_power(filt, k, s, n=(1 << 18) // k)
+        assert pattern_noise_power(cfg, s) == pytest.approx(quad, abs=1e-9)
+
+    def test_one_description_sees_the_total_power(self):
+        cfg = make_config(k=4)
+        assert pattern_noise_power(cfg, 4) == pytest.approx(filter_powers(cfg.filter)[1], rel=1e-15)
+
+    @pytest.mark.parametrize("s", [0, 3, -2, 8])
+    def test_stride_must_divide_k(self, s):
+        with pytest.raises(ValueError, match="invalid for oversampling 4"):
+            pattern_noise_power(make_config(k=4), s)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +133,7 @@ class TestLoop:
         assert np.array_equal(tr.loop_input, tr.oversampled + tr.feedback)
         assert np.array_equal(tr.quantized, tr.loop_input + tr.quant_error)
         # feedback replays the same-order inner product over past errors
-        ct = cfg.filter.as_array()[1:]
+        ct = np.array(cfg.filter.coeffs)[1:]
         p = ct.shape[0]
         for k in range(64):
             acc = 0.0
@@ -105,7 +146,7 @@ class TestLoop:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(4096)
         _, tr = encode(x, cfg)
-        ref = lfilter(cfg.filter.as_array(), [1.0], tr.quant_error)
+        ref = lfilter(np.array(cfg.filter.coeffs), [1.0], tr.quant_error)
         assert np.abs(tr.shaped_error - ref).max() <= 1e-10
 
     def test_shaped_error_variance_tracks_total_power(self):
@@ -172,7 +213,7 @@ class TestLoop:
         rng = np.random.default_rng(99)
         for p in (0, 1, 2, 12, 48, 64):
             filt = design_yule_walker(p, 0.05) if p else ShapingFilter((1.0,))
-            ct = np.ascontiguousarray(filt.as_array()[1:])
+            ct = np.ascontiguousarray(np.array(filt.coeffs)[1:])
             for n in sorted({0, 1, max(p - 1, 0), p, p + 1, 4096}):
                 for step in (1.0, 0.37):
                     for zeros in (False, True):
