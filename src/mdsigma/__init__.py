@@ -45,7 +45,6 @@ from .theory import (
 from .codec import (
     CodecConfig,
     DescriptionPacket,
-    EncodeTrace,
     decode,
     delta_sigma_loop,
     encode,

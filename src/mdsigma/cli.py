@@ -36,15 +36,19 @@ def _add_common_sim_flags(sp):
     sp.add_argument("--sigma-e2", type=float)
     sp.add_argument("--step", type=float, help="quantizer step (alternative to --sigma-e2)")
     sp.add_argument("--p", type=int)
-    shape = sp.add_mutually_exclusive_group()
-    shape.add_argument("--gamma", type=float, help="target P_ds/P_dc ratio")
-    shape.add_argument("--lambda-ratio", type=float)
     sp.add_argument("--n-samples", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--source", choices=("gaussian", "laplace", "uniform"))
     sp.add_argument("--tol", type=float, help="relative MSE tolerance per pattern")
     sp.add_argument("--out", help="CSV output path")
+
+
+def _add_half_band_shape_flags(sp):
+    # simulate-k4 fixes its own multiband shape and takes neither flag
+    shape = sp.add_mutually_exclusive_group()
+    shape.add_argument("--gamma", type=float, help="target P_ds/P_dc ratio")
+    shape.add_argument("--lambda-ratio", type=float)
 
 
 def _config_from_args(args, overrides=None) -> ExperimentConfig:
@@ -58,7 +62,7 @@ def _config_from_args(args, overrides=None) -> ExperimentConfig:
         "sigma_e2": args.sigma_e2,
         "quant_step": args.step,
         "p": args.p,
-        "gamma": args.gamma,
+        "gamma": getattr(args, "gamma", None),
         "lambda_ratio": getattr(args, "lambda_ratio", None),
         "n_samples": args.n_samples,
         "n_trials": args.trials,
@@ -76,9 +80,9 @@ def _config_from_args(args, overrides=None) -> ExperimentConfig:
         values.update(overrides)
     if values.get("sigma_e2") is None and values.get("quant_step") is None:
         values["sigma_e2"] = 0.01
-    if args.gamma is not None:
+    if flag_map["gamma"] is not None:
         values.setdefault("filter_kind", "yule_walker_gamma")
-    elif getattr(args, "lambda_ratio", None) is not None:
+    elif flag_map["lambda_ratio"] is not None:
         values["filter_kind"] = "yule_walker"
     return ExperimentConfig(**values)
 
@@ -237,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte-Carlo codec vs closed forms (K=2)")
     _add_common_sim_flags(sp)
+    _add_half_band_shape_flags(sp)
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("simulate-k4", help="four-description codec vs three-step targets")
@@ -247,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("universality", help="non-gaussian source at high resolution")
     _add_common_sim_flags(sp)
+    _add_half_band_shape_flags(sp)
     sp.set_defaults(fn=_cmd_universality)
 
     return ap

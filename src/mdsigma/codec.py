@@ -16,13 +16,10 @@ band, re-aligns by r/s stream samples, decimates by m, and scales by the
 post-multiplier for stride s.  All K descriptions (s = 1) give the central
 reconstruction, a single one (s = K) a side reconstruction.
 
-The feedback recursion is sequential by nature.  ``_dsq_loop_py`` is the
-array kernel, compiled with numba when it is installed.  Without numba the
-encoder runs ``_dsq_loop_unrolled``, a straight-line Python kernel generated
-per call from the filter order: the same operations in the same order, so
-its indices, errors and feedback are bit-identical to the compiled
-kernel's.  It is not a slow path reserved for tests; on its own it meets
-the acceptance timing gates.
+The feedback recursion is sequential by nature.  ``_dsq_loop`` is its one
+kernel: straight-line Python generated from the filter order, which
+streams the samples as Python floats and returns numpy views of the
+buffers it filled.  It meets the acceptance timing gates on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .shaping import ShapingFilter, band_power
 __all__ = [
     "CodecConfig",
     "DescriptionPacket",
-    "EncodeTrace",
     "LoopResult",
     "delta_sigma_loop",
     "encode",
@@ -56,30 +52,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _dsq_loop_py(a, c_tail, z, step, q_out, e_out, fb_out):
-    n = a.shape[0]
-    p = c_tail.shape[0]
-    for k in range(n):
-        acc = 0.0
-        jmax = p if p < k else k
-        for i in range(jmax):
-            acc += c_tail[i] * e_out[k - 1 - i]
-        a_in = a[k] + acc
-        y = (a_in + z[k]) / step
-        qk = math.floor(y + 0.5)
-        q_out[k] = qk
-        e_out[k] = step * qk - z[k] - a_in
-        fb_out[k] = acc
-
-
 def _unrolled_loop_source(p: int) -> str:
-    """Source of a straight-line ``_dsq_loop_py`` for filter order ``p``.
+    """Source of the straight-line feedback loop for filter order ``p``.
 
     The last p errors live in locals h0..h{p-1}, written round-robin, and
     the body is unrolled p times so that sub-step r finds e[k-1-i] in
     h{(r-1-i) % p}: no value is ever shifted.  Each feedback sum adds the
-    products newest error first, after a leading 0.0, as the reference
-    kernel does.  The source depends on p alone; no data is formatted in.
+    products newest error first after a leading 0.0, fb[k] = 0.0 +
+    c_1 e[k-1] + ... + c_p e[k-p].  The source depends on p alone; no data
+    is formatted in.
     """
     lines = ["def kernel(it, c, step, q_append, e_append, fb_append, floor, next):"]
     if p:
@@ -107,15 +88,18 @@ def _unrolled_loop_source(p: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dsq_loop_unrolled(a, c_tail, z, step, q_out, e_out, fb_out):
-    # _dsq_loop_py without numba: indexing a numpy array boxes a scalar per
-    # access, so the samples stream as Python floats through memoryviews of
-    # the inputs (as fast as iterating an array.array copy, without the
-    # copy) and the outputs gather in array.array buffers, never as lists.  The
-    # history starts at 0.0 instead of a cold-start branch: each sum starts
-    # from 0.0, so in round-to-nearest acc is never -0.0, and adding a +-0.0
-    # product (ShapingFilter rejects non-finite coefficients) leaves it
-    # unchanged bit for bit, as if the term were absent
+def _dsq_loop(a, c_tail, z, step):
+    """Run the recursion over float64 arrays; return (q, e, fb) as int64 and
+    float64 views of the buffers the kernel filled.
+
+    Indexing a numpy array boxes a scalar per access, so the samples stream
+    as Python floats through memoryviews of the inputs and the outputs
+    gather in array.array buffers.  The history starts at 0.0 instead of a
+    cold-start branch: each sum starts from 0.0, so in round-to-nearest acc
+    is never -0.0, and adding a +-0.0 product (ShapingFilter rejects
+    non-finite coefficients) leaves it unchanged bit for bit, as if the
+    term were absent.
+    """
     p = c_tail.shape[0]
     namespace = {}
     exec(compile(_unrolled_loop_source(p), f"<dsq loop p={p}>", "exec"), namespace)
@@ -124,17 +108,11 @@ def _dsq_loop_unrolled(a, c_tail, z, step, q_out, e_out, fb_out):
     namespace["kernel"](
         it, c_tail.tolist(), step, q.append, e.append, fb.append, math.floor, next
     )
-    q_out[:] = np.frombuffer(q, dtype=np.int64)
-    e_out[:] = np.frombuffer(e, dtype=np.float64)
-    fb_out[:] = np.frombuffer(fb, dtype=np.float64)
-
-
-try:  # pragma: no cover - exercised implicitly
-    import numba
-
-    _dsq_loop = numba.njit(cache=True)(_dsq_loop_py)
-except ImportError:  # pragma: no cover
-    _dsq_loop = _dsq_loop_unrolled
+    return (
+        np.frombuffer(q, dtype=np.int64),
+        np.frombuffer(e, dtype=np.float64),
+        np.frombuffer(fb, dtype=np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,11 +146,7 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     if not (np.isfinite(a).all() and np.isfinite(z).all()):
         raise ValueError("signal and dither must be finite")
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
-    n = a.shape[0]
-    q = np.empty(n, dtype=np.int64)
-    e = np.empty(n, dtype=np.float64)
-    fb = np.empty(n, dtype=np.float64)
-    _dsq_loop(a, c_tail, z, float(step), q, e, fb)
+    q, e, fb = _dsq_loop(a, c_tail, z, float(step))
     loop_in = a + fb
     return LoopResult(
         indices=q, quantized=loop_in + e, quant_error=e, loop_input=loop_in, feedback=fb
@@ -218,18 +192,6 @@ class DescriptionPacket:
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
-class EncodeTrace:
-    """Oversampled-domain signals kept for verification."""
-
-    oversampled: np.ndarray    # a
-    loop_input: np.ndarray     # a' = a + feedback
-    quantized: np.ndarray      # a^ = a' + e
-    quant_error: np.ndarray    # e
-    shaped_error: np.ndarray   # eps = a^ - a = (c * e)
-    feedback: np.ndarray       # tail-filtered past errors
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +250,8 @@ def _multiplier(cfg: CodecConfig, stride: int) -> float:
 
 
 def encode(x, cfg: CodecConfig, dither=None):
-    """Encode a base-rate block into K description packets plus a trace.
+    """Encode a base-rate block into K description packets and the
+    oversampled loop's ``LoopResult``.
 
     ``dither`` overrides the seeded dither stream (test hook, e.g. forcing
     zero dither); it must cover the oversampled block.
@@ -321,15 +284,7 @@ def encode(x, cfg: CodecConfig, dither=None):
         )
         for j in range(k)
     ]
-    trace = EncodeTrace(
-        oversampled=a,
-        loop_input=loop.loop_input,
-        quantized=loop.quantized,
-        quant_error=loop.quant_error,
-        shaped_error=loop.quantized - a,
-        feedback=loop.feedback,
-    )
-    return packets, trace
+    return packets, loop
 
 
 # ---------------------------------------------------------------------------

@@ -417,10 +417,10 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
     for trial in range(config.n_trials):
         cfg = _codec_config(config, filt, trial)
         x = _draw_source(config, trial)
-        packets, trace = encode(x, cfg)
+        packets, loop = encode(x, cfg)
         g = cfg.guard * config.oversampling
-        var_trials.append(float(np.var(trace.quantized[g:])))
-        del trace  # six oversampled arrays; only the variance is kept
+        var_trials.append(float(np.var(loop.quantized[g:])))
+        del loop  # five oversampled arrays; only the variance is kept
         all_indices.extend(pkt.indices for pkt in packets)
         for pat in patterns:
             decoded = _decode_pattern(pat, packets, cfg)

@@ -26,6 +26,7 @@ exactly on the float64 coefficients the feedback loop runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -170,12 +171,11 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
 
 
-def _yule_walker_mp(p: int, lam: mp.mpf):
+def _yule_walker_mp(lags: list, lam: mp.mpf):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
-    c^T (G + 2*lam*I) c, at the current mp precision."""
-    r = [_sinc_half_mp(m) for m in range(p + 1)]
-    r[0] = r[0] + 2 * lam
-    return _levinson_mp(r, p)
+    c^T (G + 2*lam*I) c, at the current mp precision, from the half-band
+    lags sinc(m/2), m = 0..p."""
+    return _levinson_mp([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
@@ -185,7 +185,8 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     if lambda_ratio < 0:
         raise ValueError("lambda ratio must be >= 0")
     with mp.workdps(_design_dps(p)):
-        coeffs, _ = _yule_walker_mp(p, mp.mpf(repr(float(lambda_ratio))))
+        lags = [_sinc_half_mp(m) for m in range(p + 1)]
+        coeffs, _ = _yule_walker_mp(lags, mp.mpf(repr(float(lambda_ratio))))
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -237,6 +238,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)  # filters are frozen; the codec asks again per decode
 def band_power(filt: ShapingFilter, lo: float, hi: float) -> float:
     """(1/2pi) int over lo <= |w| <= hi of |c(e^{jw})|^2 dw, exactly.
 
@@ -354,11 +356,11 @@ def min_phase_check(filt: ShapingFilter, n: int = QUADRATURE_POINTS) -> MinPhase
 # ---------------------------------------------------------------------------
 
 
-def _ratio_at(p: int, lam: float) -> float:
+def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
-    with mp.workdps(_design_dps(p)):
+    with mp.workdps(_design_dps(len(lags) - 1)):
         lam_mp = mp.mpf(repr(float(lam)))
-        coeffs, energy = _yule_walker_mp(p, lam_mp)
+        coeffs, energy = _yule_walker_mp(lags, lam_mp)
         pds = mp.fsum(c * c for c in coeffs)
         # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
         pdc = (energy - 2 * lam_mp * pds) / 2
@@ -375,7 +377,9 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     _check_order(p)
-    hi_ratio = _ratio_at(p, 0.0)
+    with mp.workdps(_design_dps(p)):
+        lags = [_sinc_half_mp(m) for m in range(p + 1)]  # independent of lambda
+    hi_ratio = _ratio_at(lags, 0.0)
     if not (2.0 < gamma <= hi_ratio):
         raise ValueError(
             f"ratio out of range for order {p}: achievable range is (2, {hi_ratio:.6g}]"
@@ -383,7 +387,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
     lo = 0.0  # ratio(lo) >= gamma
     hi = 1.0
     for _ in range(200):
-        if _ratio_at(p, hi) < gamma:
+        if _ratio_at(lags, hi) < gamma:
             break
         lo = hi
         hi *= 2.0
@@ -391,7 +395,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
         raise ValueError(f"ratio out of range for order {p}: could not bracket gamma={gamma}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        ratio = _ratio_at(p, mid)
+        ratio = _ratio_at(lags, mid)
         if abs(ratio / gamma - 1.0) <= rel_tol:
             return mid
         if ratio > gamma:

@@ -33,7 +33,7 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def warm_codec():
-    # compile/caching warm-up so timed criteria measure simulation, not JIT
+    # warm-up (imports, first designs and FFTs) so timed criteria measure the simulation
     cfg = ExperimentConfig(
         sigma_e2=0.01, p=2, gamma=3.0, n_samples=1 << 14, n_trials=1, master_seed=1
     )

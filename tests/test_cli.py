@@ -122,6 +122,15 @@ def test_conflicting_filter_flags_are_usage_errors(argv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--gamma", "5"], ["--lambda-ratio", "0.1"]], ids=["gamma", "lambda-ratio"])
+def test_simulate_k4_rejects_half_band_shape_flags(flag, capsys):
+    # the K=4 filter is the three-step multiband design; a half-band shape
+    # flag must not replace it or be silently ignored
+    argv = ["simulate-k4", "--p", "16", "--n-samples", "16384", "--trials", "1", *flag]
+    assert main(argv) == 1
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
 def test_order_above_the_bound_is_usage_error(capsys):
     assert main(["simulate", "--p", "129", "--gamma", "17", "--n-samples", "16384", "--trials", "1"]) == 1
     assert "order must be in 1..128" in capsys.readouterr().err

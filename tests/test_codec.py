@@ -1,5 +1,6 @@
 """Encoder/decoder behavior: loop algebra, noiseless chains, statistics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from mdsigma.codec import (
     pattern_noise_power,
     reconstruction_mse,
 )
+from mdsigma.dsp import ideal_upsample
 from mdsigma.ecdq import QuantizerSpec
 from mdsigma.shaping import ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
@@ -106,6 +108,24 @@ class TestPatternNoisePower:
 # ---------------------------------------------------------------------------
 
 
+def _dsq_loop_py(a, c_tail, z, step):
+    """Reference recursion, one sample and one product at a time, under the
+    kernel's contract (a, c_tail, z, step) -> (q, e, fb)."""
+    n, p = a.shape[0], c_tail.shape[0]
+    q = np.empty(n, dtype=np.int64)
+    e, fb = np.empty(n), np.empty(n)
+    for k in range(n):
+        acc = 0.0
+        for i in range(min(p, k)):
+            acc += c_tail[i] * e[k - 1 - i]
+        a_in = a[k] + acc
+        qk = math.floor((a_in + z[k]) / step + 0.5)
+        q[k] = qk
+        e[k] = step * qk - z[k] - a_in
+        fb[k] = acc
+    return q, e, fb
+
+
 class TestLoop:
     def test_micro_case_by_hand(self):
         # two-step recursion with c = (1, -0.5), unit cell, fixed dither
@@ -120,9 +140,9 @@ class TestLoop:
     def test_zero_fixed_point(self):
         cfg = make_config()
         x = np.zeros(512)
-        packets, trace = encode(x, cfg, dither=np.zeros(1024))
+        packets, loop = encode(x, cfg, dither=np.zeros(1024))
         assert all(np.all(p.indices == 0) for p in packets)
-        assert np.all(trace.quantized == 0.0)
+        assert np.all(loop.quantized == 0.0)
 
     def test_trace_identity_exact(self):
         cfg = make_config()
@@ -130,7 +150,7 @@ class TestLoop:
         x = rng.standard_normal(2048)
         _, tr = encode(x, cfg)
         # bit-exact chain: a' = a + feedback, a^ = a' + e
-        assert np.array_equal(tr.loop_input, tr.oversampled + tr.feedback)
+        assert np.array_equal(tr.loop_input, ideal_upsample(x, 2) + tr.feedback)
         assert np.array_equal(tr.quantized, tr.loop_input + tr.quant_error)
         # feedback replays the same-order inner product over past errors
         ct = np.array(cfg.filter.coeffs)[1:]
@@ -147,7 +167,8 @@ class TestLoop:
         x = rng.standard_normal(4096)
         _, tr = encode(x, cfg)
         ref = lfilter(np.array(cfg.filter.coeffs), [1.0], tr.quant_error)
-        assert np.abs(tr.shaped_error - ref).max() <= 1e-10
+        shaped_error = tr.quantized - ideal_upsample(x, 2)
+        assert np.abs(shaped_error - ref).max() <= 1e-10
 
     def test_shaped_error_variance_tracks_total_power(self):
         cfg = make_config(filt=design_yule_walker(8, 0.1))
@@ -155,7 +176,7 @@ class TestLoop:
         x = rng.standard_normal(1 << 18)
         _, tr = encode(x, cfg)
         p = cfg.filter.order
-        var = tr.shaped_error[p:].var()
+        var = (tr.quantized - ideal_upsample(x, 2))[p:].var()
         _, pds = filter_powers(cfg.filter)
         assert var == pytest.approx(cfg.quantizer.noise_variance * pds, rel=0.02)
 
@@ -195,21 +216,12 @@ class TestLoop:
             with pytest.raises(ValueError, match="signal must be finite"):
                 encode(x, make_config())
 
-    def test_compiled_and_fallback_kernels_agree_bitwise(self):
-        # every loop realization shares the reference kernel's operation
-        # order: the generated straight-line kernel always, the numba build
-        # where numba imports.  Lengths around p cover the cold start and a
+    def test_kernel_matches_reference_recursion_bitwise(self):
+        # the generated straight-line kernel keeps the reference recursion's
+        # operation order.  Lengths around p cover the cold start and a
         # partial last unrolled pass; the all-zero block covers signed zeros
-        from mdsigma.codec import _dsq_loop, _dsq_loop_py, _dsq_loop_unrolled
+        from mdsigma.codec import _dsq_loop
 
-        kernels = [_dsq_loop_unrolled]
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            assert _dsq_loop is not _dsq_loop_unrolled
-            kernels.append(_dsq_loop)
         rng = np.random.default_rng(99)
         for p in (0, 1, 2, 12, 48, 64):
             filt = design_yule_walker(p, 0.05) if p else ShapingFilter((1.0,))
@@ -222,18 +234,12 @@ class TestLoop:
                         else:
                             a = rng.standard_normal(n)
                             z = rng.uniform(-step / 2, step / 2, n)
-                        outs = []
-                        for kernel in (_dsq_loop_py, *kernels):
-                            q = np.empty(n, dtype=np.int64)
-                            e = np.empty(n)
-                            fb = np.empty(n)
-                            kernel(a, ct, z, step, q, e, fb)
-                            outs.append((q.tobytes(), e.tobytes(), fb.tobytes()))
                         case = (p, n, step, zeros)
-                        for out in outs[1:]:
-                            assert out[0] == outs[0][0], (*case, "indices")
-                            assert out[1] == outs[0][1], (*case, "quant_error")
-                            assert out[2] == outs[0][2], (*case, "feedback")
+                        ref = _dsq_loop_py(a, ct, z, step)
+                        out = _dsq_loop(a, ct, z, step)
+                        for name, got, want in zip(("indices", "quant_error", "feedback"), out, ref):
+                            assert got.dtype == want.dtype, (*case, name)
+                            assert got.tobytes() == want.tobytes(), (*case, name)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +372,8 @@ def run_d4():
     cfg = make_config(filt=lam_filt, seed=21)
     rng = np.random.default_rng(20)
     x = rng.standard_normal(1 << 18)
-    packets, trace = encode(x, cfg)
-    return cfg, x, packets, trace
+    packets, loop = encode(x, cfg)
+    return cfg, x, packets, loop
 
 
 class TestCodecStatistics:

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdsigma import shaping
+from mdsigma.codec import encode, reconstruction_mse
 from mdsigma.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _codec_config,
+    _decode_pattern,
+    _draw_source,
+    _pattern_theory_mse,
     build_filter,
     estimate_index_entropy,
     parse_config_text,
@@ -157,6 +164,45 @@ class TestRun:
         names = [p.pattern for p in res.patterns]
         assert names == ["central", "pair02", "pair13", "single0", "single1", "single2", "single3"]
         assert res.all_passed
+
+
+@pytest.fixture(scope="module")
+def three_trials():
+    config = ExperimentConfig(**{**SMALL, "n_samples": 1 << 14, "n_trials": 3})
+    return config, build_filter(config), run(config)
+
+
+@settings(max_examples=6, deadline=None)
+@given(order=st.permutations(range(3)))
+def test_trial_results_do_not_depend_on_execution_order(three_trials, order):
+    # each trial is a pure function of (config, master_seed, trial index):
+    # running them in any order reproduces run()'s per-trial MSEs bit for bit
+    config, filt, result = three_trials
+    for t in order:
+        cfg = _codec_config(config, filt, t)
+        x = _draw_source(config, t)
+        packets, _ = encode(x, cfg)
+        for pat in config.patterns:
+            mse = reconstruction_mse(_decode_pattern(pat, packets, cfg), x)
+            assert mse == result.pattern(pat).mse_trials[t], (t, pat)
+
+
+def test_pattern_noise_power_is_evaluated_once(monkeypatch):
+    # the Wiener multiplier and the theory MSE read one memoized band power:
+    # once a pattern has been decoded, no further extended-precision work runs
+    config = ExperimentConfig(**{**SMALL, "n_samples": 1 << 14, "n_trials": 1, "p": 5})
+    cfg = _codec_config(config, build_filter(config), 0)
+    x = _draw_source(config, 0)
+    packets, _ = encode(x, cfg)
+    first = _decode_pattern("odd", packets, cfg)
+
+    def no_extended_precision(p):
+        raise AssertionError("band power evaluated again")
+
+    monkeypatch.setattr(shaping, "_design_dps", no_extended_precision)
+    again = _decode_pattern("odd", packets, cfg)
+    assert np.array_equal(again.samples, first.samples)
+    assert _pattern_theory_mse(config, cfg, "odd") > 0.0
 
 
 # ---------------------------------------------------------------------------
