@@ -135,7 +135,10 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
 
     Past errors start at zero, so the first ``order`` outputs see a cold
     feedback state; callers exclude them from statistics.  A non-finite
-    signal or dither sample is rejected before any kernel runs.
+    signal or dither sample, or a block whose index could reach 2^52, is
+    rejected before any kernel runs.  Every error lies in [-step/2, step/2],
+    so |index| <= (max|a| + max|z| + sum|c_tail| step/2)/step + 1/2; from
+    2^52 on, float64 no longer resolves the half the rounding adds.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     z = np.ascontiguousarray(dither, dtype=np.float64)
@@ -146,6 +149,10 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     if not (np.isfinite(a).all() and np.isfinite(z).all()):
         raise ValueError("signal and dither must be finite")
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
+    # max|a| + max|z| without a temporary array the size of the block
+    peak = max(a.max(initial=0.0), -a.min(initial=0.0)) + max(z.max(initial=0.0), -z.min(initial=0.0))
+    if not (peak + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
+        raise ValueError("signal, dither and feedback could push an index past 2^52 steps")
     q, e, fb = _dsq_loop(a, c_tail, z, float(step))
     loop_in = a + fb
     return LoopResult(

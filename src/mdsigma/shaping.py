@@ -11,9 +11,19 @@ gives the normal equations
 which are standard autocorrelation (Yule-Walker) equations and therefore
 have a unique minimum-phase solution.  The Gram matrix is the
 autocorrelation of a strictly band-limited spectrum, so its conditioning
-collapses rapidly with the order; the solver runs a Levinson-Durbin
+collapses rapidly with the order; every design runs a Levinson-Durbin
 recursion in extended precision so that small-lambda, large-p designs
 remain well defined.
+
+The weight ratio lambda that hits a target P_ds/P_dc is found by
+bisection.  Adding 2*lambda to the diagonal bounds the condition number by
+1 + 1/lambda, so from lambda >= 1e-3 on, float64 runs of the same
+recursion decide the bisection steps; a step falls back to extended
+precision when lambda is below that floor or when the float64 ratio lies
+within its derived error margin of a decision threshold
+(``find_lambda_for_ratio`` gives the derivation).  Every decision is then
+the one extended precision makes, so lambda comes out bit for bit the
+same, and the filter for that lambda is designed in extended precision.
 
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
@@ -124,7 +134,7 @@ class MinPhaseReport:
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision Levinson-Durbin core
+# Levinson-Durbin core
 # ---------------------------------------------------------------------------
 
 
@@ -135,14 +145,15 @@ def _sinc_half_mp(m: int) -> mp.mpf:
     return mp.sin(mp.pi * x) / (mp.pi * x)
 
 
-def _levinson_mp(r: list, p: int):
-    """Solve the autocorrelation normal equations at current mp precision.
+def _levinson(r: list, p: int):
+    """Solve the autocorrelation normal equations in the number type of ``r``.
 
-    ``r`` holds r_0..r_p.  Returns (monic coefficient list, final
-    prediction error r_0 * prod(1 - k_i^2)).
+    ``r`` holds r_0..r_p, as mpf (at the current mp precision) or as Python
+    floats: the recursion only adds, multiplies and divides, so one code
+    path serves both.  Returns (monic coefficient list, final prediction
+    error r_0 * prod(1 - k_i^2)).
     """
-    a = [mp.mpf(0)] * (p + 1)
-    a[0] = mp.mpf(1)
+    a = [1] + [0] * p  # a[j] is read only after step j has set it
     energy = r[0]
     for i in range(1, p + 1):
         if energy <= 0:
@@ -171,22 +182,22 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
 
 
-def _yule_walker_mp(lags: list, lam: mp.mpf):
+def _yule_walker(lags: list, lam):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
-    c^T (G + 2*lam*I) c, at the current mp precision, from the half-band
-    lags sinc(m/2), m = 0..p."""
-    return _levinson_mp([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
+    c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, in
+    their number type (mpf at the current precision, or float)."""
+    return _levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     """Order-p minimizer of P_dc + lambda_ratio * P_ds over monic filters,
     i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g."""
     _check_order(p)
-    if lambda_ratio < 0:
-        raise ValueError("lambda ratio must be >= 0")
+    if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
+        raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
     with mp.workdps(_design_dps(p)):
         lags = [_sinc_half_mp(m) for m in range(p + 1)]
-        coeffs, _ = _yule_walker_mp(lags, mp.mpf(repr(float(lambda_ratio))))
+        coeffs, _ = _yule_walker(lags, mp.mpf(repr(float(lambda_ratio))))
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -227,7 +238,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
                 lo_e = hi_e
             r.append(acc)
         try:
-            coeffs, _ = _levinson_mp(r, p)
+            coeffs, _ = _levinson(r, p)
         except ValueError as exc:
             raise ValueError(f"singular system: {exc}") from None
         return ShapingFilter(tuple(float(c) for c in coeffs))
@@ -356,15 +367,40 @@ def min_phase_check(filt: ShapingFilter, n: int = QUADRATURE_POINTS) -> MinPhase
 # ---------------------------------------------------------------------------
 
 
+# floor and margin headroom of the float64 bisection decisions; the
+# docstring of find_lambda_for_ratio derives both
+_F64_LAMBDA_FLOOR = 1e-3
+_F64_MARGIN_FACTOR = 16
+
+
+def _powers(lags: list, lam, fsum) -> tuple:
+    """(P_ds, P_dc) of the half-band design at lam, in the number type of
+    lags and lam, with ``fsum`` summing in that type."""
+    coeffs, energy = _yule_walker(lags, lam)
+    pds = fsum(c * c for c in coeffs)
+    # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
+    return pds, (energy - 2 * lam * pds) / 2
+
+
 def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
     with mp.workdps(_design_dps(len(lags) - 1)):
-        lam_mp = mp.mpf(repr(float(lam)))
-        coeffs, energy = _yule_walker_mp(lags, lam_mp)
-        pds = mp.fsum(c * c for c in coeffs)
-        # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
-        pdc = (energy - 2 * lam_mp * pds) / 2
+        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), mp.fsum)
         return float(pds) / float(pdc)
+
+
+def _ratio_f64(lags64: list, lam: float) -> tuple:
+    """(ratio, err): P_ds/P_dc of the float64 design at lam >= the floor, and
+    a bound on its distance from ``_ratio_at`` at the same lambda.
+
+    err = 16 (p+1) u (1 + 1/lam) (1 + 2 lam ratio) ratio, with u = 2^-53;
+    ``find_lambda_for_ratio`` derives it.
+    """
+    pds, pdc = _powers(lags64, lam, math.fsum)
+    ratio = pds / pdc
+    p = len(lags64) - 1
+    eps = _F64_MARGIN_FACTOR * (p + 1) * 2.0**-53 * (1.0 + 1.0 / lam) * (1.0 + 2.0 * lam * ratio)
+    return ratio, eps * ratio
 
 
 def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
@@ -372,22 +408,73 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
 
     The ratio decreases monotonically from its lambda=0 maximum toward the
     white-filter floor of 2 as lambda grows, so a bracketed bisection
-    applies.  Unreachable targets raise with the achievable range.
+    applies.  Unreachable targets raise with the achievable range, which
+    comes from the extended-precision design at lambda = 0.
+
+    Float64 decides, extended precision designs.  Each step needs one
+    decision on the ratio r at lambda: r < gamma while bracketing, then
+    |r/gamma - 1| <= rel_tol and r > gamma while bisecting.  A float64 run
+    of the same Levinson recursion on the float64 lags gives r^, and the
+    step trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
+    within err/gamma of 0 or of rel_tol (the margin), where
+
+        err = 16 (p+1) u (1 + 1/lambda) (1 + 2 lambda r^) r^,  u = 2^-53.
+
+    Those steps are recomputed in extended precision.  Outside the margin
+    r^ and the extended-precision r fall on the same side of both
+    thresholds, so the decisions, the midpoints and the returned lambda are
+    those of an all-extended-precision bisection, bit for bit.
+
+    Derivation of err:
+    - G is the autocorrelation of the spectrum 2 on |w| <= pi/2 and 0
+      beyond, so its eigenvalues lie in [0, 2] and those of G + 2 lambda I
+      in [2 lambda, 2 + 2 lambda]: the condition number is at most
+      kappa = 1 + 1/lambda, whatever p is.
+    - Levinson-Durbin on a symmetric positive-definite Toeplitz system is
+      weakly stable (Cybenko 1980; Bunch 1985): its relative forward error
+      is of order (p+1) u kappa.  The floor keeps this below 1.5e-11 up to
+      MAX_ORDER, so the float64 system stays positive definite and the
+      first-order analysis holds; below it the margin would near rel_tol
+      and the float64 work would mostly be wasted.
+    - P_ds = sum c_i^2 and the prediction error E = c^T (G + 2 lambda I) c
+      inherit that relative error.  P_dc = (E - 2 lambda P_ds)/2 multiplies
+      the error of E by E/(2 P_dc) = 1 + lambda r and that of 2 lambda P_ds
+      by lambda r, together 1 + 2 lambda r.  This factor is large only for
+      large lambda (gamma near 2), where kappa is near 1.
+    - The factor 16 covers the constants the order-of-magnitude statement
+      leaves out: the roundings of r_0 = 1 + 2 lambda, of each update of E,
+      of the sum of squares, and of r^/gamma.  Across p in 1..128 and
+      lambda in [1e-3, 1e4] the observed |r^ - r| stays below err/16, the
+      first-order bound itself (``tests/test_shaping.py``).  On the
+      half-band designs of the benchmark's grid err/r^ stays below 2e-11,
+      against rel_tol = 1e-6, so hardly any step falls back.
     """
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     _check_order(p)
     with mp.workdps(_design_dps(p)):
         lags = [_sinc_half_mp(m) for m in range(p + 1)]  # independent of lambda
+    lags64 = [float(v) for v in lags]
     hi_ratio = _ratio_at(lags, 0.0)
     if not (2.0 < gamma <= hi_ratio):
         raise ValueError(
             f"ratio out of range for order {p}: achievable range is (2, {hi_ratio:.6g}]"
         )
+
+    def ratio_at(lam: float) -> float:
+        if lam >= _F64_LAMBDA_FLOOR:
+            ratio, err = _ratio_f64(lags64, lam)
+            dev, slack = abs(ratio / gamma - 1.0), err / gamma
+            if slack < dev and slack < abs(dev - rel_tol):
+                return ratio
+        return _ratio_at(lags, lam)
+
     lo = 0.0  # ratio(lo) >= gamma
     hi = 1.0
     for _ in range(200):
-        if _ratio_at(lags, hi) < gamma:
+        if ratio_at(hi) < gamma:
             break
         lo = hi
         hi *= 2.0
@@ -395,7 +482,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
         raise ValueError(f"ratio out of range for order {p}: could not bracket gamma={gamma}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        ratio = _ratio_at(lags, mid)
+        ratio = ratio_at(mid)
         if abs(ratio / gamma - 1.0) <= rel_tol:
             return mid
         if ratio > gamma:

@@ -136,6 +136,12 @@ def test_order_above_the_bound_is_usage_error(capsys):
     assert "order must be in 1..128" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_lambda_ratio_is_usage_error(value, capsys):
+    assert main(["design-filter", "--p", "8", "--lambda-ratio", value]) == 1
+    assert "lambda ratio must be finite" in capsys.readouterr().err
+
+
 def test_simulate_k4_small(capsys):
     rc = main(
         [

@@ -207,6 +207,33 @@ class TestLoop:
         with pytest.raises(ValueError, match="finite"):
             delta_sigma_loop(a, design_yule_walker(4, 0.1), dither=z, step=1.0)
 
+    @pytest.mark.parametrize(
+        "peak,step,filt",
+        [
+            (1e19, 1.0, ShapingFilter((1.0,))),  # the index itself would overflow int64
+            (1.0, 1e-16, ShapingFilter((1.0,))),
+            (2.0**52 - 8, 1.0, ShapingFilter((1.0, 20.0))),  # fed-back errors add 10 steps
+        ],
+        ids=["signal-1e19", "tiny-step", "feedback-reach"],
+    )
+    def test_index_past_2_52_rejected_before_the_kernel(self, monkeypatch, peak, step, filt):
+        import mdsigma.codec
+
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel ran on a block whose index could pass 2^52")
+
+        monkeypatch.setattr(mdsigma.codec, "_dsq_loop", kernel_must_not_run)
+        a = np.zeros(16)
+        a[3] = peak
+        with pytest.raises(ValueError, match=r"past 2\^52"):
+            delta_sigma_loop(a, filt, dither=np.zeros(16), step=step)
+
+    def test_index_just_below_2_52_runs(self):
+        a = np.zeros(16)
+        a[3] = 2.0**52 - 8
+        res = delta_sigma_loop(a, ShapingFilter((1.0,)), dither=np.zeros(16), step=1.0)
+        assert res.indices[3] == 2**52 - 8
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_encode_rejects_non_finite_source_before_the_fft(self, value):
         x = np.zeros(64)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -120,6 +121,12 @@ class TestYuleWalkerDesign:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             design_yule_walker(0, 0.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -0.1])
+    def test_bad_lambda_rejected(self, lam):
+        # inf used to return the white filter, NaN to fail on its coefficients
+        with pytest.raises(ValueError, match="lambda ratio must be finite and >= 0"):
+            design_yule_walker(8, lam)
 
     def test_solves_normal_equations(self):
         for p, lam in [(4, 0.0), (8, 0.1), (12, 1.0)]:
@@ -311,6 +318,15 @@ class TestLambdaForRatio:
         with pytest.raises(ValueError, match="achievable range"):
             find_lambda_for_ratio(1e6, 2)
 
+    @pytest.mark.parametrize("rel_tol", [-1e-6, math.nan])
+    def test_bad_rel_tol_rejected_before_bisecting(self, rel_tol, monkeypatch):
+        def no_precision(p):
+            raise AssertionError("extended-precision work started")
+
+        monkeypatch.setattr(shaping, "_design_dps", no_precision)
+        with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+            find_lambda_for_ratio(17.0, 32, rel_tol=rel_tol)
+
     def test_ratio_monotone_in_lambda(self):
         ratios = []
         for lam in (0.01, 0.1, 1.0, 10.0):
@@ -366,3 +382,87 @@ class TestMultiband:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="at least one positive"):
             design_multiband(4, [np.pi / 2, np.pi], [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# float64 bisection decisions
+# ---------------------------------------------------------------------------
+
+
+def half_band_lags(p):
+    """sinc(m/2), m = 0..p, at the design precision of order p."""
+    with mp.workdps(shaping._design_dps(p)):
+        return [shaping._sinc_half_mp(m) for m in range(p + 1)]
+
+
+class TestFloat64Bisection:
+    @pytest.mark.parametrize(
+        "p,gamma",
+        # the benchmark's design grid: orders x gamma centres
+        [(p, g) for p in (8, 16, 32, 48, 64) for g in (4.0, 8.0, 17.0, 32.0)]
+        + [
+            # large lambda: the cancellation in P_dc is largest
+            pytest.param(8, 2.001, id="8-near-white"),
+            # small lambda: the bisection crosses the floor
+            pytest.param(8, "ceiling", id="8-near-ceiling"),
+            pytest.param(64, "ceiling", id="64-near-ceiling"),
+            pytest.param(MAX_ORDER, 17.0, id="max-order"),
+        ],
+    )
+    def test_same_lambda_as_all_extended_precision(self, p, gamma, monkeypatch):
+        if gamma == "ceiling":  # within 1 % of the lambda = 0 ratio
+            gamma = 0.995 * shaping._ratio_at(half_band_lags(p), 0.0)
+        lam = find_lambda_for_ratio(gamma, p)
+        # no lambda reaches an infinite floor, so every step runs in mpmath
+        monkeypatch.setattr(shaping, "_F64_LAMBDA_FLOOR", math.inf)
+        assert find_lambda_for_ratio(gamma, p) == lam
+
+    def test_grid_steps_settle_in_float64(self, monkeypatch):
+        # only the lambda = 0 range check runs in extended precision
+        calls = []
+        real = shaping._ratio_at
+        monkeypatch.setattr(shaping, "_ratio_at", lambda lags, lam: calls.append(lam) or real(lags, lam))
+        find_lambda_for_ratio(17.0, 32)
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("threshold", ["zero", "rel_tol"])
+    def test_ratio_inside_the_margin_is_recomputed(self, threshold, monkeypatch):
+        # every float64 ratio is moved inside its margin, across the
+        # threshold from the true ratio: trusting any of them changes lambda
+        # or fails the bracketing, so each step must be redone in mpmath
+        gamma, p, rel_tol = 17.0, 32, 1e-6
+        expected = find_lambda_for_ratio(gamma, p, rel_tol)
+        real_f64, real_mp = shaping._ratio_f64, shaping._ratio_at
+        calls = {"f64": 0, "mp": 0}
+
+        def misplaced(lags64, lam):
+            calls["f64"] += 1
+            ratio, err = real_f64(lags64, lam)
+            side = 1.0 if ratio > gamma else -1.0
+            half = 0.5 * err / gamma
+            if threshold == "zero":
+                dev = -side * half
+            else:
+                dev = side * (rel_tol + (half if abs(ratio / gamma - 1.0) <= rel_tol else -half))
+            return gamma * (1.0 + dev), err
+
+        def counted(lags, lam):
+            calls["mp"] += 1
+            return real_mp(lags, lam)
+
+        monkeypatch.setattr(shaping, "_ratio_f64", misplaced)
+        monkeypatch.setattr(shaping, "_ratio_at", counted)
+        assert find_lambda_for_ratio(gamma, p, rel_tol) == expected
+        assert calls["f64"] > 0
+        assert calls["mp"] == calls["f64"] + 1  # plus the lambda = 0 range check
+
+    @pytest.mark.parametrize("p", [1, 8, 32, MAX_ORDER])
+    def test_float64_ratio_within_the_first_order_bound(self, p):
+        # err carries a headroom of 16 over the first-order bound; the
+        # observed error stays inside the bound itself
+        lags = half_band_lags(p)
+        lags64 = [float(v) for v in lags]
+        for k in range(-6, 9):
+            lam = 10.0 ** (k / 2)
+            ratio, err = shaping._ratio_f64(lags64, lam)
+            assert abs(ratio - shaping._ratio_at(lags, lam)) <= err / 16, lam
