@@ -3,6 +3,11 @@
 Subcommands: design-filter, theory-point, sweep, simulate, simulate-k4,
 universality.  Exit codes: 0 all checks passed, 2 a tolerance check
 failed, 1 usage/configuration error.
+
+Simulation configs merge, each layer over the last: subcommand defaults,
+the ``--config`` file, the flags (``dest`` = field name; a noise flag drops
+the file's noise keys, a shape flag sets the filter kind), then the keys
+the subcommand fixes.  With no noise key set, sigma_e2 = 0.01.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import sys
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    parse_config_text,
+    read_config_text,
     run,
     sweep,
     sweep_rates,
@@ -30,17 +35,21 @@ from .shaping import (
 from .theory import K4Spec, brickwall_point, k4_point, ozarow_bounds
 
 
+_FIELDS = ExperimentConfig.__dataclass_fields__
+
+
 def _add_common_sim_flags(sp):
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--sigma-x2", type=float)
-    sp.add_argument("--sigma-e2", type=float)
-    sp.add_argument("--step", type=float, help="quantizer step (alternative to --sigma-e2)")
+    noise = sp.add_mutually_exclusive_group()
+    noise.add_argument("--sigma-e2", type=float)
+    noise.add_argument("--step", dest="quant_step", type=float, help="quantizer step")
     sp.add_argument("--p", type=int)
     sp.add_argument("--n-samples", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--source", choices=("gaussian", "laplace", "uniform"))
-    sp.add_argument("--tol", type=float, help="relative MSE tolerance per pattern")
+    sp.add_argument("--trials", dest="n_trials", type=int)
+    sp.add_argument("--seed", dest="master_seed", type=int)
+    sp.add_argument("--source", dest="source_dist", choices=("gaussian", "laplace", "uniform"))
+    sp.add_argument("--tol", dest="tol_mse_rel", type=float, help="relative MSE tolerance per pattern")
     sp.add_argument("--out", help="CSV output path")
 
 
@@ -51,39 +60,23 @@ def _add_half_band_shape_flags(sp):
     shape.add_argument("--lambda-ratio", type=float)
 
 
-def _config_from_args(args, overrides=None) -> ExperimentConfig:
-    values = {}
+def _config_from_args(args, defaults=(), fixed=()) -> ExperimentConfig:
+    values = dict(defaults)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = parse_config_text(fh.read())
-        values = {k: getattr(base, k) for k in base.__dataclass_fields__}
-    flag_map = {
-        "sigma_x2": args.sigma_x2,
-        "sigma_e2": args.sigma_e2,
-        "quant_step": args.step,
-        "p": args.p,
-        "gamma": getattr(args, "gamma", None),
-        "lambda_ratio": getattr(args, "lambda_ratio", None),
-        "n_samples": args.n_samples,
-        "n_trials": args.trials,
-        "master_seed": args.seed,
-        "source_dist": args.source,
-        "tol_mse_rel": args.tol,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
-    if values.get("sigma_e2") is not None and values.get("quant_step") is not None:
-        # explicit step wins; sigma_e2 is derived from it
-        values["sigma_e2"] = None
-    if overrides:
-        values.update(overrides)
-    if values.get("sigma_e2") is None and values.get("quant_step") is None:
-        values["sigma_e2"] = 0.01
-    if flag_map["gamma"] is not None:
-        values.setdefault("filter_kind", "yule_walker_gamma")
-    elif flag_map["lambda_ratio"] is not None:
+            values.update(read_config_text(fh.read()))
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    if "sigma_e2" in flags or "quant_step" in flags:
+        values.pop("sigma_e2", None)
+        values.pop("quant_step", None)
+    if "gamma" in flags:
+        values["filter_kind"] = "yule_walker_gamma"
+    if "lambda_ratio" in flags:
         values["filter_kind"] = "yule_walker"
+    values.update(flags)
+    values.update(fixed)
+    if "sigma_e2" not in values and "quant_step" not in values:
+        values["sigma_e2"] = 0.01
     return ExperimentConfig(**values)
 
 
@@ -183,14 +176,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_simulate_k4(args) -> int:
     d0, d1 = args.delta0, args.delta1
     d2 = 1.0 / math.sqrt(d0 * d1)
-    overrides = {
+    fixed = {
         "filter_kind": "multiband",
         "oversampling": 4,
         "band_edges": (math.pi / 4, 3 * math.pi / 4, math.pi),
         "band_weights": (1.0 / d0, 1.0 / d2, 1.0 / d1),
-        "tol_mse_rel": args.tol if args.tol is not None else 0.05,
     }
-    config = _config_from_args(args, overrides)
+    config = _config_from_args(args, defaults={"tol_mse_rel": 0.05}, fixed=fixed)
     spec = K4Spec(delta0=d0, delta1=d1, sigma_e2=config.noise_variance, sigma_x2=config.sigma_x2)
     ideal = k4_point(spec)
     print(

@@ -5,6 +5,10 @@ master_seed).  Trials draw from pre-split Philox substreams keyed by
 (trial, role) and results are merged in trial order, so output is
 identical across runs and across any trial-execution order.
 
+``ExperimentConfig`` is the only config schema: its field annotations
+give every key and type that ``read_config_text`` reads from a flat
+``key = value`` text (the key ``filter`` names the field ``filter_kind``).
+
 CSV schema (fixed column order):
     trial, pattern, n_samples, sigma_x2, sigma_e2, p, K, delta_or_gamma,
     pdc, pds, rate_theory_bits, rate_gauss_emp_bits, index_entropy_bits,
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import typing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +43,7 @@ __all__ = [
     "PatternResult",
     "IndexEntropyEstimate",
     "ConfigError",
+    "read_config_text",
     "parse_config_text",
     "build_filter",
     "run",
@@ -92,7 +98,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte-Carlo experiment."""
+    """Full description of one Monte-Carlo experiment; its annotated fields
+    are the only list of config keys and their types."""
 
     sigma_x2: float = 1.0
     sigma_e2: float | None = None      # exactly one of sigma_e2 / quant_step
@@ -101,15 +108,15 @@ class ExperimentConfig:
     p: int = 32
     lambda_ratio: float = 0.0
     gamma: float = 17.0
-    coeffs: tuple = ()
-    band_edges: tuple = ()
-    band_weights: tuple = ()
+    coeffs: tuple[float, ...] = ()
+    band_edges: tuple[float, ...] = ()
+    band_weights: tuple[float, ...] = ()
     oversampling: int = 2
     n_samples: int = 1 << 20
     n_trials: int = 4
     master_seed: int = 20090401
     source_dist: str = "gaussian"
-    erasure_patterns: tuple = ()       # default depends on K
+    erasure_patterns: tuple[str, ...] = ()  # default depends on K
     post_multipliers: str | None = None  # default: wiener for K=2, unit for K=4
     tol_mse_rel: float = 0.03
 
@@ -131,6 +138,8 @@ class ExperimentConfig:
         for pat in self.erasure_patterns:
             if pat not in self.valid_patterns():
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")
+        if len(set(self.erasure_patterns)) != len(self.erasure_patterns):
+            raise ConfigError(f"duplicate erasure pattern in {self.erasure_patterns}")
 
     def valid_patterns(self) -> tuple:
         return tuple(_PATTERN_PHASES[self.oversampling])
@@ -160,30 +169,27 @@ class ExperimentConfig:
 # Config file ingestion (flat key = value, # comments, unknown keys rejected)
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "sigma_x2": float,
-    "sigma_e2": float,
-    "quant_step": float,
-    "p": int,
-    "lambda_ratio": float,
-    "gamma": float,
-    "oversampling": int,
-    "n_samples": int,
-    "n_trials": int,
-    "master_seed": int,
-    "tol_mse_rel": float,
-}
-_LIST_KEYS = {
-    "coeffs": float,
-    "band_edges": float,
-    "band_weights": float,
-    "erasure_patterns": str,
-}
-_STR_KEYS = ("filter", "source_dist", "post_multipliers")
+
+def _converter(hint):
+    """str -> value for one field annotation: ``X | None`` reads as X and
+    ``tuple[X, ...]`` as a comma list of X."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda val: tuple(item(v.strip()) for v in val.split(",") if v.strip())
+    (conv,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    return conv
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` config format with line-precise errors."""
+# file key -> (field, converter); the key ``filter`` names ``filter_kind``
+_FILE_KEYS = {
+    ("filter" if name == "filter_kind" else name): (name, _converter(hint))
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+
+
+def read_config_text(text: str) -> dict:
+    """Read the flat ``key = value`` format into {field: converted value},
+    with line-precise errors; later lines override earlier ones."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,26 +199,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        field, conv = _FILE_KEYS[key]
         try:
-            if key in _SCALAR_KEYS:
-                values[key] = _SCALAR_KEYS[key](val)
-            elif key in _LIST_KEYS:
-                conv = _LIST_KEYS[key]
-                values[key] = tuple(conv(v.strip()) for v in val.split(",") if v.strip())
-            elif key in _STR_KEYS:
-                values["filter_kind" if key == "filter" else key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[field] = conv(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return values
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse the flat ``key = value`` config format with line-precise errors."""
+    return ExperimentConfig(**read_config_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ class IndexEntropyEstimate:
     miller_correction_bits: float
     n_symbols: int
     n_samples: int
-    fixed_dither: bool = False
 
 
 @dataclass(frozen=True)
@@ -379,7 +377,7 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def estimate_index_entropy(indices, fixed_dither: bool = False) -> IndexEntropyEstimate:
+def estimate_index_entropy(indices) -> IndexEntropyEstimate:
     """Plug-in entropy of the marginal index distribution in bits per sample."""
     idx = np.concatenate([np.asarray(a).ravel() for a in indices]) if isinstance(
         indices, (list, tuple)
@@ -396,7 +394,6 @@ def estimate_index_entropy(indices, fixed_dither: bool = False) -> IndexEntropyE
         miller_correction_bits=float(miller),
         n_symbols=int(counts.shape[0]),
         n_samples=int(n),
-        fixed_dither=fixed_dither,
     )
 
 
@@ -526,6 +523,8 @@ def sweep_rates(rates: Sequence[float], delta: float, sigma_x2: float = 1.0, csv
     rates = list(rates)
     if not rates:
         raise ValueError("empty grid")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     pds = 0.5 * (delta + 1.0 / delta)
     sigma_e2s = []
     for r in rates:

@@ -482,6 +482,8 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
         raise ValueError(f"ratio out of range for order {p}: could not bracket gamma={gamma}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats: no lambda left to try
         ratio = ratio_at(mid)
         if abs(ratio / gamma - 1.0) <= rel_tol:
             return mid

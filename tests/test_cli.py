@@ -1,8 +1,34 @@
 """Command-line interface: exit codes, output files, flag plumbing."""
 
+import math
+
 import pytest
 
+from mdsigma import cli
 from mdsigma.cli import main
+
+
+class _Ran(Exception):
+    pass
+
+
+@pytest.fixture
+def ran_config(monkeypatch):
+    """Stop a simulation subcommand at ``run`` and hand back its config."""
+    seen = []
+
+    def fake_run(config, csv_path=None):
+        seen.append(config)
+        raise _Ran
+
+    monkeypatch.setattr(cli, "run", fake_run)
+
+    def config_of(argv):
+        with pytest.raises(_Ran):
+            main(argv)
+        return seen[-1]
+
+    return config_of
 
 
 def test_design_filter_reports_powers(capsys):
@@ -168,3 +194,92 @@ def test_universality_rejects_low_resolution(capsys):
     )
     assert rc == 1
     assert "1e-3" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one merge order: subcommand defaults, file, flags, fixed keys
+# ---------------------------------------------------------------------------
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "file_filter,flag,kind,field,value",
+    [
+        ("filter = yule_walker\nlambda_ratio = 0.3\n", ["--gamma", "5"], "yule_walker_gamma", "gamma", 5.0),
+        ("filter = explicit\ncoeffs = 1, 0.5\n", ["--lambda-ratio", "0.2"], "yule_walker", "lambda_ratio", 0.2),
+    ],
+    ids=["gamma-over-yule-walker", "lambda-over-explicit"],
+)
+def test_shape_flag_overrides_the_file_filter(tmp_path, ran_config, file_filter, flag, kind, field, value):
+    cfg = ran_config(["simulate", "--config", _write(tmp_path, "sigma_e2 = 0.01\n" + file_filter), *flag])
+    assert cfg.filter_kind == kind and getattr(cfg, field) == value
+
+
+def test_file_without_noise_takes_the_noise_flag(tmp_path, capsys):
+    cfgfile = _write(
+        tmp_path, "filter = yule_walker_gamma\np = 8\ngamma = 6\nn_samples = 32768\nn_trials = 1\nmaster_seed = 5\n"
+    )
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfgfile, "--sigma-e2", "0.01", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[:2]
+    assert float(dict(zip(header.split(","), row.split(",")))["sigma_e2"]) == pytest.approx(0.01)
+
+
+def test_file_without_noise_defaults_to_0_01(tmp_path, ran_config):
+    cfgfile = _write(tmp_path, "p = 16\n")
+    for argv in (["simulate", "--config", cfgfile], ["simulate-k4", "--config", cfgfile]):
+        cfg = ran_config(argv)
+        assert cfg.sigma_e2 == 0.01 and cfg.quant_step is None
+
+
+@pytest.mark.parametrize(
+    "flag,sigma_e2,quant_step",
+    [(["--sigma-e2", "0.01"], 0.01, None), (["--step", "0.25"], None, 0.25)],
+    ids=["sigma-e2", "step"],
+)
+def test_noise_flag_replaces_both_file_noise_keys(tmp_path, ran_config, flag, sigma_e2, quant_step):
+    for key in ("quant_step = 0.5", "sigma_e2 = 0.04"):
+        cfg = ran_config(["simulate", "--config", _write(tmp_path, key + "\n"), *flag])
+        assert (cfg.sigma_e2, cfg.quant_step) == (sigma_e2, quant_step)
+
+
+def test_simulate_k4_reads_tolerance_from_the_file(tmp_path, ran_config):
+    cfgfile = _write(tmp_path, "sigma_e2 = 0.04\ntol_mse_rel = 0.2\n")
+    assert ran_config(["simulate-k4", "--config", cfgfile]).tol_mse_rel == 0.2
+    assert ran_config(["simulate-k4", "--config", cfgfile, "--tol", "0.3"]).tol_mse_rel == 0.3
+    assert ran_config(["simulate-k4"]).tol_mse_rel == 0.05
+    assert ran_config(["simulate"]).tol_mse_rel == 0.03
+
+
+def test_simulate_k4_fixes_its_shape_over_the_file(tmp_path, ran_config):
+    cfgfile = _write(tmp_path, "sigma_e2 = 0.04\nfilter = yule_walker\noversampling = 2\nband_edges = 1\n")
+    cfg = ran_config(["simulate-k4", "--config", cfgfile, "--delta0", "0.25", "--delta1", "1.0"])
+    assert (cfg.filter_kind, cfg.oversampling) == ("multiband", 4)
+    assert cfg.band_edges == (math.pi / 4, 3 * math.pi / 4, math.pi)
+    assert cfg.band_weights == (4.0, 0.5, 1.0)
+
+
+def test_flags_set_their_fields(ran_config):
+    cfg = ran_config(
+        ["simulate", "--sigma-x2", "2", "--step", "0.5", "--p", "8", "--n-samples", "16384",
+         "--trials", "3", "--seed", "7", "--source", "laplace", "--tol", "0.2"]
+    )
+    assert (cfg.sigma_x2, cfg.quant_step, cfg.sigma_e2, cfg.p, cfg.n_samples) == (2.0, 0.5, None, 8, 16384)
+    assert (cfg.n_trials, cfg.master_seed, cfg.source_dist, cfg.tol_mse_rel) == (3, 7, "laplace", 0.2)
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-k4", "universality"])
+def test_sigma_e2_and_step_exclude_each_other(command, capsys):
+    assert main([command, "--sigma-e2", "0.01", "--step", "0.3", "--p", "8"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
+    assert main(["sweep", "--rates", "1", "--delta", delta]) == 1
+    assert capsys.readouterr().err.startswith("error: delta must be positive")

@@ -70,6 +70,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid for K=2"):
             ExperimentConfig(sigma_e2=0.01, erasure_patterns=("pair02",))
 
+    def test_duplicate_pattern_rejected(self):
+        # a repeated pattern would append two trials' MSEs per trial
+        with pytest.raises(ConfigError, match="duplicate erasure pattern"):
+            ExperimentConfig(sigma_e2=0.01, erasure_patterns=("central", "central", "even"))
+        with pytest.raises(ConfigError, match="duplicate erasure pattern"):
+            parse_config_text("sigma_e2 = 0.01\nerasure_patterns = odd, odd\n")
+
+    def test_every_field_is_a_file_key(self):
+        # the field annotations are the schema: each field reads as its own
+        # key, except filter_kind, which the file spells ``filter``
+        text = """
+        sigma_x2 = 2.0
+        quant_step = 0.5
+        filter = explicit
+        p = 3
+        lambda_ratio = 0.25
+        gamma = 5
+        coeffs = 1, -0.5, 0.25
+        band_edges = 0.5, 1.5
+        band_weights = 2, 3
+        oversampling = 4
+        n_samples = 16384
+        n_trials = 3
+        master_seed = 7
+        source_dist = uniform
+        erasure_patterns = central, single2
+        post_multipliers = wiener
+        tol_mse_rel = 0.1
+        """
+        cfg = parse_config_text(text)
+        assert cfg == ExperimentConfig(
+            sigma_x2=2.0, quant_step=0.5, filter_kind="explicit", p=3, lambda_ratio=0.25,
+            gamma=5.0, coeffs=(1.0, -0.5, 0.25), band_edges=(0.5, 1.5), band_weights=(2.0, 3.0),
+            oversampling=4, n_samples=16384, n_trials=3, master_seed=7, source_dist="uniform",
+            erasure_patterns=("central", "single2"), post_multipliers="wiener", tol_mse_rel=0.1,
+        )
+        assert type(cfg.p) is int and type(cfg.gamma) is float
+        with pytest.raises(ConfigError, match="line 2: unknown key 'filter_kind'"):
+            parse_config_text("sigma_e2 = 0.01\nfilter_kind = explicit\n")
+
     def test_step_and_sigma_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig(sigma_e2=0.01, quant_step=0.5)
@@ -240,6 +280,13 @@ class TestSweep:
             assert row[3] == pytest.approx(target, abs=1e-12)
         with pytest.raises(ValueError, match="infeasible"):
             sweep_rates([0.5], delta=4.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_rate_grid_rejects_non_positive_delta(self, delta):
+        from mdsigma.harness import sweep_rates
+
+        with pytest.raises(ValueError, match="delta must be positive"):
+            sweep_rates([2.0], delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,17 @@ class TestLambdaForRatio:
         with pytest.raises(ValueError, match="rel_tol must be >= 0"):
             find_lambda_for_ratio(17.0, 32, rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-17])
+    def test_unreachable_tolerance_stops_when_the_bracket_collapses(self, rel_tol, monkeypatch):
+        # no float lambda meets the tolerance: once lo and hi are adjacent
+        # floats the bisection gives up instead of re-trying them in mpmath
+        calls = []
+        real = shaping._ratio_at
+        monkeypatch.setattr(shaping, "_ratio_at", lambda lags, lam: calls.append(lam) or real(lags, lam))
+        with pytest.raises(ValueError, match="bisection failed"):
+            find_lambda_for_ratio(17.0, 64, rel_tol=rel_tol)
+        assert len(set(calls)) == len(calls) <= 64
+
     def test_ratio_monotone_in_lambda(self):
         ratios = []
         for lam in (0.01, 0.1, 1.0, 10.0):
