@@ -110,7 +110,10 @@ def quantize_dithered(s, z, q: QuantizerSpec):
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
         raise ValueError("non-finite input")
     y = (s + z) / q.step
-    index = np.floor(y + 0.5).astype(np.int64)
+    # floor(y + 0.5) would round y + 0.5 first: y = 0.5 - 2^-54 lands on
+    # 1.0 and picks the far cell.  y - floor(y) is exact, so compare it.
+    index = np.floor(y)
+    index = (index + (y - index >= 0.5)).astype(np.int64)
     reconstruction = q.step * index.astype(np.float64) - z
     return index, reconstruction
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from mdsigma.ecdq import (
@@ -52,6 +52,7 @@ class TestQuantizeDithered:
         step=st.floats(1e-3, 1e3),
     )
     @settings(max_examples=200, deadline=None)
+    @example(s=0.0, z_frac=0.9999999999999999, step=22.0)  # y + 0.5 rounds up to 1.0
     def test_error_support(self, s, z_frac, step):
         q = QuantizerSpec(step=step)
         z = (z_frac - 0.5) * step
