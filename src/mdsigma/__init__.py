@@ -17,7 +17,6 @@ from .ecdq import (
     DitherStream,
     QuantizerSpec,
     error_statistics,
-    quantize_dithered,
     rate_accounting,
 )
 from .shaping import (

@@ -19,7 +19,12 @@ reconstruction, a single one (s = K) a side reconstruction.
 The feedback recursion is sequential by nature.  ``_dsq_loop`` is its one
 kernel: straight-line Python generated from the filter order, which
 streams the samples as Python floats and returns numpy views of the
-buffers it filled.  It meets the acceptance timing gates on its own.
+buffers it filled.  It meets the acceptance timing gates on its own.  It
+is also the library's only dithered quantizer (an order-0 filter gives
+plain dithered quantization): with y = (s + z)/step it rounds half up,
+index = floor(y) + [y - floor(y) >= 1/2].  y - floor(y) is exact
+wherever it lies below 1/2, so, unlike floor(y + 1/2), the rule never
+picks the far cell, and every error lies in (-step/2, step/2].
 """
 
 from __future__ import annotations
@@ -79,7 +84,10 @@ def _unrolled_loop_source(p: int) -> str:
         lines += [
             f"        acc = 0.0{terms}",
             "        s = ak + acc",
-            "        qk = floor((s + zk) / step + 0.5)",
+            "        y = (s + zk) / step",
+            "        qk = floor(y)",
+            "        if y - qk >= 0.5:",
+            "            qk += 1",
             f"        {f'h{r} = ' if p else ''}ek = step * qk - zk - s",
             "        q_append(qk)",
             "        e_append(ek)",
@@ -136,9 +144,10 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     Past errors start at zero, so the first ``order`` outputs see a cold
     feedback state; callers exclude them from statistics.  A non-finite
     signal or dither sample, or a block whose index could reach 2^52, is
-    rejected before any kernel runs.  Every error lies in [-step/2, step/2],
-    so |index| <= (max|a| + max|z| + sum|c_tail| step/2)/step + 1/2; from
-    2^52 on, float64 no longer resolves the half the rounding adds.
+    rejected before any kernel runs.  Every error lies in the cell
+    (-step/2, step/2], so |index| <= (max|a| + max|z| + sum|c_tail|
+    step/2)/step + 1/2; from 2^52 on, float64 no longer resolves a
+    fraction of a step.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     z = np.ascontiguousarray(dither, dtype=np.float64)
@@ -190,7 +199,6 @@ class CodecConfig:
 
 @dataclass(frozen=True)
 class DescriptionPacket:
-    description_id: int
     indices: np.ndarray
     dither_seed: int
     phase: int
@@ -283,12 +291,7 @@ def encode(x, cfg: CodecConfig, dither=None):
 
     loop = delta_sigma_loop(a, cfg.filter, z, cfg.quantizer.step)
     packets = [
-        DescriptionPacket(
-            description_id=j,
-            indices=loop.indices[j::k],
-            dither_seed=cfg.dither_seed,
-            phase=j,
-        )
+        DescriptionPacket(indices=loop.indices[j::k], dither_seed=cfg.dither_seed, phase=j)
         for j in range(k)
     ]
     return packets, loop

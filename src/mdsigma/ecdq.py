@@ -1,11 +1,14 @@
-"""Subtractive-dither lattice quantization with exact additive-noise behavior.
+"""Subtractive-dither lattice quantization: cell, dither, error statistics, rate.
 
-The quantizer rounds (s + z)/step to the nearest integer with half-ties
-rounded toward +inf, i.e. index = floor(y + 1/2).  With that convention
-the error e = step*index - z - s lies in (-step/2, step/2] exactly, for
-every input.  Under dither uniform on the cell the error is uniform,
-white, and independent of the input, which is what makes the feedback
-loop of the codec exactly linear.
+The quantizer itself is the codec's feedback-loop kernel
+(``codec.delta_sigma_loop``; an order-0 filter gives plain dithered
+quantization).  It rounds (s + z)/step to the nearest integer with
+half-ties rounded toward +inf by an exact rule, so the error
+e = step*index - z - s lies in (-step/2, step/2] for every input.  Under
+dither uniform on the cell the error is uniform, white, and independent of
+the input, which is what makes the feedback loop of the codec exactly
+linear.  This module holds the cell, the dither streams, and the
+statistics and rate accounting that judge the loop's errors.
 
 The lattice is scalar (a product lattice behaves identically per
 dimension); shaped lattices are not constructed, their rate advantage is
@@ -30,7 +33,6 @@ __all__ = [
     "DitherStream",
     "ErrorStatsReport",
     "RateAccounting",
-    "quantize_dithered",
     "error_statistics",
     "rate_accounting",
     "substream",
@@ -93,29 +95,6 @@ class DitherStream:
 
     def draw(self, n: int) -> np.ndarray:
         return self._rng.uniform(-self.step / 2.0, self.step / 2.0, int(n))
-
-
-def quantize_dithered(s, z, q: QuantizerSpec):
-    """Dithered lattice quantization of ``s`` with dither ``z``.
-
-    Returns (index, reconstruction) with index = round_half_up((s+z)/step)
-    and reconstruction = step*index - z, so the error
-    reconstruction - s = Q(s+z) - (s+z) depends on s+z only through its
-    value modulo the cell and lies in (-step/2, step/2] per coordinate.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if s.shape != z.shape:
-        raise ValueError("sample and dither shapes must match")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-        raise ValueError("non-finite input")
-    y = (s + z) / q.step
-    # floor(y + 0.5) would round y + 0.5 first: y = 0.5 - 2^-54 lands on
-    # 1.0 and picks the far cell.  y - floor(y) is exact, so compare it.
-    index = np.floor(y)
-    index = (index + (y - index >= 0.5)).astype(np.int64)
-    reconstruction = q.step * index.astype(np.float64) - z
-    return index, reconstruction
 
 
 @dataclass(frozen=True)

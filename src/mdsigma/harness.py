@@ -135,6 +135,12 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be >= 1")
         if (self.sigma_e2 is None) == (self.quant_step is None):
             raise ConfigError("specify exactly one of sigma_e2 / quant_step")
+        for name in ("sigma_x2", "sigma_e2", "quant_step"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if not self.tol_mse_rel >= 0:  # NaN fails too
+            raise ConfigError(f"tol_mse_rel must be >= 0, got {self.tol_mse_rel!r}")
         for pat in self.erasure_patterns:
             if pat not in self.valid_patterns():
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")

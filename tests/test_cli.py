@@ -283,3 +283,32 @@ def test_sigma_e2_and_step_exclude_each_other(command, capsys):
 def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
     assert main(["sweep", "--rates", "1", "--delta", delta]) == 1
     assert capsys.readouterr().err.startswith("error: delta must be positive")
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("simulate", ["--tol", "-1"], "tol_mse_rel must be >= 0"),
+        ("simulate", ["--tol", "nan"], "tol_mse_rel must be >= 0"),
+        ("simulate", ["--sigma-e2", "-1"], "sigma_e2 must be positive and finite"),
+        ("simulate", ["--sigma-e2", "0"], "sigma_e2 must be positive and finite"),
+        ("simulate", ["--step", "inf"], "quant_step must be positive and finite"),
+        ("simulate", ["--sigma-x2", "0"], "sigma_x2 must be positive and finite"),
+        ("simulate-k4", ["--sigma-e2", "-1"], "sigma_e2 must be positive and finite"),
+        ("universality", ["--tol", "-0.5"], "tol_mse_rel must be >= 0"),
+    ],
+    ids=[
+        "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf",
+        "sigma-x2-zero", "k4-sigma-e2-negative", "universality-tol-negative",
+    ],
+)
+def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, capsys, command, flags, message):
+    def run_must_not_start(*args, **kwargs):
+        raise AssertionError("the run started on an invalid configuration")
+
+    monkeypatch.setattr(cli, "run", run_must_not_start)
+    monkeypatch.setattr(cli, "universality_check", run_must_not_start)
+    argv = [command, "--p", "2", "--n-samples", "16384", "--trials", "1", *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

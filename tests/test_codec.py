@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
@@ -119,7 +120,10 @@ def _dsq_loop_py(a, c_tail, z, step):
         for i in range(min(p, k)):
             acc += c_tail[i] * e[k - 1 - i]
         a_in = a[k] + acc
-        qk = math.floor((a_in + z[k]) / step + 0.5)
+        y = (a_in + z[k]) / step
+        qk = math.floor(y)
+        if y - qk >= 0.5:  # half up, without rounding y + 0.5
+            qk += 1
         q[k] = qk
         e[k] = step * qk - z[k] - a_in
         fb[k] = acc
@@ -188,6 +192,33 @@ class TestLoop:
         _, pds = filter_powers(cfg.filter)
         expect = 1.0 + cfg.quantizer.noise_variance * pds
         assert tr.quantized[16:].var() == pytest.approx(expect, rel=0.01)
+
+    def test_just_below_half_a_cell_stays_in_the_near_cell(self):
+        # y = 0.5 - 2^-54: floor(y + 0.5) would round y + 0.5 to 1.0 and
+        # give index 1 with error 11.000000000000002, outside the cell
+        res = delta_sigma_loop([0.0], ShapingFilter((1.0,)), [10.999999999999998], 22.0)
+        assert res.indices.tolist() == [0]
+        assert res.quant_error.tolist() == [-10.999999999999998]
+
+    @given(
+        p=st.sampled_from([0, 1, 8]),
+        data=st.data(),
+        step=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_error_lies_in_the_cell(self, p, data, step):
+        tail = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p), label="c_tail")
+        n = data.draw(st.integers(1, 64), label="n")
+        a = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n), label="a")
+        z_frac = data.draw(
+            st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n), label="z_frac"
+        )
+        z = (np.array(z_frac) - 0.5) * step
+        res = delta_sigma_loop(a, ShapingFilter((1.0, *tail)), z, step)
+        # the rounding of step*q - z - a_in, as the benchmark's loop oracle allows
+        slack = 4.0 * np.finfo(np.float64).eps * (2.0 * np.abs(res.loop_input) + 2.0 * step)
+        assert np.all(res.quant_error > -step / 2 - slack)
+        assert np.all(res.quant_error <= step / 2 + slack)
 
     def test_dither_length_validated(self):
         with pytest.raises(ValueError, match="dither"):
@@ -375,7 +406,7 @@ class TestDecoderContracts:
     def test_subset_rejects_mixed_seeds(self):
         cfg = make_config(filt=design_yule_walker(16, 0.05), k=4)
         packets, _ = encode(np.random.default_rng(8).standard_normal(1 << 10), cfg)
-        bad = DescriptionPacket(2, packets[2].indices, 999, 2)
+        bad = DescriptionPacket(packets[2].indices, 999, 2)
         with pytest.raises(ValueError, match="packets disagree on the dither seed"):
             decode([packets[0], bad], cfg)
 

@@ -7,44 +7,43 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from mdsigma.codec import delta_sigma_loop
 from mdsigma.ecdq import (
     DitherStream,
     QuantizerSpec,
     error_statistics,
-    quantize_dithered,
     rate_accounting,
     substream,
 )
+from mdsigma.shaping import ShapingFilter
+
+# the order-0 feedback loop is plain dithered quantization
+WHITE = ShapingFilter((1.0,))
 
 
 class TestQuantizeDithered:
     def test_plain_rounding(self):
-        q = QuantizerSpec(step=1.0)
-        idx, rec = quantize_dithered([0.3], [0.0], q)
-        assert idx[0] == 0 and rec[0] == 0.0
-        assert rec[0] - 0.3 == pytest.approx(-0.3)
+        res = delta_sigma_loop([0.3], WHITE, [0.0], 1.0)
+        assert res.indices[0] == 0 and res.quantized[0] == 0.0
+        assert res.quant_error[0] == pytest.approx(-0.3)
 
     def test_dither_shifts_cell(self):
-        q = QuantizerSpec(step=1.0)
-        idx, rec = quantize_dithered([0.3], [0.3], q)
-        assert idx[0] == 1
-        assert rec[0] == pytest.approx(0.7)
-        assert rec[0] - 0.3 == pytest.approx(0.4)
+        res = delta_sigma_loop([0.3], WHITE, [0.3], 1.0)
+        assert res.indices[0] == 1
+        assert res.quantized[0] == pytest.approx(0.7)
+        assert res.quant_error[0] == pytest.approx(0.4)
 
     def test_error_moments_bulk(self):
-        q = QuantizerSpec(step=1.0)
         rng = np.random.default_rng(11)
         s = rng.normal(0.0, 3.0, 10**6)
         z = rng.uniform(-0.5, 0.5, 10**6)
-        _, rec = quantize_dithered(s, z, q)
-        err = rec - s
+        err = delta_sigma_loop(s, WHITE, z, 1.0).quant_error
         assert abs(err.mean()) <= 0.002
         assert err.var() == pytest.approx(1.0 / 12.0, rel=0.01)
 
     def test_nonfinite_rejected(self):
-        q = QuantizerSpec(step=1.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            quantize_dithered([np.nan], [0.0], q)
+        with pytest.raises(ValueError, match="finite"):
+            delta_sigma_loop([np.nan], WHITE, [0.0], 1.0)
 
     @given(
         s=st.floats(-1e6, 1e6),
@@ -54,10 +53,8 @@ class TestQuantizeDithered:
     @settings(max_examples=200, deadline=None)
     @example(s=0.0, z_frac=0.9999999999999999, step=22.0)  # y + 0.5 rounds up to 1.0
     def test_error_support(self, s, z_frac, step):
-        q = QuantizerSpec(step=step)
         z = (z_frac - 0.5) * step
-        _, rec = quantize_dithered([s], [z], q)
-        err = rec[0] - s
+        err = delta_sigma_loop([s], WHITE, [z], step).quant_error[0]
         slack = 4.0 * np.spacing(max(1.0, abs(s)))  # float rounding at the cell edge
         assert -step / 2 - slack < err <= step / 2 + slack
 
@@ -65,16 +62,16 @@ class TestQuantizeDithered:
     @settings(max_examples=100, deadline=None)
     def test_error_depends_on_cell_offset_only(self, shift):
         # integer lattice shifts move the index, not the error
-        q = QuantizerSpec(step=0.75)
-        s, z = 0.2341, -0.11
-        idx0, rec0 = quantize_dithered([s], [z], q)
-        idx1, rec1 = quantize_dithered([s + shift * q.step], [z], q)
-        assert idx1[0] - idx0[0] == shift
-        assert (rec1[0] - (s + shift * q.step)) == pytest.approx(rec0[0] - s, abs=1e-12)
+        step, s, z = 0.75, 0.2341, -0.11
+        res0 = delta_sigma_loop([s], WHITE, [z], step)
+        res1 = delta_sigma_loop([s + shift * step], WHITE, [z], step)
+        assert res1.indices[0] - res0.indices[0] == shift
+        assert res1.quant_error[0] == pytest.approx(res0.quant_error[0], abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes"):
-            quantize_dithered([1.0, 2.0], [0.0], QuantizerSpec(step=1.0))
+        # a dither longer than the block is rejected, as a shorter one is
+        with pytest.raises(ValueError, match="dither"):
+            delta_sigma_loop([1.0], WHITE, [0.0, 0.0], 1.0)
 
 
 class TestQuantizerSpec:
@@ -129,8 +126,7 @@ def gaussian_run():
     n = 10**6
     s = rng.standard_normal(n)
     z = rng.uniform(-q.step / 2, q.step / 2, n)
-    _, rec = quantize_dithered(s, z, q)
-    return s, rec - s, q
+    return s, delta_sigma_loop(s, WHITE, z, q.step).quant_error, q
 
 
 class TestErrorStatistics:
@@ -172,8 +168,7 @@ class TestErrorStatistics:
 
         def errors(src):
             z = rng.uniform(-q.step / 2, q.step / 2, n)
-            _, rec = quantize_dithered(src, z, q)
-            return rec - src
+            return delta_sigma_loop(src, WHITE, z, q.step).quant_error
 
         e0 = errors(np.zeros(n))
         e1 = errors(rng.laplace(0.0, 2.0, n))

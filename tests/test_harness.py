@@ -1,5 +1,7 @@
 """Harness: config ingestion, runs, sweeps, entropy estimation, CSV contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,29 @@ class TestConfigParsing:
         assert type(cfg.p) is int and type(cfg.gamma) is float
         with pytest.raises(ConfigError, match="line 2: unknown key 'filter_kind'"):
             parse_config_text("sigma_e2 = 0.01\nfilter_kind = explicit\n")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("sigma_x2", 0.0),
+            ("sigma_x2", math.inf),
+            ("sigma_e2", -1.0),
+            ("sigma_e2", 0.0),
+            ("sigma_e2", math.nan),
+            ("quant_step", -0.5),
+            ("quant_step", math.inf),
+        ],
+    )
+    def test_non_positive_or_non_finite_scales_rejected(self, field, value):
+        noise = {} if field in ("sigma_e2", "quant_step") else {"sigma_e2": 0.01}
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            ExperimentConfig(**noise, **{field: value})
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ConfigError, match="tol_mse_rel must be >= 0"):
+            ExperimentConfig(sigma_e2=0.01, tol_mse_rel=tol)
+        assert ExperimentConfig(sigma_e2=0.01, tol_mse_rel=0.0).tol_mse_rel == 0.0
 
     def test_step_and_sigma_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -301,14 +326,15 @@ class TestIndexEntropy:
         assert est.n_symbols == 1
 
     def test_coarse_quantizer_is_nearly_free(self):
-        # cell width 100x the source scale: almost surely index 0
-        from mdsigma.ecdq import QuantizerSpec, quantize_dithered
+        # cell width 100x the source scale: almost surely index 0.  The
+        # order-0 loop is plain dithered quantization
+        from mdsigma.codec import delta_sigma_loop
+        from mdsigma.shaping import ShapingFilter
 
         rng = np.random.default_rng(8)
-        q = QuantizerSpec(step=100.0)
         s = rng.standard_normal(10**5)
         z = rng.uniform(-50.0, 50.0, 10**5)
-        idx, _ = quantize_dithered(s, z, q)
+        idx = delta_sigma_loop(s, ShapingFilter((1.0,)), z, 100.0).indices
         assert estimate_index_entropy(idx).bits <= 0.1
 
     def test_needs_bulk(self):
