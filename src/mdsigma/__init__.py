@@ -17,7 +17,6 @@ from .ecdq import (
     DitherStream,
     QuantizerSpec,
     error_statistics,
-    rate_accounting,
 )
 from .shaping import (
     BrickWallSpec,
@@ -33,13 +32,13 @@ from .shaping import (
 from .theory import (
     K4Spec,
     OzarowEvaluation,
-    TestChannelParams,
     TheoryPoint,
     brickwall_point,
     finite_p_point,
+    gaussian_rate_bits,
     k4_point,
     ozarow_bounds,
-    test_channel_map,
+    wiener_gain,
 )
 from .codec import (
     CodecConfig,
@@ -53,7 +52,6 @@ from .harness import (
     ExperimentConfig,
     SimResult,
     estimate_index_entropy,
-    parse_config_text,
     run,
     sweep,
     sweep_rates,

@@ -7,7 +7,9 @@ failed, 1 usage/configuration error.
 Simulation configs merge, each layer over the last: subcommand defaults,
 the ``--config`` file, the flags (``dest`` = field name; a noise flag drops
 the file's noise keys, a shape flag sets the filter kind), then the keys
-the subcommand fixes.  With no noise key set, sigma_e2 = 0.01.
+the subcommand fixes.  With no noise key set, sigma_e2 = 0.01.  The
+config (scales, tolerance, seed) and the simulate-k4 band levels are
+checked before any work: a bad one exits 1 before any filter is designed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .harness import (
     ConfigError,
@@ -174,16 +177,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_simulate_k4(args) -> int:
-    d0, d1 = args.delta0, args.delta1
-    d2 = 1.0 / math.sqrt(d0 * d1)
     fixed = {
         "filter_kind": "multiband",
         "oversampling": 4,
         "band_edges": (math.pi / 4, 3 * math.pi / 4, math.pi),
-        "band_weights": (1.0 / d0, 1.0 / d2, 1.0 / d1),
     }
     config = _config_from_args(args, defaults={"tol_mse_rel": 0.05}, fixed=fixed)
-    spec = K4Spec(delta0=d0, delta1=d1, sigma_e2=config.noise_variance, sigma_x2=config.sigma_x2)
+    # the spec checks the band levels before they become filter weights
+    spec = K4Spec(delta0=args.delta0, delta1=args.delta1, sigma_e2=config.noise_variance, sigma_x2=config.sigma_x2)
+    config = replace(config, band_weights=(1.0 / spec.delta0, 1.0 / spec.delta2, 1.0 / spec.delta1))
     ideal = k4_point(spec)
     print(
         f"three-step targets: dc={ideal.dc:.6e} d2={ideal.d2:.6e} d1={ideal.d1:.6e} "

@@ -39,6 +39,7 @@ import numpy as np
 from .dsp import SignalBlock, ideal_lowpass_downsample, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import ShapingFilter, band_power
+from .theory import wiener_gain
 
 __all__ = [
     "CodecConfig",
@@ -254,9 +255,7 @@ def pattern_noise_power(cfg: CodecConfig, stride: int) -> float:
 def _multiplier(cfg: CodecConfig, stride: int) -> float:
     if cfg.post_multipliers == "unit":
         return 1.0
-    power = pattern_noise_power(cfg, stride)
-    sx2 = cfg.source_variance
-    return sx2 / (sx2 + cfg.quantizer.noise_variance * power)
+    return wiener_gain(cfg.source_variance, cfg.quantizer.noise_variance, pattern_noise_power(cfg, stride))
 
 
 # ---------------------------------------------------------------------------

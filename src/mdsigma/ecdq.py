@@ -1,4 +1,4 @@
-"""Subtractive-dither lattice quantization: cell, dither, error statistics, rate.
+"""Subtractive-dither lattice quantization: cell, dither, error statistics.
 
 The quantizer itself is the codec's feedback-loop kernel
 (``codec.delta_sigma_loop``; an order-0 filter gives plain dithered
@@ -8,12 +8,11 @@ e = step*index - z - s lies in (-step/2, step/2] for every input.  Under
 dither uniform on the cell the error is uniform, white, and independent of
 the input, which is what makes the feedback loop of the codec exactly
 linear.  This module holds the cell, the dither streams, and the
-statistics and rate accounting that judge the loop's errors.
+statistics that judge the loop's errors.  The Gaussian rate of an output
+variance over the cell noise step^2/12 is ``theory.gaussian_rate_bits``.
 
 The lattice is scalar (a product lattice behaves identically per
-dimension); shaped lattices are not constructed, their rate advantage is
-accounted analytically as the space-filling term (1/2) log2(2 pi e / 12)
-per dimension.
+dimension); shaped lattices are not constructed.
 
 Randomness is counter-based (Philox) with documented stream splitting:
 a master seed spawns per-trial and per-role substreams, and dither
@@ -32,14 +31,10 @@ __all__ = [
     "QuantizerSpec",
     "DitherStream",
     "ErrorStatsReport",
-    "RateAccounting",
     "error_statistics",
-    "rate_accounting",
     "substream",
     "derive_seed",
 ]
-
-SPACE_FILLING_BITS = 0.5 * math.log2(2.0 * math.pi * math.e / 12.0)
 
 # role tags for stream splitting
 ROLE_SOURCE = 0
@@ -59,10 +54,6 @@ class QuantizerSpec:
     @property
     def noise_variance(self) -> float:
         return self.step * self.step / 12.0
-
-    @property
-    def space_filling_bits(self) -> float:
-        return SPACE_FILLING_BITS
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -146,30 +137,4 @@ def error_statistics(errors, inputs, q: QuantizerSpec, max_lag: int = 10) -> Err
         lag_autocorr=lags,
         input_crosscorr=cross,
         uniformity_statistic=_ks_uniform(e, q.step),
-    )
-
-
-@dataclass(frozen=True)
-class RateAccounting:
-    gaussian_rate_bits: float
-    finite_L_penalty_bits: float
-
-
-def rate_accounting(var_output: float, q: QuantizerSpec) -> RateAccounting:
-    """Gaussian mutual-information accounting of the ECDQ rate.
-
-    gaussian_rate_bits is the differential-entropy difference of two
-    Gaussians, h(N(0, var_output)) - h(N(0, sigma_E^2)) =
-    (1/2) log2(var_output / sigma_E^2).  The finite-dimension penalty is
-    the space-filling term for the supported (cubic/product) lattices; it
-    is reported, never silently added.
-    """
-    se2 = q.noise_variance
-    if not var_output > se2:
-        raise ValueError("sub-noise variance")
-    gauss = 0.5 * math.log2(2 * math.pi * math.e * var_output) - 0.5 * math.log2(
-        2 * math.pi * math.e * se2
-    )
-    return RateAccounting(
-        gaussian_rate_bits=gauss, finite_L_penalty_bits=q.space_filling_bits
     )

@@ -35,7 +35,7 @@ from .shaping import (
     filter_powers,
     find_lambda_for_ratio,
 )
-from .theory import brickwall_point, ozarow_bounds
+from .theory import brickwall_point, gaussian_rate_bits, ozarow_bounds
 
 __all__ = [
     "ExperimentConfig",
@@ -44,7 +44,6 @@ __all__ = [
     "IndexEntropyEstimate",
     "ConfigError",
     "read_config_text",
-    "parse_config_text",
     "build_filter",
     "run",
     "sweep",
@@ -133,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("n_samples must be even")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if (self.sigma_e2 is None) == (self.quant_step is None):
             raise ConfigError("specify exactly one of sigma_e2 / quant_step")
         for name in ("sigma_x2", "sigma_e2", "quant_step"):
@@ -158,7 +159,7 @@ class ExperimentConfig:
 
     @property
     def noise_variance(self) -> float:
-        return self.step * self.step / 12.0
+        return QuantizerSpec(self.step).noise_variance
 
     @property
     def patterns(self) -> tuple:
@@ -213,11 +214,6 @@ def read_config_text(text: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return values
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` config format with line-precise errors."""
-    return ExperimentConfig(**read_config_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +445,8 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
 
     var_emp = float(np.mean(var_trials))
     var_theory = sx2 + se2 * pds
-    rate_theory = 0.5 * math.log2(var_theory / se2)
-    rate_gauss = 0.5 * math.log2(var_emp / se2)
+    rate_theory = gaussian_rate_bits(var_theory, se2)
+    rate_gauss = gaussian_rate_bits(var_emp, se2)
     pooled = sum(a.shape[0] for a in all_indices)
     if pooled >= 10**5:
         ent = estimate_index_entropy(all_indices)

@@ -113,14 +113,6 @@ class BrickWallSpec:
                 stacklevel=2,
             )
 
-    @property
-    def pdc(self) -> float:
-        return 0.5 / self.delta
-
-    @property
-    def pds(self) -> float:
-        return 0.5 * (self.delta + 1.0 / self.delta)
-
     def power(self, omega) -> np.ndarray:
         w = np.abs(np.asarray(omega, dtype=np.float64))
         return np.where(w <= np.pi / 2, 1.0 / self.delta, self.delta)

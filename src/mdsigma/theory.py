@@ -12,6 +12,11 @@ All rates are bits per description per source sample.  Conventions:
       d = sx2*se2*P / (sx2 + se2*P), with the Wiener post-multipliers
       alpha = sx2/(sx2 + se2*P_ds), beta = sx2/(sx2 + se2*P_dc).
 
+* Every rate is the Gaussian accounting of an output variance,
+  (1/2) log2(var/se2), and every post-multiplier the Wiener gain
+  sx2/(sx2 + se2*P): ``gaussian_rate_bits`` and ``wiener_gain`` are their
+  only implementations, shared with the harness and the codec.
+
 * Symmetric two-description Gaussian bound: side floor sx2*2^(-2R) and
   central bound sx2*2^(-4R) / (1 - (sqrt(Pi) - sqrt(Dz))^2) with
   Pi = (1 - d_s/sx2)^2 and Dz = (d_s/sx2)^2 - 2^(-4R).  The region is
@@ -26,15 +31,14 @@ from dataclasses import dataclass
 __all__ = [
     "TheoryPoint",
     "OzarowEvaluation",
-    "TestChannelParams",
-    "TestChannelMap",
     "K4Spec",
     "K4Point",
     "ozarow_bounds",
     "brickwall_point",
     "finite_p_point",
-    "test_channel_map",
     "k4_point",
+    "gaussian_rate_bits",
+    "wiener_gain",
 ]
 
 
@@ -54,7 +58,6 @@ class TheoryPoint:
     pds: float
     alpha: float
     beta: float
-    delta: float | None = None  # set when derived from a brick-wall spectrum
 
 
 @dataclass(frozen=True)
@@ -64,31 +67,6 @@ class OzarowEvaluation:
     pi_term: float
     delta_term: float
     dc_bound: float
-
-
-@dataclass(frozen=True)
-class TestChannelParams:
-    """Symmetric double-branch test channel: noise correlation and variance."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    rho: float
-    sigma_n2: float
-
-    def __post_init__(self):
-        if not abs(self.rho) < 1.0:
-            raise ValueError("|rho| must be < 1")
-        if not self.sigma_n2 > 0:
-            raise ValueError("sigma_n2 must be positive")
-
-
-@dataclass(frozen=True)
-class TestChannelMap:
-    delta: float
-    sigma_e2: float
-    iterations: int
-    rate_residual: float
-    central_residual: float
 
 
 @dataclass(frozen=True)
@@ -106,8 +84,8 @@ class K4Spec:
     sigma_x2: float = 1.0
 
     def __post_init__(self):
-        if not (self.delta0 > 0 and self.delta1 > 0):
-            raise ValueError("band levels must be positive")
+        if not all(math.isfinite(d) and d > 0 for d in (self.delta0, self.delta1)):
+            raise ValueError("band levels must be positive and finite")
         if self.delta0 > 1.0 + 1e-12:
             raise ValueError("delta0 must be <= 1")
         if self.delta0 * self.delta1 > 1.0 + 1e-12:
@@ -118,11 +96,6 @@ class K4Spec:
     @property
     def delta2(self) -> float:
         return 1.0 / math.sqrt(self.delta0 * self.delta1)
-
-    @property
-    def log_spectrum_integral(self) -> float:
-        # (1/2pi) int log2 S over the three-step spectrum, in bits
-        return 0.25 * math.log2(self.delta0) + 0.5 * math.log2(self.delta2) + 0.25 * math.log2(self.delta1)
 
 
 @dataclass(frozen=True)
@@ -171,10 +144,24 @@ def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> OzarowEvaluat
     )
 
 
-def _alpha_beta(sigma_x2: float, sigma_e2: float, pdc: float, pds: float) -> tuple:
-    alpha = sigma_x2 / (sigma_x2 + sigma_e2 * pds)
-    beta = sigma_x2 / (sigma_x2 + sigma_e2 * pdc)
-    return alpha, beta
+def gaussian_rate_bits(var: float, sigma_e2: float) -> float:
+    """Rate of a Gaussian output of variance ``var`` over cell noise sigma_E^2:
+    h(N(0, var)) - h(N(0, sigma_E^2)) = (1/2) log2(var / sigma_E^2) bits."""
+    return 0.5 * math.log2(var / sigma_e2)
+
+
+def wiener_gain(sigma_x2: float, sigma_e2: float, power: float) -> float:
+    """Post-multiplier sx2/(sx2 + se2*P) for noise of power P times sigma_E^2."""
+    return sigma_x2 / (sigma_x2 + sigma_e2 * power)
+
+
+def _point(dc: float, ds: float, pdc: float, pds: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
+    return TheoryPoint(
+        rate_bits=gaussian_rate_bits(sigma_x2 + sigma_e2 * pds, sigma_e2),
+        dc=dc, ds=ds, pdc=pdc, pds=pds,
+        alpha=wiener_gain(sigma_x2, sigma_e2, pds),
+        beta=wiener_gain(sigma_x2, sigma_e2, pdc),
+    )
 
 
 def brickwall_point(delta: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
@@ -185,9 +172,7 @@ def brickwall_point(delta: float, sigma_e2: float, sigma_x2: float) -> TheoryPoi
     pds = 0.5 * (delta + 1.0 / delta)
     ds = sigma_x2 * sigma_e2 * (delta + 1.0 / delta) / (2.0 * sigma_x2 + sigma_e2 * (delta + 1.0 / delta))
     dc = sigma_x2 * sigma_e2 / delta / (2.0 * sigma_x2 + sigma_e2 / delta)
-    rate = 0.5 * math.log2((sigma_x2 + sigma_e2 * pds) / sigma_e2)
-    alpha, beta = _alpha_beta(sigma_x2, sigma_e2, pdc, pds)
-    return TheoryPoint(rate_bits=rate, dc=dc, ds=ds, pdc=pdc, pds=pds, alpha=alpha, beta=beta, delta=delta)
+    return _point(dc, ds, pdc, pds, sigma_e2, sigma_x2)
 
 
 def finite_p_point(pdc: float, pds: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
@@ -199,66 +184,10 @@ def finite_p_point(pdc: float, pds: float, sigma_e2: float, sigma_x2: float) -> 
     if sigma_e2 < 0:
         raise ValueError("sigma_e2 must be >= 0")
     if sigma_e2 == 0.0:
-        alpha = beta = 1.0
-        return TheoryPoint(rate_bits=math.inf, dc=0.0, ds=0.0, pdc=pdc, pds=pds, alpha=alpha, beta=beta)
+        return TheoryPoint(rate_bits=math.inf, dc=0.0, ds=0.0, pdc=pdc, pds=pds, alpha=1.0, beta=1.0)
     dc = sigma_x2 * sigma_e2 * pdc / (sigma_x2 + sigma_e2 * pdc)
     ds = sigma_x2 * sigma_e2 * pds / (sigma_x2 + sigma_e2 * pds)
-    rate = 0.5 * math.log2((sigma_x2 + sigma_e2 * pds) / sigma_e2)
-    alpha, beta = _alpha_beta(sigma_x2, sigma_e2, pdc, pds)
-    return TheoryPoint(rate_bits=rate, dc=dc, ds=ds, pdc=pdc, pds=pds, alpha=alpha, beta=beta)
-
-
-def test_channel_map(
-    tc: TestChannelParams,
-    mode: str = "high_res",
-    sigma_x2: float = 1.0,
-    delta_guess: float | None = None,
-    max_iter: int = 1000,
-    residual_tol: float = 1e-10,
-) -> TestChannelMap:
-    """Map test-channel parameters (rho, sigma_N^2) to (delta, sigma_E^2).
-
-    high_res: delta = sqrt((1-rho)/(1+rho)), sigma_E^2 = sigma_N^2*sqrt(1-rho^2).
-
-    general: solves the implicit pair {rate match, central-distortion
-    match} by damped fixed-point iteration (damping 0.5) seeded at the
-    high-resolution point (or ``delta_guess``), and certifies the residual
-    of both equations.  The central-distortion match reduces to
-    sigma_E^2/delta = sigma_N^2*(1+rho).
-    """
-    rho, sn2 = tc.rho, tc.sigma_n2
-    s = math.sqrt(1.0 - rho * rho)
-    delta_hr = math.sqrt((1.0 - rho) / (1.0 + rho))
-    se2_hr = sn2 * s
-    if mode == "high_res":
-        return TestChannelMap(delta=delta_hr, sigma_e2=se2_hr, iterations=0,
-                              rate_residual=0.0, central_residual=0.0)
-    if mode != "general":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    delta = delta_hr if delta_guess is None else float(delta_guess)
-    se2 = se2_hr
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        denom = 2.0 * (sigma_x2 + sn2) - (delta + 1.0 / delta) * sn2 * s
-        if denom <= 0:
-            raise ValueError("fixed point left the feasible region")
-        se2 = 2.0 * sigma_x2 * sn2 * s / denom
-        delta_next = se2 / (sn2 * (1.0 + rho))
-        step = delta_next - delta
-        delta = delta + 0.5 * step
-        if abs(step) <= 1e-15 * max(1.0, abs(delta)):
-            break
-    denom = 2.0 * (sigma_x2 + sn2) - (delta + 1.0 / delta) * sn2 * s
-    rate_res = abs(se2 - 2.0 * sigma_x2 * sn2 * s / denom)
-    central_res = abs(se2 / delta - sn2 * (1.0 + rho))
-    if max(rate_res, central_res) > residual_tol:
-        raise ValueError(
-            f"fixed point did not converge in {max_iter} iterations "
-            f"(residuals {rate_res:.3e}, {central_res:.3e})"
-        )
-    return TestChannelMap(delta=delta, sigma_e2=se2, iterations=iterations,
-                          rate_residual=rate_res, central_residual=central_res)
+    return _point(dc, ds, pdc, pds, sigma_e2, sigma_x2)
 
 
 def k4_point(spec: K4Spec) -> K4Point:
@@ -274,8 +203,7 @@ def k4_point(spec: K4Spec) -> K4Point:
     d2 = dc + se2 * spec.delta1 / 4.0
     d1 = d2 + se2 / (2.0 * math.sqrt(spec.delta0 * spec.delta1))
     p_total = (spec.delta0 + spec.delta1 + 2.0 * d2l) / 4.0
-    rate = 0.5 * math.log2((sx2 + se2 * p_total) / se2)
-    point = K4Point(dc=dc, d2=d2, d1=d1, rate_bits=rate)
+    point = K4Point(dc=dc, d2=d2, d1=d1, rate_bits=gaussian_rate_bits(sx2 + se2 * p_total, se2))
     if not (point.dc <= point.d2 <= point.d1):
         raise ValueError("distortion ordering violated")
     return point

@@ -296,10 +296,15 @@ def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
         ("simulate", ["--sigma-x2", "0"], "sigma_x2 must be positive and finite"),
         ("simulate-k4", ["--sigma-e2", "-1"], "sigma_e2 must be positive and finite"),
         ("universality", ["--tol", "-0.5"], "tol_mse_rel must be >= 0"),
+        ("simulate-k4", ["--delta0", "0"], "band levels must be positive"),
+        ("simulate-k4", ["--delta0", "-1"], "band levels must be positive"),
+        ("simulate-k4", ["--delta1", "inf"], "band levels must be positive"),
+        ("simulate", ["--seed", "-1", "--gamma", "3"], "master_seed must be >= 0"),
     ],
     ids=[
         "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf",
         "sigma-x2-zero", "k4-sigma-e2-negative", "universality-tol-negative",
+        "k4-delta0-zero", "k4-delta0-negative", "k4-delta1-inf", "seed-negative",
     ],
 )
 def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, capsys, command, flags, message):

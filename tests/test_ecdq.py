@@ -1,4 +1,4 @@
-"""Dithered quantization: error law, statistics gates, rate accounting."""
+"""Dithered quantization: error law, statistics gates, rate over the cell noise."""
 
 import math
 
@@ -12,10 +12,10 @@ from mdsigma.ecdq import (
     DitherStream,
     QuantizerSpec,
     error_statistics,
-    rate_accounting,
     substream,
 )
 from mdsigma.shaping import ShapingFilter
+from mdsigma.theory import gaussian_rate_bits
 
 # the order-0 feedback loop is plain dithered quantization
 WHITE = ShapingFilter((1.0,))
@@ -78,12 +78,6 @@ class TestQuantizerSpec:
     def test_noise_variance(self):
         q = QuantizerSpec(step=0.6)
         assert q.noise_variance == pytest.approx(0.36 / 12.0, abs=1e-15)
-
-    def test_space_filling_constant(self):
-        # (1/2) log2(2 pi e / 12), independent of the step
-        expected = 0.25461433482006296
-        assert QuantizerSpec(step=1.0).space_filling_bits == pytest.approx(expected, abs=1e-12)
-        assert QuantizerSpec(step=2.0).space_filling_bits == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,23 +170,13 @@ class TestErrorStatistics:
 
 
 class TestRateAccounting:
+    # the Gaussian rate of an output variance over the cell noise step^2/12
+
     def test_reference_point(self):
         q = QuantizerSpec(step=math.sqrt(12 * 0.01))
-        acc = rate_accounting(1.02125, q)
         # (1/2) log2(1.02125 / 0.01)
-        assert acc.gaussian_rate_bits == pytest.approx(3.3370961340728416, abs=1e-12)
+        assert gaussian_rate_bits(1.02125, q.noise_variance) == pytest.approx(3.3370961340728416, abs=1e-12)
 
     def test_half_bit_at_ratio_two(self):
         q = QuantizerSpec(step=1.0)
-        acc = rate_accounting(2.0 * q.noise_variance, q)
-        assert acc.gaussian_rate_bits == pytest.approx(0.5, abs=1e-12)
-
-    def test_penalty_reported_not_added(self):
-        q = QuantizerSpec(step=0.3)
-        acc = rate_accounting(1.0, q)
-        assert acc.finite_L_penalty_bits == pytest.approx(0.25461433482006296, abs=1e-12)
-
-    def test_subnoise_variance_rejected(self):
-        q = QuantizerSpec(step=1.0)
-        with pytest.raises(ValueError, match="sub-noise"):
-            rate_accounting(q.noise_variance * 0.999, q)
+        assert gaussian_rate_bits(2.0 * q.noise_variance, q.noise_variance) == pytest.approx(0.5, abs=1e-12)

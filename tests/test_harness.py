@@ -18,7 +18,7 @@ from mdsigma.harness import (
     _pattern_theory_mse,
     build_filter,
     estimate_index_entropy,
-    parse_config_text,
+    read_config_text,
     run,
     sweep,
     universality_check,
@@ -47,22 +47,22 @@ class TestConfigParsing:
         source_dist = laplace
         erasure_patterns = central,odd
         """
-        cfg = parse_config_text(text)
+        cfg = ExperimentConfig(**read_config_text(text))
         assert cfg.p == 16 and cfg.gamma == 17.0
         assert cfg.source_dist == "laplace"
         assert cfg.erasure_patterns == ("central", "odd")
 
     def test_unknown_key_is_line_precise(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'frobnicate'"):
-            parse_config_text("sigma_e2 = 0.01\nfrobnicate = 3\n")
+            read_config_text("sigma_e2 = 0.01\nfrobnicate = 3\n")
 
     def test_bad_value_is_line_precise(self):
         with pytest.raises(ConfigError, match="line 1: bad value"):
-            parse_config_text("p = banana\n")
+            read_config_text("p = banana\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):
-            parse_config_text("just some words\n")
+            read_config_text("just some words\n")
 
     def test_small_blocks_rejected(self):
         with pytest.raises(ConfigError, match="2\\^14"):
@@ -77,7 +77,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate erasure pattern"):
             ExperimentConfig(sigma_e2=0.01, erasure_patterns=("central", "central", "even"))
         with pytest.raises(ConfigError, match="duplicate erasure pattern"):
-            parse_config_text("sigma_e2 = 0.01\nerasure_patterns = odd, odd\n")
+            ExperimentConfig(**read_config_text("sigma_e2 = 0.01\nerasure_patterns = odd, odd\n"))
 
     def test_every_field_is_a_file_key(self):
         # the field annotations are the schema: each field reads as its own
@@ -101,7 +101,7 @@ class TestConfigParsing:
         post_multipliers = wiener
         tol_mse_rel = 0.1
         """
-        cfg = parse_config_text(text)
+        cfg = ExperimentConfig(**read_config_text(text))
         assert cfg == ExperimentConfig(
             sigma_x2=2.0, quant_step=0.5, filter_kind="explicit", p=3, lambda_ratio=0.25,
             gamma=5.0, coeffs=(1.0, -0.5, 0.25), band_edges=(0.5, 1.5), band_weights=(2.0, 3.0),
@@ -110,7 +110,7 @@ class TestConfigParsing:
         )
         assert type(cfg.p) is int and type(cfg.gamma) is float
         with pytest.raises(ConfigError, match="line 2: unknown key 'filter_kind'"):
-            parse_config_text("sigma_e2 = 0.01\nfilter_kind = explicit\n")
+            read_config_text("sigma_e2 = 0.01\nfilter_kind = explicit\n")
 
     @pytest.mark.parametrize(
         "field,value",

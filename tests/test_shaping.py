@@ -246,11 +246,11 @@ class TestMinPhase:
 
 class TestBrickWall:
     def test_power_levels(self):
+        # 1/delta in-band (|w| <= pi/2, edge included), delta beyond
         bw = BrickWallSpec(4.0)
-        assert bw.pds == pytest.approx((4.0 + 0.25) / 2.0, abs=1e-15)
-        assert bw.pds - bw.pdc == pytest.approx(2.0, abs=1e-15)  # delta/2
-        assert bw.pds >= bw.pdc
-        assert BrickWallSpec(1.0).pds == 1.0
+        w = np.array([0.0, -0.3, np.pi / 2, -np.pi / 2, 1.6, -np.pi, np.pi])
+        assert bw.power(w).tolist() == [0.25, 0.25, 0.25, 0.25, 4.0, 4.0, 4.0]
+        assert np.all(BrickWallSpec(1.0).power(w) == 1.0)
 
     def test_log_spectrum_integral_zero(self):
         bw = BrickWallSpec(4.0)

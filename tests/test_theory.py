@@ -1,4 +1,4 @@
-"""Closed-form oracles: bounds, operating points, test-channel map, K=4."""
+"""Closed-form oracles: bounds, operating points, rate and Wiener gain, K=4."""
 
 import math
 
@@ -6,13 +6,12 @@ import pytest
 
 from mdsigma.theory import (
     K4Spec,
-    TestChannelParams,
     brickwall_point,
     finite_p_point,
     k4_point,
     ozarow_bounds,
+    wiener_gain,
 )
-from mdsigma.theory import test_channel_map as map_test_channel
 
 
 class TestOzarowBounds:
@@ -69,6 +68,16 @@ class TestBrickwallPoint:
         assert pt.alpha == pytest.approx(0.9791921664626683, rel=1e-12)
         assert pt.beta == pytest.approx(0.9987515605493134, rel=1e-12)
         assert 0 < pt.alpha <= pt.beta <= 1
+        assert pt.alpha == wiener_gain(1.0, 0.01, pt.pds)
+        assert pt.beta == wiener_gain(1.0, 0.01, pt.pdc)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0, 8.0])
+    def test_side_power_exceeds_central_by_half_delta(self, delta):
+        # P_ds = (delta + 1/delta)/2 and P_dc = 1/(2 delta): the out-of-band
+        # half of the two-step spectrum adds delta/2
+        pt = brickwall_point(delta, 0.01, 1.0)
+        assert pt.pds == pytest.approx(0.5 * (delta + 1.0 / delta), rel=1e-15)
+        assert pt.pds - pt.pdc == pytest.approx(delta / 2.0, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,53 +137,17 @@ class TestBoundAchievabilityGrid:
 
 
 class TestTestChannelMap:
-    def test_independent_noises(self):
-        out = map_test_channel(TestChannelParams(rho=0.0, sigma_n2=0.3))
-        assert out.delta == pytest.approx(1.0, abs=1e-14)
-        assert out.sigma_e2 == pytest.approx(0.3, abs=1e-14)
-
-    def test_positive_correlation(self):
-        out = map_test_channel(TestChannelParams(rho=0.6, sigma_n2=1.0))
-        assert out.delta == pytest.approx(0.5, abs=1e-14)
-        assert out.sigma_e2 == pytest.approx(0.8, abs=1e-14)
-
-    def test_negative_correlation(self):
-        out = map_test_channel(TestChannelParams(rho=-0.6, sigma_n2=1.0))
-        assert out.delta == pytest.approx(2.0, abs=1e-14)
-        assert out.sigma_e2 == pytest.approx(0.8, abs=1e-14)
-
-    @pytest.mark.parametrize("rho,sn2", [(0.3, 0.5), (-0.7, 2.0), (0.9, 1e-3)])
-    def test_general_mode_residuals_certified(self, rho, sn2):
-        tc = TestChannelParams(rho=rho, sigma_n2=sn2)
-        out = map_test_channel(tc, mode="general", sigma_x2=1.0)
-        assert out.rate_residual <= 1e-10
-        assert out.central_residual <= 1e-10
-        # the high-resolution closed forms solve the implicit pair exactly
-        hr = map_test_channel(tc)
-        assert out.delta == pytest.approx(hr.delta, rel=1e-9)
-        assert out.sigma_e2 == pytest.approx(hr.sigma_e2, rel=1e-9)
-
-    def test_general_mode_from_perturbed_guess(self):
-        tc = TestChannelParams(rho=0.5, sigma_n2=0.2)
-        out = map_test_channel(tc, mode="general", delta_guess=1.3)
-        hr = map_test_channel(tc)
-        assert out.delta == pytest.approx(hr.delta, rel=1e-8)
-
     def test_sum_rate_identity(self):
-        # mapping then evaluating the brick-wall rate reproduces the two-branch
-        # sum rate log2((sx2+sn2)/sn2) - log2(sqrt(1-rho^2)); exact here,
+        # the high-resolution test-channel map (rho, sigma_N^2) -> (delta,
+        # sigma_E^2), then the brick-wall rate, reproduces the two-branch sum
+        # rate log2((sx2+sn2)/sn2) - log2(sqrt(1-rho^2)); exact in the limit,
         # checked deep in the high-resolution regime
         rho, sn2 = 0.4, 1e-5
-        mapped = map_test_channel(TestChannelParams(rho=rho, sigma_n2=sn2))
-        pt = brickwall_point(mapped.delta, mapped.sigma_e2, 1.0)
+        delta = math.sqrt((1.0 - rho) / (1.0 + rho))
+        sigma_e2 = sn2 * math.sqrt(1.0 - rho * rho)
+        pt = brickwall_point(delta, sigma_e2, 1.0)
         expected = math.log2((1.0 + sn2) / sn2) - math.log2(math.sqrt(1.0 - rho * rho))
         assert abs(2.0 * pt.rate_bits - expected) <= 1e-3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TestChannelParams(rho=1.0, sigma_n2=1.0)
-        with pytest.raises(ValueError, match="mode"):
-            map_test_channel(TestChannelParams(rho=0.1, sigma_n2=1.0), mode="magic")
 
 
 class TestK4Point:
@@ -199,11 +172,17 @@ class TestK4Point:
         assert pt.dc <= pt.d2 <= pt.d1
 
     def test_log_spectrum_integral_zero(self):
+        # the middle level delta2 makes (1/2pi) int log2 S vanish over the
+        # band widths 1/4, 1/2, 1/4 of the three-step spectrum
         spec = K4Spec(delta0=0.2, delta1=1.0, sigma_e2=0.04)
-        assert spec.log_spectrum_integral == pytest.approx(0.0, abs=1e-14)
+        integral = 0.25 * math.log2(spec.delta0) + 0.5 * math.log2(spec.delta2) + 0.25 * math.log2(spec.delta1)
+        assert integral == pytest.approx(0.0, abs=1e-14)
 
     def test_constraints(self):
         with pytest.raises(ValueError):
             K4Spec(delta0=1.5, delta1=0.5, sigma_e2=0.1)
         with pytest.raises(ValueError):
             K4Spec(delta0=0.9, delta1=2.0, sigma_e2=0.1)
+        for d0, d1 in [(0.0, 1.0), (-1.0, 1.0), (0.2, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="band levels must be positive"):
+                K4Spec(delta0=d0, delta1=d1, sigma_e2=0.1)
