@@ -9,7 +9,6 @@ and a seeded Monte-Carlo harness that checks one against the other.
 
 from .dsp import (
     SignalBlock,
-    ideal_lowpass_downsample,
     ideal_upsample,
     spectrum_power,
 )

@@ -7,14 +7,17 @@ fresh subtractive dither.  Quantizer outputs are split by time index
 modulo K into K descriptions, each carrying one index per source sample
 plus the (seed, phase) pair that regenerates its dither.
 
-Decoder: the scheme is symmetric and time-invariant, so one chain serves
+Decoder: the scheme is symmetric and time-invariant, so one formula serves
 every uniform subset of descriptions, i.e. phases {r, r+s, ...} with
-stride s = K/m for m received packets and offset r < s.  ``decode``
-regenerates each packet's samples, interlaces them into a rate-m stream
-whose sample i sits at base position (r + i*s)/K, lowpasses to the source
-band, re-aligns by r/s stream samples, decimates by m, and scales by the
-post-multiplier for stride s.  All K descriptions (s = 1) give the central
-reconstruction, a single one (s = K) a side reconstruction.
+stride s = K/m for m received packets and offset r < s.  Sample t of the
+description with phase j sits at base position t + j/K, so with D_j its
+length-n spectrum, the source band of the subset is the phase-twiddled
+mean B(k) = (1/m) sum_j D_j(k) exp(-2 pi i k j/(K n)), k <= n/2.  For
+m > 1 the band-edge bin k = n/2 also collects its mirror image, so it is
+doubled; the inverse real FFT keeps its real part, which for a lone
+description is D(n/2) cos(pi j/K).  The result is scaled by the
+post-multiplier for stride s.  All K descriptions (s = 1) give the
+central reconstruction, a single one (s = K) a side reconstruction.
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` is its one
 kernel: straight-line Python generated from the filter order, which
@@ -36,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import SignalBlock, ideal_lowpass_downsample, ideal_upsample
+from .dsp import SignalBlock, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import ShapingFilter, band_power
 from .theory import wiener_gain
@@ -311,15 +314,15 @@ def _regenerate_samples(packet: DescriptionPacket, cfg: CodecConfig, dither=None
     return cfg.quantizer.step * packet.indices.astype(np.float64) - z
 
 
-def _uniform_subset(phases: Sequence[int], k: int) -> tuple:
-    """(offset r, stride s) of phases {r, r+s, ...} covering 0..k-1 uniformly."""
+def _uniform_stride(phases: Sequence[int], k: int) -> int:
+    """Stride s of phases {r, r+s, ...}, r < s, covering 0..k-1 uniformly."""
     ordered = sorted(phases)
     m = len(ordered)
     if m and k % m == 0:
         s = k // m
         r = ordered[0]
         if 0 <= r < s and ordered == list(range(r, k, s)):
-            return r, s
+            return s
     raise ValueError(f"phases {ordered} are not a uniform subset of 0..{k - 1}")
 
 
@@ -327,29 +330,35 @@ def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) 
     """Reconstruct the source block from any uniform subset of descriptions.
 
     The m received packets must carry phases {r, r+s, ...} with stride
-    s = K/m and offset r < s, one dither seed, and equal index counts; a
-    ``dither`` override must cover the oversampled block, as in
-    :func:`encode`.  Their samples are interlaced into a rate-m stream,
-    lowpassed to the source band, re-aligned by r/s stream samples,
-    decimated by m, and scaled by the post-multiplier for stride s.
+    s = K/m and offset r < s, one dither seed, and equal, even and nonzero
+    index counts; a ``dither`` override must cover the oversampled block,
+    as in :func:`encode`.  Each packet's regenerated samples enter through
+    their own spectrum, delayed by the packet's phase/K base samples (the
+    module docstring gives the sum), and the mean is scaled by the
+    post-multiplier for stride s.
     """
-    r, s = _uniform_subset([p.phase for p in packets], cfg.oversampling)
+    s = _uniform_stride([p.phase for p in packets], cfg.oversampling)
     if len({p.dither_seed for p in packets}) != 1:
         raise ValueError("packets disagree on the dither seed")
     lengths = sorted({p.indices.shape[0] for p in packets})
     if len(lengths) != 1:
         raise ValueError(f"packets disagree on the index count: {lengths}")
     n = lengths[0]
+    if n == 0 or n % 2 != 0:
+        raise ValueError(f"index count must be even and nonzero, got {n}")
     if dither is not None and np.shape(dither) != (cfg.oversampling * n,):
         raise ValueError("dither override must cover the oversampled block")
     m = len(packets)
-    y = np.empty(m * n)
+    bins = np.arange(n // 2 + 1)
+    band = np.zeros(n // 2 + 1, dtype=np.complex128)
     for pkt in packets:
-        # y[i] sits at base position (r + i*s)/K
-        y[(pkt.phase - r) // s :: m] = _regenerate_samples(pkt, cfg, dither)
-    if m > 1 or r:  # a lone phase-0 description already sits on the source grid
-        y = ideal_lowpass_downsample(y, m, r / s)
-    return SignalBlock(_multiplier(cfg, s) * y, margin=cfg.guard)
+        # sample t sits at base position t + phase/K
+        delay = pkt.phase / cfg.oversampling
+        band += np.fft.rfft(_regenerate_samples(pkt, cfg, dither)) * np.exp(bins * (-2j * np.pi * delay / n))
+    band /= m
+    if m > 1:
+        band[-1] *= 2.0  # the mirror of the band-edge bin folds onto it
+    return SignalBlock(_multiplier(cfg, s) * np.fft.irfft(band, n), margin=cfg.guard)
 
 
 def reconstruction_mse(decoded: SignalBlock, reference) -> float:

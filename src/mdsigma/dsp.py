@@ -1,17 +1,14 @@
-"""Exact DFT-domain resampling primitives for the oversampled codec.
+"""Exact DFT-domain upsampling and spectrum evaluation for the oversampled codec.
 
 The codec treats every block as one period (circular convention) and
-realizes its ideal filters exactly on the block's DFT grid:
-
-* `ideal_upsample` oversamples by K with a brick-wall interpolator; the
-  coarse-grid samples of the output equal the input, a_{Kn} = x_n.
-* `ideal_lowpass_downsample` lowpasses to the source band, optionally
-  re-aligns by a fractional delay (a phase ramp), and decimates.  With
-  factor 1 it is a pure fractional delay.
-
-On a length-N block both are exact for every DFT bin, so the analytic
-second-order accounting holds to machine precision.  `spectrum_power`
-evaluates |c(e^{jw})|^2 for a coefficient sequence.
+realizes its ideal filters exactly on the block's DFT grid.
+`ideal_upsample` oversamples by K with a brick-wall interpolator; the
+coarse-grid samples of the output equal the input, a_{Kn} = x_n.  On a
+length-N block it is exact for every DFT bin, so the analytic
+second-order accounting holds to machine precision.  The decoder's way
+back, a phase-twiddled mean of the descriptions' spectra, lives in
+`mdsigma.codec`.  `spectrum_power` evaluates |c(e^{jw})|^2 for a
+coefficient sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ __all__ = [
     "SignalBlock",
     "spectrum_power",
     "ideal_upsample",
-    "ideal_lowpass_downsample",
 ]
 
 
@@ -93,31 +89,3 @@ def ideal_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     out[: n // 2] = factor * spec[: n // 2]
     out[n // 2] = 0.5 * factor * spec[n // 2]
     return np.fft.irfft(out, n=factor * n)
-
-
-def ideal_lowpass_downsample(a: np.ndarray, factor: int, delay: float = 0.0) -> np.ndarray:
-    """Brick-wall lowpass to |w| <= pi/factor, delay by ``delay`` input
-    samples, then keep every ``factor``-th sample.
-
-    The band-edge bin passes at full weight, so the cascade with
-    :func:`ideal_upsample` is the identity (the encoder already
-    half-weights that bin, and decimation folds the edge line onto its own
-    conjugate).  With ``factor`` 1 the top bin is the Nyquist line and is
-    scaled by cos(pi*delay), the real symmetric convention for a half-open
-    shift; otherwise it lies above the band and is cleared.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    total = a.shape[0]
-    if total % factor != 0:
-        raise ValueError("length must be divisible by the decimation factor")
-    n = total // factor
-    if n % 2 != 0:
-        raise ValueError("base block length must be even")
-    spec = np.fft.rfft(a)
-    spec[n // 2 + 1 :] = 0.0
-    if delay:
-        k = np.arange(total // 2 + 1)
-        ramp = np.exp(-2j * np.pi * k * delay / total)
-        ramp[-1] = np.cos(np.pi * delay) if factor == 1 else 0.0
-        spec = spec * ramp
-    return np.fft.irfft(spec, n=total)[::factor]

@@ -35,7 +35,7 @@ from .shaping import (
     filter_powers,
     find_lambda_for_ratio,
 )
-from .theory import brickwall_point, gaussian_rate_bits, ozarow_bounds
+from .theory import brickwall_point, brickwall_total_power, gaussian_rate_bits, ozarow_bounds
 
 __all__ = [
     "ExperimentConfig",
@@ -140,6 +140,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.step):  # 12*sigma_e2 overflows from ~1.5e307 on
+            raise ConfigError(f"quantizer step sqrt(12*sigma_e2) overflows for sigma_e2={self.sigma_e2!r}")
         if not self.tol_mse_rel >= 0:  # NaN fails too
             raise ConfigError(f"tol_mse_rel must be >= 0, got {self.tol_mse_rel!r}")
         for pat in self.erasure_patterns:
@@ -527,7 +529,7 @@ def sweep_rates(rates: Sequence[float], delta: float, sigma_x2: float = 1.0, csv
         raise ValueError("empty grid")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    pds = 0.5 * (delta + 1.0 / delta)
+    pds = brickwall_total_power(delta)
     sigma_e2s = []
     for r in rates:
         denom = 4.0**r - pds

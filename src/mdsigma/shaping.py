@@ -46,6 +46,7 @@ import mpmath as mp
 import numpy as np
 
 from .dsp import spectrum_power
+from .theory import brickwall_total_power
 
 __all__ = [
     "MAX_ORDER",
@@ -283,12 +284,12 @@ def quadrature_grid(n: int = QUADRATURE_POINTS) -> np.ndarray:
 def brickwall_autocorrelation(target: BrickWallSpec, lag: int) -> float:
     """Fourier coefficient r_m of the two-step spectrum.
 
-    r_0 = (delta + 1/delta)/2 and r_m = (1/delta - delta)/2 * sinc(m/2);
+    r_0 = P_ds = (delta + 1/delta)/2 and r_m = (1/delta - delta)/2 * sinc(m/2);
     even nonzero lags vanish exactly.
     """
     lag = abs(int(lag))
     if lag == 0:
-        return 0.5 * (target.delta + 1.0 / target.delta)
+        return brickwall_total_power(target.delta)
     if lag % 2 == 0:
         return 0.0
     sign = 1.0 if ((lag - 1) // 2) % 2 == 0 else -1.0

@@ -3,10 +3,11 @@
 All rates are bits per description per source sample.  Conventions:
 
 * Brick-wall operating point (two-step noise spectrum, level 1/delta
-  in-band and delta out-of-band):
-      d_s = sx2*se2*(delta+1/delta) / (2*sx2 + se2*(delta+1/delta))
+  in-band and delta out-of-band), with total power
+  P_ds = (delta+1/delta)/2 (``brickwall_total_power``, its only copy):
+      d_s = sx2*se2*P_ds / (sx2 + se2*P_ds)
       d_c = sx2*se2/delta / (2*sx2 + se2/delta)
-      R   = (1/2) log2((sx2 + se2*(delta+1/delta)/2) / se2)
+      R   = (1/2) log2((sx2 + se2*P_ds) / se2)
 
 * Finite-order point in terms of the filter powers (P_dc, P_ds):
       d = sx2*se2*P / (sx2 + se2*P), with the Wiener post-multipliers
@@ -35,6 +36,7 @@ __all__ = [
     "K4Point",
     "ozarow_bounds",
     "brickwall_point",
+    "brickwall_total_power",
     "finite_p_point",
     "k4_point",
     "gaussian_rate_bits",
@@ -164,13 +166,18 @@ def _point(dc: float, ds: float, pdc: float, pds: float, sigma_e2: float, sigma_
     )
 
 
+def brickwall_total_power(delta: float) -> float:
+    """Total power P_ds = (delta + 1/delta)/2 of the two-step spectrum."""
+    return 0.5 * (delta + 1.0 / delta)
+
+
 def brickwall_point(delta: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
     """Exact operating point of the two-step (infinite-order) spectrum."""
     if not (delta > 0 and sigma_e2 > 0 and sigma_x2 > 0):
         raise ValueError("all parameters must be positive")
     pdc = 0.5 / delta
-    pds = 0.5 * (delta + 1.0 / delta)
-    ds = sigma_x2 * sigma_e2 * (delta + 1.0 / delta) / (2.0 * sigma_x2 + sigma_e2 * (delta + 1.0 / delta))
+    pds = brickwall_total_power(delta)
+    ds = sigma_x2 * sigma_e2 * pds / (sigma_x2 + sigma_e2 * pds)
     dc = sigma_x2 * sigma_e2 / delta / (2.0 * sigma_x2 + sigma_e2 / delta)
     return _point(dc, ds, pdc, pds, sigma_e2, sigma_x2)
 
@@ -201,7 +208,7 @@ def k4_point(spec: K4Spec) -> K4Point:
     d2l = spec.delta2
     dc = se2 * spec.delta0 / 4.0
     d2 = dc + se2 * spec.delta1 / 4.0
-    d1 = d2 + se2 / (2.0 * math.sqrt(spec.delta0 * spec.delta1))
+    d1 = d2 + se2 * d2l / 2.0
     p_total = (spec.delta0 + spec.delta1 + 2.0 * d2l) / 4.0
     point = K4Point(dc=dc, d2=d2, d1=d1, rate_bits=gaussian_rate_bits(sx2 + se2 * p_total, se2))
     if not (point.dc <= point.d2 <= point.d1):

@@ -300,11 +300,13 @@ def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
         ("simulate-k4", ["--delta0", "-1"], "band levels must be positive"),
         ("simulate-k4", ["--delta1", "inf"], "band levels must be positive"),
         ("simulate", ["--seed", "-1", "--gamma", "3"], "master_seed must be >= 0"),
+        ("simulate", ["--sigma-e2", "1e308", "--gamma", "3"], "quantizer step sqrt(12*sigma_e2) overflows"),
     ],
     ids=[
         "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf",
         "sigma-x2-zero", "k4-sigma-e2-negative", "universality-tol-negative",
         "k4-delta0-zero", "k4-delta0-negative", "k4-delta1-inf", "seed-negative",
+        "sigma-e2-step-overflow",
     ],
 )
 def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, capsys, command, flags, message):

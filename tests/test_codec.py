@@ -23,7 +23,21 @@ from mdsigma.ecdq import QuantizerSpec
 from mdsigma.shaping import ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
 
+from conftest import bandlimited_noise
+
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
+
+
+# every uniform subset of descriptions, as (K, received phases)
+UNIFORM_SUBSETS = [
+    pytest.param(2, (0, 1), id="k2-central"),
+    pytest.param(2, (0,), id="k2-even"),
+    pytest.param(2, (1,), id="k2-odd"),
+    pytest.param(4, (0, 1, 2, 3), id="k4-central"),
+    pytest.param(4, (0, 2), id="k4-pair02"),
+    pytest.param(4, (1, 3), id="k4-pair13"),
+    *(pytest.param(4, (j,), id=f"k4-single{j}") for j in range(4)),
+]
 
 
 def make_config(step=STEP_001, filt=None, k=2, seed=7, **kw):
@@ -340,6 +354,21 @@ class TestNoiselessChains:
         for j in range(4):
             assert reconstruction_mse(decode([packets[j]], cfg), x) <= 1e-6
 
+    @pytest.mark.parametrize("k,phases", UNIFORM_SUBSETS)
+    def test_every_subset_passes_a_bandlimited_source(self, k, phases):
+        # with no energy at the band edge, every subset recovers the source
+        # exactly, so only the white cell noise of the m received streams,
+        # lowpassed to the source band, is left: step^2/(12 m); a wrong
+        # delay leaves an O(1) error instead
+        step = 1e-9
+        cfg = make_config(step=step, filt=ShapingFilter((1.0,)), k=k, post_multipliers="unit")
+        x = bandlimited_noise(np.random.default_rng(14), 1 << 12, cutoff=0.9 * np.pi)
+        z = np.zeros(k << 12)
+        packets, _ = encode(x, cfg, dither=z)
+        decoded = decode([packets[j] for j in phases], cfg, dither=z)
+        ratio = reconstruction_mse(decoded, x) / (step**2 / (12 * len(phases)))
+        assert ratio == pytest.approx(1.0, rel=0.1)
+
     def test_all_zero_indices_decode_to_zero(self):
         cfg = make_config()
         x = np.zeros(512)
@@ -364,6 +393,18 @@ class TestDecoderContracts:
         chosen = [dataclasses.replace(packets[0], phase=j) for j in phases]
         with pytest.raises(ValueError, match="not a uniform subset of 0..3"):
             decode(chosen, cfg)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("k,phases", UNIFORM_SUBSETS)
+    def test_rejects_empty_or_odd_index_counts_before_any_fft(self, monkeypatch, k, phases, n):
+        def fft_must_not_run(*args, **kwargs):
+            raise AssertionError("an FFT ran on a bad index count")
+
+        monkeypatch.setattr(np.fft, "rfft", fft_must_not_run)
+        cfg = make_config(k=k)
+        packets = [DescriptionPacket(np.zeros(n, dtype=np.int64), cfg.dither_seed, j) for j in phases]
+        with pytest.raises(ValueError, match=f"index count must be even and nonzero, got {n}"):
+            decode(packets, cfg)
 
     def test_side_rejects_unknown_phase(self):
         cfg = make_config()

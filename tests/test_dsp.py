@@ -1,4 +1,4 @@
-"""Exact DFT-domain resampling primitives and spectrum evaluation."""
+"""Exact DFT-domain upsampling and spectrum evaluation."""
 
 import os
 import subprocess
@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 
 import mdsigma
-from mdsigma.dsp import ideal_lowpass_downsample, ideal_upsample, spectrum_power
-
-from conftest import bandlimited_noise
+from mdsigma.dsp import ideal_upsample, spectrum_power
 
 
 # ---------------------------------------------------------------------------
-# factor-2 interpolation, factor-2 decimation and the half-sample delay, as
-# the codec realizes them with the exact operators
+# factor-2 interpolation, as the encoder realizes it with the exact operator
 # ---------------------------------------------------------------------------
 
 
@@ -40,33 +37,6 @@ class TestUpsample2:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty signal"):
             ideal_upsample(np.zeros(0), 2)
-
-
-class TestLowpassDownsample2:
-    def test_white_noise_halved_variance(self, rng):
-        out = ideal_lowpass_downsample(rng.standard_normal(1 << 18), 2)
-        assert out.var() == pytest.approx(0.5, rel=0.03)
-
-    def test_dc(self):
-        out = ideal_lowpass_downsample(np.full(512, 3.25), 2)
-        assert np.abs(out - 3.25).max() <= 1e-12
-
-    def test_odd_length_rejected(self):
-        # 666 input samples decimate to an odd base block of 333
-        with pytest.raises(ValueError, match="even"):
-            ideal_lowpass_downsample(np.ones(666), 2)
-
-
-class TestHalfsampleAllpass:
-    def test_zero_delay_identity(self, rng):
-        y = rng.standard_normal(256)
-        out = ideal_lowpass_downsample(y, 1, 0.0)
-        assert np.abs(out - y).max() <= 1e-9
-
-    def test_energy_preservation_on_white_noise(self, rng):
-        x = rng.standard_normal(1 << 17)
-        out = ideal_lowpass_downsample(x, 1, 0.5)
-        assert out.var() == pytest.approx(x.var(), rel=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +68,7 @@ class TestSpectrumPower:
 
 
 # ---------------------------------------------------------------------------
-# exact DFT-domain operators
+# exact DFT-domain upsampling
 # ---------------------------------------------------------------------------
 
 
@@ -109,37 +79,11 @@ class TestIdealOps:
             a = ideal_upsample(x, k)
             assert np.abs(a[::k] - x).max() <= 1e-12
 
-    def test_roundtrip_exact_even_for_white_input(self, rng):
-        x = rng.standard_normal(1 << 12)
-        for k in (2, 4):
-            back = ideal_lowpass_downsample(ideal_upsample(x, k), k)
-            assert np.abs(back - x).max() <= 1e-12
-
     @pytest.mark.parametrize("k", [2, 4])
     def test_variance_preserved(self, rng, k):
         x = rng.standard_normal(1 << 16)
         a = ideal_upsample(x, k)
         assert a.var() == pytest.approx(x.var(), rel=1e-3)
-
-    def test_fractional_delay_on_bandlimited(self, rng):
-        x = bandlimited_noise(rng, 1 << 12, cutoff=0.9 * np.pi)
-        shifted = ideal_lowpass_downsample(x, 1, 0.5)
-        back = ideal_lowpass_downsample(shifted, 1, -0.5)
-        assert np.abs(back - x).max() <= 1e-11
-
-    def test_fractional_delay_of_cosine(self):
-        w0 = np.pi / 4  # on the DFT grid for n = 4096
-        k = np.arange(4096, dtype=float)
-        out = ideal_lowpass_downsample(np.cos(w0 * k), 1, 0.5)
-        assert np.abs(out - np.cos(w0 * (k - 0.5))).max() <= 1e-11
-
-    def test_delayed_decimation_from_an_offset_grid(self, rng):
-        # phases 1 and 3 of a 4x oversampled block sit at base positions
-        # (1 + 2i)/4: lowpass, delay by half a stream sample, decimate by 2
-        x = bandlimited_noise(rng, 1 << 12, cutoff=0.9 * np.pi)
-        y = ideal_upsample(x, 4)[1::2]
-        back = ideal_lowpass_downsample(y, 2, 0.5)
-        assert np.abs(back - x).max() <= 1e-11
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):

@@ -129,6 +129,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
             ExperimentConfig(**noise, **{field: value})
 
+    def test_noise_variance_whose_step_overflows_rejected(self):
+        # 1e308 is finite, but sqrt(12*sigma_e2) is not
+        with pytest.raises(ConfigError, match="quantizer step sqrt\\(12\\*sigma_e2\\) overflows"):
+            ExperimentConfig(sigma_e2=1e308, p=2, gamma=3.0)
+        assert math.isfinite(ExperimentConfig(sigma_e2=1e307).step)
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
         with pytest.raises(ConfigError, match="tol_mse_rel must be >= 0"):
