@@ -124,7 +124,7 @@ def _cmd_design_filter(args) -> int:
     report = min_phase_check(filt)
     print(f"{label}: pdc={pdc:.10g} pds={pds:.10g} ratio={pds / pdc:.6g}")
     print(
-        f"min-phase={report.is_min_phase} max-root={report.max_root_magnitude:.10f} "
+        f"min-phase={report.is_min_phase} max-reflection={report.max_reflection:.10f} "
         f"log-spectrum-integral={report.log_spectrum_integral:.3e} bits"
     )
     print("coeffs:", ",".join(format(c, ".17g") for c in filt.coeffs))

@@ -208,7 +208,13 @@ class DescriptionPacket:
     phase: int
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"indices must have an integer dtype, got {idx.dtype}")
+        seed = self.dither_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"dither seed must be a non-negative integer, got {seed!r}")
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -274,18 +280,13 @@ def encode(x, cfg: CodecConfig, dither=None):
     zero dither); it must cover the oversampled block.
     """
     base = _as_base_array(x)
-    n = base.shape[0]
-    if n == 0:
-        raise ValueError("empty signal")
-    if n % 2 != 0:
-        raise ValueError("block length must be even")
     if not np.isfinite(base).all():
         raise ValueError("signal must be finite")
     k = cfg.oversampling
     a = ideal_upsample(base, k)
 
     if dither is None:
-        z = _dither_block(cfg, n)
+        z = _dither_block(cfg, base.shape[0])
     else:
         z = np.asarray(dither, dtype=np.float64)
         if z.shape != a.shape:

@@ -31,7 +31,8 @@ function, which is still Toeplitz and handled by the same recursion.
 
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
-exactly on the float64 coefficients the feedback loop runs.
+exactly on the float64 coefficients the feedback loop runs.  Minimum phase
+is decided on them too, by the Levinson recursion run in reverse.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .dsp import spectrum_power
 from .theory import brickwall_total_power
 
 __all__ = [
@@ -122,7 +122,7 @@ class BrickWallSpec:
 @dataclass(frozen=True)
 class MinPhaseReport:
     is_min_phase: bool
-    max_root_magnitude: float
+    max_reflection: float  # largest |k_i| the step-down met
     log_spectrum_integral: float  # bits
 
 
@@ -318,40 +318,33 @@ def truncated_fourier_brickwall_error(target: BrickWallSpec, p: int, n: int = QU
 # ---------------------------------------------------------------------------
 
 
-def min_phase_check(filt: ShapingFilter, n: int = QUADRATURE_POINTS) -> MinPhaseReport:
-    """Root locations and log-spectrum integral of c(z).
+def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
+    """Schur-Cohn test and log-spectrum integral of c(z).
 
-    is_min_phase holds iff every zero lies strictly inside the unit
-    circle.  Roots come from companion-matrix eigenvalues; when the
-    largest magnitude is within 1e-4 of the unit circle the roots are
-    re-derived in extended precision before deciding.
+    The step-down (reverse Levinson) recursion peels one reflection
+    coefficient k = a_i/a_0 off the top of the polynomial, a_j <- a_j -
+    k a_{i-j}, until it is constant; c(z) is minimum phase, every zero
+    strictly inside the unit circle, iff every |k_i| < 1.  It runs on the
+    float64 coefficients the loop runs, at the design precision, and stops
+    at the first |k_i| >= 1; a trailing zero coefficient gives k = 0.  The
+    integral (1/2pi) int log2|c|^2 dw is the mean over the quadrature_grid
+    midpoints, which are the odd bins of a length-2N real FFT, folded by
+    symmetry; it is 0 for a minimum-phase filter.
     """
-    c = np.asarray(filt.coeffs, dtype=np.float64)
-    nz = np.nonzero(c)[0]
-    c = c[: nz[-1] + 1]  # trim trailing zeros
-    if c.shape[0] <= 1:
-        max_mag = 0.0
-    else:
-        roots = np.roots(c)
-        max_mag = float(np.abs(roots).max())
-        if abs(1.0 - max_mag) < 1e-4:
-            try:
-                with mp.workdps(50):
-                    refined = mp.polyroots(
-                        [mp.mpf(repr(v)) for v in c], maxsteps=500, extraprec=200
-                    )
-                max_mag = float(max(abs(z) for z in refined))
-            except mp.libmp.NoConvergence as exc:
-                raise RuntimeError(
-                    f"root finding did not converge for order {len(c) - 1}: {exc}"
-                ) from None
-    w = quadrature_grid(n)
-    power = spectrum_power(filt.coeffs, w)
-    integral = float(np.mean(np.log2(np.maximum(power, 1e-300))))
+    with mp.workdps(_design_dps(filt.order)):
+        a = [mp.mpf(v) for v in filt.coeffs]
+        max_k = mp.mpf(0)
+        for i in range(filt.order, 0, -1):
+            k = a[i] / a[0]
+            max_k = max(max_k, abs(k))
+            if max_k >= 1:
+                break
+            a = [a[j] - k * a[i - j] for j in range(i)]
+    power = np.abs(np.fft.rfft(filt.coeffs, 2 * QUADRATURE_POINTS)[1::2]) ** 2
     return MinPhaseReport(
-        is_min_phase=bool(max_mag < 1.0),
-        max_root_magnitude=max_mag,
-        log_spectrum_integral=integral,
+        is_min_phase=bool(max_k < 1),
+        max_reflection=float(max_k),
+        log_spectrum_integral=float(np.mean(np.log2(np.maximum(power, 1e-300)))),
     )
 
 

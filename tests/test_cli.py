@@ -37,6 +37,15 @@ def test_design_filter_reports_powers(capsys):
     assert "pdc=" in out and "min-phase=True" in out
 
 
+@pytest.mark.parametrize("p, verdict", [(38, "True"), (42, "True"), (44, "False")])
+def test_design_filter_decides_min_phase_near_the_unit_circle(p, verdict, capsys):
+    # the largest zero of the lambda = 0 design lies just inside the unit
+    # circle (|z| > 0.9998) at p = 38 and 42, and outside it at p = 44
+    assert main(["design-filter", "--p", str(p), "--lambda-ratio", "0"]) == 0
+    out = capsys.readouterr().out
+    assert f"min-phase={verdict} max-reflection=" in out
+
+
 def test_design_filter_gamma_mode(capsys):
     assert main(["design-filter", "--p", "8", "--gamma", "6"]) == 0
     assert "gamma=6" in capsys.readouterr().out

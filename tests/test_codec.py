@@ -288,6 +288,17 @@ class TestLoop:
             with pytest.raises(ValueError, match="signal must be finite"):
                 encode(x, make_config())
 
+    @pytest.mark.parametrize("n, message", [(0, "empty signal"), (3, "block length must be even")])
+    def test_encode_rejects_empty_or_odd_blocks_before_the_kernel(self, monkeypatch, n, message):
+        import mdsigma.codec
+
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel ran on an empty or odd block")
+
+        monkeypatch.setattr(mdsigma.codec, "_dsq_loop", kernel_must_not_run)
+        with pytest.raises(ValueError, match=message):
+            encode(np.zeros(n), make_config())
+
     def test_kernel_matches_reference_recursion_bitwise(self):
         # the generated straight-line kernel keeps the reference recursion's
         # operation order.  Lengths around p cover the cold start and a
@@ -450,6 +461,29 @@ class TestDecoderContracts:
         bad = DescriptionPacket(packets[2].indices, 999, 2)
         with pytest.raises(ValueError, match="packets disagree on the dither seed"):
             decode([packets[0], bad], cfg)
+
+    @pytest.mark.parametrize(
+        "indices, seed, message",
+        [
+            pytest.param([1.5, 2.7], 7, "integer dtype", id="float-indices"),
+            pytest.param(np.array([np.nan, 1.0]), 7, "integer dtype", id="nan-indices"),
+            pytest.param(np.array([True, False]), 7, "integer dtype", id="bool-indices"),
+            pytest.param(np.array(["1", "2"]), 7, "integer dtype", id="str-indices"),
+            pytest.param(np.zeros(2, dtype=np.int64), 1.5, "non-negative integer", id="float-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), 2.0, "non-negative integer", id="integral-float-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), -1, "non-negative integer", id="negative-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), True, "non-negative integer", id="bool-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), "7", "non-negative integer", id="str-seed"),
+        ],
+    )
+    def test_packet_rejects_non_integer_indices_or_seed(self, indices, seed, message):
+        with pytest.raises(ValueError, match=message):
+            DescriptionPacket(indices, seed, 0)
+
+    def test_packet_takes_any_integer_dtype_and_seed_type(self):
+        pkt = DescriptionPacket(np.array([-3, 4], dtype=np.int16), np.uint64(2**63 + 1), 1)
+        assert pkt.indices.dtype == np.int64 and pkt.indices.tolist() == [-3, 4]
+        assert pkt.dither_seed == 2**63 + 1
 
     def test_packet_shape(self):
         cfg = make_config(k=4)

@@ -24,6 +24,8 @@ from mdsigma.shaping import (
     truncated_fourier_brickwall_error,
 )
 
+from conftest import zeros_within
+
 # hand inversion of the 1x1 and 2x2 systems with off-diagonal 2/pi
 YW1_TAIL = -2.0 / np.pi
 _DET2 = 1.0 - 4.0 / np.pi**2
@@ -202,13 +204,13 @@ class TestMinPhase:
     def test_stable_first_order(self):
         rep = min_phase_check(ShapingFilter((1.0, -0.5)))
         assert rep.is_min_phase
-        assert rep.max_root_magnitude == pytest.approx(0.5, abs=1e-12)
+        assert rep.max_reflection == pytest.approx(0.5, abs=1e-12)
         assert abs(rep.log_spectrum_integral) <= 1e-9
 
     def test_unstable_first_order(self):
         rep = min_phase_check(ShapingFilter((1.0, -2.0)))
         assert not rep.is_min_phase
-        assert rep.max_root_magnitude == pytest.approx(2.0, abs=1e-12)
+        assert rep.max_reflection == pytest.approx(2.0, abs=1e-12)
 
     def test_designed_filter_is_min_phase(self):
         rep = min_phase_check(design_yule_walker(8, 0.1))
@@ -216,19 +218,47 @@ class TestMinPhase:
 
     def test_trailing_zeros_trimmed(self):
         rep = min_phase_check(ShapingFilter((1.0, -0.5, 0.0, 0.0)))
-        assert rep.max_root_magnitude == pytest.approx(0.5, abs=1e-12)
+        assert rep.max_reflection == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 1.0])
     def test_grid_min_phase_and_monotone(self, lam):
         prev = None
         for p in (1, 2, 4, 8, 16, 32):
             filt = design_yule_walker(p, lam)
-            rep = min_phase_check(filt)
-            assert rep.max_root_magnitude <= 1.0 - 1e-6
+            assert zeros_within(filt, 1.0 - 1e-6)
             pdc, _ = filter_powers(filt)
             if prev is not None:
                 assert pdc <= prev + 1e-15
             prev = pdc
+
+    # Largest zero magnitude of design_yule_walker(p, 0), from 120-digit
+    # mp.polyroots; the step-down decides the same at 3p + 20 and at 1000
+    # digits.  A float64 companion-matrix root finder misplaces the zeros
+    # near the unit circle by up to 5.8e-2.
+    #
+    #   p    true max |z|
+    #   38   0.999898
+    #   40   0.999902
+    #   41   0.999932
+    #   42   0.999983
+    #   43   0.999939
+    #   44   1.0208
+    #   48   1.1150
+    @pytest.mark.parametrize(
+        "p, inside", [(38, True), (40, True), (41, True), (42, True), (43, True), (44, False), (48, False)]
+    )
+    def test_zeros_near_the_unit_circle(self, p, inside):
+        assert min_phase_check(design_yule_walker(p, 0.0)).is_min_phase is inside
+
+    @pytest.mark.parametrize("c1, inside", [(-1.0, False), (-0.99995, True), (-1.00005, False)])
+    def test_first_order_zero_at_the_unit_circle(self, c1, inside):
+        assert min_phase_check(ShapingFilter((1.0, c1))).is_min_phase is inside
+
+    def test_scaled_filter_moves_the_zeros(self):
+        # c_i rho^-i has the zero 0.5/rho: inside the unit circle iff rho > 0.5
+        filt = ShapingFilter((1.0, -0.5))
+        assert zeros_within(filt, 0.5 + 1e-9)
+        assert not zeros_within(filt, 0.5)
 
     def test_lower_bound_property(self):
         # two-step spectra minimize both powers at fixed ratio
