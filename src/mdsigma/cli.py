@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import replace
 
+from .codec import loop_backend
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -88,6 +89,7 @@ def _print_sim(result) -> bool:
     print(
         f"filter p={cfg.p} K={cfg.oversampling} pdc={result.pdc:.6g} pds={result.pds:.6g}"
     )
+    print(f"loop-backend={loop_backend()}")
     print(
         f"rate: theory={result.rate_theory_bits:.5f} bits, gaussian-accounting="
         f"{result.rate_gauss_emp_bits:.5f} bits, index-entropy={result.index_entropy_bits:.5f} bits"

@@ -19,20 +19,32 @@ description is D(n/2) cos(pi j/K).  The result is scaled by the
 post-multiplier for stride s.  All K descriptions (s = 1) give the
 central reconstruction, a single one (s = K) a side reconstruction.
 
-The feedback recursion is sequential by nature.  ``_dsq_loop`` is its one
-kernel: straight-line Python generated from the filter order, which
-streams the samples as Python floats and returns numpy views of the
-buffers it filled.  It meets the acceptance timing gates on its own.  It
-is also the library's only dithered quantizer (an order-0 filter gives
-plain dithered quantization): with y = (s + z)/step it rounds half up,
-index = floor(y) + [y - floor(y) >= 1/2].  y - floor(y) is exact
+The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
+a C kernel, compiled on first use with the system's C compiler and cached
+on disk, or, where no compiler is found or the build or load fails, in
+straight-line Python generated from the filter order.  Both perform the
+same float64 operations in the same order (the C one is built without
+contraction into fused multiply-adds), so they give the same bits; a
+test holds them to that.  ``loop_backend`` names the one that runs.  The
+loop is also the library's only dithered quantizer (an order-0 filter
+gives plain dithered quantization): with y = (s + z)/step it rounds half
+up, index = floor(y) + [y - floor(y) >= 1/2].  y - floor(y) is exact
 wherever it lies below 1/2, so, unlike floor(y + 1/2), the rule never
 picks the far cell, and every error lies in (-step/2, step/2].
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,7 +53,7 @@ import numpy as np
 
 from .dsp import SignalBlock, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
-from .shaping import ShapingFilter, band_power
+from .shaping import MAX_ORDER, ShapingFilter, band_power
 from .theory import wiener_gain
 
 __all__ = [
@@ -51,14 +63,156 @@ __all__ = [
     "delta_sigma_loop",
     "encode",
     "decode",
+    "loop_backend",
     "pattern_noise_power",
     "reconstruction_mse",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Feedback loop kernel
+# Feedback loop kernels
 # ---------------------------------------------------------------------------
+
+
+_log = logging.getLogger(__name__)
+
+# The recursion in C, one statement per operation of the generated kernel
+# below and in the same order.  It reads the history straight from e, so the
+# first k < p sums simply have fewer terms: with each sum starting from 0.0,
+# the generated kernel's zero history adds nothing to them either.  The cast
+# (int64_t)qf is exact because delta_sigma_loop admits no block whose index
+# could reach 2^52.
+_LOOP_C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
+              int64_t p, double step, int64_t *q, double *e, double *fb)
+{
+    for (int64_t k = 0; k < n; k++) {
+        int64_t m = k < p ? k : p;
+        double acc = 0.0;
+        for (int64_t i = 0; i < m; i++)
+            acc += c[i] * e[k - 1 - i];
+        double s = a[k] + acc;
+        double y = (s + z[k]) / step;
+        double qf = floor(y);
+        if (y - qf >= 0.5)
+            qf += 1.0;
+        q[k] = (int64_t)qf;
+        e[k] = step * qf - z[k] - s;
+        fb[k] = acc;
+    }
+}
+"""
+
+# No -ffast-math, -Ofast or -march=native: reassociated sums or fused
+# multiply-adds would change the bits.
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CC_TIMEOUT_S = 120
+
+
+class _NoNativeLoop(Exception):
+    """The C kernel cannot be built or loaded; the message says why."""
+
+
+def _compiler():
+    """argv prefix of the C compiler, ``$CC`` (default ``cc``) with its first
+    word resolved on PATH, or None where there is none."""
+    words = shlex.split(os.environ.get("CC") or "cc")
+    path = shutil.which(words[0]) if words else None
+    return None if path is None else [path, *words[1:]]
+
+
+def _library_name(cc) -> str:
+    """File name keyed by the source, the flags and the compiler's identity
+    (its resolved path, size and modification time), found without running
+    it, so a cache hit starts no process."""
+    exe = os.path.realpath(cc[0])
+    st = os.stat(exe)
+    key = "\0".join([_LOOP_C_SOURCE, *_CC_FLAGS, *cc, exe, str(st.st_size), str(st.st_mtime_ns)])
+    return f"dsq_loop-{hashlib.sha256(key.encode()).hexdigest()[:20]}.so"
+
+
+def _cache_dirs():
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "mdsigma"), os.path.join(tempfile.gettempdir(), "mdsigma")
+
+
+def _private_dir(directory: str) -> None:
+    """Make ``directory`` if need be; PermissionError unless this user owns
+    it and no one else can write to it, since the library it holds is
+    loaded into the process (the temporary directory is shared)."""
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    st = os.stat(directory)
+    if hasattr(os, "getuid") and (st.st_uid != os.getuid() or st.st_mode & 0o022):
+        raise PermissionError(f"{directory} is not private to this user")
+
+
+def _build(cc, path: str) -> None:
+    """Compile the kernel to ``path`` through a private directory beside it
+    and ``os.replace``, so no process ever loads a half-written library.
+
+    OSError means the directory cannot be written; a failed compiler run
+    raises _NoNativeLoop.
+    """
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
+        src, lib = os.path.join(work, "dsq_loop.c"), os.path.join(work, "dsq_loop.so")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(_LOOP_C_SOURCE)
+        argv = [*cc, *_CC_FLAGS, "-o", lib, src, "-lm"]
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=_CC_TIMEOUT_S)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _NoNativeLoop(f"{' '.join(argv)} did not run: {exc}") from exc
+        if proc.returncode != 0:
+            raise _NoNativeLoop(
+                f"{' '.join(argv)} exited with {proc.returncode}: {proc.stderr.strip()[-400:]}"
+            )
+        os.replace(lib, path)
+
+
+def _bind(path: str):
+    try:
+        fn = ctypes.CDLL(path).dsq_loop
+    except (OSError, AttributeError) as exc:
+        raise _NoNativeLoop(f"cannot load {path}: {exc}") from exc
+    f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    fn.argtypes = [f64, f64, ctypes.c_int64, f64, ctypes.c_int64, ctypes.c_double, i64, f64, f64]
+    fn.restype = None
+    return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _native_loop():
+    """The compiled kernel, built on first use and cached on disk; None,
+    logged once with the reason, where it cannot be had."""
+    try:
+        cc = _compiler()
+        if cc is None:
+            raise _NoNativeLoop(f"no C compiler found (looked for {os.environ.get('CC') or 'cc'!r})")
+        name = _library_name(cc)
+        unwritable = []
+        for directory in _cache_dirs():
+            path = os.path.join(directory, name)
+            try:
+                _private_dir(directory)
+                if not os.path.isfile(path):
+                    _build(cc, path)
+            except OSError as exc:
+                unwritable.append(f"{directory} ({exc})")
+                continue
+            return _bind(path)
+        raise _NoNativeLoop("no writable cache directory: " + "; ".join(unwritable))
+    except _NoNativeLoop as exc:
+        _log.warning("the feedback loop runs on the generated Python kernel, with the same bits: %s", exc)
+        return None
+
+
+def loop_backend() -> str:
+    """Which kernel runs the feedback loop in this process: "c" or "python"."""
+    return "python" if _native_loop() is None else "c"
 
 
 def _unrolled_loop_source(p: int) -> str:
@@ -100,9 +254,18 @@ def _unrolled_loop_source(p: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dsq_loop(a, c_tail, z, step):
-    """Run the recursion over float64 arrays; return (q, e, fb) as int64 and
-    float64 views of the buffers the kernel filled.
+@functools.lru_cache(maxsize=MAX_ORDER + 1)
+def _generated_kernel(p: int):
+    """The generated kernel for order p, compiled once: the source grows as
+    p^2, and compiling it takes about 0.1 s at p = 128."""
+    namespace = {}
+    exec(compile(_unrolled_loop_source(p), f"<dsq loop p={p}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _dsq_loop_python(a, c_tail, z, step):
+    """The generated kernel under ``_dsq_loop``'s contract; (q, e, fb) are
+    int64 and float64 views of the buffers it filled.
 
     Indexing a numpy array boxes a scalar per access, so the samples stream
     as Python floats through memoryviews of the inputs and the outputs
@@ -112,12 +275,9 @@ def _dsq_loop(a, c_tail, z, step):
     non-finite coefficients) leaves it unchanged bit for bit, as if the
     term were absent.
     """
-    p = c_tail.shape[0]
-    namespace = {}
-    exec(compile(_unrolled_loop_source(p), f"<dsq loop p={p}>", "exec"), namespace)
     q, e, fb = array("q"), array("d"), array("d")
     it = zip(memoryview(a), memoryview(z))
-    namespace["kernel"](
+    _generated_kernel(c_tail.shape[0])(
         it, c_tail.tolist(), step, q.append, e.append, fb.append, math.floor, next
     )
     return (
@@ -125,6 +285,20 @@ def _dsq_loop(a, c_tail, z, step):
         np.frombuffer(e, dtype=np.float64),
         np.frombuffer(fb, dtype=np.float64),
     )
+
+
+def _dsq_loop(a, c_tail, z, step):
+    """Run the recursion over C-contiguous float64 arrays a and z of one
+    length and the filter tail c_tail; return (q, e, fb) as int64 and
+    float64 arrays.  The C kernel fills arrays numpy allocates; where it
+    cannot be had, the generated kernel gives the same bits."""
+    native = _native_loop()
+    if native is None:
+        return _dsq_loop_python(a, c_tail, z, step)
+    n = a.shape[0]
+    q, e, fb = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    native(a, z, n, c_tail, c_tail.shape[0], step, q, e, fb)
+    return q, e, fb
 
 
 @dataclass(frozen=True)

@@ -389,13 +389,23 @@ def _ratio_f64(lags64: list, lam: float) -> tuple:
     return ratio, eps * ratio
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _half_band_range(p: int) -> tuple:
+    """(extended-precision lags, float64 lags, ratio at lambda = 0) of the
+    order-p half-band design: the same for every target ratio."""
+    with mp.workdps(_design_dps(p)):
+        lags = tuple(_sinc_half_mp(m) for m in range(p + 1))
+    return lags, tuple(float(v) for v in lags), _ratio_at(lags, 0.0)
+
+
 def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
     """Weight ratio lambda_s/lambda_c whose design hits P_ds/P_dc = gamma.
 
     The ratio decreases monotonically from its lambda=0 maximum toward the
     white-filter floor of 2 as lambda grows, so a bracketed bisection
     applies.  Unreachable targets raise with the achievable range, which
-    comes from the extended-precision design at lambda = 0.
+    comes from the extended-precision design at lambda = 0, made once per
+    order.
 
     Float64 decides, extended precision designs.  Each step needs one
     decision on the ratio r at lambda: r < gamma while bracketing, then
@@ -440,10 +450,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
     if not rel_tol >= 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     _check_order(p)
-    with mp.workdps(_design_dps(p)):
-        lags = [_sinc_half_mp(m) for m in range(p + 1)]  # independent of lambda
-    lags64 = [float(v) for v in lags]
-    hi_ratio = _ratio_at(lags, 0.0)
+    lags, lags64, hi_ratio = _half_band_range(p)
     if not (2.0 < gamma <= hi_ratio):
         raise ValueError(
             f"ratio out of range for order {p}: achievable range is (2, {hi_ratio:.6g}]"

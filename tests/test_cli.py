@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mdsigma import cli
+from mdsigma import cli, codec
 from mdsigma.cli import main
 
 
@@ -195,6 +195,27 @@ def test_simulate_k4_small(capsys):
     assert rc == 0
     assert "three-step targets" in out
     assert "single3" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "8", "--gamma", "6", "--n-samples", str(1 << 14), "--trials", "1", "--seed", "5"],
+        ["simulate-k4", "--p", "24", "--sigma-e2", "0.04", "--n-samples", str(1 << 14), "--trials", "1",
+         "--seed", "3", "--tol", "0.1"],
+    ],
+    ids=["simulate", "simulate-k4"],
+)
+def test_simulation_names_its_loop_backend_and_writes_the_same_csv_on_either(argv, tmp_path, monkeypatch, capsys):
+    backend = codec.loop_backend()
+    main([*argv, "--out", str(tmp_path / "default.csv")])
+    default_out = capsys.readouterr().out
+    monkeypatch.setattr(codec, "_native_loop", lambda: None)  # the generated kernel
+    main([*argv, "--out", str(tmp_path / "python.csv")])
+    python_out = capsys.readouterr().out
+    for out, name in ((default_out, backend), (python_out, "python")):
+        assert [ln for ln in out.splitlines() if ln.startswith("loop-backend=")] == [f"loop-backend={name}"]
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
 def test_universality_rejects_low_resolution(capsys):

@@ -1,14 +1,18 @@
 """Encoder/decoder behavior: loop algebra, noiseless chains, statistics."""
 
+import logging
 import math
+import subprocess
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
+from mdsigma import codec
 from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
@@ -20,7 +24,7 @@ from mdsigma.codec import (
 )
 from mdsigma.dsp import ideal_upsample
 from mdsigma.ecdq import QuantizerSpec
-from mdsigma.shaping import ShapingFilter, design_multiband, design_yule_walker, filter_powers
+from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
 
 from conftest import bandlimited_noise
@@ -142,6 +146,45 @@ def _dsq_loop_py(a, c_tail, z, step):
         e[k] = step * qk - z[k] - a_in
         fb[k] = acc
     return q, e, fb
+
+
+def loop_kernels():
+    """Every loop kernel this machine can run: the generated one always, and
+    the C one wherever a C compiler is found, which must then load."""
+    kernels = {"python": codec._dsq_loop_python}
+    if codec._compiler() is not None:
+        assert codec.loop_backend() == "c", "a C compiler is found but the C kernel did not load"
+        kernels["c"] = codec._dsq_loop
+    return kernels
+
+
+def assert_same_bits(got, want, case):
+    for name, g, w in zip(("indices", "quant_error", "feedback"), got, want):
+        assert g.dtype == w.dtype, (case, name)
+        assert g.tobytes() == w.tobytes(), (case, name)
+
+
+@st.composite
+def loop_blocks(draw):
+    """(a, c_tail, z, step) that delta_sigma_loop admits: orders up to
+    MAX_ORDER, signed zeros, and samples up to the 2^52 index bound."""
+    p = draw(st.integers(0, MAX_ORDER))
+    n = draw(st.integers(0, p + 40))
+    step = draw(st.sampled_from([1.0, 0.37, 22.0]))
+    # max|a| + max|z| + sum|c_tail| step/2 stays below 2^52 steps, with
+    # sum|c_tail| <= 2 MAX_ORDER
+    scale = draw(st.sampled_from([1.0, 1e6, 2.0**40, 2.0**52 - 2.0 * MAX_ORDER - 1.0])) * step
+    zero_share = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit(size):
+        """Uniform on [-1, 1], a zero_share of it +0.0 or -0.0."""
+        x = rng.uniform(-1.0, 1.0, size)
+        zero = rng.random(size) < zero_share
+        x[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, zero.sum()))
+        return x
+
+    return unit(n) * scale, 2.0 * unit(p), unit(n) * (step / 2), step
 
 
 class TestLoop:
@@ -300,11 +343,10 @@ class TestLoop:
             encode(np.zeros(n), make_config())
 
     def test_kernel_matches_reference_recursion_bitwise(self):
-        # the generated straight-line kernel keeps the reference recursion's
-        # operation order.  Lengths around p cover the cold start and a
-        # partial last unrolled pass; the all-zero block covers signed zeros
-        from mdsigma.codec import _dsq_loop
-
+        # every kernel keeps the reference recursion's operation order.
+        # Lengths around p cover the cold start and a partial last unrolled
+        # pass; the all-zero block covers signed zeros
+        kernels = loop_kernels()
         rng = np.random.default_rng(99)
         for p in (0, 1, 2, 12, 48, 64):
             filt = design_yule_walker(p, 0.05) if p else ShapingFilter((1.0,))
@@ -317,12 +359,108 @@ class TestLoop:
                         else:
                             a = rng.standard_normal(n)
                             z = rng.uniform(-step / 2, step / 2, n)
-                        case = (p, n, step, zeros)
                         ref = _dsq_loop_py(a, ct, z, step)
-                        out = _dsq_loop(a, ct, z, step)
-                        for name, got, want in zip(("indices", "quant_error", "feedback"), out, ref):
-                            assert got.dtype == want.dtype, (*case, name)
-                            assert got.tobytes() == want.tobytes(), (*case, name)
+                        for backend, kernel in kernels.items():
+                            assert_same_bits(kernel(a, ct, z, step), ref, (backend, p, n, step, zeros))
+
+    @given(block=loop_blocks())
+    @example(block=(np.array([0.0]), np.zeros(0), np.array([10.999999999999998]), 22.0))
+    @example(block=(np.array([0.5, -0.5, 1.5, -0.0]), np.array([-0.0]), np.zeros(4), 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_backends_agree_bitwise(self, block):
+        a, c_tail, z, step = block
+        # the block passes every check delta_sigma_loop makes before a kernel
+        res = delta_sigma_loop(a, ShapingFilter((1.0, *c_tail.tolist())), z, step)
+        want = codec._dsq_loop_python(a, c_tail, z, step)
+        assert_same_bits((res.indices, res.quant_error, res.feedback), want, "delta_sigma_loop")
+        for backend, kernel in loop_kernels().items():
+            assert_same_bits(kernel(a, c_tail, z, step), want, backend)
+
+
+def use_stand_in_cc(monkeypatch, tmp_path):
+    """Point CC at a compiler that rejects every source."""
+    cc = tmp_path / "stand-in-cc"
+    cc.write_text("#!/bin/sh\necho 'error: stand-in compiler' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(cc))
+
+
+class TestLoopBackend:
+    """Wherever the C kernel cannot be had, the generated one runs instead,
+    with the same bits, and the reason is logged once."""
+
+    @pytest.fixture(autouse=True)
+    def private_cache(self, monkeypatch, tmp_path):
+        # each test resolves the backend afresh, against its own directories
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        codec._native_loop.cache_clear()
+        yield
+        codec._native_loop.cache_clear()
+
+    @pytest.fixture()
+    def stand_in_cc(self, monkeypatch, tmp_path):
+        use_stand_in_cc(monkeypatch, tmp_path)
+
+    @staticmethod
+    def assert_python_fallback(caplog, reason):
+        rng = np.random.default_rng(17)
+        ct = np.ascontiguousarray(np.array(design_yule_walker(12, 0.05).coeffs)[1:])
+        a, z = rng.standard_normal(500), rng.uniform(-0.5, 0.5, 500)
+        with caplog.at_level(logging.WARNING, logger="mdsigma.codec"):
+            for _ in range(2):
+                assert_same_bits(codec._dsq_loop(a, ct, z, 1.0), _dsq_loop_py(a, ct, z, 1.0), reason)
+            assert codec.loop_backend() == "python"
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "mdsigma.codec"]
+        assert reason in message
+
+    def test_missing_compiler(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        self.assert_python_fallback(caplog, "no C compiler found")
+
+    def test_source_that_fails_to_compile(self, monkeypatch, tmp_path, caplog):
+        if codec._compiler() is None:
+            use_stand_in_cc(monkeypatch, tmp_path)
+        monkeypatch.setattr(codec, "_LOOP_C_SOURCE", codec._LOOP_C_SOURCE + "\n#error broken on purpose\n")
+        self.assert_python_fallback(caplog, "exited with 1")
+
+    @pytest.mark.parametrize("how", ["under-a-file", "shared"])
+    def test_unwritable_cache_directories(self, how, monkeypatch, tmp_path, stand_in_cc, caplog):
+        if how == "under-a-file":
+            blocker = tmp_path / "a-file"
+            blocker.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+            monkeypatch.setattr(tempfile, "tempdir", str(blocker / "tmp"))
+        else:  # anyone may write there, so a library there is not loaded
+            for base in ("xdg", "tmp"):
+                (tmp_path / base / "mdsigma").mkdir(parents=True)
+                (tmp_path / base / "mdsigma").chmod(0o777)
+        self.assert_python_fallback(caplog, "no writable cache directory")
+
+    def test_truncated_cached_library(self, tmp_path, stand_in_cc, caplog):
+        lib = tmp_path / "xdg" / "mdsigma" / codec._library_name(codec._compiler())
+        lib.parent.mkdir(parents=True)
+        lib.write_bytes(b"\x7fELF\x02\x01\x01")  # an ELF header cut short
+        self.assert_python_fallback(caplog, "cannot load")
+
+    def test_temp_dir_serves_when_the_cache_home_cannot_be_written(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+        has_cc = codec._compiler() is not None
+        assert codec.loop_backend() == ("c" if has_cc else "python")
+        assert len(list((tmp_path / "tmp" / "mdsigma").glob("dsq_loop-*.so"))) == has_cc
+
+    def test_cache_hit_starts_no_process(self, monkeypatch):
+        backend = codec.loop_backend()  # builds where a compiler is found
+        codec._native_loop.cache_clear()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a cache hit started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        assert codec.loop_backend() == backend
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,18 @@ class TestFloat64Bisection:
         calls = []
         real = shaping._ratio_at
         monkeypatch.setattr(shaping, "_ratio_at", lambda lags, lam: calls.append(lam) or real(lags, lam))
+        shaping._half_band_range.cache_clear()
         find_lambda_for_ratio(17.0, 32)
         assert calls == [0.0]
+
+    def test_second_target_at_one_order_runs_no_extended_precision(self, monkeypatch):
+        # the lambda = 0 range check is made once per order
+        find_lambda_for_ratio(17.0, 32)
+        calls = []
+        real = shaping._ratio_at
+        monkeypatch.setattr(shaping, "_ratio_at", lambda lags, lam: calls.append(lam) or real(lags, lam))
+        find_lambda_for_ratio(9.0, 32)
+        assert calls == []
 
     @pytest.mark.parametrize("threshold", ["zero", "rel_tol"])
     def test_ratio_inside_the_margin_is_recomputed(self, threshold, monkeypatch):
@@ -493,6 +503,7 @@ class TestFloat64Bisection:
 
         monkeypatch.setattr(shaping, "_ratio_f64", misplaced)
         monkeypatch.setattr(shaping, "_ratio_at", counted)
+        shaping._half_band_range.cache_clear()
         assert find_lambda_for_ratio(gamma, p, rel_tol) == expected
         assert calls["f64"] > 0
         assert calls["mp"] == calls["f64"] + 1  # plus the lambda = 0 range check
