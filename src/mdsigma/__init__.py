@@ -43,6 +43,7 @@ from .codec import (
     CodecConfig,
     DescriptionPacket,
     decode,
+    decode_subsets,
     delta_sigma_loop,
     encode,
     reconstruction_mse,

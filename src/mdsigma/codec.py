@@ -18,6 +18,10 @@ doubled; the inverse real FFT keeps its real part, which for a lone
 description is D(n/2) cos(pi j/K).  The result is scaled by the
 post-multiplier for stride s.  All K descriptions (s = 1) give the
 central reconstruction, a single one (s = K) a side reconstruction.
+``decode_subsets`` decodes a list of subsets in one call: it forms each
+description's twiddled spectrum once per call, when a subset first needs
+it, shares it across the subsets and yields the blocks lazily, one per
+subset; ``decode`` is its one-subset case.
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
 a C kernel, compiled on first use with the system's C compiler and cached
@@ -47,7 +51,7 @@ import subprocess
 import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +67,7 @@ __all__ = [
     "delta_sigma_loop",
     "encode",
     "decode",
+    "decode_subsets",
     "loop_backend",
     "pattern_noise_power",
     "reconstruction_mse",
@@ -385,9 +390,9 @@ class DescriptionPacket:
         idx = np.asarray(self.indices)
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"indices must have an integer dtype, got {idx.dtype}")
-        seed = self.dither_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"dither seed must be a non-negative integer, got {seed!r}")
+        for name, value in (("dither seed", self.dither_seed), ("phase", self.phase)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
@@ -479,14 +484,18 @@ def encode(x, cfg: CodecConfig, dither=None):
 # ---------------------------------------------------------------------------
 
 
-def _regenerate_samples(packet: DescriptionPacket, cfg: CodecConfig, dither=None) -> np.ndarray:
-    """step*index - dither for one description."""
+def _twiddled_spectrum(packet: DescriptionPacket, cfg: CodecConfig, dither=None) -> np.ndarray:
+    """rfft(step*index - dither) of one description, delayed by its phase/K
+    base samples: D_j(k) exp(-2 pi i k j/(K n)) for k <= n/2."""
     n = packet.indices.shape[0]
     if dither is None:
         z = DitherStream(packet.dither_seed, cfg.quantizer.step, packet.phase).draw(n)
     else:
         z = np.asarray(dither, dtype=np.float64)[packet.phase :: cfg.oversampling]
-    return cfg.quantizer.step * packet.indices.astype(np.float64) - z
+    samples = cfg.quantizer.step * packet.indices.astype(np.float64) - z
+    # sample t sits at base position t + phase/K
+    delay = packet.phase / cfg.oversampling
+    return np.fft.rfft(samples) * np.exp(np.arange(n // 2 + 1) * (-2j * np.pi * delay / n))
 
 
 def _uniform_stride(phases: Sequence[int], k: int) -> int:
@@ -501,21 +510,12 @@ def _uniform_stride(phases: Sequence[int], k: int) -> int:
     raise ValueError(f"phases {ordered} are not a uniform subset of 0..{k - 1}")
 
 
-def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
-    """Reconstruct the source block from any uniform subset of descriptions.
-
-    The m received packets must carry phases {r, r+s, ...} with stride
-    s = K/m and offset r < s, one dither seed, and equal, even and nonzero
-    index counts; a ``dither`` override must cover the oversampled block,
-    as in :func:`encode`.  Each packet's regenerated samples enter through
-    their own spectrum, delayed by the packet's phase/K base samples (the
-    module docstring gives the sum), and the mean is scaled by the
-    post-multiplier for stride s.
-    """
-    s = _uniform_stride([p.phase for p in packets], cfg.oversampling)
-    if len({p.dither_seed for p in packets}) != 1:
+def _check_packets(chosen: Sequence[DescriptionPacket], cfg: CodecConfig, dither) -> None:
+    """Raise unless the packets of one subset share a dither seed and an
+    even, nonzero index count that a ``dither`` override covers."""
+    if len({p.dither_seed for p in chosen}) != 1:
         raise ValueError("packets disagree on the dither seed")
-    lengths = sorted({p.indices.shape[0] for p in packets})
+    lengths = sorted({p.indices.shape[0] for p in chosen})
     if len(lengths) != 1:
         raise ValueError(f"packets disagree on the index count: {lengths}")
     n = lengths[0]
@@ -523,17 +523,74 @@ def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) 
         raise ValueError(f"index count must be even and nonzero, got {n}")
     if dither is not None and np.shape(dither) != (cfg.oversampling * n,):
         raise ValueError("dither override must cover the oversampled block")
-    m = len(packets)
-    bins = np.arange(n // 2 + 1)
-    band = np.zeros(n // 2 + 1, dtype=np.complex128)
+
+
+def decode_subsets(
+    packets: Sequence[DescriptionPacket],
+    cfg: CodecConfig,
+    subsets: Sequence[Sequence[int]],
+    dither=None,
+) -> Iterator[SignalBlock]:
+    """Reconstruct the source block from each subset of the received
+    descriptions, yielding one ``SignalBlock`` per subset, in order.
+
+    Each subset names the phases of the packets it uses; they must form a
+    uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
+    with one dither seed and equal, even and nonzero index counts, and a
+    ``dither`` override must cover the oversampled block, as in
+    :func:`encode`.  Every subset, and the received packets (no phase
+    twice, every named phase received), is checked before any dither is
+    drawn or any FFT runs.
+
+    Each description's phase-twiddled spectrum is formed once per call,
+    when a subset first needs it, and shared by the later subsets; a
+    subset's band is the mean of its spectra in its own order (the module
+    docstring gives the sum), scaled by the post-multiplier for stride s.
+    Blocks are yielded lazily, so a caller that consumes them one at a
+    time holds one block at a time, and the spectra are freed once the
+    iterator is exhausted.
+    """
+    strides = [_uniform_stride(subset, cfg.oversampling) for subset in subsets]
+    by_phase = {}
     for pkt in packets:
-        # sample t sits at base position t + phase/K
-        delay = pkt.phase / cfg.oversampling
-        band += np.fft.rfft(_regenerate_samples(pkt, cfg, dither)) * np.exp(bins * (-2j * np.pi * delay / n))
-    band /= m
-    if m > 1:
-        band[-1] *= 2.0  # the mirror of the band-edge bin folds onto it
-    return SignalBlock(_multiplier(cfg, s) * np.fft.irfft(band, n), margin=cfg.guard)
+        if pkt.phase in by_phase:
+            raise ValueError(f"received packets repeat phase {pkt.phase}")
+        by_phase[pkt.phase] = pkt
+    plan = []
+    for subset, s in zip(subsets, strides):
+        missing = sorted(set(subset) - by_phase.keys())
+        if missing:
+            raise ValueError(f"phases {missing} were not received")
+        chosen = [by_phase[j] for j in subset]
+        _check_packets(chosen, cfg, dither)
+        plan.append((chosen, s))
+    return _decoded_blocks(plan, cfg, dither)
+
+
+def _decoded_blocks(plan, cfg: CodecConfig, dither) -> Iterator[SignalBlock]:
+    spectra = {}
+    for chosen, s in plan:
+        n = chosen[0].indices.shape[0]
+        band = np.zeros(n // 2 + 1, dtype=np.complex128)
+        for pkt in chosen:
+            if pkt.phase not in spectra:
+                spectra[pkt.phase] = _twiddled_spectrum(pkt, cfg, dither)
+            band += spectra[pkt.phase]
+        band /= len(chosen)
+        if len(chosen) > 1:
+            band[-1] *= 2.0  # the mirror of the band-edge bin folds onto it
+        yield SignalBlock(_multiplier(cfg, s) * np.fft.irfft(band, n), margin=cfg.guard)
+
+
+def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
+    """Reconstruct the source block from one uniform subset of descriptions.
+
+    This is :func:`decode_subsets` with the received packets as its only
+    subset, under the same checks and messages: each packet's spectrum is
+    formed once, and the lone block yielded is returned.
+    """
+    (block,) = decode_subsets(packets, cfg, [[p.phase for p in packets]], dither)
+    return block
 
 
 def reconstruction_mse(decoded: SignalBlock, reference) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec as codec_mod
-from .codec import CodecConfig, decode, encode, reconstruction_mse
+from .codec import CodecConfig, decode_subsets, encode, reconstruction_mse
 from .ecdq import QuantizerSpec, ROLE_SOURCE, derive_seed, substream
 from .shaping import (
     ShapingFilter,
@@ -262,11 +262,6 @@ def _draw_source(config: ExperimentConfig, trial: int) -> np.ndarray:
     return rng.uniform(-math.sqrt(3.0 * sx2), math.sqrt(3.0 * sx2), n)
 
 
-def _decode_pattern(pattern: str, packets, cfg: CodecConfig):
-    phases = _PATTERN_PHASES[cfg.oversampling][pattern]
-    return decode([packets[j] for j in phases], cfg)
-
-
 def _pattern_theory_mse(config: ExperimentConfig, cfg: CodecConfig, pattern: str) -> float:
     """Analytic MSE for a pattern: the noise power behind its stride, times
     the post-multiplier the decoder applies (the Wiener shrink or 1)."""
@@ -412,6 +407,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
     se2, sx2 = config.noise_variance, config.sigma_x2
 
     patterns = config.patterns
+    subsets = [_PATTERN_PHASES[config.oversampling][pat] for pat in patterns]
     mse_trials = {pat: [] for pat in patterns}
     var_trials = []
     all_indices = []
@@ -423,9 +419,11 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
         var_trials.append(float(np.var(loop.quantized[g:])))
         del loop  # five oversampled arrays; only the variance is kept
         all_indices.extend(pkt.indices for pkt in packets)
-        for pat in patterns:
-            decoded = _decode_pattern(pat, packets, cfg)
-            mse_trials[pat].append(reconstruction_mse(decoded, x))
+        # the comprehension holds one decoded block at a time and exhausts
+        # the iterator, which frees the shared spectra with this trial
+        mses = [reconstruction_mse(block, x) for block in decode_subsets(packets, cfg, subsets)]
+        for pat, mse in zip(patterns, mses):
+            mse_trials[pat].append(mse)
 
     cfg0 = _codec_config(config, filt, 0)
     results = []

@@ -1,12 +1,37 @@
+import sys
+
 import numpy as np
 import pytest
 
+from mdsigma import codec
+from mdsigma.ecdq import DitherStream
 from mdsigma.shaping import ShapingFilter, min_phase_check
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def decoder_calls(monkeypatch):
+    """Live counts of the rffts called from the codec module (the decoder's;
+    the encoder's upsampling FFT runs in dsp) and of every dither draw."""
+    counts = {"rfft": 0, "draw": 0}
+    rfft, draw = np.fft.rfft, DitherStream.draw
+
+    def counted_rfft(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == codec.__name__:
+            counts["rfft"] += 1
+        return rfft(*args, **kwargs)
+
+    def counted_draw(self, n):
+        counts["draw"] += 1
+        return draw(self, n)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(DitherStream, "draw", counted_draw)
+    return counts
 
 
 def bandlimited_noise(rng, n, cutoff=0.9 * np.pi, var=1.0):

@@ -1,5 +1,6 @@
 """Encoder/decoder behavior: loop algebra, noiseless chains, statistics."""
 
+import dataclasses
 import logging
 import math
 import subprocess
@@ -17,13 +18,14 @@ from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
     decode,
+    decode_subsets,
     delta_sigma_loop,
     encode,
     pattern_noise_power,
     reconstruction_mse,
 )
 from mdsigma.dsp import ideal_upsample
-from mdsigma.ecdq import QuantizerSpec
+from mdsigma.ecdq import DitherStream, QuantizerSpec
 from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import finite_p_point
 
@@ -601,27 +603,42 @@ class TestDecoderContracts:
             decode([packets[0], bad], cfg)
 
     @pytest.mark.parametrize(
-        "indices, seed, message",
+        "indices, seed, phase, message",
         [
-            pytest.param([1.5, 2.7], 7, "integer dtype", id="float-indices"),
-            pytest.param(np.array([np.nan, 1.0]), 7, "integer dtype", id="nan-indices"),
-            pytest.param(np.array([True, False]), 7, "integer dtype", id="bool-indices"),
-            pytest.param(np.array(["1", "2"]), 7, "integer dtype", id="str-indices"),
-            pytest.param(np.zeros(2, dtype=np.int64), 1.5, "non-negative integer", id="float-seed"),
-            pytest.param(np.zeros(2, dtype=np.int64), 2.0, "non-negative integer", id="integral-float-seed"),
-            pytest.param(np.zeros(2, dtype=np.int64), -1, "non-negative integer", id="negative-seed"),
-            pytest.param(np.zeros(2, dtype=np.int64), True, "non-negative integer", id="bool-seed"),
-            pytest.param(np.zeros(2, dtype=np.int64), "7", "non-negative integer", id="str-seed"),
+            pytest.param([1.5, 2.7], 7, 0, "integer dtype", id="float-indices"),
+            pytest.param(np.array([np.nan, 1.0]), 7, 0, "integer dtype", id="nan-indices"),
+            pytest.param(np.array([True, False]), 7, 0, "integer dtype", id="bool-indices"),
+            pytest.param(np.array(["1", "2"]), 7, 0, "integer dtype", id="str-indices"),
+            pytest.param(np.zeros(2, dtype=np.int64), 1.5, 0, "seed must be a non-negative integer", id="float-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), 2.0, 0, "seed must be a non-negative integer", id="integral-float-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), -1, 0, "seed must be a non-negative integer", id="negative-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), True, 0, "seed must be a non-negative integer", id="bool-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), "7", 0, "seed must be a non-negative integer", id="str-seed"),
+            pytest.param(np.zeros(2, dtype=np.int64), 7, 0.5, "phase must be a non-negative integer", id="float-phase"),
+            pytest.param(np.zeros(2, dtype=np.int64), 7, 1.0, "phase must be a non-negative integer", id="integral-float-phase"),
+            pytest.param(np.zeros(2, dtype=np.int64), 7, -1, "phase must be a non-negative integer", id="negative-phase"),
+            pytest.param(np.zeros(2, dtype=np.int64), 7, True, "phase must be a non-negative integer", id="bool-phase"),
+            pytest.param(np.zeros(2, dtype=np.int64), 7, "1", "phase must be a non-negative integer", id="str-phase"),
         ],
     )
-    def test_packet_rejects_non_integer_indices_or_seed(self, indices, seed, message):
+    def test_packet_rejects_non_integer_indices_or_seed(self, indices, seed, phase, message):
         with pytest.raises(ValueError, match=message):
-            DescriptionPacket(indices, seed, 0)
+            DescriptionPacket(indices, seed, phase)
 
     def test_packet_takes_any_integer_dtype_and_seed_type(self):
-        pkt = DescriptionPacket(np.array([-3, 4], dtype=np.int16), np.uint64(2**63 + 1), 1)
+        pkt = DescriptionPacket(np.array([-3, 4], dtype=np.int16), np.uint64(2**63 + 1), np.int32(1))
         assert pkt.indices.dtype == np.int64 and pkt.indices.tolist() == [-3, 4]
         assert pkt.dither_seed == 2**63 + 1
+        assert pkt.phase == 1
+
+    def test_numpy_integer_phases_decode_as_python_ones(self):
+        cfg = make_config(k=4)
+        packets, _ = encode(np.random.default_rng(9).standard_normal(256), cfg)
+        numpy_phases = [dataclasses.replace(p, phase=np.int64(p.phase)) for p in packets]
+        for phases in [(0, 1, 2, 3), (1, 3), (2,)]:
+            expected = decode([packets[j] for j in phases], cfg).samples
+            got = decode([numpy_phases[j] for j in phases], cfg).samples
+            assert got.tobytes() == expected.tobytes()
 
     def test_packet_shape(self):
         cfg = make_config(k=4)
@@ -630,6 +647,113 @@ class TestDecoderContracts:
         assert all(p.indices.shape == (256,) for p in packets)
         assert {p.phase for p in packets} == {0, 1, 2, 3}
         assert len({p.dither_seed for p in packets}) == 1
+
+
+# ---------------------------------------------------------------------------
+# shared-spectrum decoder
+# ---------------------------------------------------------------------------
+
+
+def _per_subset_reference(chosen, cfg, dither=None):
+    """The decoder as it was before spectra were shared: every packet's
+    dither and spectrum recomputed for this subset alone, summed in the
+    subset's order."""
+    k, step = cfg.oversampling, cfg.quantizer.step
+    n = chosen[0].indices.shape[0]
+    bins = np.arange(n // 2 + 1)
+    band = np.zeros(n // 2 + 1, dtype=np.complex128)
+    for pkt in chosen:
+        if dither is None:
+            z = DitherStream(pkt.dither_seed, step, pkt.phase).draw(n)
+        else:
+            z = np.asarray(dither, dtype=np.float64)[pkt.phase :: k]
+        samples = step * pkt.indices.astype(np.float64) - z
+        band += np.fft.rfft(samples) * np.exp(bins * (-2j * np.pi * (pkt.phase / k) / n))
+    band /= len(chosen)
+    if len(chosen) > 1:
+        band[-1] *= 2.0
+    return codec._multiplier(cfg, k // len(chosen)) * np.fft.irfft(band, n)
+
+
+def _subsets_of(k):
+    """Every uniform subset for K = k, then two in a different order."""
+    subsets = [p.values[1] for p in UNIFORM_SUBSETS if p.values[0] == k]
+    return [*subsets, tuple(reversed(subsets[0])), tuple(reversed(subsets[1]))]
+
+
+class TestSharedDecoder:
+    @pytest.mark.parametrize("override", [False, True], ids=["seeded-dither", "override-dither"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_every_block_matches_the_per_subset_reference_bit_for_bit(self, k, override):
+        cfg = make_config(k=k)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(1 << 12)
+        z = rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, k << 12) if override else None
+        packets, _ = encode(x, cfg, dither=z)
+        subsets = _subsets_of(k)
+        blocks = list(decode_subsets(packets, cfg, subsets, dither=z))
+        assert len(blocks) == len(subsets)
+        for phases, block in zip(subsets, blocks):
+            chosen = [packets[j] for j in phases]
+            assert block.samples.tobytes() == _per_subset_reference(chosen, cfg, z).tobytes(), phases
+            assert block.samples.tobytes() == decode(chosen, cfg, dither=z).samples.tobytes(), phases
+            assert block.margin == cfg.guard
+
+    def test_spectra_are_formed_lazily_and_once(self, decoder_calls):
+        cfg = make_config(k=4)
+        packets, _ = encode(np.random.default_rng(22).standard_normal(256), cfg)
+        decoder_calls.update(rfft=0, draw=0)
+        blocks = decode_subsets(packets, cfg, [(0, 2), (2,), (0,), (3, 1), (0, 1, 2, 3)])
+        assert decoder_calls == {"rfft": 0, "draw": 0}
+        seen = []
+        for _ in blocks:
+            seen.append(dict(decoder_calls))
+        assert seen == [{"rfft": n, "draw": n} for n in (2, 2, 2, 4, 4)]
+
+    def test_no_subsets_yield_nothing(self):
+        cfg = make_config()
+        packets, _ = encode(np.zeros(64), cfg)
+        assert list(decode_subsets(packets, cfg, [])) == []
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("non-uniform", "not a uniform subset of 0..3"),
+            ("repeated-phase-in-subset", "not a uniform subset of 0..3"),
+            ("mixed-seeds", "packets disagree on the dither seed"),
+            ("odd-count", "index count must be even and nonzero, got 3"),
+            ("unequal-counts", "packets disagree on the index count"),
+            ("repeated-received-phase", "received packets repeat phase 1"),
+            ("not-received", "phases \\[3\\] were not received"),
+            ("short-dither", "dither override must cover"),
+        ],
+    )
+    def test_one_bad_subset_fails_before_any_draw_or_fft(self, decoder_calls, case, message):
+        cfg = make_config(k=4)
+        packets, _ = encode(np.zeros(64), cfg)
+        good = [(0, 2), (2,), (0,)]
+        subsets, dither = [*good, (1, 3)], None
+        if case == "non-uniform":
+            subsets = [*good, (0, 1)]
+        elif case == "repeated-phase-in-subset":
+            subsets = [*good, (2, 2)]
+        elif case == "mixed-seeds":
+            packets[3] = dataclasses.replace(packets[3], dither_seed=packets[3].dither_seed + 1)
+        elif case == "odd-count":
+            packets[1] = DescriptionPacket(np.zeros(3, dtype=np.int64), cfg.dither_seed, 1)
+            packets[3] = DescriptionPacket(np.zeros(3, dtype=np.int64), cfg.dither_seed, 3)
+        elif case == "unequal-counts":
+            packets[3] = DescriptionPacket(np.zeros(62, dtype=np.int64), cfg.dither_seed, 3)
+        elif case == "repeated-received-phase":
+            packets.append(packets[1])
+        elif case == "not-received":
+            packets, subsets = packets[:3], [*good, (3,)]
+        elif case == "short-dither":
+            dither = np.zeros(4 * 64 - 2)
+        decoder_calls.update(rfft=0, draw=0)
+        with pytest.raises(ValueError, match=message):
+            list(decode_subsets(packets, cfg, subsets, dither=dither))
+        assert decoder_calls == {"rfft": 0, "draw": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdsigma import shaping
-from mdsigma.codec import encode, reconstruction_mse
+from mdsigma.codec import decode, encode, reconstruction_mse
 from mdsigma.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _PATTERN_PHASES,
     _codec_config,
-    _decode_pattern,
     _draw_source,
     _pattern_theory_mse,
     build_filter,
@@ -247,15 +247,36 @@ def three_trials():
 @given(order=st.permutations(range(3)))
 def test_trial_results_do_not_depend_on_execution_order(three_trials, order):
     # each trial is a pure function of (config, master_seed, trial index):
-    # running them in any order reproduces run()'s per-trial MSEs bit for bit
+    # running them in any order, and decoding each pattern on its own,
+    # reproduces run()'s per-trial MSEs from shared spectra bit for bit
     config, filt, result = three_trials
     for t in order:
         cfg = _codec_config(config, filt, t)
         x = _draw_source(config, t)
         packets, _ = encode(x, cfg)
         for pat in config.patterns:
-            mse = reconstruction_mse(_decode_pattern(pat, packets, cfg), x)
+            phases = _PATTERN_PHASES[config.oversampling][pat]
+            mse = reconstruction_mse(decode([packets[j] for j in phases], cfg), x)
             assert mse == result.pattern(pat).mse_trials[t], (t, pat)
+
+
+@pytest.mark.parametrize(
+    "k, patterns, spectra",
+    [
+        pytest.param(2, (), 2, id="k2-all-patterns"),
+        pytest.param(4, (), 4, id="k4-all-patterns"),
+        pytest.param(4, ("central",), 4, id="k4-central"),
+        pytest.param(4, ("single2", "pair02", "single0"), 2, id="k4-even-phases"),
+    ],
+)
+def test_a_trial_forms_each_description_spectrum_once(decoder_calls, k, patterns, spectra):
+    # K draws to encode; one draw and one rfft per description any pattern
+    # receives, however many patterns receive it
+    config = ExperimentConfig(
+        **{**SMALL, "n_samples": 1 << 14, "n_trials": 1, "oversampling": k, "erasure_patterns": patterns}
+    )
+    run(config)
+    assert decoder_calls == {"rfft": spectra, "draw": k + spectra}
 
 
 def test_pattern_noise_power_is_evaluated_once(monkeypatch):
@@ -265,13 +286,13 @@ def test_pattern_noise_power_is_evaluated_once(monkeypatch):
     cfg = _codec_config(config, build_filter(config), 0)
     x = _draw_source(config, 0)
     packets, _ = encode(x, cfg)
-    first = _decode_pattern("odd", packets, cfg)
+    first = decode([packets[1]], cfg)
 
     def no_extended_precision(p):
         raise AssertionError("band power evaluated again")
 
     monkeypatch.setattr(shaping, "_design_dps", no_extended_precision)
-    again = _decode_pattern("odd", packets, cfg)
+    again = decode([packets[1]], cfg)
     assert np.array_equal(again.samples, first.samples)
     assert _pattern_theory_mse(config, cfg, "odd") > 0.0
 
