@@ -10,15 +10,12 @@ and a seeded Monte-Carlo harness that checks one against the other.
 from .dsp import (
     SignalBlock,
     ideal_upsample,
-    spectrum_power,
 )
 from .ecdq import (
     DitherStream,
     QuantizerSpec,
-    error_statistics,
 )
 from .shaping import (
-    BrickWallSpec,
     ShapingFilter,
     band_power,
     design_multiband,
@@ -26,14 +23,12 @@ from .shaping import (
     filter_powers,
     find_lambda_for_ratio,
     min_phase_check,
-    truncated_fourier_brickwall_error,
 )
 from .theory import (
     K4Spec,
     OzarowEvaluation,
     TheoryPoint,
     brickwall_point,
-    finite_p_point,
     gaussian_rate_bits,
     k4_point,
     ozarow_bounds,

@@ -95,16 +95,14 @@ def _print_sim(result) -> bool:
         f"{result.rate_gauss_emp_bits:.5f} bits, index-entropy={result.index_entropy_bits:.5f} bits"
         f" (miller bias {result.index_entropy_miller_bits:.2e})"
     )
-    ok = True
     for pr in result.patterns:
         rel = pr.mse_emp / pr.mse_theory - 1.0
         flag = "pass" if pr.passed else "FAIL"
-        ok &= pr.passed
         print(
             f"  {pr.pattern:8s} mse_emp={pr.mse_emp:.6e} mse_theory={pr.mse_theory:.6e} "
             f"rel={rel:+.3%} stderr={pr.stderr:.2e} [{flag}]"
         )
-    return ok
+    return result.all_passed
 
 
 def _cmd_design_filter(args) -> int:
@@ -125,10 +123,7 @@ def _cmd_design_filter(args) -> int:
     pdc, pds = filter_powers(filt)
     report = min_phase_check(filt)
     print(f"{label}: pdc={pdc:.10g} pds={pds:.10g} ratio={pds / pdc:.6g}")
-    print(
-        f"min-phase={report.is_min_phase} max-reflection={report.max_reflection:.10f} "
-        f"log-spectrum-integral={report.log_spectrum_integral:.3e} bits"
-    )
+    print(f"min-phase={report.is_min_phase} max-reflection={report.max_reflection:.10f}")
     print("coeffs:", ",".join(format(c, ".17g") for c in filt.coeffs))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

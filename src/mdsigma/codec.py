@@ -357,6 +357,10 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
 # ---------------------------------------------------------------------------
 
 
+# decoder scaling: the Wiener gain of each pattern's noise power, or none
+_MULTIPLIER_MODES = ("wiener", "unit")
+
+
 @dataclass(frozen=True)
 class CodecConfig:
     source_variance: float
@@ -364,14 +368,14 @@ class CodecConfig:
     filter: ShapingFilter
     oversampling: int = 2
     dither_seed: int = 0
-    post_multipliers: str = "wiener"  # "wiener" or "unit"
+    post_multipliers: str = "wiener"  # one of _MULTIPLIER_MODES
 
     def __post_init__(self):
         if self.oversampling not in (2, 4):
             raise ValueError("oversampling must be 2 or 4")
         if not self.source_variance > 0:
             raise ValueError("source variance must be positive")
-        if self.post_multipliers not in ("wiener", "unit"):
+        if self.post_multipliers not in _MULTIPLIER_MODES:
             raise ValueError("post_multipliers must be 'wiener' or 'unit'")
 
     @property
@@ -401,12 +405,6 @@ class DescriptionPacket:
 # ---------------------------------------------------------------------------
 # Internal helpers
 # ---------------------------------------------------------------------------
-
-
-def _as_base_array(x) -> np.ndarray:
-    if isinstance(x, SignalBlock):
-        x = x.samples
-    return np.asarray(x, dtype=np.float64)
 
 
 def _dither_block(cfg: CodecConfig, n_base: int) -> np.ndarray:
@@ -458,7 +456,7 @@ def encode(x, cfg: CodecConfig, dither=None):
     ``dither`` overrides the seeded dither stream (test hook, e.g. forcing
     zero dither); it must cover the oversampled block.
     """
-    base = _as_base_array(x)
+    base = np.asarray(x, dtype=np.float64)
     if not np.isfinite(base).all():
         raise ValueError("signal must be finite")
     k = cfg.oversampling
@@ -595,7 +593,7 @@ def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) 
 
 def reconstruction_mse(decoded: SignalBlock, reference) -> float:
     """Mean squared error over the decoded block's interior samples."""
-    ref = _as_base_array(reference)
+    ref = np.asarray(reference, dtype=np.float64)
     if len(decoded) != ref.shape[0]:
         raise ValueError("length mismatch")
     m = decoded.margin

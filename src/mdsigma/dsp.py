@@ -1,4 +1,4 @@
-"""Exact DFT-domain upsampling and spectrum evaluation for the oversampled codec.
+"""Exact DFT-domain upsampling and the decoded block type of the oversampled codec.
 
 The codec treats every block as one period (circular convention) and
 realizes its ideal filters exactly on the block's DFT grid.
@@ -7,8 +7,7 @@ coarse-grid samples of the output equal the input, a_{Kn} = x_n.  On a
 length-N block it is exact for every DFT bin, so the analytic
 second-order accounting holds to machine precision.  The decoder's way
 back, a phase-twiddled mean of the descriptions' spectra, lives in
-`mdsigma.codec`.  `spectrum_power` evaluates |c(e^{jw})|^2 for a
-coefficient sequence.
+`mdsigma.codec` and returns its blocks as `SignalBlock`s.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "SignalBlock",
-    "spectrum_power",
     "ideal_upsample",
 ]
 
@@ -55,21 +53,6 @@ class SignalBlock:
         if 2 * self.margin >= len(self):
             return self.samples[0:0]
         return self.samples[self.margin : len(self) - self.margin]
-
-
-def spectrum_power(coeffs, omega):
-    """|sum_i c_i e^{-j w i}|^2 for a real coefficient sequence.
-
-    Accepts a shaping filter or any coefficient sequence, and a scalar or
-    array of frequencies; vectorized over ``omega``.
-    """
-    coeffs = getattr(coeffs, "coeffs", coeffs)
-    c = np.asarray(coeffs, dtype=np.float64)
-    w = np.asarray(omega, dtype=np.float64)
-    i = np.arange(c.shape[0])
-    resp = np.exp(-1j * np.multiply.outer(w, i)) @ c
-    out = np.abs(resp) ** 2
-    return float(out) if np.isscalar(omega) else out
 
 
 def ideal_upsample(x: np.ndarray, factor: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Subtractive-dither lattice quantization: cell, dither, error statistics.
+"""Subtractive-dither lattice quantization: the cell and its dither streams.
 
 The quantizer itself is the codec's feedback-loop kernel
 (``codec.delta_sigma_loop``; an order-0 filter gives plain dithered
@@ -7,9 +7,10 @@ half-ties rounded toward +inf by an exact rule, so the error
 e = step*index - z - s lies in (-step/2, step/2] for every input.  Under
 dither uniform on the cell the error is uniform, white, and independent of
 the input, which is what makes the feedback loop of the codec exactly
-linear.  This module holds the cell, the dither streams, and the
-statistics that judge the loop's errors.  The Gaussian rate of an output
-variance over the cell noise step^2/12 is ``theory.gaussian_rate_bits``.
+linear.  This module holds the cell and the dither streams; the tests
+judge the loop's errors against that law.  The Gaussian rate of an
+output variance over the cell noise step^2/12 is
+``theory.gaussian_rate_bits``.
 
 The lattice is scalar (a product lattice behaves identically per
 dimension); shaped lattices are not constructed.
@@ -30,8 +31,6 @@ import numpy as np
 __all__ = [
     "QuantizerSpec",
     "DitherStream",
-    "ErrorStatsReport",
-    "error_statistics",
     "substream",
     "derive_seed",
 ]
@@ -86,55 +85,3 @@ class DitherStream:
 
     def draw(self, n: int) -> np.ndarray:
         return self._rng.uniform(-self.step / 2.0, self.step / 2.0, int(n))
-
-
-@dataclass(frozen=True)
-class ErrorStatsReport:
-    mean: float
-    variance: float
-    lag_autocorr: np.ndarray  # lags 1..10, normalized
-    input_crosscorr: float
-    uniformity_statistic: float  # KS distance to uniform on the cell
-
-
-def _ks_uniform(x: np.ndarray, step: float) -> float:
-    """Exact two-sided KS distance of the sample to uniform[-step/2, step/2]."""
-    n = x.shape[0]
-    xs = np.sort(x)
-    cdf = np.clip((xs + step / 2.0) / step, 0.0, 1.0)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
-
-
-def error_statistics(errors, inputs, q: QuantizerSpec, max_lag: int = 10) -> ErrorStatsReport:
-    """Whiteness / independence / uniformity diagnostics for quantization errors.
-
-    Requires at least 10^4 samples so the 4/sqrt(N) correlation gates are
-    meaningful.
-    """
-    e = np.asarray(getattr(errors, "samples", errors), dtype=np.float64)
-    x = np.asarray(getattr(inputs, "samples", inputs), dtype=np.float64)
-    if e.shape != x.shape:
-        raise ValueError("errors and inputs must have equal length")
-    n = e.shape[0]
-    if n < 10**4:
-        raise ValueError(f"need at least 10^4 samples, got {n}")
-    mean = float(e.mean())
-    var = float(e.var())
-    ec = e - mean
-    denom = ec @ ec
-    lags = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
-        lags[k - 1] = (ec[:-k] @ ec[k:]) / denom if denom > 0 else 0.0
-    xc = x - x.mean()
-    xnorm = math.sqrt(float(xc @ xc) * float(denom))
-    cross = float((ec @ xc) / xnorm) if xnorm > 0 else 0.0
-    return ErrorStatsReport(
-        mean=mean,
-        variance=var,
-        lag_autocorr=lags,
-        input_crosscorr=cross,
-        uniformity_statistic=_ks_uniform(e, q.step),
-    )

@@ -17,7 +17,6 @@ CSV schema (fixed column order):
 
 from __future__ import annotations
 
-import io
 import math
 import typing
 from dataclasses import dataclass
@@ -149,6 +148,8 @@ class ExperimentConfig:
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")
         if len(set(self.erasure_patterns)) != len(self.erasure_patterns):
             raise ConfigError(f"duplicate erasure pattern in {self.erasure_patterns}")
+        if self.post_multipliers not in (None, *codec_mod._MULTIPLIER_MODES):
+            raise ConfigError(f"post_multipliers must be 'wiener' or 'unit', got {self.post_multipliers!r}")
 
     def valid_patterns(self) -> tuple:
         return tuple(_PATTERN_PHASES[self.oversampling])
@@ -356,11 +357,7 @@ class SimResult:
         return rows
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.csv_rows():
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        return buf.getvalue()
+        return _csv_text(CSV_COLUMNS, self.csv_rows())
 
 
 def _fmt(v) -> str:
@@ -369,6 +366,13 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
+
+
+def _csv_text(columns: Sequence[str], rows) -> str:
+    """The header line, then one line of ``_fmt`` fields per row."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +513,7 @@ def sweep(deltas: Sequence[float], sigma_e2: float, sigma_x2: float = 1.0, csv_p
         )
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(SWEEP_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_csv_text(SWEEP_COLUMNS, rows))
     return rows
 
 
@@ -539,9 +541,7 @@ def sweep_rates(rates: Sequence[float], delta: float, sigma_x2: float = 1.0, csv
         rows.extend(sweep([delta], se2, sigma_x2))
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(SWEEP_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_csv_text(SWEEP_COLUMNS, rows))
     return rows
 
 

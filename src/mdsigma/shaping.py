@@ -1,4 +1,4 @@
-"""Noise-shaping filter design and spectral analysis.
+"""Noise-shaping filter design, exact band powers, and the minimum-phase test.
 
 The design problem is a quadratic program over monic FIR filters
 c(z) = 1 + c_1 z^-1 + ... + c_p z^-p: minimize a weighted combination of
@@ -32,39 +32,34 @@ function, which is still Toeplitz and handled by the same recursion.
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
 exactly on the float64 coefficients the feedback loop runs.  Minimum phase
-is decided on them too, by the Levinson recursion run in reverse.
+is decided on them too, by the Levinson recursion run in reverse.  The
+module holds what the codec, the harness and the command line call; the
+brick-wall targets and quadrature grids that judge the designs are test
+references.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .theory import brickwall_total_power
-
 __all__ = [
     "MAX_ORDER",
     "ShapingFilter",
-    "BrickWallSpec",
     "MinPhaseReport",
     "design_yule_walker",
     "design_multiband",
     "band_power",
     "filter_powers",
     "min_phase_check",
-    "truncated_fourier_brickwall_error",
-    "brickwall_autocorrelation",
     "find_lambda_for_ratio",
-    "quadrature_grid",
 ]
 
-QUADRATURE_POINTS = 8192
 # highest filter order: the range _design_dps claims precision for, and a
 # bound on the size of the generated loop kernel, which grows as p^2
 MAX_ORDER = 128
@@ -99,31 +94,9 @@ class ShapingFilter:
 
 
 @dataclass(frozen=True)
-class BrickWallSpec:
-    """Two-step target spectrum: 1/delta in-band (|w| <= pi/2), delta beyond."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.delta < 1.0:
-            warnings.warn(
-                "delta < 1 trades distortion the wrong way round; "
-                "delta >= 1 performs better",
-                stacklevel=2,
-            )
-
-    def power(self, omega) -> np.ndarray:
-        w = np.abs(np.asarray(omega, dtype=np.float64))
-        return np.where(w <= np.pi / 2, 1.0 / self.delta, self.delta)
-
-
-@dataclass(frozen=True)
 class MinPhaseReport:
     is_min_phase: bool
     max_reflection: float  # largest |k_i| the step-down met
-    log_spectrum_integral: float  # bits
 
 
 # ---------------------------------------------------------------------------
@@ -272,64 +245,22 @@ def filter_powers(filt: ShapingFilter) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature and spectrum comparisons
-# ---------------------------------------------------------------------------
-
-
-def quadrature_grid(n: int = QUADRATURE_POINTS) -> np.ndarray:
-    """Uniform midpoint grid on [-pi, pi]; fixed so oracle comparisons are bit-stable."""
-    return -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-
-
-def brickwall_autocorrelation(target: BrickWallSpec, lag: int) -> float:
-    """Fourier coefficient r_m of the two-step spectrum.
-
-    r_0 = P_ds = (delta + 1/delta)/2 and r_m = (1/delta - delta)/2 * sinc(m/2);
-    even nonzero lags vanish exactly.
-    """
-    lag = abs(int(lag))
-    if lag == 0:
-        return brickwall_total_power(target.delta)
-    if lag % 2 == 0:
-        return 0.0
-    sign = 1.0 if ((lag - 1) // 2) % 2 == 0 else -1.0
-    return 0.5 * (1.0 / target.delta - target.delta) * sign * 2.0 / (math.pi * lag)
-
-
-def truncated_fourier_brickwall_error(target: BrickWallSpec, p: int, n: int = QUADRATURE_POINTS) -> float:
-    """Spectrum-domain MSE of the order-p Fourier synthesis of the two-step target.
-
-    The reference is the truncated autocorrelation expansion
-    S_p(w) = sum_{|m|<=p} r_m e^{-jwm}; no spectral factorization is
-    involved because only the spectrum error is measured.
-    """
-    if p < 0:
-        raise ValueError("order must be >= 0")
-    w = quadrature_grid(n)
-    lags = np.arange(1, p + 1)
-    r = np.array([brickwall_autocorrelation(target, int(m)) for m in lags])
-    synth = brickwall_autocorrelation(target, 0) + 2.0 * np.cos(np.outer(w, lags)) @ r
-    diff = target.power(w) - synth
-    return float(np.mean(diff * diff))
-
-
-# ---------------------------------------------------------------------------
 # Minimum phase
 # ---------------------------------------------------------------------------
 
 
 def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
-    """Schur-Cohn test and log-spectrum integral of c(z).
+    """Schur-Cohn test of c(z).
 
     The step-down (reverse Levinson) recursion peels one reflection
     coefficient k = a_i/a_0 off the top of the polynomial, a_j <- a_j -
     k a_{i-j}, until it is constant; c(z) is minimum phase, every zero
     strictly inside the unit circle, iff every |k_i| < 1.  It runs on the
     float64 coefficients the loop runs, at the design precision, and stops
-    at the first |k_i| >= 1; a trailing zero coefficient gives k = 0.  The
-    integral (1/2pi) int log2|c|^2 dw is the mean over the quadrature_grid
-    midpoints, which are the odd bins of a length-2N real FFT, folded by
-    symmetry; it is 0 for a minimum-phase filter.
+    at the first |k_i| >= 1; a trailing zero coefficient gives k = 0.  By
+    Jensen's formula the log-spectrum integral (1/2pi) int log|c|^2 dw of
+    the monic c(z) is 0 exactly when it is minimum phase, so the verdict
+    says all that integral would.
     """
     with mp.workdps(_design_dps(filt.order)):
         a = [mp.mpf(v) for v in filt.coeffs]
@@ -340,12 +271,7 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
             if max_k >= 1:
                 break
             a = [a[j] - k * a[i - j] for j in range(i)]
-    power = np.abs(np.fft.rfft(filt.coeffs, 2 * QUADRATURE_POINTS)[1::2]) ** 2
-    return MinPhaseReport(
-        is_min_phase=bool(max_k < 1),
-        max_reflection=float(max_k),
-        log_spectrum_integral=float(np.mean(np.log2(np.maximum(power, 1e-300)))),
-    )
+    return MinPhaseReport(is_min_phase=bool(max_k < 1), max_reflection=float(max_k))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ All rates are bits per description per source sample.  Conventions:
       d_c = sx2*se2/delta / (2*sx2 + se2/delta)
       R   = (1/2) log2((sx2 + se2*P_ds) / se2)
 
-* Finite-order point in terms of the filter powers (P_dc, P_ds):
-      d = sx2*se2*P / (sx2 + se2*P), with the Wiener post-multipliers
-      alpha = sx2/(sx2 + se2*P_ds), beta = sx2/(sx2 + se2*P_dc).
+* A finite-order filter has the same forms in terms of the noise power P
+  behind a reception pattern (P_dc for all descriptions, P_ds for one):
+      d = sx2*se2*P / (sx2 + se2*P) = wiener_gain(P) * se2*P,
+  with the Wiener post-multipliers alpha = wiener_gain(P_ds) and
+  beta = wiener_gain(P_dc).  The harness evaluates it as the decoder's
+  post-multiplier times se2*P, with P from ``codec.pattern_noise_power``.
 
 * Every rate is the Gaussian accounting of an output variance,
   (1/2) log2(var/se2), and every post-multiplier the Wiener gain
@@ -37,7 +40,6 @@ __all__ = [
     "ozarow_bounds",
     "brickwall_point",
     "brickwall_total_power",
-    "finite_p_point",
     "k4_point",
     "gaussian_rate_bits",
     "wiener_gain",
@@ -157,15 +159,6 @@ def wiener_gain(sigma_x2: float, sigma_e2: float, power: float) -> float:
     return sigma_x2 / (sigma_x2 + sigma_e2 * power)
 
 
-def _point(dc: float, ds: float, pdc: float, pds: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
-    return TheoryPoint(
-        rate_bits=gaussian_rate_bits(sigma_x2 + sigma_e2 * pds, sigma_e2),
-        dc=dc, ds=ds, pdc=pdc, pds=pds,
-        alpha=wiener_gain(sigma_x2, sigma_e2, pds),
-        beta=wiener_gain(sigma_x2, sigma_e2, pdc),
-    )
-
-
 def brickwall_total_power(delta: float) -> float:
     """Total power P_ds = (delta + 1/delta)/2 of the two-step spectrum."""
     return 0.5 * (delta + 1.0 / delta)
@@ -179,22 +172,12 @@ def brickwall_point(delta: float, sigma_e2: float, sigma_x2: float) -> TheoryPoi
     pds = brickwall_total_power(delta)
     ds = sigma_x2 * sigma_e2 * pds / (sigma_x2 + sigma_e2 * pds)
     dc = sigma_x2 * sigma_e2 / delta / (2.0 * sigma_x2 + sigma_e2 / delta)
-    return _point(dc, ds, pdc, pds, sigma_e2, sigma_x2)
-
-
-def finite_p_point(pdc: float, pds: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
-    """Distortions and rate for an arbitrary filter given its powers."""
-    if not (pds >= pdc > 0):
-        raise ValueError("need pds >= pdc > 0")
-    if not sigma_x2 > 0:
-        raise ValueError("sigma_x2 must be positive")
-    if sigma_e2 < 0:
-        raise ValueError("sigma_e2 must be >= 0")
-    if sigma_e2 == 0.0:
-        return TheoryPoint(rate_bits=math.inf, dc=0.0, ds=0.0, pdc=pdc, pds=pds, alpha=1.0, beta=1.0)
-    dc = sigma_x2 * sigma_e2 * pdc / (sigma_x2 + sigma_e2 * pdc)
-    ds = sigma_x2 * sigma_e2 * pds / (sigma_x2 + sigma_e2 * pds)
-    return _point(dc, ds, pdc, pds, sigma_e2, sigma_x2)
+    return TheoryPoint(
+        rate_bits=gaussian_rate_bits(sigma_x2 + sigma_e2 * pds, sigma_e2),
+        dc=dc, ds=ds, pdc=pdc, pds=pds,
+        alpha=wiener_gain(sigma_x2, sigma_e2, pds),
+        beta=wiener_gain(sigma_x2, sigma_e2, pdc),
+    )
 
 
 def k4_point(spec: K4Spec) -> K4Point:

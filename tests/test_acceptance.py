@@ -12,18 +12,13 @@ import numpy as np
 import pytest
 
 from mdsigma.codec import delta_sigma_loop
-from mdsigma.ecdq import QuantizerSpec, error_statistics
+from mdsigma.ecdq import QuantizerSpec
 from mdsigma.harness import ExperimentConfig, run
-from mdsigma.shaping import (
-    BrickWallSpec,
-    ShapingFilter,
-    design_yule_walker,
-    filter_powers,
-    truncated_fourier_brickwall_error,
-)
+from mdsigma.shaping import ShapingFilter, design_yule_walker, filter_powers
 from mdsigma.theory import K4Spec, brickwall_point, k4_point, ozarow_bounds
 
 from conftest import zeros_within
+from reference import BrickWallSpec, error_statistics, truncated_fourier_brickwall_error
 
 MC_SEED = 20090401
 

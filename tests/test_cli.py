@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mdsigma import cli, codec
+from mdsigma import cli, codec, harness
 from mdsigma.cli import main
 
 
@@ -107,6 +107,18 @@ def test_simulate_reads_config_file(tmp_path):
         "n_samples = 32768\nn_trials = 1\nmaster_seed = 5\n"
     )
     assert main(["simulate", "--config", str(cfgfile)]) == 0
+
+
+def test_bad_post_multipliers_in_the_file_is_usage_error_before_any_design(tmp_path, monkeypatch, capsys):
+    def design_must_not_start(config):
+        raise AssertionError("a filter was designed for an invalid configuration")
+
+    monkeypatch.setattr(harness, "build_filter", design_must_not_start)
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("post_multipliers = foo\n")
+    assert main(["simulate", "--config", str(cfgfile), "--p", "2", "--n-samples", "16384", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "post_multipliers must be 'wiener' or 'unit'" in err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

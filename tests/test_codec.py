@@ -27,7 +27,7 @@ from mdsigma.codec import (
 from mdsigma.dsp import ideal_upsample
 from mdsigma.ecdq import DitherStream, QuantizerSpec
 from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
-from mdsigma.theory import finite_p_point
+from mdsigma.theory import wiener_gain
 
 from conftest import bandlimited_noise
 
@@ -64,25 +64,22 @@ def make_config(step=STEP_001, filt=None, k=2, seed=7, **kw):
 
 
 class TestMultipliers:
-    # the Wiener multipliers alpha (one description) and beta (all of them)
-    # as finite_p_point reports them from (P_dc, P_ds)
+    # the Wiener multipliers alpha = wiener_gain(P_ds) (one description) and
+    # beta = wiener_gain(P_dc) (all of them)
     def test_brickwall_reference(self):
-        m = finite_p_point(0.125, 2.125, 0.01, 1.0)
-        assert m.alpha == pytest.approx(0.9791921664626683, rel=1e-12)
-        assert m.beta == pytest.approx(0.9987515605493134, rel=1e-12)
+        assert wiener_gain(1.0, 0.01, 2.125) == pytest.approx(0.9791921664626683, rel=1e-12)
+        assert wiener_gain(1.0, 0.01, 0.125) == pytest.approx(0.9987515605493134, rel=1e-12)
 
     def test_noiseless_limit(self):
-        m = finite_p_point(0.125, 2.125, 0.0, 1.0)
-        assert m.alpha == 1.0 and m.beta == 1.0
+        assert wiener_gain(1.0, 0.0, 2.125) == 1.0 and wiener_gain(1.0, 0.0, 0.125) == 1.0
 
     def test_white_filter_at_unit_snr(self):
-        m = finite_p_point(0.5, 1.0, 1.0, 1.0)
-        assert m.alpha == pytest.approx(0.5, abs=1e-15)
-        assert m.beta == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert wiener_gain(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert wiener_gain(1.0, 1.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_ordering_invariant(self):
-        m = finite_p_point(0.2, 1.7, 0.3, 2.0)
-        assert 0.0 < m.alpha <= m.beta <= 1.0
+        alpha, beta = wiener_gain(2.0, 0.3, 1.7), wiener_gain(2.0, 0.3, 0.2)
+        assert 0.0 < alpha <= beta <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +771,17 @@ def run_d4():
 class TestCodecStatistics:
     def test_monte_carlo_matches_closed_forms(self, run_d4):
         cfg, x, packets, _ = run_d4
-        pdc, pds = filter_powers(cfg.filter)
-        point = finite_p_point(pdc, pds, cfg.quantizer.noise_variance, 1.0)
+        sx2, se2 = 1.0, cfg.quantizer.noise_variance
+        dc, ds = (
+            sx2 * se2 * p / (sx2 + se2 * p)
+            for p in (pattern_noise_power(cfg, 1), pattern_noise_power(cfg, 2))
+        )
         mse_c = reconstruction_mse(decode(packets, cfg), x)
         mse_e = reconstruction_mse(decode([packets[0]], cfg), x)
         mse_o = reconstruction_mse(decode([packets[1]], cfg), x)
-        assert mse_c == pytest.approx(point.dc, rel=0.03)
-        assert mse_e == pytest.approx(point.ds, rel=0.03)
-        assert mse_o == pytest.approx(point.ds, rel=0.03)
+        assert mse_c == pytest.approx(dc, rel=0.03)
+        assert mse_e == pytest.approx(ds, rel=0.03)
+        assert mse_o == pytest.approx(ds, rel=0.03)
         assert mse_c <= mse_e and mse_c <= mse_o
 
     def test_premultiplier_second_moments(self, run_d4):

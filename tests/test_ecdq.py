@@ -8,14 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from mdsigma.codec import delta_sigma_loop
-from mdsigma.ecdq import (
-    DitherStream,
-    QuantizerSpec,
-    error_statistics,
-    substream,
-)
+from mdsigma.ecdq import DitherStream, QuantizerSpec, substream
 from mdsigma.shaping import ShapingFilter
 from mdsigma.theory import gaussian_rate_bits
+
+from reference import error_statistics
 
 # the order-0 feedback loop is plain dithered quantization
 WHITE = ShapingFilter((1.0,))

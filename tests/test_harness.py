@@ -79,6 +79,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate erasure pattern"):
             ExperimentConfig(**read_config_text("sigma_e2 = 0.01\nerasure_patterns = odd, odd\n"))
 
+    @pytest.mark.parametrize("mode", ["foo", "Wiener", ""])
+    def test_unknown_post_multipliers_rejected(self, mode):
+        with pytest.raises(ConfigError, match="post_multipliers must be 'wiener' or 'unit'"):
+            ExperimentConfig(sigma_e2=0.01, post_multipliers=mode)
+
     def test_every_field_is_a_file_key(self):
         # the field annotations are the schema: each field reads as its own
         # key, except filter_kind, which the file spells ``filter``

@@ -8,23 +8,26 @@ import numpy as np
 import pytest
 
 from mdsigma import shaping
-from mdsigma.dsp import spectrum_power
 from mdsigma.shaping import (
     MAX_ORDER,
-    BrickWallSpec,
     ShapingFilter,
     band_power,
-    brickwall_autocorrelation,
     design_multiband,
     design_yule_walker,
     filter_powers,
     find_lambda_for_ratio,
     min_phase_check,
-    quadrature_grid,
-    truncated_fourier_brickwall_error,
 )
 
 from conftest import zeros_within
+from reference import (
+    QUADRATURE_POINTS,
+    BrickWallSpec,
+    brickwall_autocorrelation,
+    quadrature_grid,
+    spectrum_power,
+    truncated_fourier_brickwall_error,
+)
 
 # hand inversion of the 1x1 and 2x2 systems with off-diagonal 2/pi
 YW1_TAIL = -2.0 / np.pi
@@ -54,7 +57,7 @@ def yule_walker_system(p, lam):
     return gram + 2.0 * lam * np.eye(p), np.sinc(i / 2.0)
 
 
-def approx_error_vs_brickwall(filt, target, n=shaping.QUADRATURE_POINTS):
+def approx_error_vs_brickwall(filt, target, n=QUADRATURE_POINTS):
     """(1/2pi) int |S_target(w) - |c(e^{jw})|^2|^2 dw by midpoint quadrature."""
     w = quadrature_grid(n)
     diff = target.power(w) - spectrum_power(filt.coeffs, w)
@@ -205,7 +208,6 @@ class TestMinPhase:
         rep = min_phase_check(ShapingFilter((1.0, -0.5)))
         assert rep.is_min_phase
         assert rep.max_reflection == pytest.approx(0.5, abs=1e-12)
-        assert abs(rep.log_spectrum_integral) <= 1e-9
 
     def test_unstable_first_order(self):
         rep = min_phase_check(ShapingFilter((1.0, -2.0)))
@@ -286,10 +288,6 @@ class TestBrickWall:
         bw = BrickWallSpec(4.0)
         w = quadrature_grid()
         assert np.mean(np.log2(bw.power(w))) == pytest.approx(0.0, abs=1e-12)
-
-    def test_small_delta_warns(self):
-        with pytest.warns(UserWarning):
-            BrickWallSpec(0.5)
 
     def test_white_target_zero_error(self):
         assert approx_error_vs_brickwall(ShapingFilter((1.0,)), BrickWallSpec(1.0)) == 0.0

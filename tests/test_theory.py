@@ -4,14 +4,21 @@ import math
 
 import pytest
 
+from mdsigma.codec import CodecConfig, pattern_noise_power
+from mdsigma.ecdq import QuantizerSpec
+from mdsigma.shaping import ShapingFilter
 from mdsigma.theory import (
     K4Spec,
     brickwall_point,
-    finite_p_point,
     k4_point,
     ozarow_bounds,
     wiener_gain,
 )
+
+
+def shrunk_mse(power, sigma_e2, sigma_x2=1.0):
+    """Wiener-shrunk distortion sx2*se2*P/(sx2 + se2*P) of noise power P."""
+    return sigma_x2 * sigma_e2 * power / (sigma_x2 + sigma_e2 * power)
 
 
 class TestOzarowBounds:
@@ -52,10 +59,9 @@ class TestBrickwallPoint:
 
     def test_white_delta_collapses_to_power_form(self):
         pt = brickwall_point(1.0, 0.04, 2.0)
-        via_powers = finite_p_point(0.5, 1.0, 0.04, 2.0)
-        assert pt.dc == pytest.approx(via_powers.dc, rel=1e-14)
-        assert pt.ds == pytest.approx(via_powers.ds, rel=1e-14)
-        assert pt.rate_bits == pytest.approx(via_powers.rate_bits, rel=1e-14)
+        assert pt.dc == pytest.approx(shrunk_mse(0.5, 0.04, 2.0), rel=1e-14)
+        assert pt.ds == pytest.approx(shrunk_mse(1.0, 0.04, 2.0), rel=1e-14)
+        assert pt.rate_bits == pytest.approx(0.5 * math.log2((2.0 + 0.04) / 0.04), rel=1e-14)
 
     def test_high_resolution_distortion_product(self):
         # d_c * d_s -> (sx^4/4) * (1/(1-dc/ds)) * 2^-4R as the noise vanishes
@@ -85,33 +91,34 @@ class TestBrickwallPoint:
 
 
 class TestFinitePPoint:
+    # a finite-order filter's distortions are the Wiener-shrunk noise powers
+    # of its reception patterns, P_dc for both descriptions, P_ds for one
     def test_brickwall_powers_give_identical_point(self):
         pt = brickwall_point(4.0, 0.01, 1.0)
-        fp = finite_p_point(0.125, 2.125, 0.01, 1.0)
-        assert fp.dc == pytest.approx(pt.dc, rel=1e-12)
-        assert fp.ds == pytest.approx(pt.ds, rel=1e-12)
-        assert fp.rate_bits == pytest.approx(pt.rate_bits, rel=1e-12)
+        assert shrunk_mse(0.125, 0.01) == pytest.approx(pt.dc, rel=1e-12)
+        assert shrunk_mse(2.125, 0.01) == pytest.approx(pt.ds, rel=1e-12)
 
     def test_first_order_filter_point(self):
-        # powers of (1, -2/pi) substituted into the two rational forms
-        fp = finite_p_point(0.29735763271532445, 1.405284734569351, 0.01, 1.0)
-        assert fp.dc == pytest.approx(0.002964760385854187, rel=1e-12)
-        assert fp.ds == pytest.approx(0.013858101559970132, rel=1e-12)
-
-    def test_noiseless_limit_flagged(self):
-        fp = finite_p_point(0.125, 2.125, 0.0, 1.0)
-        assert fp.dc == 0.0 and fp.ds == 0.0
-        assert math.isinf(fp.rate_bits)
-        assert fp.alpha == 1.0 and fp.beta == 1.0
+        # the pattern powers of (1, -2/pi), 1/2 - 2/pi^2 and 1 + 4/pi^2,
+        # substituted into the two rational forms
+        cfg = CodecConfig(
+            source_variance=1.0,
+            quantizer=QuantizerSpec(math.sqrt(0.12)),
+            filter=ShapingFilter((1.0, -2.0 / math.pi)),
+        )
+        pdc, pds = pattern_noise_power(cfg, 1), pattern_noise_power(cfg, 2)
+        assert pdc == pytest.approx(0.29735763271532445, rel=1e-14)
+        assert pds == pytest.approx(1.405284734569351, rel=1e-14)
+        assert shrunk_mse(pdc, 0.01) == pytest.approx(0.002964760385854187, rel=1e-12)
+        assert shrunk_mse(pds, 0.01) == pytest.approx(0.013858101559970132, rel=1e-12)
 
     def test_strictly_increasing_in_powers(self):
-        base = finite_p_point(0.2, 1.5, 0.01, 1.0)
-        assert finite_p_point(0.25, 1.5, 0.01, 1.0).dc > base.dc
-        assert finite_p_point(0.2, 1.7, 0.01, 1.0).ds > base.ds
+        # the form the harness evaluates: post-multiplier times se2*P
+        def mse(power):
+            return wiener_gain(1.0, 0.01, power) * 0.01 * power
 
-    def test_ordering_validation(self):
-        with pytest.raises(ValueError):
-            finite_p_point(2.0, 1.0, 0.01, 1.0)
+        assert mse(0.25) > mse(0.2)
+        assert mse(1.7) > mse(1.5)
 
 
 class TestBoundAchievabilityGrid:
@@ -131,9 +138,8 @@ class TestBoundAchievabilityGrid:
             pdc, pds = filter_powers(filt)
             gamma = pds / pdc
             delta = math.sqrt(gamma - 1.0)
-            fp = finite_p_point(pdc, pds, 0.01, 1.0)
             bw = brickwall_point(delta, 0.01, 1.0)
-            assert fp.dc >= bw.dc - 1e-15
+            assert shrunk_mse(pdc, 0.01) >= bw.dc - 1e-15
 
 
 class TestTestChannelMap:
