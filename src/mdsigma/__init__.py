@@ -9,6 +9,7 @@ and a seeded Monte-Carlo harness that checks one against the other.
 
 from .dsp import (
     SignalBlock,
+    ideal_fractional_delay,
     ideal_upsample,
 )
 from .ecdq import (

@@ -87,7 +87,7 @@ def _config_from_args(args, defaults=(), fixed=()) -> ExperimentConfig:
 def _print_sim(result) -> bool:
     cfg = result.config
     print(
-        f"filter p={cfg.p} K={cfg.oversampling} pdc={result.pdc:.6g} pds={result.pds:.6g}"
+        f"filter p={result.filter_order} K={cfg.oversampling} pdc={result.pdc:.6g} pds={result.pds:.6g}"
     )
     print(f"loop-backend={loop_backend()}")
     print(

@@ -10,18 +10,22 @@ plus the (seed, phase) pair that regenerates its dither.
 Decoder: the scheme is symmetric and time-invariant, so one formula serves
 every uniform subset of descriptions, i.e. phases {r, r+s, ...} with
 stride s = K/m for m received packets and offset r < s.  Sample t of the
-description with phase j sits at base position t + j/K, so with D_j its
-length-n spectrum, the source band of the subset is the phase-twiddled
-mean B(k) = (1/m) sum_j D_j(k) exp(-2 pi i k j/(K n)), k <= n/2.  For
-m > 1 the band-edge bin k = n/2 also collects its mirror image, so it is
-doubled; the inverse real FFT keeps its real part, which for a lone
-description is D(n/2) cos(pi j/K).  The result is scaled by the
-post-multiplier for stride s.  All K descriptions (s = 1) give the
-central reconstruction, a single one (s = K) a side reconstruction.
-``decode_subsets`` decodes a list of subsets in one call: it forms each
-description's twiddled spectrum once per call, when a subset first needs
-it, shares it across the subsets and yields the blocks lazily, one per
-subset; ``decode`` is its one-subset case.
+description with phase j sits at base position t + j/K, so its own
+reconstruction is the description delayed by j/K with the encoder's
+length-n operator, y_j = irfft(D_j(k) exp(-2 pi i k j/(K n)), n), where
+D_j is its length-n spectrum.  A subset's block is the mean of its y_j.
+For m > 1 the band-edge bin k = n/2 also collects its mirror image; the
+inverse real FFT keeps the real part of that bin once per description, so
+the fold adds it once more: (-1)^t Re B(n/2)/n, with B(n/2) the mean of
+the twiddled edge bins D_j(n/2) cos(pi j/K).  In exact arithmetic the
+block is the inverse FFT of the phase-twiddled mean spectrum with its
+edge bin doubled.  The result is scaled by the post-multiplier for
+stride s.  All K descriptions (s = 1) give the central reconstruction, a
+single one (s = K) a side reconstruction.  ``decode_subsets`` decodes a
+list of subsets in one call: it forms each description's reconstruction
+once per call, when a subset first needs it, shares it across the subsets
+and yields the blocks lazily, one per subset; ``decode`` is its
+one-subset case.
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
 a C kernel, compiled on first use with the system's C compiler and cached
@@ -55,7 +59,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dsp import SignalBlock, ideal_upsample
+from .dsp import SignalBlock, ideal_fractional_delay, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import MAX_ORDER, ShapingFilter, band_power
 from .theory import wiener_gain
@@ -482,18 +486,23 @@ def encode(x, cfg: CodecConfig, dither=None):
 # ---------------------------------------------------------------------------
 
 
-def _twiddled_spectrum(packet: DescriptionPacket, cfg: CodecConfig, dither=None) -> np.ndarray:
-    """rfft(step*index - dither) of one description, delayed by its phase/K
-    base samples: D_j(k) exp(-2 pi i k j/(K n)) for k <= n/2."""
+def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig, dither=None):
+    """One description's own reconstruction, step*index - dither delayed
+    by its phase/K base samples, and the real part of its twiddled
+    band-edge bin, D(n/2) cos(pi phase/K)."""
     n = packet.indices.shape[0]
     if dither is None:
         z = DitherStream(packet.dither_seed, cfg.quantizer.step, packet.phase).draw(n)
     else:
         z = np.asarray(dither, dtype=np.float64)[packet.phase :: cfg.oversampling]
-    samples = cfg.quantizer.step * packet.indices.astype(np.float64) - z
-    # sample t sits at base position t + phase/K
+    samples = packet.indices.astype(np.float64)
+    samples *= cfg.quantizer.step
+    samples -= z
+    spec = np.fft.rfft(samples)
+    # sample t sits at base position t + phase/K; the edge bin of a real
+    # block's spectrum is real
     delay = packet.phase / cfg.oversampling
-    return np.fft.rfft(samples) * np.exp(np.arange(n // 2 + 1) * (-2j * np.pi * delay / n))
+    return ideal_fractional_delay(spec, n, delay), spec[-1].real * math.cos(math.pi * delay)
 
 
 def _uniform_stride(phases: Sequence[int], k: int) -> int:
@@ -540,13 +549,14 @@ def decode_subsets(
     twice, every named phase received), is checked before any dither is
     drawn or any FFT runs.
 
-    Each description's phase-twiddled spectrum is formed once per call,
-    when a subset first needs it, and shared by the later subsets; a
-    subset's band is the mean of its spectra in its own order (the module
-    docstring gives the sum), scaled by the post-multiplier for stride s.
-    Blocks are yielded lazily, so a caller that consumes them one at a
-    time holds one block at a time, and the spectra are freed once the
-    iterator is exhausted.
+    Each description's own reconstruction is formed once per call, when a
+    subset first needs it, and shared by the later subsets; a subset's
+    block is the mean of its reconstructions in its own order plus, for
+    more than one, the folded band-edge term (the module docstring gives
+    both), scaled by the post-multiplier for stride s.  Blocks are yielded
+    lazily, so a caller that consumes them one at a time holds one block
+    at a time, and the reconstructions are freed once the iterator is
+    exhausted.
     """
     strides = [_uniform_stride(subset, cfg.oversampling) for subset in subsets]
     by_phase = {}
@@ -566,26 +576,34 @@ def decode_subsets(
 
 
 def _decoded_blocks(plan, cfg: CodecConfig, dither) -> Iterator[SignalBlock]:
-    spectra = {}
+    own = {}
     for chosen, s in plan:
-        n = chosen[0].indices.shape[0]
-        band = np.zeros(n // 2 + 1, dtype=np.complex128)
         for pkt in chosen:
-            if pkt.phase not in spectra:
-                spectra[pkt.phase] = _twiddled_spectrum(pkt, cfg, dither)
-            band += spectra[pkt.phase]
-        band /= len(chosen)
-        if len(chosen) > 1:
-            band[-1] *= 2.0  # the mirror of the band-edge bin folds onto it
-        yield SignalBlock(_multiplier(cfg, s) * np.fft.irfft(band, n), margin=cfg.guard)
+            if pkt.phase not in own:
+                own[pkt.phase] = _reconstruction(pkt, cfg, dither)
+        parts = [own[pkt.phase] for pkt in chosen]
+        m = len(parts)
+        block = parts[0][0].copy()  # the reconstructions are shared
+        for y, _ in parts[1:]:
+            block += y
+        if m > 1:
+            block /= m
+            # the mirror of the band-edge bin folds onto it
+            fold = sum(edge for _, edge in parts) / m / block.shape[0]
+            block[0::2] += fold
+            block[1::2] -= fold
+        mult = _multiplier(cfg, s)
+        if mult != 1.0:
+            block *= mult
+        yield SignalBlock(block, margin=cfg.guard)
 
 
 def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
     """Reconstruct the source block from one uniform subset of descriptions.
 
     This is :func:`decode_subsets` with the received packets as its only
-    subset, under the same checks and messages: each packet's spectrum is
-    formed once, and the lone block yielded is returned.
+    subset, under the same checks and messages: each packet's
+    reconstruction is formed once, and the lone block yielded is returned.
     """
     (block,) = decode_subsets(packets, cfg, [[p.phase for p in packets]], dither)
     return block
@@ -600,4 +618,5 @@ def reconstruction_mse(decoded: SignalBlock, reference) -> float:
     err = decoded.interior - ref[m : ref.shape[0] - m]
     if err.size == 0:
         raise ValueError("no interior samples left")
-    return float(np.mean(err * err))
+    err *= err
+    return float(np.mean(err))

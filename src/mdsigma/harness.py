@@ -306,6 +306,7 @@ class IndexEntropyEstimate:
 @dataclass(frozen=True)
 class SimResult:
     config: ExperimentConfig
+    filter_order: int  # of the designed filter; an explicit one ignores config.p
     pdc: float
     pds: float
     patterns: tuple  # PatternResult, in pattern order
@@ -341,7 +342,7 @@ class SimResult:
                         cfg.n_samples,
                         cfg.sigma_x2,
                         cfg.noise_variance,
-                        cfg.p if cfg.filter_kind != "explicit" else len(cfg.coeffs) - 1,
+                        self.filter_order,
                         cfg.oversampling,
                         dg,
                         self.pdc,
@@ -424,7 +425,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
         del loop  # five oversampled arrays; only the variance is kept
         all_indices.extend(pkt.indices for pkt in packets)
         # the comprehension holds one decoded block at a time and exhausts
-        # the iterator, which frees the shared spectra with this trial
+        # the iterator, which frees the shared reconstructions with this trial
         mses = [reconstruction_mse(block, x) for block in decode_subsets(packets, cfg, subsets)]
         for pat, mse in zip(patterns, mses):
             mse_trials[pat].append(mse)
@@ -461,6 +462,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
 
     result = SimResult(
         config=config,
+        filter_order=filt.order,
         pdc=pdc,
         pds=pds,
         patterns=tuple(results),

@@ -2,7 +2,9 @@
 
 Each evaluates a quantity apart from the library's own route to it: the
 filter spectrum by direct summation on a frequency grid (against
-``shaping.band_power``), the quantization-error statistics (against the
+``shaping.band_power``), the oversampled block by one zero-padded
+K*n-point inverse FFT (against the polyphase ``dsp.ideal_upsample``), the
+quantization-error statistics (against the
 loop's error law), and the two-step brick-wall target with its
 truncated-Fourier synthesis (against the designs and criterion 6).
 """
@@ -41,6 +43,19 @@ def spectrum_power(coeffs, omega):
 def quadrature_grid(n: int = QUADRATURE_POINTS) -> np.ndarray:
     """Uniform midpoint grid on [-pi, pi]; fixed so oracle comparisons are bit-stable."""
     return -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+
+
+def zero_padded_upsample(x, factor: int) -> np.ndarray:
+    """Brick-wall interpolation by ``factor`` through one factor*n-point
+    irfft: the spectrum of x, times factor, zero-padded to the oversampled
+    grid, with the band-edge bin k = n/2 at half weight."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    spec = np.fft.rfft(x)
+    out = np.zeros(factor * n // 2 + 1, dtype=np.complex128)
+    out[: n // 2] = factor * spec[: n // 2]
+    out[n // 2] = 0.5 * factor * spec[n // 2]
+    return np.fft.irfft(out, n=factor * n)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_simulate_reads_config_file(tmp_path):
     assert main(["simulate", "--config", str(cfgfile)]) == 0
 
 
+def test_simulate_reports_the_order_of_an_explicit_filter(tmp_path, capsys):
+    # an explicit filter ignores p; stdout and the CSV give its own order
+    out = tmp_path / "run.csv"
+    cfgfile = _write(tmp_path, "filter = explicit\ncoeffs = 1, -0.5\n")
+    assert main(["simulate", "--config", cfgfile, "--n-samples", "16384", "--trials", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("filter p=1 K=2 ")
+    header, *rows = out.read_text().splitlines()
+    column = header.split(",").index("p")
+    assert {row.split(",")[column] for row in rows} == {"1"}
+
+
 def test_bad_post_multipliers_in_the_file_is_usage_error_before_any_design(tmp_path, monkeypatch, capsys):
     def design_must_not_start(config):
         raise AssertionError("a filter was designed for an invalid configuration")

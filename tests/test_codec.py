@@ -32,6 +32,7 @@ from mdsigma.theory import wiener_gain
 from conftest import bandlimited_noise
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
+EPS = np.finfo(np.float64).eps
 
 
 # every uniform subset of descriptions, as (K, received phases)
@@ -651,10 +652,11 @@ class TestDecoderContracts:
 # ---------------------------------------------------------------------------
 
 
-def _per_subset_reference(chosen, cfg, dither=None):
-    """The decoder as it was before spectra were shared: every packet's
-    dither and spectrum recomputed for this subset alone, summed in the
-    subset's order."""
+def _spectral_sum_reference(chosen, cfg, dither=None):
+    """The decoder's spectral formula for one subset: every packet's dither
+    and spectrum recomputed for this subset alone, phase-twiddled with
+    np.exp, averaged in the subset's order with the band-edge bin doubled,
+    and inverted with one length-n irfft."""
     k, step = cfg.oversampling, cfg.quantizer.step
     n = chosen[0].indices.shape[0]
     bins = np.arange(n // 2 + 1)
@@ -681,7 +683,10 @@ def _subsets_of(k):
 class TestSharedDecoder:
     @pytest.mark.parametrize("override", [False, True], ids=["seeded-dither", "override-dither"])
     @pytest.mark.parametrize("k", [2, 4])
-    def test_every_block_matches_the_per_subset_reference_bit_for_bit(self, k, override):
+    def test_every_block_matches_the_spectral_sum_reference_within_4_eps(self, k, override):
+        # the decoder sums per-description reconstructions, not spectra, so
+        # it agrees with the spectral formula to rounding: at most 1.5 eps
+        # of the block's peak here
         cfg = make_config(k=k)
         rng = np.random.default_rng(21)
         x = rng.standard_normal(1 << 12)
@@ -692,7 +697,8 @@ class TestSharedDecoder:
         assert len(blocks) == len(subsets)
         for phases, block in zip(subsets, blocks):
             chosen = [packets[j] for j in phases]
-            assert block.samples.tobytes() == _per_subset_reference(chosen, cfg, z).tobytes(), phases
+            ref = _spectral_sum_reference(chosen, cfg, z)
+            assert np.abs(block.samples - ref).max() <= 4 * EPS * np.abs(ref).max(), phases
             assert block.samples.tobytes() == decode(chosen, cfg, dither=z).samples.tobytes(), phases
             assert block.margin == cfg.guard
 

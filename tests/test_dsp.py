@@ -1,4 +1,4 @@
-"""Exact DFT-domain upsampling and spectrum evaluation."""
+"""Exact DFT-domain resampling and spectrum evaluation."""
 
 import os
 import subprocess
@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import mdsigma
+from mdsigma import dsp
 from mdsigma.dsp import ideal_upsample
 
-from reference import spectrum_power
+from reference import spectrum_power, zero_padded_upsample
+
+EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +80,37 @@ class TestSpectrumPower:
 class TestIdealOps:
     def test_coarse_grid_preserved(self, rng):
         x = rng.standard_normal(1 << 12)
-        for k in (2, 4):
+        for k in (1, 2, 4, 8):
             a = ideal_upsample(x, k)
-            assert np.abs(a[::k] - x).max() <= 1e-12
+            assert a.shape == (k * x.shape[0],)
+            assert a[::k].tobytes() == x.tobytes(), k
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1 << 6, 1 << 12])
+    def test_matches_the_zero_padded_interpolator(self, rng, n, k):
+        # polyphase length-n FFTs against one k*n-point irfft: rounding
+        # only, at most 2.1 eps of the block's peak on these inputs
+        x = rng.standard_normal(n)
+        ref = zero_padded_upsample(x, k)
+        assert np.abs(ideal_upsample(x, k) - ref).max() <= 4 * EPS * np.abs(ref).max()
+
+    @pytest.mark.parametrize("factor", [0, -2, 2.5, True, np.float64(2.0), "2"], ids=repr)
+    def test_bad_factor_rejected_before_any_fft(self, monkeypatch, factor):
+        def fft_must_not_run(*args, **kwargs):
+            raise AssertionError("an FFT ran on a bad factor")
+
+        monkeypatch.setattr(np.fft, "rfft", fft_must_not_run)
+        monkeypatch.setattr(np.fft, "irfft", fft_must_not_run)
+        with pytest.raises(ValueError, match="factor must be an integer >= 1"):
+            ideal_upsample(np.arange(8.0), factor)
+
+    @pytest.mark.parametrize("n", [2, 6, 1000, 1 << 12, 1 << 20])
+    def test_twiddle_matches_complex_exponential(self, n):
+        # short-table product against one np.exp per bin: at most 2.5 eps
+        # on these sizes and delays
+        for delay in (0.25, 0.5, 0.75, -0.25, -0.5, -0.75, -0.875):
+            ref = np.exp(np.arange(n // 2 + 1) * (-2j * np.pi * delay / n))
+            assert np.abs(dsp._twiddle(n, delay) - ref).max() <= 4 * EPS, delay
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_variance_preserved(self, rng, k):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsigma import shaping
+from mdsigma import harness, shaping
 from mdsigma.codec import decode, encode, reconstruction_mse
 from mdsigma.harness import (
     CSV_COLUMNS,
@@ -282,6 +282,43 @@ def test_a_trial_forms_each_description_spectrum_once(decoder_calls, k, patterns
     )
     run(config)
     assert decoder_calls == {"rfft": spectra, "draw": k + spectra}
+
+
+@pytest.mark.parametrize(
+    "patterns", [(), ("central",), ("single3", "pair02", "central")], ids=["all", "central", "three"]
+)
+def test_a_k4_trial_runs_no_fft_longer_than_the_block(monkeypatch, patterns):
+    # encoding: one rfft of the source and one irfft per delayed phase;
+    # decoding: one rfft and one irfft per description, however many
+    # patterns receive it
+    n, k = 1 << 14, 4
+    calls = []
+    rfft, irfft, encode_ = np.fft.rfft, np.fft.irfft, harness.encode
+
+    def counted_rfft(a, *args, **kwargs):
+        calls.append(("rfft", np.shape(a)[-1]))
+        return rfft(a, *args, **kwargs)
+
+    def counted_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        calls.append(("irfft", out.shape[-1]))
+        return out
+
+    def marked_encode(*args, **kwargs):
+        out = encode_(*args, **kwargs)
+        calls.append(("encoded", n))
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+    monkeypatch.setattr(harness, "encode", marked_encode)
+    config = ExperimentConfig(
+        **{**SMALL, "n_samples": n, "n_trials": 1, "oversampling": k, "erasure_patterns": patterns}
+    )
+    run(config)
+    split = calls.index(("encoded", n))
+    assert calls[:split] == [("rfft", n)] + [("irfft", n)] * (k - 1)
+    assert sorted(calls[split + 1 :]) == [("irfft", n)] * k + [("rfft", n)] * k
 
 
 def test_pattern_noise_power_is_evaluated_once(monkeypatch):
