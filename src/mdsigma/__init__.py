@@ -8,7 +8,6 @@ and a seeded Monte-Carlo harness that checks one against the other.
 """
 
 from .dsp import (
-    SignalBlock,
     ideal_fractional_delay,
     ideal_upsample,
 )

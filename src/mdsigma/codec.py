@@ -23,9 +23,10 @@ edge bin doubled.  The result is scaled by the post-multiplier for
 stride s.  All K descriptions (s = 1) give the central reconstruction, a
 single one (s = K) a side reconstruction.  ``decode_subsets`` decodes a
 list of subsets in one call: it forms each description's reconstruction
-once per call, when a subset first needs it, shares it across the subsets
-and yields the blocks lazily, one per subset; ``decode`` is its
-one-subset case.
+once per call, shares it across the subsets and returns one read-only
+float64 array per subset; ``decode`` is its one-subset case.  Statistics
+skip the loop's cold start, ``CodecConfig.guard`` samples at each end
+(``reconstruction_mse``).
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
 a C kernel, compiled on first use with the system's C compiler and cached
@@ -55,11 +56,11 @@ import subprocess
 import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dsp import SignalBlock, ideal_fractional_delay, ideal_upsample
+from .dsp import ideal_fractional_delay, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import MAX_ORDER, ShapingFilter, band_power
 from .theory import wiener_gain
@@ -396,6 +397,8 @@ class DescriptionPacket:
 
     def __post_init__(self):
         idx = np.asarray(self.indices)
+        if idx.ndim != 1:
+            raise ValueError(f"indices must be one-dimensional, got shape {idx.shape}")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"indices must have an integer dtype, got {idx.dtype}")
         for name, value in (("dither seed", self.dither_seed), ("phase", self.phase)):
@@ -537,9 +540,9 @@ def decode_subsets(
     cfg: CodecConfig,
     subsets: Sequence[Sequence[int]],
     dither=None,
-) -> Iterator[SignalBlock]:
+) -> list:
     """Reconstruct the source block from each subset of the received
-    descriptions, yielding one ``SignalBlock`` per subset, in order.
+    descriptions: one read-only float64 array per subset, in order.
 
     Each subset names the phases of the packets it uses; they must form a
     uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
@@ -549,14 +552,12 @@ def decode_subsets(
     twice, every named phase received), is checked before any dither is
     drawn or any FFT runs.
 
-    Each description's own reconstruction is formed once per call, when a
-    subset first needs it, and shared by the later subsets; a subset's
+    Each description that some subset names has its own reconstruction
+    formed once, and shared by every subset that names it; a subset's
     block is the mean of its reconstructions in its own order plus, for
     more than one, the folded band-edge term (the module docstring gives
-    both), scaled by the post-multiplier for stride s.  Blocks are yielded
-    lazily, so a caller that consumes them one at a time holds one block
-    at a time, and the reconstructions are freed once the iterator is
-    exhausted.
+    both), scaled by the post-multiplier for stride s.  The blocks are
+    fresh arrays, frozen in place.
     """
     strides = [_uniform_stride(subset, cfg.oversampling) for subset in subsets]
     by_phase = {}
@@ -572,11 +573,9 @@ def decode_subsets(
         chosen = [by_phase[j] for j in subset]
         _check_packets(chosen, cfg, dither)
         plan.append((chosen, s))
-    return _decoded_blocks(plan, cfg, dither)
 
-
-def _decoded_blocks(plan, cfg: CodecConfig, dither) -> Iterator[SignalBlock]:
     own = {}
+    blocks = []
     for chosen, s in plan:
         for pkt in chosen:
             if pkt.phase not in own:
@@ -595,28 +594,35 @@ def _decoded_blocks(plan, cfg: CodecConfig, dither) -> Iterator[SignalBlock]:
         mult = _multiplier(cfg, s)
         if mult != 1.0:
             block *= mult
-        yield SignalBlock(block, margin=cfg.guard)
+        block.flags.writeable = False
+        blocks.append(block)
+    return blocks
 
 
-def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> SignalBlock:
+def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> np.ndarray:
     """Reconstruct the source block from one uniform subset of descriptions.
 
     This is :func:`decode_subsets` with the received packets as its only
-    subset, under the same checks and messages: each packet's
-    reconstruction is formed once, and the lone block yielded is returned.
+    subset, under the same checks and messages; it returns the one
+    read-only block.
     """
     (block,) = decode_subsets(packets, cfg, [[p.phase for p in packets]], dither)
     return block
 
 
-def reconstruction_mse(decoded: SignalBlock, reference) -> float:
-    """Mean squared error over the decoded block's interior samples."""
+def reconstruction_mse(decoded, reference, margin: int) -> float:
+    """Mean squared error between a decoded block and its reference over
+    samples [margin, n - margin), which skips the loop's cold start at
+    both ends; callers pass ``CodecConfig.guard``."""
+    if isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:
+        raise ValueError(f"margin must be a non-negative integer, got {margin!r}")
+    y = np.asarray(decoded, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
-    if len(decoded) != ref.shape[0]:
-        raise ValueError("length mismatch")
-    m = decoded.margin
-    err = decoded.interior - ref[m : ref.shape[0] - m]
-    if err.size == 0:
-        raise ValueError("no interior samples left")
+    if y.ndim != 1 or y.shape != ref.shape:
+        raise ValueError(f"shape mismatch: decoded {y.shape}, reference {ref.shape}")
+    n = y.shape[0]
+    if 2 * margin >= n:
+        raise ValueError(f"no interior samples left: margin {margin} of {n} samples")
+    err = y[margin : n - margin] - ref[margin : n - margin]
     err *= err
     return float(np.mean(err))

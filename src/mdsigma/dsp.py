@@ -1,4 +1,4 @@
-"""Exact DFT-domain resampling and the decoded block type of the oversampled codec.
+"""Exact DFT-domain resampling for the oversampled codec.
 
 The codec treats every block as one period (circular convention) and
 realizes its ideal filters exactly on the block's DFT grid, with no FFT
@@ -11,54 +11,19 @@ and phase j is the input advanced by j/K samples, one delay of a shared
 rfft(x).  On a length-n block this is exact for every DFT bin, so the
 analytic second-order accounting holds to machine precision.  The decoder
 runs the same operator the other way, delaying each description by its
-phase/K (``mdsigma.codec``), and returns its blocks as `SignalBlock`s.
+phase/K (``mdsigma.codec``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SignalBlock",
     "ideal_fractional_delay",
     "ideal_upsample",
 ]
-
-
-@dataclass(frozen=True)
-class SignalBlock:
-    """A finite block of real base-rate samples.
-
-    ``margin`` counts leading/trailing samples that see the feedback loop's
-    cold start and must be excluded from statistics.
-    """
-
-    samples: np.ndarray
-    margin: int = 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr is self.samples or arr.base is not None:
-            arr = arr.copy()  # never freeze caller-owned storage
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Samples with the margin trimmed at both ends."""
-        if self.margin == 0:
-            return self.samples
-        if 2 * self.margin >= len(self):
-            return self.samples[0:0]
-        return self.samples[self.margin : len(self) - self.margin]
 
 
 def _twiddle(n: int, delay: float) -> np.ndarray:

@@ -115,7 +115,6 @@ class ExperimentConfig:
     master_seed: int = 20090401
     source_dist: str = "gaussian"
     erasure_patterns: tuple[str, ...] = ()  # default depends on K
-    post_multipliers: str | None = None  # default: wiener for K=2, unit for K=4
     tol_mse_rel: float = 0.03
 
     def __post_init__(self):
@@ -148,8 +147,6 @@ class ExperimentConfig:
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")
         if len(set(self.erasure_patterns)) != len(self.erasure_patterns):
             raise ConfigError(f"duplicate erasure pattern in {self.erasure_patterns}")
-        if self.post_multipliers not in (None, *codec_mod._MULTIPLIER_MODES):
-            raise ConfigError(f"post_multipliers must be 'wiener' or 'unit', got {self.post_multipliers!r}")
 
     def valid_patterns(self) -> tuple:
         return tuple(_PATTERN_PHASES[self.oversampling])
@@ -170,8 +167,7 @@ class ExperimentConfig:
 
     @property
     def multiplier_mode(self) -> str:
-        if self.post_multipliers is not None:
-            return self.post_multipliers
+        """The decoder's scaling: the Wiener gain at K=2, none at K=4."""
         return "wiener" if self.oversampling == 2 else "unit"
 
 
@@ -424,9 +420,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
         var_trials.append(float(np.var(loop.quantized[g:])))
         del loop  # five oversampled arrays; only the variance is kept
         all_indices.extend(pkt.indices for pkt in packets)
-        # the comprehension holds one decoded block at a time and exhausts
-        # the iterator, which frees the shared reconstructions with this trial
-        mses = [reconstruction_mse(block, x) for block in decode_subsets(packets, cfg, subsets)]
+        mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
         for pat, mse in zip(patterns, mses):
             mse_trials[pat].append(mse)
 

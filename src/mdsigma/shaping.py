@@ -279,8 +279,10 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
 # ---------------------------------------------------------------------------
 
 
-# floor and margin headroom of the float64 bisection decisions; the
-# docstring of find_lambda_for_ratio derives both
+# the bisection's relative tolerance on the target ratio, and the floor
+# and margin headroom of its float64 decisions; the docstring of
+# find_lambda_for_ratio derives the last two
+_REL_TOL = 1e-6
 _F64_LAMBDA_FLOOR = 1e-3
 _F64_MARGIN_FACTOR = 16
 
@@ -324,21 +326,22 @@ def _half_band_range(p: int) -> tuple:
     return lags, tuple(float(v) for v in lags), _ratio_at(lags, 0.0)
 
 
-def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
+def find_lambda_for_ratio(gamma: float, p: int) -> float:
     """Weight ratio lambda_s/lambda_c whose design hits P_ds/P_dc = gamma.
 
     The ratio decreases monotonically from its lambda=0 maximum toward the
     white-filter floor of 2 as lambda grows, so a bracketed bisection
-    applies.  Unreachable targets raise with the achievable range, which
-    comes from the extended-precision design at lambda = 0, made once per
-    order.
+    applies; it stops at the first lambda with |r/gamma - 1| <= 1e-6
+    (``_REL_TOL``), r the design's ratio.  Unreachable targets raise with
+    the achievable range, which comes from the extended-precision design at
+    lambda = 0, made once per order.
 
     Float64 decides, extended precision designs.  Each step needs one
     decision on the ratio r at lambda: r < gamma while bracketing, then
-    |r/gamma - 1| <= rel_tol and r > gamma while bisecting.  A float64 run
+    |r/gamma - 1| <= _REL_TOL and r > gamma while bisecting.  A float64 run
     of the same Levinson recursion on the float64 lags gives r^, and the
     step trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
-    within err/gamma of 0 or of rel_tol (the margin), where
+    within err/gamma of 0 or of _REL_TOL (the margin), where
 
         err = 16 (p+1) u (1 + 1/lambda) (1 + 2 lambda r^) r^,  u = 2^-53.
 
@@ -356,7 +359,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
       weakly stable (Cybenko 1980; Bunch 1985): its relative forward error
       is of order (p+1) u kappa.  The floor keeps this below 1.5e-11 up to
       MAX_ORDER, so the float64 system stays positive definite and the
-      first-order analysis holds; below it the margin would near rel_tol
+      first-order analysis holds; below it the margin would near _REL_TOL
       and the float64 work would mostly be wasted.
     - P_ds = sum c_i^2 and the prediction error E = c^T (G + 2 lambda I) c
       inherit that relative error.  P_dc = (E - 2 lambda P_ds)/2 multiplies
@@ -369,12 +372,10 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
       lambda in [1e-3, 1e4] the observed |r^ - r| stays below err/16, the
       first-order bound itself (``tests/test_shaping.py``).  On the
       half-band designs of the benchmark's grid err/r^ stays below 2e-11,
-      against rel_tol = 1e-6, so hardly any step falls back.
+      against _REL_TOL = 1e-6, so hardly any step falls back.
     """
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    if not rel_tol >= 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     _check_order(p)
     lags, lags64, hi_ratio = _half_band_range(p)
     if not (2.0 < gamma <= hi_ratio):
@@ -386,7 +387,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
         if lam >= _F64_LAMBDA_FLOOR:
             ratio, err = _ratio_f64(lags64, lam)
             dev, slack = abs(ratio / gamma - 1.0), err / gamma
-            if slack < dev and slack < abs(dev - rel_tol):
+            if slack < dev and slack < abs(dev - _REL_TOL):
                 return ratio
         return _ratio_at(lags, lam)
 
@@ -404,7 +405,7 @@ def find_lambda_for_ratio(gamma: float, p: int, rel_tol: float = 1e-6) -> float:
         if mid in (lo, hi):
             break  # lo and hi are adjacent floats: no lambda left to try
         ratio = ratio_at(mid)
-        if abs(ratio / gamma - 1.0) <= rel_tol:
+        if abs(ratio / gamma - 1.0) <= _REL_TOL:
             return mid
         if ratio > gamma:
             lo = mid

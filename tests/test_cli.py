@@ -120,7 +120,7 @@ def test_simulate_reports_the_order_of_an_explicit_filter(tmp_path, capsys):
     assert {row.split(",")[column] for row in rows} == {"1"}
 
 
-def test_bad_post_multipliers_in_the_file_is_usage_error_before_any_design(tmp_path, monkeypatch, capsys):
+def test_post_multipliers_in_the_file_is_an_unknown_key_before_any_design(tmp_path, monkeypatch, capsys):
     def design_must_not_start(config):
         raise AssertionError("a filter was designed for an invalid configuration")
 
@@ -129,7 +129,7 @@ def test_bad_post_multipliers_in_the_file_is_usage_error_before_any_design(tmp_p
     cfgfile.write_text("post_multipliers = foo\n")
     assert main(["simulate", "--config", str(cfgfile), "--p", "2", "--n-samples", "16384", "--trials", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "post_multipliers must be 'wiener' or 'unit'" in err
+    assert err.startswith("error: ") and "line 1: unknown key 'post_multipliers'" in err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -474,14 +474,14 @@ class TestNoiselessChains:
         rng = np.random.default_rng(10)
         x = rng.standard_normal(1 << 14)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode(packets, cfg), x) <= 1e-10
+        assert reconstruction_mse(decode(packets, cfg), x, cfg.guard) <= 1e-10
 
     def test_even_side_reconstructs(self):
         cfg = make_config(step=1e-6)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(1 << 14)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode([packets[0]], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode([packets[0]], cfg), x, cfg.guard) <= 1e-6
 
     def test_odd_side_reconstructs(self):
         # the odd stream carries no sample of the base Nyquist line, so one
@@ -490,18 +490,18 @@ class TestNoiselessChains:
         rng = np.random.default_rng(12)
         x = rng.standard_normal(1 << 18)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode([packets[1]], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode([packets[1]], cfg), x, cfg.guard) <= 1e-6
 
     def test_k4_all_patterns(self):
         cfg = make_config(step=1e-6, k=4, post_multipliers="unit")
         rng = np.random.default_rng(13)
         x = rng.standard_normal(1 << 18)
         packets, _ = encode(x, cfg)
-        assert reconstruction_mse(decode(packets, cfg), x) <= 1e-10
-        assert reconstruction_mse(decode([packets[0], packets[2]], cfg), x) <= 1e-10
-        assert reconstruction_mse(decode([packets[3], packets[1]], cfg), x) <= 1e-6
+        assert reconstruction_mse(decode(packets, cfg), x, cfg.guard) <= 1e-10
+        assert reconstruction_mse(decode([packets[0], packets[2]], cfg), x, cfg.guard) <= 1e-10
+        assert reconstruction_mse(decode([packets[3], packets[1]], cfg), x, cfg.guard) <= 1e-6
         for j in range(4):
-            assert reconstruction_mse(decode([packets[j]], cfg), x) <= 1e-6
+            assert reconstruction_mse(decode([packets[j]], cfg), x, cfg.guard) <= 1e-6
 
     @pytest.mark.parametrize("k,phases", UNIFORM_SUBSETS)
     def test_every_subset_passes_a_bandlimited_source(self, k, phases):
@@ -515,7 +515,7 @@ class TestNoiselessChains:
         z = np.zeros(k << 12)
         packets, _ = encode(x, cfg, dither=z)
         decoded = decode([packets[j] for j in phases], cfg, dither=z)
-        ratio = reconstruction_mse(decoded, x) / (step**2 / (12 * len(phases)))
+        ratio = reconstruction_mse(decoded, x, cfg.guard) / (step**2 / (12 * len(phases)))
         assert ratio == pytest.approx(1.0, rel=0.1)
 
     def test_all_zero_indices_decode_to_zero(self):
@@ -524,7 +524,7 @@ class TestNoiselessChains:
         z = np.zeros(1024)
         packets, _ = encode(x, cfg, dither=z)
         out = decode(packets, cfg, dither=z)
-        assert np.all(out.samples == 0.0)
+        assert np.all(out == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +623,13 @@ class TestDecoderContracts:
         with pytest.raises(ValueError, match=message):
             DescriptionPacket(indices, seed, phase)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), ()], ids=str)
+    def test_packet_rejects_indices_that_are_not_one_dimensional(self, decoder_calls, shape):
+        cfg = make_config()
+        with pytest.raises(ValueError, match=r"indices must be one-dimensional, got shape \(.*\)"):
+            decode([DescriptionPacket(np.zeros(shape, dtype=np.int64), 5, 0)], cfg)
+        assert decoder_calls == {"rfft": 0, "draw": 0}
+
     def test_packet_takes_any_integer_dtype_and_seed_type(self):
         pkt = DescriptionPacket(np.array([-3, 4], dtype=np.int16), np.uint64(2**63 + 1), np.int32(1))
         assert pkt.indices.dtype == np.int64 and pkt.indices.tolist() == [-3, 4]
@@ -634,9 +641,35 @@ class TestDecoderContracts:
         packets, _ = encode(np.random.default_rng(9).standard_normal(256), cfg)
         numpy_phases = [dataclasses.replace(p, phase=np.int64(p.phase)) for p in packets]
         for phases in [(0, 1, 2, 3), (1, 3), (2,)]:
-            expected = decode([packets[j] for j in phases], cfg).samples
-            got = decode([numpy_phases[j] for j in phases], cfg).samples
+            expected = decode([packets[j] for j in phases], cfg)
+            got = decode([numpy_phases[j] for j in phases], cfg)
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("margin", [0, 5, np.int64(31)], ids=str)
+    def test_mse_covers_the_samples_inside_the_margin(self, margin):
+        rng = np.random.default_rng(24)
+        y, ref = rng.standard_normal(64), rng.standard_normal(64)
+        expected = np.mean((y - ref)[margin : 64 - margin] ** 2)
+        assert reconstruction_mse(y, ref, margin) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "margin, message",
+        [
+            pytest.param(-1, "margin must be a non-negative integer", id="negative"),
+            pytest.param(2.0, "margin must be a non-negative integer", id="float"),
+            pytest.param(True, "margin must be a non-negative integer", id="bool"),
+            pytest.param(32, "no interior samples left", id="no-interior"),
+        ],
+    )
+    def test_mse_rejects_a_bad_margin(self, margin, message):
+        y = np.zeros(64)
+        with pytest.raises(ValueError, match=message):
+            reconstruction_mse(y, y, margin)
+
+    @pytest.mark.parametrize("shape", [(62,), (66,), (64, 1), (1, 64)], ids=str)
+    def test_mse_rejects_a_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            reconstruction_mse(np.zeros(64), np.zeros(shape), 2)
 
     def test_packet_shape(self):
         cfg = make_config(k=4)
@@ -693,30 +726,42 @@ class TestSharedDecoder:
         z = rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, k << 12) if override else None
         packets, _ = encode(x, cfg, dither=z)
         subsets = _subsets_of(k)
-        blocks = list(decode_subsets(packets, cfg, subsets, dither=z))
+        blocks = decode_subsets(packets, cfg, subsets, dither=z)
         assert len(blocks) == len(subsets)
         for phases, block in zip(subsets, blocks):
             chosen = [packets[j] for j in phases]
             ref = _spectral_sum_reference(chosen, cfg, z)
-            assert np.abs(block.samples - ref).max() <= 4 * EPS * np.abs(ref).max(), phases
-            assert block.samples.tobytes() == decode(chosen, cfg, dither=z).samples.tobytes(), phases
-            assert block.margin == cfg.guard
+            assert np.abs(block - ref).max() <= 4 * EPS * np.abs(ref).max(), phases
+            assert block.tobytes() == decode(chosen, cfg, dither=z).tobytes(), phases
 
-    def test_spectra_are_formed_lazily_and_once(self, decoder_calls):
+    def test_each_spectrum_is_formed_once(self, decoder_calls):
         cfg = make_config(k=4)
         packets, _ = encode(np.random.default_rng(22).standard_normal(256), cfg)
         decoder_calls.update(rfft=0, draw=0)
-        blocks = decode_subsets(packets, cfg, [(0, 2), (2,), (0,), (3, 1), (0, 1, 2, 3)])
-        assert decoder_calls == {"rfft": 0, "draw": 0}
-        seen = []
-        for _ in blocks:
-            seen.append(dict(decoder_calls))
-        assert seen == [{"rfft": n, "draw": n} for n in (2, 2, 2, 4, 4)]
+        decode_subsets(packets, cfg, [(0, 2), (2,), (0,), (3, 1), (0, 1, 2, 3)])
+        assert decoder_calls == {"rfft": 4, "draw": 4}
+
+    def test_blocks_are_frozen_fresh_arrays(self):
+        # each block owns its memory, so freezing it in place freezes no
+        # reconstruction another block was summed from
+        cfg = make_config(k=4)
+        packets, _ = encode(np.random.default_rng(23).standard_normal(256), cfg)
+        blocks = decode_subsets(packets, cfg, [(0,), (0, 2), (0, 1, 2, 3), (0,)])
+        assert type(blocks) is list and len(blocks) == 4
+        for block in blocks:
+            assert type(block) is np.ndarray and block.dtype == np.float64 and block.shape == (256,)
+            assert not block.flags.writeable and block.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 1.0
+        for i, a in enumerate(blocks):
+            for b in blocks[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert blocks[0].tobytes() == blocks[3].tobytes()
 
     def test_no_subsets_yield_nothing(self):
         cfg = make_config()
         packets, _ = encode(np.zeros(64), cfg)
-        assert list(decode_subsets(packets, cfg, [])) == []
+        assert decode_subsets(packets, cfg, []) == []
 
     @pytest.mark.parametrize(
         "case, message",
@@ -755,7 +800,7 @@ class TestSharedDecoder:
             dither = np.zeros(4 * 64 - 2)
         decoder_calls.update(rfft=0, draw=0)
         with pytest.raises(ValueError, match=message):
-            list(decode_subsets(packets, cfg, subsets, dither=dither))
+            decode_subsets(packets, cfg, subsets, dither=dither)
         assert decoder_calls == {"rfft": 0, "draw": 0}
 
 
@@ -782,9 +827,9 @@ class TestCodecStatistics:
             sx2 * se2 * p / (sx2 + se2 * p)
             for p in (pattern_noise_power(cfg, 1), pattern_noise_power(cfg, 2))
         )
-        mse_c = reconstruction_mse(decode(packets, cfg), x)
-        mse_e = reconstruction_mse(decode([packets[0]], cfg), x)
-        mse_o = reconstruction_mse(decode([packets[1]], cfg), x)
+        mse_c = reconstruction_mse(decode(packets, cfg), x, cfg.guard)
+        mse_e = reconstruction_mse(decode([packets[0]], cfg), x, cfg.guard)
+        mse_o = reconstruction_mse(decode([packets[1]], cfg), x, cfg.guard)
         assert mse_c == pytest.approx(dc, rel=0.03)
         assert mse_e == pytest.approx(ds, rel=0.03)
         assert mse_o == pytest.approx(ds, rel=0.03)
@@ -801,18 +846,18 @@ class TestCodecStatistics:
         se2 = cfg.quantizer.noise_variance
         g = cfg.guard
         for pkt, power in ((packets[0], pds), (packets[1], pds)):
-            u = decode([pkt], raw_cfg).samples[g:-g]
+            u = decode([pkt], raw_cfg)[g:-g]
             assert float(np.mean(u * x[g:-g])) == pytest.approx(1.0, rel=0.01)
             assert float(np.mean(u * u)) == pytest.approx(1.0 + se2 * power, rel=0.01)
-        uc = decode(packets, raw_cfg).samples[g:-g]
+        uc = decode(packets, raw_cfg)[g:-g]
         assert float(np.mean(uc * x[g:-g])) == pytest.approx(1.0, rel=0.01)
         assert float(np.mean(uc * uc)) == pytest.approx(1.0 + se2 * pdc, rel=0.01)
 
     def test_erasure_symmetry(self, run_d4):
         cfg, x, packets, _ = run_d4
         n = 10**5
-        err_e = (decode([packets[0]], cfg).samples - x)[cfg.guard : cfg.guard + n]
-        err_o = (decode([packets[1]], cfg).samples - x)[cfg.guard : cfg.guard + n]
+        err_e = (decode([packets[0]], cfg) - x)[cfg.guard : cfg.guard + n]
+        err_o = (decode([packets[1]], cfg) - x)[cfg.guard : cfg.guard + n]
         assert ks_2samp(err_e, err_o).statistic <= 0.01
 
     def test_scale_equivariance(self):
@@ -836,8 +881,8 @@ class TestCodecStatistics:
         for phases in ((0, 1), (0,), (1,)):
             d1 = decode([p1[j] for j in phases], cfg1)
             d3 = decode([p3[j] for j in phases], cfg3)
-            m1 = reconstruction_mse(d1, x)
-            m3 = reconstruction_mse(d3, scale * x)
+            m1 = reconstruction_mse(d1, x, cfg1.guard)
+            m3 = reconstruction_mse(d3, scale * x, cfg3.guard)
             assert m3 / m1 == pytest.approx(scale**2, rel=1e-6)
 
     def test_k4_wiener_multipliers_match_their_closed_forms(self):
@@ -870,7 +915,7 @@ class TestCodecStatistics:
         for phases in ((0, 1, 2, 3), (0, 2), (1, 3), (0,), (3,)):
             decoded = decode([packets[j] for j in phases], cfg)
             expected = wiener_mse(pattern_noise_power(cfg, 4 // len(phases)))
-            assert reconstruction_mse(decoded, x) == pytest.approx(expected, rel=0.05)
+            assert reconstruction_mse(decoded, x, cfg.guard) == pytest.approx(expected, rel=0.05)
 
     def test_central_not_worse_than_side_across_deltas(self):
         rng = np.random.default_rng(40)
@@ -878,6 +923,6 @@ class TestCodecStatistics:
         for lam in (0.02, 0.2, 2.0):
             cfg = make_config(filt=design_yule_walker(12, lam), seed=5)
             packets, _ = encode(x, cfg)
-            mse_c = reconstruction_mse(decode(packets, cfg), x)
-            mse_s = reconstruction_mse(decode([packets[0]], cfg), x)
+            mse_c = reconstruction_mse(decode(packets, cfg), x, cfg.guard)
+            mse_s = reconstruction_mse(decode([packets[0]], cfg), x, cfg.guard)
             assert mse_c <= mse_s
