@@ -13,7 +13,9 @@ stride s = K/m for m received packets and offset r < s.  Sample t of the
 description with phase j sits at base position t + j/K, so its own
 reconstruction is the description delayed by j/K with the encoder's
 length-n operator, y_j = irfft(D_j(k) exp(-2 pi i k j/(K n)), n), where
-D_j is its length-n spectrum.  A subset's block is the mean of its y_j.
+D_j is its length-n spectrum; phase 0 has no delay, so y_0 is the
+description itself and needs no FFT.  A subset's block is the mean of its
+y_j.
 For m > 1 the band-edge bin k = n/2 also collects its mirror image; the
 inverse real FFT keeps the real part of that bin once per description, so
 the fold adds it once more: (-1)^t Re B(n/2)/n, with B(n/2) the mean of
@@ -34,12 +36,20 @@ on disk, or, where no compiler is found or the build or load fails, in
 straight-line Python generated from the filter order.  Both perform the
 same float64 operations in the same order (the C one is built without
 contraction into fused multiply-adds), so they give the same bits; a
-test holds them to that.  ``loop_backend`` names the one that runs.  The
-loop is also the library's only dithered quantizer (an order-0 filter
-gives plain dithered quantization): with y = (s + z)/step it rounds half
-up, index = floor(y) + [y - floor(y) >= 1/2].  y - floor(y) is exact
-wherever it lies below 1/2, so, unlike floor(y + 1/2), the rule never
-picks the far cell, and every error lies in (-step/2, step/2].
+test holds them to that.  The feedback sum fb_k = c_1 e_{k-1} + ... +
+c_p e_{k-p} is added in one fixed order: the terms j = 2..p go into four
+partial sums by (j - 2) mod 4, each started from 0.0 and added oldest
+first, and fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only the
+newest term waits on the error just computed.  The noise model treats
+the sum as exact; the order only fixes the bits.  ``loop_backend`` names
+the kernel that runs.  The loop is also the library's only dithered
+quantizer (an order-0 filter gives plain dithered quantization): with
+y = (s + z)/step it rounds half up, index = floor(y) + [y - floor(y) >=
+1/2].  y - floor(y) is exact wherever it lies below 1/2, so, unlike
+floor(y + 1/2), the rule never picks the far cell, and every error lies
+in (-step/2, step/2].  The C kernel finds floor(y) without libm and
+without a branch on the data, as the truncation of y less [trunc(y) > y],
+which is exact for |y| < 2^52.
 """
 
 from __future__ import annotations
@@ -87,30 +97,57 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 # The recursion in C, one statement per operation of the generated kernel
-# below and in the same order.  It reads the history straight from e, so the
-# first k < p sums simply have fewer terms: with each sum starting from 0.0,
-# the generated kernel's zero history adds nothing to them either.  The cast
-# (int64_t)qf is exact because delta_sigma_loop admits no block whose index
-# could reach 2^52.
+# below and in the same order: terms j = m..2, where m = min(k, p), go to the
+# partial sum t[(j - 2) % 4], oldest first; the switch peels the oldest ones
+# until the rest come in whole groups of four.  It reads the history straight
+# from e, so the first k < p sums simply have fewer terms: with each partial
+# sum starting from 0.0, the generated kernel's zero history adds nothing to
+# them either.  Rounding needs no floor and no branch on the data: the
+# truncation (int64_t)y, less one where it lies above y, is floor(y), and the
+# comparison adds the half-up step.  Both casts are exact because
+# delta_sigma_loop admits no block whose index could reach 2^52.
 _LOOP_C_SOURCE = r"""
-#include <math.h>
 #include <stdint.h>
 
 void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
               int64_t p, double step, int64_t *q, double *e, double *fb)
 {
     for (int64_t k = 0; k < n; k++) {
-        int64_t m = k < p ? k : p;
-        double acc = 0.0;
-        for (int64_t i = 0; i < m; i++)
-            acc += c[i] * e[k - 1 - i];
+        /* term j is c[j - 1] * h[-j], c_j e_{k-j} */
+        const double *h = e + k;
+        int64_t j = k < p ? k : p;
+        double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+        if (j >= 2) {
+            switch ((j - 2) & 3) {
+            case 2:
+                t2 += c[j - 1] * h[-j];
+                j--;
+                /* fall through */
+            case 1:
+                t1 += c[j - 1] * h[-j];
+                j--;
+                /* fall through */
+            case 0:
+                t0 += c[j - 1] * h[-j];
+                j--;
+            }
+        }
+        for (; j >= 5; j -= 4) {
+            t3 += c[j - 1] * h[-j];
+            t2 += c[j - 2] * h[1 - j];
+            t1 += c[j - 3] * h[2 - j];
+            t0 += c[j - 4] * h[3 - j];
+        }
+        double acc = (t0 + t1) + (t2 + t3);
+        if (j == 1) /* m >= 1: the newest term, last */
+            acc += c[0] * h[-1];
         double s = a[k] + acc;
         double y = (s + z[k]) / step;
-        double qf = floor(y);
-        if (y - qf >= 0.5)
-            qf += 1.0;
-        q[k] = (int64_t)qf;
-        e[k] = step * qf - z[k] - s;
+        int64_t qi = (int64_t)y;
+        qi -= (double)qi > y;
+        qi += (y - (double)qi) >= 0.5;
+        q[k] = qi;
+        e[k] = step * (double)qi - z[k] - s;
         fb[k] = acc;
     }
 }
@@ -170,7 +207,7 @@ def _build(cc, path: str) -> None:
         src, lib = os.path.join(work, "dsq_loop.c"), os.path.join(work, "dsq_loop.so")
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(_LOOP_C_SOURCE)
-        argv = [*cc, *_CC_FLAGS, "-o", lib, src, "-lm"]
+        argv = [*cc, *_CC_FLAGS, "-o", lib, src]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=_CC_TIMEOUT_S)
         except (OSError, subprocess.TimeoutExpired) as exc:
@@ -229,11 +266,13 @@ def _unrolled_loop_source(p: int) -> str:
     """Source of the straight-line feedback loop for filter order ``p``.
 
     The last p errors live in locals h0..h{p-1}, written round-robin, and
-    the body is unrolled p times so that sub-step r finds e[k-1-i] in
-    h{(r-1-i) % p}: no value is ever shifted.  Each feedback sum adds the
-    products newest error first after a leading 0.0, fb[k] = 0.0 +
-    c_1 e[k-1] + ... + c_p e[k-p].  The source depends on p alone; no data
-    is formatted in.
+    the body is unrolled p times so that sub-step r finds e[k-j] in
+    h{(r-j) % p}: no value is ever shifted.  Each feedback sum adds the
+    terms c_j e[k-j], j = 2..p, into four partial sums by (j - 2) % 4, each
+    started from 0.0 and added oldest first (descending j), and then the
+    newest term: fb[k] = ((t0 + t1) + (t2 + t3)) + c_1 e[k-1].  Only the
+    newest term waits on the error just computed.  The source depends on p
+    alone; no data is formatted in.
     """
     lines = ["def kernel(it, c, step, q_append, e_append, fb_append, floor, next):"]
     if p:
@@ -248,9 +287,13 @@ def _unrolled_loop_source(p: int) -> str:
                 "        except StopIteration:",
                 "            return",
             ]
-        terms = "".join(f" + c{i}*h{(r - 1 - i) % p}" for i in range(p))
+        t = [
+            "(0.0" + "".join(f" + c{j - 1}*h{(r - j) % p}" for j in range(p, 1, -1) if (j - 2) % 4 == i) + ")"
+            for i in range(4)
+        ]
+        newest = f" + c0*h{(r - 1) % p}" if p else ""
         lines += [
-            f"        acc = 0.0{terms}",
+            f"        acc = ({t[0]} + {t[1]}) + ({t[2]} + {t[3]}){newest}",
             "        s = ak + acc",
             "        y = (s + zk) / step",
             "        qk = floor(y)",
@@ -343,12 +386,14 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
         raise ValueError("dither length must match the oversampled block")
     if not step > 0:
         raise ValueError("step must be positive")
-    if not (np.isfinite(a).all() and np.isfinite(z).all()):
+    # max|a| and max|z| without a temporary array the size of the block; a
+    # NaN or an infinity anywhere makes its peak NaN or inf
+    peak_a = max(a.max(initial=0.0), -a.min(initial=0.0))
+    peak_z = max(z.max(initial=0.0), -z.min(initial=0.0))
+    if not (math.isfinite(peak_a) and math.isfinite(peak_z)):
         raise ValueError("signal and dither must be finite")
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
-    # max|a| + max|z| without a temporary array the size of the block
-    peak = max(a.max(initial=0.0), -a.min(initial=0.0)) + max(z.max(initial=0.0), -z.min(initial=0.0))
-    if not (peak + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
+    if not (peak_a + peak_z + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
         raise ValueError("signal, dither and feedback could push an index past 2^52 steps")
     q, e, fb = _dsq_loop(a, c_tail, z, float(step))
     loop_in = a + fb
@@ -492,7 +537,11 @@ def encode(x, cfg: CodecConfig, dither=None):
 def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig, dither=None):
     """One description's own reconstruction, step*index - dither delayed
     by its phase/K base samples, and the real part of its twiddled
-    band-edge bin, D(n/2) cos(pi phase/K)."""
+    band-edge bin, D(n/2) cos(pi phase/K).
+
+    Phase 0 has no delay: its reconstruction is the block itself and its
+    edge bin the alternating sum of its samples, so it runs no FFT.
+    """
     n = packet.indices.shape[0]
     if dither is None:
         z = DitherStream(packet.dither_seed, cfg.quantizer.step, packet.phase).draw(n)
@@ -501,6 +550,8 @@ def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig, dither=None):
     samples = packet.indices.astype(np.float64)
     samples *= cfg.quantizer.step
     samples -= z
+    if packet.phase == 0:
+        return samples, float(samples[0::2].sum() - samples[1::2].sum())
     spec = np.fft.rfft(samples)
     # sample t sits at base position t + phase/K; the edge bin of a real
     # block's spectrum is real

@@ -5,8 +5,10 @@ filter spectrum by direct summation on a frequency grid (against
 ``shaping.band_power``), the oversampled block by one zero-padded
 K*n-point inverse FFT (against the polyphase ``dsp.ideal_upsample``), the
 quantization-error statistics (against the
-loop's error law), and the two-step brick-wall target with its
-truncated-Fourier synthesis (against the designs and criterion 6).
+loop's error law), the two-step brick-wall target with its
+truncated-Fourier synthesis (against the designs and criterion 6), and the
+feedback loop with its sum added newest error first (against the kernels'
+partial-sum order, which must give the same indices).
 """
 
 import math
@@ -155,3 +157,30 @@ def truncated_fourier_brickwall_error(target: BrickWallSpec, p: int, n: int = QU
     synth = brickwall_autocorrelation(target, 0) + 2.0 * np.cos(np.outer(w, lags)) @ r
     diff = target.power(w) - synth
     return float(np.mean(diff * diff))
+
+
+# ---------------------------------------------------------------------------
+# Feedback loop, newest-first order
+# ---------------------------------------------------------------------------
+
+
+def newest_first_loop(a, c_tail, z, step):
+    """The feedback recursion with each sum added newest error first after
+    a leading 0.0, fb[k] = 0.0 + c_1 e[k-1] + ... + c_p e[k-p], and rounded
+    half up from floor(y); (q, e, fb) as int64 and float64 arrays."""
+    a, z, c = np.asarray(a).tolist(), np.asarray(z).tolist(), np.asarray(c_tail).tolist()
+    p = len(c)
+    q, e, fb = [], [], []
+    for k, (ak, zk) in enumerate(zip(a, z)):
+        acc = 0.0
+        for i in range(min(p, k)):
+            acc += c[i] * e[k - 1 - i]
+        s = ak + acc
+        y = (s + zk) / step
+        qk = math.floor(y)
+        if y - qk >= 0.5:
+            qk += 1
+        q.append(qk)
+        e.append(step * qk - zk - s)
+        fb.append(acc)
+    return np.array(q, dtype=np.int64), np.array(e), np.array(fb)

@@ -30,6 +30,7 @@ from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_y
 from mdsigma.theory import wiener_gain
 
 from conftest import bandlimited_noise
+from reference import newest_first_loop
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
 EPS = np.finfo(np.float64).eps
@@ -127,16 +128,29 @@ class TestPatternNoisePower:
 # ---------------------------------------------------------------------------
 
 
+def _feedback_sum(c_tail, e, k):
+    """The kernels' feedback sum for sample k over the past errors e[:k]:
+    terms c_j e[k-j], 2 <= j <= min(p, k), in four partial sums by
+    (j - 2) % 4, each from 0.0 and oldest first, then ((t0 + t1) + (t2 +
+    t3)) + c_1 e[k-1]."""
+    m = min(len(c_tail), k)
+    t = [0.0, 0.0, 0.0, 0.0]
+    for j in range(m, 1, -1):
+        t[(j - 2) % 4] += c_tail[j - 1] * e[k - j]
+    acc = (t[0] + t[1]) + (t[2] + t[3])
+    if m:
+        acc += c_tail[0] * e[k - 1]
+    return acc
+
+
 def _dsq_loop_py(a, c_tail, z, step):
     """Reference recursion, one sample and one product at a time, under the
     kernel's contract (a, c_tail, z, step) -> (q, e, fb)."""
-    n, p = a.shape[0], c_tail.shape[0]
+    n = a.shape[0]
     q = np.empty(n, dtype=np.int64)
     e, fb = np.empty(n), np.empty(n)
     for k in range(n):
-        acc = 0.0
-        for i in range(min(p, k)):
-            acc += c_tail[i] * e[k - 1 - i]
+        acc = _feedback_sum(c_tail, e, k)
         a_in = a[k] + acc
         y = (a_in + z[k]) / step
         qk = math.floor(y)
@@ -213,14 +227,13 @@ class TestLoop:
         # bit-exact chain: a' = a + feedback, a^ = a' + e
         assert np.array_equal(tr.loop_input, ideal_upsample(x, 2) + tr.feedback)
         assert np.array_equal(tr.quantized, tr.loop_input + tr.quant_error)
-        # feedback replays the same-order inner product over past errors
-        ct = np.array(cfg.filter.coeffs)[1:]
-        p = ct.shape[0]
+        # feedback replays the kernels' sum order over past errors: four
+        # partial sums of c_j e[k-j], j >= 2, oldest first, then the newest
+        ct = np.array(cfg.filter.coeffs)[1:].tolist()
+        e = tr.quant_error.tolist()
         for k in range(64):
-            acc = 0.0
-            for i in range(min(p, k)):
-                acc += ct[i] * tr.quant_error[k - 1 - i]
-            assert acc == tr.feedback[k]
+            acc = _feedback_sum(ct, e, k)
+            assert acc == tr.feedback[k], k
 
     def test_shaped_error_is_filtered_quant_error(self):
         cfg = make_config(filt=design_yule_walker(6, 0.2))
@@ -366,6 +379,13 @@ class TestLoop:
     @given(block=loop_blocks())
     @example(block=(np.array([0.0]), np.zeros(0), np.array([10.999999999999998]), 22.0))
     @example(block=(np.array([0.5, -0.5, 1.5, -0.0]), np.array([-0.0]), np.zeros(4), 1.0))
+    # the C kernel's branch-free rounding at its edges: y = -0.5 and -1.5,
+    # y = -0.0 (a tiny negative sum underflows), one ulp below k + 1/2 for
+    # k = 2 and k = -3, and |y| just under 2^52
+    @example(block=(np.array([-0.5, -1.5]), np.zeros(0), np.zeros(2), 1.0))
+    @example(block=(np.array([-5e-324]), np.zeros(0), np.array([0.0]), 22.0))
+    @example(block=(np.array([np.nextafter(2.5, 0.0), np.nextafter(-2.5, -3.0)]), np.zeros(0), np.zeros(2), 1.0))
+    @example(block=(np.array([2.0**52 - 0.5, -(2.0**52 - 0.5)]), np.zeros(0), np.zeros(2), 1.0))
     @settings(max_examples=300, deadline=None)
     def test_backends_agree_bitwise(self, block):
         a, c_tail, z, step = block
@@ -375,6 +395,23 @@ class TestLoop:
         assert_same_bits((res.indices, res.quant_error, res.feedback), want, "delta_sigma_loop")
         for backend, kernel in loop_kernels().items():
             assert_same_bits(kernel(a, c_tail, z, step), want, backend)
+
+    def test_indices_match_the_newest_first_order_at_k4_p48(self):
+        # the partial-sum order moves each feedback sum by rounding only; on
+        # this seeded block (2^16 loop samples) no index moves, and the
+        # errors move by at most 1.3e-15 step here (bound 4e-15 step)
+        d0, d1 = 0.2, 1.0
+        filt = design_multiband(
+            48, [np.pi / 4, 3 * np.pi / 4, np.pi], [1 / d0, math.sqrt(d0 * d1), 1 / d1]
+        )
+        cfg = make_config(step=math.sqrt(12 * 0.04), filt=filt, k=4, seed=31)
+        x = np.random.default_rng(31).standard_normal(1 << 14)
+        _, loop = encode(x, cfg)
+        z = codec._dither_block(cfg, x.shape[0])
+        q, e, fb = newest_first_loop(ideal_upsample(x, 4), np.array(filt.coeffs)[1:], z, cfg.quantizer.step)
+        assert np.array_equal(loop.indices, q)
+        assert np.abs(loop.quant_error - e).max() <= 4e-15 * cfg.quantizer.step
+        assert np.abs(loop.feedback - fb).max() <= 4e-15 * cfg.quantizer.step
 
 
 def use_stand_in_cc(monkeypatch, tmp_path):
@@ -739,7 +776,24 @@ class TestSharedDecoder:
         packets, _ = encode(np.random.default_rng(22).standard_normal(256), cfg)
         decoder_calls.update(rfft=0, draw=0)
         decode_subsets(packets, cfg, [(0, 2), (2,), (0,), (3, 1), (0, 1, 2, 3)])
-        assert decoder_calls == {"rfft": 4, "draw": 4}
+        # phase 0 is not delayed, so it needs no FFT
+        assert decoder_calls == {"rfft": 3, "draw": 4}
+
+    @pytest.mark.parametrize("override", [False, True], ids=["seeded-dither", "override-dither"])
+    def test_phase_0_matches_the_fft_round_trip_within_a_few_eps(self, override):
+        # phase 0 skips rfft and irfft: its block is step*index - dither
+        # itself and its edge term the alternating sum of the samples
+        cfg = make_config(k=4)
+        rng = np.random.default_rng(24)
+        z = rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, 4 << 12) if override else None
+        packets, _ = encode(rng.standard_normal(1 << 12), cfg, dither=z)
+        block, edge = codec._reconstruction(packets[0], cfg, z)
+        z0 = DitherStream(cfg.dither_seed, cfg.quantizer.step, 0).draw(1 << 12) if z is None else z[0::4]
+        samples = cfg.quantizer.step * packets[0].indices - z0
+        spec = np.fft.rfft(samples)
+        peak = np.abs(samples).max()
+        assert np.abs(block - np.fft.irfft(spec, 1 << 12)).max() <= 4 * EPS * peak
+        assert abs(edge - spec[-1].real) <= 4 * EPS * np.abs(samples).sum()
 
     def test_blocks_are_frozen_fresh_arrays(self):
         # each block owns its memory, so freezing it in place freezes no

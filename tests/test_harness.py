@@ -260,22 +260,23 @@ def test_trial_results_do_not_depend_on_execution_order(three_trials, order):
 
 
 @pytest.mark.parametrize(
-    "k, patterns, spectra",
+    "k, patterns, received, transformed",
     [
-        pytest.param(2, (), 2, id="k2-all-patterns"),
-        pytest.param(4, (), 4, id="k4-all-patterns"),
-        pytest.param(4, ("central",), 4, id="k4-central"),
-        pytest.param(4, ("single2", "pair02", "single0"), 2, id="k4-even-phases"),
+        pytest.param(2, (), 2, 1, id="k2-all-patterns"),
+        pytest.param(4, (), 4, 3, id="k4-all-patterns"),
+        pytest.param(4, ("central",), 4, 3, id="k4-central"),
+        pytest.param(4, ("single2", "pair02", "single0"), 2, 1, id="k4-even-phases"),
     ],
 )
-def test_a_trial_forms_each_description_spectrum_once(decoder_calls, k, patterns, spectra):
-    # K draws to encode; one draw and one rfft per description any pattern
-    # receives, however many patterns receive it
+def test_a_trial_forms_each_description_spectrum_once(decoder_calls, k, patterns, received, transformed):
+    # K draws to encode; one draw per description any pattern receives and
+    # one rfft per delayed one (phase 0 needs none), however many patterns
+    # receive it
     config = ExperimentConfig(
         **{**SMALL, "n_samples": 1 << 14, "n_trials": 1, "oversampling": k, "erasure_patterns": patterns}
     )
     run(config)
-    assert decoder_calls == {"rfft": spectra, "draw": k + spectra}
+    assert decoder_calls == {"rfft": transformed, "draw": k + received}
 
 
 @pytest.mark.parametrize(
@@ -283,8 +284,8 @@ def test_a_trial_forms_each_description_spectrum_once(decoder_calls, k, patterns
 )
 def test_a_k4_trial_runs_no_fft_longer_than_the_block(monkeypatch, patterns):
     # encoding: one rfft of the source and one irfft per delayed phase;
-    # decoding: one rfft and one irfft per description, however many
-    # patterns receive it
+    # decoding: one rfft and one irfft per delayed description, however
+    # many patterns receive it, and none for phase 0
     n, k = 1 << 14, 4
     calls = []
     rfft, irfft, encode_ = np.fft.rfft, np.fft.irfft, harness.encode
@@ -312,7 +313,7 @@ def test_a_k4_trial_runs_no_fft_longer_than_the_block(monkeypatch, patterns):
     run(config)
     split = calls.index(("encoded", n))
     assert calls[:split] == [("rfft", n)] + [("irfft", n)] * (k - 1)
-    assert sorted(calls[split + 1 :]) == [("irfft", n)] * k + [("rfft", n)] * k
+    assert sorted(calls[split + 1 :]) == [("irfft", n)] * (k - 1) + [("rfft", n)] * (k - 1)
 
 
 def test_pattern_noise_power_is_evaluated_once(monkeypatch):
