@@ -13,7 +13,14 @@ have a unique minimum-phase solution.  The Gram matrix is the
 autocorrelation of a strictly band-limited spectrum, so its conditioning
 collapses rapidly with the order; every design runs a Levinson-Durbin
 recursion in extended precision so that small-lambda, large-p designs
-remain well defined.
+remain well defined.  The recursion has two twins with one operation
+order: ``_levinson`` runs on Python floats for the bisection's float64
+steps, and ``_levinson_mp`` designs every filter and runs the
+extended-precision steps.  The extended twin, like the
+step-down in ``min_phase_check``, calls mpmath's libmp rounding functions
+on raw mantissa-exponent tuples, the calls the mpf operators make, so it
+gives their bits without building an mpf object per operation.  The
+half-band lags sinc(m/2) are computed once per order.
 
 The weight ratio lambda that hits a target P_ds/P_dc is found by
 bisection.  Adding 2*lambda to the diagonal bounds the condition number by
@@ -47,6 +54,20 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+)
+from mpmath.libmp import round_nearest as _RND
 
 __all__ = [
     "MAX_ORDER",
@@ -114,10 +135,11 @@ def _sinc_half_mp(m: int) -> mp.mpf:
 def _levinson(r: list, p: int):
     """Solve the autocorrelation normal equations in the number type of ``r``.
 
-    ``r`` holds r_0..r_p, as mpf (at the current mp precision) or as Python
-    floats: the recursion only adds, multiplies and divides, so one code
-    path serves both.  Returns (monic coefficient list, final prediction
-    error r_0 * prod(1 - k_i^2)).
+    ``r`` holds r_0..r_p.  The recursion only adds, multiplies and divides,
+    so it runs in any number type; the float64 bisection steps run it on
+    Python floats, and ``_levinson_mp`` is its extended-precision twin.
+    Returns (monic coefficient list, final prediction error r_0 * prod(1 -
+    k_i^2)).
     """
     a = [1] + [0] * p  # a[j] is read only after step j has set it
     energy = r[0]
@@ -137,6 +159,37 @@ def _levinson(r: list, p: int):
     return a, energy
 
 
+def _levinson_mp(r: list, p: int):
+    """``_levinson`` at the current mp precision, on r_0..r_p given as mpf
+    or float, returning mpf values.
+
+    Each operation calls the libmp function that the mpf operator of the
+    same step in ``_levinson`` calls (``mpf_mul``, ``mpf_add``,
+    ``mpf_div``, ...), on raw ``_mpf_`` tuples at the context precision
+    with round-to-nearest.  Every value keeps its bits; only the mpf object
+    each operator would wrap its result in is saved, which is most of the
+    cost of an O(p^2) recursion at this precision.
+    """
+    prec = mp.mp.prec
+    r = [mp.mpf(v)._mpf_ for v in r]
+    a = [fone] + [fzero] * p
+    energy = r[0]
+    for i in range(1, p + 1):
+        if mpf_le(energy, fzero):
+            raise ValueError("normal equations not positive definite")
+        acc = r[i]
+        for j in range(1, i):
+            acc = mpf_add(acc, mpf_mul(a[j], r[i - j], prec, _RND), prec, _RND)
+        k = mpf_div(mpf_neg(acc, prec, _RND), energy, prec, _RND)
+        nxt = a[:]
+        for j in range(1, i):
+            nxt[j] = mpf_add(a[j], mpf_mul(k, a[i - j], prec, _RND), prec, _RND)
+        nxt[i] = k
+        a = nxt
+        energy = mpf_mul(energy, mpf_sub(fone, mpf_mul(k, k, prec, _RND), prec, _RND), prec, _RND)
+    return [mp.make_mpf(v) for v in a], mp.make_mpf(energy)
+
+
 def _design_dps(p: int) -> int:
     # conditioning of the band-limited Gram matrix collapses roughly
     # exponentially in p; this leaves a wide precision margin up to MAX_ORDER
@@ -148,11 +201,20 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
 
 
-def _yule_walker(lags: list, lam):
+def _yule_walker(lags: list, lam, levinson):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
-    c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, in
-    their number type (mpf at the current precision, or float)."""
-    return _levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
+    c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, by
+    ``levinson``: ``_levinson_mp`` on mpf lags at the current precision, or
+    ``_levinson`` on floats."""
+    return levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
+
+
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _half_band_lags(p: int) -> tuple:
+    """The half-band lags sinc(m/2), m = 0..p, at the design precision of
+    order p: the same for every lambda."""
+    with mp.workdps(_design_dps(p)):
+        return tuple(_sinc_half_mp(m) for m in range(p + 1))
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
@@ -161,9 +223,9 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     _check_order(p)
     if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
         raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
+    lags = _half_band_lags(p)
     with mp.workdps(_design_dps(p)):
-        lags = [_sinc_half_mp(m) for m in range(p + 1)]
-        coeffs, _ = _yule_walker(lags, mp.mpf(repr(float(lambda_ratio))))
+        coeffs, _ = _yule_walker(lags, mp.mpf(repr(float(lambda_ratio))), _levinson_mp)
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -179,6 +241,8 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
     weights = [float(w) for w in band_weights]
     if len(edges) != len(weights) or not edges:
         raise ValueError("need one weight per band edge")
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError(f"band weights must be finite, got {weights}")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
         raise ValueError("weights must be nonnegative with at least one positive")
     lo = 0.0
@@ -189,22 +253,26 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
 
     with mp.workdps(_design_dps(p)):
         # autocorrelation of the piecewise-constant weight function:
-        # m_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), m_0 = sum_b w_b*(hi-lo)/pi
+        # m_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), m_0 = sum_b w_b*(hi-lo)/pi;
+        # band b's upper edge is band b+1's lower edge, so each sine is taken once
         pi = mp.pi
+        edges_mp = [mp.mpf(repr(e)) for e in edges]
+        weights_mp = [mp.mpf(repr(w)) for w in weights]
         r = []
         for d in range(p + 1):
             acc = mp.mpf(0)
-            lo_e = mp.mpf(0)
-            for e, w in zip(edges, weights):
-                hi_e = mp.mpf(repr(e))
+            lo_e = sin_lo = mp.mpf(0)
+            for hi_e, w in zip(edges_mp, weights_mp):
                 if d == 0:
-                    acc += mp.mpf(repr(w)) * (hi_e - lo_e) / pi
+                    acc += w * (hi_e - lo_e) / pi
                 else:
-                    acc += mp.mpf(repr(w)) * (mp.sin(hi_e * d) - mp.sin(lo_e * d)) / (pi * d)
+                    sin_hi = mp.sin(hi_e * d)
+                    acc += w * (sin_hi - sin_lo) / (pi * d)
+                    sin_lo = sin_hi
                 lo_e = hi_e
             r.append(acc)
         try:
-            coeffs, _ = _levinson(r, p)
+            coeffs, _ = _levinson_mp(r, p)
         except ValueError as exc:
             raise ValueError(f"singular system: {exc}") from None
         return ShapingFilter(tuple(float(c) for c in coeffs))
@@ -263,14 +331,20 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
     says all that integral would.
     """
     with mp.workdps(_design_dps(filt.order)):
-        a = [mp.mpf(v) for v in filt.coeffs]
-        max_k = mp.mpf(0)
+        # libmp calls on raw _mpf_ tuples, as in _levinson_mp: the mpf
+        # operators' arithmetic without their objects
+        prec = mp.mp.prec
+        a = [mp.mpf(v)._mpf_ for v in filt.coeffs]
+        max_k = fzero
         for i in range(filt.order, 0, -1):
-            k = a[i] / a[0]
-            max_k = max(max_k, abs(k))
-            if max_k >= 1:
+            k = mpf_div(a[i], a[0], prec, _RND)
+            abs_k = mpf_abs(k, prec, _RND)
+            if mpf_gt(abs_k, max_k):
+                max_k = abs_k
+            if mpf_ge(max_k, fone):
                 break
-            a = [a[j] - k * a[i - j] for j in range(i)]
+            a = [mpf_sub(a[j], mpf_mul(k, a[i - j], prec, _RND), prec, _RND) for j in range(i)]
+    max_k = mp.make_mpf(max_k)
     return MinPhaseReport(is_min_phase=bool(max_k < 1), max_reflection=float(max_k))
 
 
@@ -287,10 +361,11 @@ _F64_LAMBDA_FLOOR = 1e-3
 _F64_MARGIN_FACTOR = 16
 
 
-def _powers(lags: list, lam, fsum) -> tuple:
+def _powers(lags: list, lam, levinson, fsum) -> tuple:
     """(P_ds, P_dc) of the half-band design at lam, in the number type of
-    lags and lam, with ``fsum`` summing in that type."""
-    coeffs, energy = _yule_walker(lags, lam)
+    lags and lam, with ``levinson`` solving and ``fsum`` summing in that
+    type."""
+    coeffs, energy = _yule_walker(lags, lam, levinson)
     pds = fsum(c * c for c in coeffs)
     # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
     return pds, (energy - 2 * lam * pds) / 2
@@ -299,7 +374,7 @@ def _powers(lags: list, lam, fsum) -> tuple:
 def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
     with mp.workdps(_design_dps(len(lags) - 1)):
-        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), mp.fsum)
+        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), _levinson_mp, mp.fsum)
         return float(pds) / float(pdc)
 
 
@@ -310,7 +385,7 @@ def _ratio_f64(lags64: list, lam: float) -> tuple:
     err = 16 (p+1) u (1 + 1/lam) (1 + 2 lam ratio) ratio, with u = 2^-53;
     ``find_lambda_for_ratio`` derives it.
     """
-    pds, pdc = _powers(lags64, lam, math.fsum)
+    pds, pdc = _powers(lags64, lam, _levinson, math.fsum)
     ratio = pds / pdc
     p = len(lags64) - 1
     eps = _F64_MARGIN_FACTOR * (p + 1) * 2.0**-53 * (1.0 + 1.0 / lam) * (1.0 + 2.0 * lam * ratio)
@@ -321,8 +396,7 @@ def _ratio_f64(lags64: list, lam: float) -> tuple:
 def _half_band_range(p: int) -> tuple:
     """(extended-precision lags, float64 lags, ratio at lambda = 0) of the
     order-p half-band design: the same for every target ratio."""
-    with mp.workdps(_design_dps(p)):
-        lags = tuple(_sinc_half_mp(m) for m in range(p + 1))
+    lags = _half_band_lags(p)
     return lags, tuple(float(v) for v in lags), _ratio_at(lags, 0.0)
 
 
@@ -339,7 +413,8 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
     Float64 decides, extended precision designs.  Each step needs one
     decision on the ratio r at lambda: r < gamma while bracketing, then
     |r/gamma - 1| <= _REL_TOL and r > gamma while bisecting.  A float64 run
-    of the same Levinson recursion on the float64 lags gives r^, and the
+    of the same Levinson recursion on the float64 lags gives r^ (``_levinson``
+    on floats; ``_levinson_mp`` at 53 bits gives the same bits), and the
     step trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
     within err/gamma of 0 or of _REL_TOL (the margin), where
 

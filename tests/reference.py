@@ -6,14 +6,17 @@ filter spectrum by direct summation on a frequency grid (against
 K*n-point inverse FFT (against the polyphase ``dsp.ideal_upsample``), the
 quantization-error statistics (against the
 loop's error law), the two-step brick-wall target with its
-truncated-Fourier synthesis (against the designs and criterion 6), and the
+truncated-Fourier synthesis (against the designs and criterion 6), the
 feedback loop with its sum added newest error first (against the kernels'
-partial-sum order, which must give the same indices).
+partial-sum order, which must give the same indices), and the Schur-Cohn
+step-down in mpf operators (against ``shaping.min_phase_check``, which must
+give the same bits).
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy.stats import kstest
 
@@ -184,3 +187,24 @@ def newest_first_loop(a, c_tail, z, step):
         e.append(step * qk - zk - s)
         fb.append(acc)
     return np.array(q, dtype=np.int64), np.array(e), np.array(fb)
+
+
+# ---------------------------------------------------------------------------
+# Schur-Cohn step-down in mpf operators
+# ---------------------------------------------------------------------------
+
+
+def step_down_mpf(coeffs, dps):
+    """(is_min_phase, max_reflection) of the monic polynomial ``coeffs`` by
+    the step-down k = a_i/a_0, a_j <- a_j - k a_{i-j}, run with mpf
+    operators at ``dps`` digits; stops at the first |k| >= 1."""
+    with mp.workdps(dps):
+        a = [mp.mpf(v) for v in coeffs]
+        max_k = mp.mpf(0)
+        for i in range(len(a) - 1, 0, -1):
+            k = a[i] / a[0]
+            max_k = max(max_k, abs(k))
+            if max_k >= 1:
+                break
+            a = [a[j] - k * a[i - j] for j in range(i)]
+    return bool(max_k < 1), float(max_k)

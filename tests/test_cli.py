@@ -200,6 +200,13 @@ def test_non_finite_lambda_ratio_is_usage_error(value, capsys):
     assert "lambda ratio must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_band_weight_is_usage_error(value, capsys):
+    argv = ["design-filter", "--p", "8", "--band-edges", "0.5,1", "--band-weights", f"{value},1"]
+    assert main(argv) == 1
+    assert "band weights must be finite" in capsys.readouterr().err
+
+
 def test_simulate_k4_small(capsys):
     rc = main(
         [

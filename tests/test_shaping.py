@@ -26,6 +26,7 @@ from reference import (
     brickwall_autocorrelation,
     quadrature_grid,
     spectrum_power,
+    step_down_mpf,
     truncated_fourier_brickwall_error,
 )
 
@@ -33,6 +34,11 @@ from reference import (
 YW1_TAIL = -2.0 / np.pi
 _DET2 = 1.0 - 4.0 / np.pi**2
 YW2_TAIL = (-(2.0 / np.pi) / _DET2, (4.0 / np.pi**2) / _DET2)
+
+# the K=4 three-step target: band edges and weights 1/delta0, 1/delta2,
+# 1/delta1 with delta0 = 0.2, delta1 = 1 and delta2 = 1/sqrt(delta0 delta1)
+K4_EDGES = (np.pi / 4, 3 * np.pi / 4, np.pi)
+K4_WEIGHTS = (1 / 0.2, math.sqrt(0.2), 1.0)
 
 
 # The full-period midpoint rule is exact for trigonometric polynomials, so
@@ -256,6 +262,35 @@ class TestMinPhase:
     def test_first_order_zero_at_the_unit_circle(self, c1, inside):
         assert min_phase_check(ShapingFilter((1.0, c1))).is_min_phase is inside
 
+    @pytest.mark.parametrize(
+        "make",
+        # the benchmark's design grid: orders x gamma centres
+        [
+            pytest.param(lambda p=p, g=g: design_yule_walker(p, find_lambda_for_ratio(g, p)), id=f"{p}-{g:g}")
+            for p in (8, 16, 32, 48, 64)
+            for g in (4.0, 8.0, 17.0, 32.0)
+        ]
+        + [
+            pytest.param(lambda p=p: design_multiband(p, K4_EDGES, K4_WEIGHTS), id=f"multiband-{p}")
+            for p in (16, 32, 48, 64)
+        ]
+        # zeros next to the unit circle
+        + [
+            pytest.param(lambda p=p: design_yule_walker(p, 0.0), id=f"lambda0-{p}")
+            for p in (38, 39, 40, 41, 42, 43, 44, 48)
+        ]
+        + [
+            pytest.param(lambda c1=c1: ShapingFilter((1.0, c1)), id=f"first-order{c1:g}")
+            for c1 in (-0.5, -1.0, -0.99995, -1.00005, -2.0)
+        ]
+        + [pytest.param(lambda: ShapingFilter((1.0, -0.5, 0.0, 0.0)), id="trailing-zeros")],
+    )
+    def test_step_down_keeps_the_bits_of_mpf_operators(self, make):
+        filt = make()
+        rep = min_phase_check(filt)
+        oracle = step_down_mpf(filt.coeffs, shaping._design_dps(filt.order))
+        assert (rep.is_min_phase, rep.max_reflection) == oracle
+
     def test_scaled_filter_moves_the_zeros(self):
         # c_i rho^-i has the zero 0.5/rho: inside the unit circle iff rho > 0.5
         filt = ShapingFilter((1.0, -0.5))
@@ -414,6 +449,16 @@ class TestMultiband:
         with pytest.raises(ValueError, match="at least one positive"):
             design_multiband(4, [np.pi / 2, np.pi], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected_before_mpmath(self, bad, monkeypatch):
+        # rejected before any libmp call: nothing pins how libmp treats a NaN
+        def no_precision(p):
+            raise AssertionError("extended-precision work started")
+
+        monkeypatch.setattr(shaping, "_design_dps", no_precision)
+        with pytest.raises(ValueError, match="band weights must be finite"):
+            design_multiband(8, [np.pi / 2, np.pi], [bad, 1.0])
+
 
 # ---------------------------------------------------------------------------
 # float64 bisection decisions
@@ -456,6 +501,20 @@ class TestFloat64Bisection:
         shaping._half_band_range.cache_clear()
         find_lambda_for_ratio(17.0, 32)
         assert calls == [0.0]
+
+    def test_explicit_lambda_runs_no_range_check(self, monkeypatch):
+        # a design at a given lambda reads the cached lags alone, not the
+        # lambda = 0 range that the bisection needs
+        calls = []
+        real = shaping._ratio_at
+        monkeypatch.setattr(shaping, "_ratio_at", lambda lags, lam: calls.append(lam) or real(lags, lam))
+        shaping._half_band_lags.cache_clear()
+        shaping._half_band_range.cache_clear()
+        filt = design_yule_walker(32, 0.05)
+        assert calls == []
+        with mp.workdps(shaping._design_dps(32)):
+            fresh, _ = shaping._yule_walker(half_band_lags(32), mp.mpf(repr(0.05)), shaping._levinson)
+        assert filt.coeffs == tuple(float(c) for c in fresh)
 
     def test_second_target_at_one_order_runs_no_extended_precision(self, monkeypatch):
         # the lambda = 0 range check is made once per order
@@ -508,3 +567,43 @@ class TestFloat64Bisection:
             lam = 10.0 ** (k / 2)
             ratio, err = shaping._ratio_f64(lags64, lam)
             assert abs(ratio - shaping._ratio_at(lags, lam)) <= err / 16, lam
+
+
+# ---------------------------------------------------------------------------
+# the two Levinson twins
+# ---------------------------------------------------------------------------
+
+
+def mpf_bits(values):
+    """The _mpf_ tuple of each value at the current precision."""
+    return [mp.mpf(v)._mpf_ for v in values]
+
+
+class TestLevinsonTwins:
+    # given mpf lags, _levinson runs mpf operators, and given floats,
+    # float64 arithmetic; _levinson_mp must match both bit for bit, so a
+    # change to either twin's operation order fails here
+
+    @pytest.mark.parametrize("p", [1, 8, 32, 64, MAX_ORDER])
+    def test_extended_twin_matches_the_mpf_operators(self, p):
+        lags = half_band_lags(p)
+        with mp.workdps(shaping._design_dps(p)):
+            for lam in (0.0, 1e-3, 0.05, 1.0, 1e4):
+                r = [lags[0] + 2 * mp.mpf(repr(lam)), *lags[1:]]
+                coeffs, energy = shaping._levinson(r, p)
+                coeffs_mp, energy_mp = shaping._levinson_mp(r, p)
+                assert mpf_bits(coeffs_mp) == mpf_bits(coeffs), lam
+                assert energy_mp._mpf_ == energy._mpf_, lam
+
+    @pytest.mark.parametrize("p", [1, 8, 32, 64, MAX_ORDER])
+    def test_extended_twin_at_53_bits_is_the_float64_recursion(self, p):
+        # no lambda = 0: the float64 system is not positive definite there
+        # at large p
+        lags64 = [float(v) for v in half_band_lags(p)]
+        for lam in (1e-3, 0.05, 1.0, 1e4):
+            r = [lags64[0] + 2 * lam, *lags64[1:]]
+            coeffs, energy = shaping._levinson(r, p)
+            with mp.workprec(53):
+                coeffs_mp, energy_mp = shaping._levinson_mp(r, p)
+                assert mpf_bits(coeffs_mp) == mpf_bits(coeffs), lam
+                assert energy_mp._mpf_ == mp.mpf(energy)._mpf_, lam
