@@ -7,10 +7,11 @@ fresh subtractive dither.  Quantizer outputs are split by time index
 modulo K into K descriptions, each carrying one index per source sample
 plus the (seed, phase) pair that regenerates its dither.
 
-Decoder: the scheme is symmetric and time-invariant, so one formula serves
-every uniform subset of descriptions, i.e. phases {r, r+s, ...} with
-stride s = K/m for m received packets and offset r < s.  Sample t of the
-description with phase j sits at base position t + j/K, so its own
+Decoder: a description's dither comes only from its packet's (seed,
+phase).  The scheme is symmetric and time-invariant, so one formula
+serves every uniform subset of descriptions, i.e. phases {r, r+s, ...}
+with stride s = K/m for m received packets and offset r < s.  Sample t of
+the description with phase j sits at base position t + j/K, so its own
 reconstruction is the description delayed by j/K with the encoder's
 length-n operator, y_j = irfft(D_j(k) exp(-2 pi i k j/(K n)), n), where
 D_j is its length-n spectrum; phase 0 has no delay, so y_0 is the
@@ -21,13 +22,14 @@ inverse real FFT keeps the real part of that bin once per description, so
 the fold adds it once more: (-1)^t Re B(n/2)/n, with B(n/2) the mean of
 the twiddled edge bins D_j(n/2) cos(pi j/K).  In exact arithmetic the
 block is the inverse FFT of the phase-twiddled mean spectrum with its
-edge bin doubled.  The result is scaled by the post-multiplier for
-stride s.  All K descriptions (s = 1) give the central reconstruction, a
-single one (s = K) a side reconstruction.  ``decode_subsets`` decodes a
-list of subsets in one call: it forms each description's reconstruction
-once per call, shares it across the subsets and returns one read-only
-float64 array per subset; ``decode`` is its one-subset case.  Statistics
-skip the loop's cold start, ``CodecConfig.guard`` samples at each end
+edge bin doubled.  At K=2 the block is scaled by the Wiener gain of the
+noise power behind stride s; at K=4 it is not scaled.  All K
+descriptions (s = 1) give the central reconstruction, a single one
+(s = K) a side reconstruction.  ``decode_subsets`` decodes a list of
+subsets in one call: it forms each description's reconstruction once per
+call, shares it across the subsets and returns one read-only float64
+array per subset; ``decode`` is its one-subset case.  Statistics skip
+the loop's cold start, ``CodecConfig.guard`` samples at each end
 (``reconstruction_mse``).
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
@@ -384,8 +386,8 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     z = np.ascontiguousarray(dither, dtype=np.float64)
     if a.shape != z.shape:
         raise ValueError("dither length must match the oversampled block")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     # max|a| and max|z| without a temporary array the size of the block; a
     # NaN or an infinity anywhere makes its peak NaN or inf
     peak_a = max(a.max(initial=0.0), -a.min(initial=0.0))
@@ -407,10 +409,6 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
 # ---------------------------------------------------------------------------
 
 
-# decoder scaling: the Wiener gain of each pattern's noise power, or none
-_MULTIPLIER_MODES = ("wiener", "unit")
-
-
 @dataclass(frozen=True)
 class CodecConfig:
     source_variance: float
@@ -418,15 +416,12 @@ class CodecConfig:
     filter: ShapingFilter
     oversampling: int = 2
     dither_seed: int = 0
-    post_multipliers: str = "wiener"  # one of _MULTIPLIER_MODES
 
     def __post_init__(self):
         if self.oversampling not in (2, 4):
             raise ValueError("oversampling must be 2 or 4")
         if not self.source_variance > 0:
             raise ValueError("source variance must be positive")
-        if self.post_multipliers not in _MULTIPLIER_MODES:
-            raise ValueError("post_multipliers must be 'wiener' or 'unit'")
 
     @property
     def guard(self) -> int:
@@ -446,6 +441,8 @@ class DescriptionPacket:
             raise ValueError(f"indices must be one-dimensional, got shape {idx.shape}")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"indices must have an integer dtype, got {idx.dtype}")
+        if idx.dtype.kind == "u" and idx.max(initial=0) > np.iinfo(np.int64).max:
+            raise ValueError(f"indices must fit in int64, got {idx.max()}")
         for name, value in (("dither seed", self.dither_seed), ("phase", self.phase)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
@@ -491,7 +488,9 @@ def pattern_noise_power(cfg: CodecConfig, stride: int) -> float:
 
 
 def _multiplier(cfg: CodecConfig, stride: int) -> float:
-    if cfg.post_multipliers == "unit":
+    """The decoder's post-multiplier for stride s: the Wiener gain of the
+    pattern's noise power at K=2, none (1.0) at K=4."""
+    if cfg.oversampling != 2:
         return 1.0
     return wiener_gain(cfg.source_variance, cfg.quantizer.noise_variance, pattern_noise_power(cfg, stride))
 
@@ -501,26 +500,16 @@ def _multiplier(cfg: CodecConfig, stride: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def encode(x, cfg: CodecConfig, dither=None):
+def encode(x, cfg: CodecConfig):
     """Encode a base-rate block into K description packets and the
-    oversampled loop's ``LoopResult``.
-
-    ``dither`` overrides the seeded dither stream (test hook, e.g. forcing
-    zero dither); it must cover the oversampled block.
-    """
+    oversampled loop's ``LoopResult``; phase j's dither is drawn from
+    ``DitherStream(cfg.dither_seed, step, j)``."""
     base = np.asarray(x, dtype=np.float64)
     if not np.isfinite(base).all():
         raise ValueError("signal must be finite")
     k = cfg.oversampling
     a = ideal_upsample(base, k)
-
-    if dither is None:
-        z = _dither_block(cfg, base.shape[0])
-    else:
-        z = np.asarray(dither, dtype=np.float64)
-        if z.shape != a.shape:
-            raise ValueError("dither override must cover the oversampled block")
-
+    z = _dither_block(cfg, base.shape[0])
     loop = delta_sigma_loop(a, cfg.filter, z, cfg.quantizer.step)
     packets = [
         DescriptionPacket(indices=loop.indices[j::k], dither_seed=cfg.dither_seed, phase=j)
@@ -534,7 +523,7 @@ def encode(x, cfg: CodecConfig, dither=None):
 # ---------------------------------------------------------------------------
 
 
-def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig, dither=None):
+def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig):
     """One description's own reconstruction, step*index - dither delayed
     by its phase/K base samples, and the real part of its twiddled
     band-edge bin, D(n/2) cos(pi phase/K).
@@ -543,10 +532,7 @@ def _reconstruction(packet: DescriptionPacket, cfg: CodecConfig, dither=None):
     edge bin the alternating sum of its samples, so it runs no FFT.
     """
     n = packet.indices.shape[0]
-    if dither is None:
-        z = DitherStream(packet.dither_seed, cfg.quantizer.step, packet.phase).draw(n)
-    else:
-        z = np.asarray(dither, dtype=np.float64)[packet.phase :: cfg.oversampling]
+    z = DitherStream(packet.dither_seed, cfg.quantizer.step, packet.phase).draw(n)
     samples = packet.indices.astype(np.float64)
     samples *= cfg.quantizer.step
     samples -= z
@@ -571,9 +557,9 @@ def _uniform_stride(phases: Sequence[int], k: int) -> int:
     raise ValueError(f"phases {ordered} are not a uniform subset of 0..{k - 1}")
 
 
-def _check_packets(chosen: Sequence[DescriptionPacket], cfg: CodecConfig, dither) -> None:
+def _check_packets(chosen: Sequence[DescriptionPacket]) -> None:
     """Raise unless the packets of one subset share a dither seed and an
-    even, nonzero index count that a ``dither`` override covers."""
+    even, nonzero index count."""
     if len({p.dither_seed for p in chosen}) != 1:
         raise ValueError("packets disagree on the dither seed")
     lengths = sorted({p.indices.shape[0] for p in chosen})
@@ -582,33 +568,30 @@ def _check_packets(chosen: Sequence[DescriptionPacket], cfg: CodecConfig, dither
     n = lengths[0]
     if n == 0 or n % 2 != 0:
         raise ValueError(f"index count must be even and nonzero, got {n}")
-    if dither is not None and np.shape(dither) != (cfg.oversampling * n,):
-        raise ValueError("dither override must cover the oversampled block")
 
 
 def decode_subsets(
     packets: Sequence[DescriptionPacket],
     cfg: CodecConfig,
     subsets: Sequence[Sequence[int]],
-    dither=None,
 ) -> list:
     """Reconstruct the source block from each subset of the received
     descriptions: one read-only float64 array per subset, in order.
 
     Each subset names the phases of the packets it uses; they must form a
     uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
-    with one dither seed and equal, even and nonzero index counts, and a
-    ``dither`` override must cover the oversampled block, as in
-    :func:`encode`.  Every subset, and the received packets (no phase
-    twice, every named phase received), is checked before any dither is
-    drawn or any FFT runs.
+    with one dither seed and equal, even and nonzero index counts.  Every
+    subset, and the received packets (no phase twice, every named phase
+    received), is checked before any dither is drawn or any FFT runs.
 
     Each description that some subset names has its own reconstruction
-    formed once, and shared by every subset that names it; a subset's
-    block is the mean of its reconstructions in its own order plus, for
-    more than one, the folded band-edge term (the module docstring gives
-    both), scaled by the post-multiplier for stride s.  The blocks are
-    fresh arrays, frozen in place.
+    formed once, from its indices and the dither that its packet's
+    (seed, phase) regenerates, and shared by every subset that names it;
+    a subset's block is the mean of its reconstructions in its own order
+    plus, for more than one, the folded band-edge term (the module
+    docstring gives both), scaled by the Wiener gain of its stride at
+    K=2 and left unscaled at K=4.  The blocks are fresh arrays, frozen in
+    place.
     """
     strides = [_uniform_stride(subset, cfg.oversampling) for subset in subsets]
     by_phase = {}
@@ -622,7 +605,7 @@ def decode_subsets(
         if missing:
             raise ValueError(f"phases {missing} were not received")
         chosen = [by_phase[j] for j in subset]
-        _check_packets(chosen, cfg, dither)
+        _check_packets(chosen)
         plan.append((chosen, s))
 
     own = {}
@@ -630,7 +613,7 @@ def decode_subsets(
     for chosen, s in plan:
         for pkt in chosen:
             if pkt.phase not in own:
-                own[pkt.phase] = _reconstruction(pkt, cfg, dither)
+                own[pkt.phase] = _reconstruction(pkt, cfg)
         parts = [own[pkt.phase] for pkt in chosen]
         m = len(parts)
         block = parts[0][0].copy()  # the reconstructions are shared
@@ -650,14 +633,14 @@ def decode_subsets(
     return blocks
 
 
-def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig, dither=None) -> np.ndarray:
+def decode(packets: Sequence[DescriptionPacket], cfg: CodecConfig) -> np.ndarray:
     """Reconstruct the source block from one uniform subset of descriptions.
 
     This is :func:`decode_subsets` with the received packets as its only
     subset, under the same checks and messages; it returns the one
     read-only block.
     """
-    (block,) = decode_subsets(packets, cfg, [[p.phase for p in packets]], dither)
+    (block,) = decode_subsets(packets, cfg, [[p.phase for p in packets]])
     return block
 
 

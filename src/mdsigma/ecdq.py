@@ -76,8 +76,8 @@ class DitherStream:
     """
 
     def __init__(self, seed: int, step: float, phase: int = 0):
-        if not step > 0:
-            raise ValueError("step must be positive")
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError("step must be positive and finite")
         self.seed = int(seed)
         self.step = float(step)
         self.phase = int(phase)

@@ -74,6 +74,10 @@ CSV_COLUMNS = (
 _SOURCE_DISTS = ("gaussian", "laplace", "uniform")
 _FILTER_KINDS = ("yule_walker", "yule_walker_gamma", "explicit", "multiband")
 
+# fewest indices a plug-in entropy estimate is made from; run() reports NaN
+# below it
+_ENTROPY_MIN_INDICES = 10**5
+
 # reception pattern -> phases of the received descriptions, per K; patterns
 # are validated against it when an ExperimentConfig is built
 _PATTERN_PHASES = {
@@ -167,7 +171,8 @@ class ExperimentConfig:
 
     @property
     def multiplier_mode(self) -> str:
-        """The decoder's scaling: the Wiener gain at K=2, none at K=4."""
+        """The decoder's scaling, as ``codec._multiplier`` applies it: the
+        Wiener gain at K=2, none at K=4."""
         return "wiener" if self.oversampling == 2 else "unit"
 
 
@@ -245,7 +250,6 @@ def _codec_config(config: ExperimentConfig, filt: ShapingFilter, trial: int) -> 
         filter=filt,
         oversampling=config.oversampling,
         dither_seed=derive_seed(config.master_seed, trial, 1),
-        post_multipliers=config.multiplier_mode,
     )
 
 
@@ -383,7 +387,7 @@ def estimate_index_entropy(indices) -> IndexEntropyEstimate:
         indices, (list, tuple)
     ) else np.asarray(indices).ravel()
     n = idx.shape[0]
-    if n < 10**5:
+    if n < _ENTROPY_MIN_INDICES:
         raise ValueError(f"need at least 10^5 indices, got {n}")
     _, counts = np.unique(idx, return_counts=True)
     prob = counts / n
@@ -447,7 +451,7 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
     rate_theory = gaussian_rate_bits(var_theory, se2)
     rate_gauss = gaussian_rate_bits(var_emp, se2)
     pooled = sum(a.shape[0] for a in all_indices)
-    if pooled >= 10**5:
+    if pooled >= _ENTROPY_MIN_INDICES:
         ent = estimate_index_entropy(all_indices)
         ent_bits, ent_miller = ent.bits, ent.miller_correction_bits
     else:

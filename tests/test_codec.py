@@ -48,7 +48,7 @@ UNIFORM_SUBSETS = [
 ]
 
 
-def make_config(step=STEP_001, filt=None, k=2, seed=7, **kw):
+def make_config(step=STEP_001, filt=None, k=2, seed=7):
     filt = filt if filt is not None else design_yule_walker(8, 0.1)
     return CodecConfig(
         source_variance=1.0,
@@ -56,8 +56,14 @@ def make_config(step=STEP_001, filt=None, k=2, seed=7, **kw):
         filter=filt,
         oversampling=k,
         dither_seed=seed,
-        **kw,
     )
+
+
+def share_dither(monkeypatch, z, k):
+    """Make every dither stream draw its phase's samples of the oversampled
+    block z: phase j's n draws are z[j::k][:n].  The encoder and each
+    description's decoder draw n samples per phase, so both see z."""
+    monkeypatch.setattr(DitherStream, "draw", lambda self, n: z[self.phase :: k][:n].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +218,11 @@ class TestLoop:
         eps = res.quantized - np.array([0.4, 0.4])
         assert eps.tolist() == pytest.approx([0.5, -0.2], abs=1e-15)
 
-    def test_zero_fixed_point(self):
+    def test_zero_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(DitherStream, "draw", lambda self, n: np.zeros(n))
         cfg = make_config()
         x = np.zeros(512)
-        packets, loop = encode(x, cfg, dither=np.zeros(1024))
+        packets, loop = encode(x, cfg)
         assert all(np.all(p.indices == 0) for p in packets)
         assert np.all(loop.quantized == 0.0)
 
@@ -293,6 +300,22 @@ class TestLoop:
     def test_dither_length_validated(self):
         with pytest.raises(ValueError, match="dither"):
             delta_sigma_loop(np.ones(8), ShapingFilter((1.0,)), np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0], ids=str)
+    def test_a_bad_step_is_rejected_before_any_kernel(self, monkeypatch, step):
+        # one message whichever kernel would run, and no kernel runs; a
+        # valid step runs each, so the patch is the one delta_sigma_loop calls
+        messages = {}
+        for backend, kernel in loop_kernels().items():
+            ran = []
+            monkeypatch.setattr(codec, "_dsq_loop", lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
+            with pytest.raises(ValueError) as info:
+                delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), step)
+            assert not ran, backend
+            messages[backend] = str(info.value)
+            delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), 1.0)
+            assert ran == [1], backend
+        assert set(messages.values()) == {"step must be positive and finite"}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["signal", "dither"])
@@ -530,7 +553,7 @@ class TestNoiselessChains:
         assert reconstruction_mse(decode([packets[1]], cfg), x, cfg.guard) <= 1e-6
 
     def test_k4_all_patterns(self):
-        cfg = make_config(step=1e-6, k=4, post_multipliers="unit")
+        cfg = make_config(step=1e-6, k=4)
         rng = np.random.default_rng(13)
         x = rng.standard_normal(1 << 18)
         packets, _ = encode(x, cfg)
@@ -541,26 +564,28 @@ class TestNoiselessChains:
             assert reconstruction_mse(decode([packets[j]], cfg), x, cfg.guard) <= 1e-6
 
     @pytest.mark.parametrize("k,phases", UNIFORM_SUBSETS)
-    def test_every_subset_passes_a_bandlimited_source(self, k, phases):
+    def test_every_subset_passes_a_bandlimited_source(self, monkeypatch, k, phases):
         # with no energy at the band edge, every subset recovers the source
         # exactly, so only the white cell noise of the m received streams,
         # lowpassed to the source band, is left: step^2/(12 m); a wrong
-        # delay leaves an O(1) error instead
+        # delay leaves an O(1) error instead.  At this step the K=2 Wiener
+        # gain, 1/(1 + P step^2/12) with P <= 1, rounds to 1.0
         step = 1e-9
-        cfg = make_config(step=step, filt=ShapingFilter((1.0,)), k=k, post_multipliers="unit")
+        monkeypatch.setattr(DitherStream, "draw", lambda self, n: np.zeros(n))
+        cfg = make_config(step=step, filt=ShapingFilter((1.0,)), k=k)
         x = bandlimited_noise(np.random.default_rng(14), 1 << 12, cutoff=0.9 * np.pi)
-        z = np.zeros(k << 12)
-        packets, _ = encode(x, cfg, dither=z)
-        decoded = decode([packets[j] for j in phases], cfg, dither=z)
+        packets, _ = encode(x, cfg)
+        decoded = decode([packets[j] for j in phases], cfg)
         ratio = reconstruction_mse(decoded, x, cfg.guard) / (step**2 / (12 * len(phases)))
         assert ratio == pytest.approx(1.0, rel=0.1)
 
-    def test_all_zero_indices_decode_to_zero(self):
+    def test_all_zero_indices_decode_to_zero(self, monkeypatch):
+        monkeypatch.setattr(DitherStream, "draw", lambda self, n: np.zeros(n))
         cfg = make_config()
         x = np.zeros(512)
-        z = np.zeros(1024)
-        packets, _ = encode(x, cfg, dither=z)
-        out = decode(packets, cfg, dither=z)
+        packets, _ = encode(x, cfg)
+        assert all(np.all(p.indices == 0) for p in packets)
+        out = decode(packets, cfg)
         assert np.all(out == 0.0)
 
 
@@ -614,13 +639,6 @@ class TestDecoderContracts:
         with pytest.raises(ValueError, match="disagree on the index count"):
             decode([short[0], long[1]], cfg)
 
-    @pytest.mark.parametrize("length", [300, 1000])
-    def test_dither_override_must_cover_the_block(self, length):
-        cfg = make_config()
-        packets, _ = encode(np.zeros(256), cfg, dither=np.zeros(512))
-        with pytest.raises(ValueError, match="dither override must cover"):
-            decode(packets, cfg, dither=np.zeros(length))
-
     def test_central_rejects_mixed_seeds(self):
         cfg = make_config()
         packets, _ = encode(np.zeros(64), cfg)
@@ -673,6 +691,16 @@ class TestDecoderContracts:
         assert pkt.dither_seed == 2**63 + 1
         assert pkt.phase == 1
 
+    def test_packet_rejects_unsigned_indices_past_int64(self, decoder_calls):
+        cfg = make_config()
+        big = np.array([2**63, 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match="indices must fit in int64, got 9223372036854775808"):
+            decode([DescriptionPacket(big, cfg.dither_seed, 0)], cfg)
+        assert decoder_calls == {"rfft": 0, "draw": 0}
+        top = DescriptionPacket(np.array([2**63 - 1, 0], dtype=np.uint64), 0, 0)
+        assert top.indices.dtype == np.int64 and top.indices.tolist() == [2**63 - 1, 0]
+        assert DescriptionPacket(np.array([], dtype=np.uint64), 0, 0).indices.shape == (0,)
+
     def test_numpy_integer_phases_decode_as_python_ones(self):
         cfg = make_config(k=4)
         packets, _ = encode(np.random.default_rng(9).standard_normal(256), cfg)
@@ -722,7 +750,7 @@ class TestDecoderContracts:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_sum_reference(chosen, cfg, dither=None):
+def _spectral_sum_reference(chosen, cfg):
     """The decoder's spectral formula for one subset: every packet's dither
     and spectrum recomputed for this subset alone, phase-twiddled with
     np.exp, averaged in the subset's order with the band-edge bin doubled,
@@ -732,10 +760,7 @@ def _spectral_sum_reference(chosen, cfg, dither=None):
     bins = np.arange(n // 2 + 1)
     band = np.zeros(n // 2 + 1, dtype=np.complex128)
     for pkt in chosen:
-        if dither is None:
-            z = DitherStream(pkt.dither_seed, step, pkt.phase).draw(n)
-        else:
-            z = np.asarray(dither, dtype=np.float64)[pkt.phase :: k]
+        z = DitherStream(pkt.dither_seed, step, pkt.phase).draw(n)
         samples = step * pkt.indices.astype(np.float64) - z
         band += np.fft.rfft(samples) * np.exp(bins * (-2j * np.pi * (pkt.phase / k) / n))
     band /= len(chosen)
@@ -753,23 +778,24 @@ def _subsets_of(k):
 class TestSharedDecoder:
     @pytest.mark.parametrize("override", [False, True], ids=["seeded-dither", "override-dither"])
     @pytest.mark.parametrize("k", [2, 4])
-    def test_every_block_matches_the_spectral_sum_reference_within_4_eps(self, k, override):
+    def test_every_block_matches_the_spectral_sum_reference_within_4_eps(self, monkeypatch, k, override):
         # the decoder sums per-description reconstructions, not spectra, so
         # it agrees with the spectral formula to rounding: at most 1.5 eps
         # of the block's peak here
         cfg = make_config(k=k)
         rng = np.random.default_rng(21)
         x = rng.standard_normal(1 << 12)
-        z = rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, k << 12) if override else None
-        packets, _ = encode(x, cfg, dither=z)
+        if override:
+            share_dither(monkeypatch, rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, k << 12), k)
+        packets, _ = encode(x, cfg)
         subsets = _subsets_of(k)
-        blocks = decode_subsets(packets, cfg, subsets, dither=z)
+        blocks = decode_subsets(packets, cfg, subsets)
         assert len(blocks) == len(subsets)
         for phases, block in zip(subsets, blocks):
             chosen = [packets[j] for j in phases]
-            ref = _spectral_sum_reference(chosen, cfg, z)
+            ref = _spectral_sum_reference(chosen, cfg)
             assert np.abs(block - ref).max() <= 4 * EPS * np.abs(ref).max(), phases
-            assert block.tobytes() == decode(chosen, cfg, dither=z).tobytes(), phases
+            assert block.tobytes() == decode(chosen, cfg).tobytes(), phases
 
     def test_each_spectrum_is_formed_once(self, decoder_calls):
         cfg = make_config(k=4)
@@ -780,15 +806,16 @@ class TestSharedDecoder:
         assert decoder_calls == {"rfft": 3, "draw": 4}
 
     @pytest.mark.parametrize("override", [False, True], ids=["seeded-dither", "override-dither"])
-    def test_phase_0_matches_the_fft_round_trip_within_a_few_eps(self, override):
+    def test_phase_0_matches_the_fft_round_trip_within_a_few_eps(self, monkeypatch, override):
         # phase 0 skips rfft and irfft: its block is step*index - dither
         # itself and its edge term the alternating sum of the samples
         cfg = make_config(k=4)
         rng = np.random.default_rng(24)
-        z = rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, 4 << 12) if override else None
-        packets, _ = encode(rng.standard_normal(1 << 12), cfg, dither=z)
-        block, edge = codec._reconstruction(packets[0], cfg, z)
-        z0 = DitherStream(cfg.dither_seed, cfg.quantizer.step, 0).draw(1 << 12) if z is None else z[0::4]
+        if override:
+            share_dither(monkeypatch, rng.uniform(-cfg.quantizer.step / 2, cfg.quantizer.step / 2, 4 << 12), 4)
+        packets, _ = encode(rng.standard_normal(1 << 12), cfg)
+        block, edge = codec._reconstruction(packets[0], cfg)
+        z0 = DitherStream(cfg.dither_seed, cfg.quantizer.step, 0).draw(1 << 12)
         samples = cfg.quantizer.step * packets[0].indices - z0
         spec = np.fft.rfft(samples)
         peak = np.abs(samples).max()
@@ -827,14 +854,13 @@ class TestSharedDecoder:
             ("unequal-counts", "packets disagree on the index count"),
             ("repeated-received-phase", "received packets repeat phase 1"),
             ("not-received", "phases \\[3\\] were not received"),
-            ("short-dither", "dither override must cover"),
         ],
     )
     def test_one_bad_subset_fails_before_any_draw_or_fft(self, decoder_calls, case, message):
         cfg = make_config(k=4)
         packets, _ = encode(np.zeros(64), cfg)
         good = [(0, 2), (2,), (0,)]
-        subsets, dither = [*good, (1, 3)], None
+        subsets = [*good, (1, 3)]
         if case == "non-uniform":
             subsets = [*good, (0, 1)]
         elif case == "repeated-phase-in-subset":
@@ -850,11 +876,9 @@ class TestSharedDecoder:
             packets.append(packets[1])
         elif case == "not-received":
             packets, subsets = packets[:3], [*good, (3,)]
-        elif case == "short-dither":
-            dither = np.zeros(4 * 64 - 2)
         decoder_calls.update(rfft=0, draw=0)
         with pytest.raises(ValueError, match=message):
-            decode_subsets(packets, cfg, subsets, dither=dither)
+            decode_subsets(packets, cfg, subsets)
         assert decoder_calls == {"rfft": 0, "draw": 0}
 
 
@@ -893,17 +917,14 @@ class TestCodecStatistics:
         # the scaling factors are exact conditional-mean coefficients:
         # E[X u] = sx2 and E[u^2] = sx2 + se2*P for the raw reconstructions
         cfg, x, packets, _ = run_d4
-        import dataclasses
-
-        raw_cfg = dataclasses.replace(cfg, post_multipliers="unit")
         pdc, pds = filter_powers(cfg.filter)
         se2 = cfg.quantizer.noise_variance
         g = cfg.guard
         for pkt, power in ((packets[0], pds), (packets[1], pds)):
-            u = decode([pkt], raw_cfg)[g:-g]
+            u = (decode([pkt], cfg) / codec._multiplier(cfg, 2))[g:-g]
             assert float(np.mean(u * x[g:-g])) == pytest.approx(1.0, rel=0.01)
             assert float(np.mean(u * u)) == pytest.approx(1.0 + se2 * power, rel=0.01)
-        uc = decode(packets, raw_cfg)[g:-g]
+        uc = (decode(packets, cfg) / codec._multiplier(cfg, 1))[g:-g]
         assert float(np.mean(uc * x[g:-g])) == pytest.approx(1.0, rel=0.01)
         assert float(np.mean(uc * uc)) == pytest.approx(1.0 + se2 * pdc, rel=0.01)
 
@@ -938,38 +959,6 @@ class TestCodecStatistics:
             m1 = reconstruction_mse(d1, x, cfg1.guard)
             m3 = reconstruction_mse(d3, scale * x, cfg3.guard)
             assert m3 / m1 == pytest.approx(scale**2, rel=1e-6)
-
-    def test_k4_wiener_multipliers_match_their_closed_forms(self):
-        # with Wiener scaling enabled each reception case lands on
-        # sx2*se2*P/(sx2+se2*P) for its own aliased power P
-        from mdsigma.codec import pattern_noise_power
-        from mdsigma.shaping import design_multiband
-
-        filt = design_multiband(
-            24,
-            [np.pi / 4, 3 * np.pi / 4, np.pi],
-            [5.0, 1.0 / np.sqrt(5.0), 1.0],
-        )
-        cfg = CodecConfig(
-            source_variance=1.0,
-            quantizer=QuantizerSpec(step=float(np.sqrt(12 * 0.04))),
-            filter=filt,
-            oversampling=4,
-            dither_seed=61,
-            post_multipliers="wiener",
-        )
-        rng = np.random.default_rng(62)
-        x = rng.standard_normal(1 << 17)
-        packets, _ = encode(x, cfg)
-        se2 = cfg.quantizer.noise_variance
-
-        def wiener_mse(power):
-            return se2 * power / (1.0 + se2 * power)
-
-        for phases in ((0, 1, 2, 3), (0, 2), (1, 3), (0,), (3,)):
-            decoded = decode([packets[j] for j in phases], cfg)
-            expected = wiener_mse(pattern_noise_power(cfg, 4 // len(phases)))
-            assert reconstruction_mse(decoded, x, cfg.guard) == pytest.approx(expected, rel=0.05)
 
     def test_central_not_worse_than_side_across_deltas(self):
         rng = np.random.default_rng(40)

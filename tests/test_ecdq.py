@@ -96,6 +96,14 @@ class TestDitherStream:
         z = DitherStream(7, 0.25).draw(10**5)
         assert z.min() >= -0.125 and z.max() < 0.125
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0], ids=str)
+    def test_a_bad_step_is_rejected_before_any_draw(self, step):
+        # QuantizerSpec's check and message, raised when the stream is made
+        with pytest.raises(ValueError, match="^step must be positive and finite$"):
+            DitherStream(0, step)
+        with pytest.raises(ValueError, match="^step must be positive and finite$"):
+            QuantizerSpec(step)
+
     def test_cursor_advances(self):
         ds = DitherStream(42, 1.0)
         a = ds.draw(10)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsigma import harness, shaping
-from mdsigma.codec import decode, encode, reconstruction_mse
+from mdsigma import codec, harness, shaping
+from mdsigma.codec import decode, encode, pattern_noise_power, reconstruction_mse
 from mdsigma.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -23,6 +23,7 @@ from mdsigma.harness import (
     sweep,
     universality_check,
 )
+from mdsigma.theory import wiener_gain
 
 SMALL = dict(n_samples=1 << 15, n_trials=2, p=8, gamma=6.0, sigma_e2=0.01, master_seed=99)
 
@@ -316,6 +317,21 @@ def test_a_k4_trial_runs_no_fft_longer_than_the_block(monkeypatch, patterns):
     assert sorted(calls[split + 1 :]) == [("irfft", n)] * (k - 1) + [("rfft", n)] * (k - 1)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_the_post_multiplier_has_one_owner(k):
+    # the codec scales by the Wiener gain at K=2 and not at all at K=4, and
+    # ExperimentConfig.multiplier_mode names "wiener" exactly where it scales
+    config = ExperimentConfig(**{**SMALL, "oversampling": k})
+    cfg = _codec_config(config, build_filter(config), 0)
+    for s in {2: (1, 2), 4: (1, 2, 4)}[k]:
+        mult = codec._multiplier(cfg, s)
+        if k == 2:
+            assert mult == wiener_gain(config.sigma_x2, config.noise_variance, pattern_noise_power(cfg, s)), s
+        else:
+            assert mult == 1.0, s
+        assert (config.multiplier_mode == "wiener") == (mult != 1.0), s
+
+
 def test_pattern_noise_power_is_evaluated_once(monkeypatch):
     # the Wiener multiplier and the theory MSE read one memoized band power:
     # once a pattern has been decoded, no further extended-precision work runs
@@ -404,6 +420,18 @@ class TestIndexEntropy:
     def test_needs_bulk(self):
         with pytest.raises(ValueError, match="10\\^5"):
             estimate_index_entropy(np.zeros(100, dtype=np.int64))
+
+    @pytest.mark.parametrize("n, enough", [(49_998, False), (50_000, True)])
+    def test_a_run_estimates_from_the_same_floor(self, n, enough):
+        # one K=2 trial pools 2n indices: the run reports NaN exactly where
+        # the estimate would raise
+        config = ExperimentConfig(**{**SMALL, "n_samples": n, "n_trials": 1})
+        assert math.isfinite(run(config).index_entropy_bits) == enough
+        if enough:
+            estimate_index_entropy(np.zeros(2 * n, dtype=np.int64))
+        else:
+            with pytest.raises(ValueError, match=f"need at least 10\\^5 indices, got {2 * n}"):
+                estimate_index_entropy(np.zeros(2 * n, dtype=np.int64))
 
     def test_miller_term_reported(self):
         rng = np.random.default_rng(9)
