@@ -582,7 +582,8 @@ def decode_subsets(
     uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
     with one dither seed and equal, even and nonzero index counts.  Every
     subset, and the received packets (no phase twice, every named phase
-    received), is checked before any dither is drawn or any FFT runs.
+    received, step * max|index| finite), is checked before any dither is
+    drawn or any FFT runs.
 
     Each description that some subset names has its own reconstruction
     formed once, from its indices and the dither that its packet's
@@ -598,6 +599,10 @@ def decode_subsets(
     for pkt in packets:
         if pkt.phase in by_phase:
             raise ValueError(f"received packets repeat phase {pkt.phase}")
+        # Python ints: -(-2^63) does not wrap
+        peak = max(int(pkt.indices.max(initial=0)), -int(pkt.indices.min(initial=0)))
+        if not math.isfinite(cfg.quantizer.step * peak):
+            raise ValueError(f"step * max|index| overflows in phase {pkt.phase}: {cfg.quantizer.step!r} * {peak}")
         by_phase[pkt.phase] = pkt
     plan = []
     for subset, s in zip(subsets, strides):

@@ -1,9 +1,9 @@
 """Experiment orchestration: seeded Monte-Carlo runs, sweeps, CSV reports.
 
 Reproducibility contract: a run is a pure function of (config,
-master_seed).  Trials draw from pre-split Philox substreams keyed by
-(trial, role) and results are merged in trial order, so output is
-identical across runs and across any trial-execution order.
+master_seed).  Each trial draws from Philox substreams keyed by (trial,
+role) and returns only its variance, MSEs and index histogram; ``run``
+reduces these in trial order, so output is identical in any trial order.
 
 ``ExperimentConfig`` is the only config schema: its field annotations
 give every key and type that ``read_config_text`` reads from a flat
@@ -122,6 +122,11 @@ class ExperimentConfig:
     tol_mse_rel: float = 0.03
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers wrap around
         if self.source_dist not in _SOURCE_DISTS:
             raise ConfigError(f"unknown source_dist {self.source_dist!r}")
         if self.filter_kind not in _FILTER_KINDS:
@@ -196,6 +201,9 @@ _FILE_KEYS = {
     ("filter" if name == "filter_kind" else name): (name, _converter(hint))
     for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
+
+# the fields annotated ``int``, which take integers only (numpy ones as ints)
+_INT_FIELDS = tuple(name for name, conv in _FILE_KEYS.values() if conv is int)
 
 
 def read_config_text(text: str) -> dict:
@@ -381,15 +389,17 @@ def _csv_text(columns: Sequence[str], rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def estimate_index_entropy(indices) -> IndexEntropyEstimate:
-    """Plug-in entropy of the marginal index distribution in bits per sample."""
-    idx = np.concatenate([np.asarray(a).ravel() for a in indices]) if isinstance(
-        indices, (list, tuple)
-    ) else np.asarray(indices).ravel()
-    n = idx.shape[0]
+def estimate_index_entropy(counts) -> IndexEntropyEstimate:
+    """Plug-in entropy, in bits per sample, of the index histogram: a 1-D
+    array of non-negative integer counts; empty bins are skipped, and bins
+    in ``np.unique``'s order give the bits of the pooled indices' estimate."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or not np.issubdtype(counts.dtype, np.integer) or (counts < 0).any():
+        raise ValueError(f"counts must be a 1-D array of non-negative integers, got {counts.dtype} {counts.shape}")
+    counts = counts[counts > 0]
+    n = int(counts.sum())
     if n < _ENTROPY_MIN_INDICES:
         raise ValueError(f"need at least 10^5 indices, got {n}")
-    _, counts = np.unique(idx, return_counts=True)
     prob = counts / n
     bits = float(-np.sum(prob * np.log2(prob)))
     miller = (counts.shape[0] - 1) / (2.0 * n * math.log(2.0))
@@ -397,8 +407,21 @@ def estimate_index_entropy(indices) -> IndexEntropyEstimate:
         bits=bits,
         miller_correction_bits=float(miller),
         n_symbols=int(counts.shape[0]),
-        n_samples=int(n),
+        n_samples=n,
     )
+
+
+def _trial(config: ExperimentConfig, filt: ShapingFilter, subsets, trial: int):
+    """A pure function: Var(quantized) past the cold start, one MSE per
+    subset, and the distinct indices of the K descriptions with counts."""
+    cfg = _codec_config(config, filt, trial)
+    x = _draw_source(config, trial)
+    packets, loop = encode(x, cfg)
+    var = float(np.var(loop.quantized[cfg.guard * config.oversampling :]))
+    del loop  # five oversampled arrays; only the variance is kept
+    values, counts = np.unique(np.concatenate([pkt.indices for pkt in packets]), return_counts=True)
+    mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
+    return var, mses, values, counts
 
 
 def run(config: ExperimentConfig, csv_path=None) -> SimResult:
@@ -413,25 +436,15 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
 
     patterns = config.patterns
     subsets = [_PATTERN_PHASES[config.oversampling][pat] for pat in patterns]
-    mse_trials = {pat: [] for pat in patterns}
-    var_trials = []
-    all_indices = []
-    for trial in range(config.n_trials):
-        cfg = _codec_config(config, filt, trial)
-        x = _draw_source(config, trial)
-        packets, loop = encode(x, cfg)
-        g = cfg.guard * config.oversampling
-        var_trials.append(float(np.var(loop.quantized[g:])))
-        del loop  # five oversampled arrays; only the variance is kept
-        all_indices.extend(pkt.indices for pkt in packets)
-        mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
-        for pat, mse in zip(patterns, mses):
-            mse_trials[pat].append(mse)
+    variances, mses, values, counts = zip(*[_trial(config, filt, subsets, t) for t in range(config.n_trials)])
+    # the trials' histograms summed bin by bin, in the order of the values
+    keys, bins = np.unique(np.concatenate(values), return_inverse=True)
+    histogram = np.zeros_like(keys)
+    np.add.at(histogram, bins, np.concatenate(counts))
 
     cfg0 = _codec_config(config, filt, 0)
     results = []
-    for pat in patterns:
-        trials = tuple(mse_trials[pat])
+    for pat, trials in zip(patterns, zip(*mses)):
         emp = float(np.mean(trials))
         if len(trials) > 1:
             err = float(np.std(trials, ddof=1) / math.sqrt(len(trials)))
@@ -446,13 +459,12 @@ def run(config: ExperimentConfig, csv_path=None) -> SimResult:
             )
         )
 
-    var_emp = float(np.mean(var_trials))
+    var_emp = float(np.mean(variances))
     var_theory = sx2 + se2 * pds
     rate_theory = gaussian_rate_bits(var_theory, se2)
     rate_gauss = gaussian_rate_bits(var_emp, se2)
-    pooled = sum(a.shape[0] for a in all_indices)
-    if pooled >= _ENTROPY_MIN_INDICES:
-        ent = estimate_index_entropy(all_indices)
+    if histogram.sum() >= _ENTROPY_MIN_INDICES:
+        ent = estimate_index_entropy(histogram)
         ent_bits, ent_miller = ent.bits, ent.miller_correction_bits
     else:
         # too few indices for a meaningful plug-in estimate

@@ -701,6 +701,17 @@ class TestDecoderContracts:
         assert top.indices.dtype == np.int64 and top.indices.tolist() == [2**63 - 1, 0]
         assert DescriptionPacket(np.array([], dtype=np.uint64), 0, 0).indices.shape == (0,)
 
+    @pytest.mark.parametrize("index", [2**62, -(2**63)], ids=["2^62", "-2^63"])
+    def test_rejects_indices_whose_reconstruction_overflows(self, decoder_calls, index):
+        # step * index lies past float64's range: rejected before any draw or
+        # FFT, where both phases used to decode to NaN; -2^63 itself must
+        # not wrap when its magnitude is taken
+        packets = [DescriptionPacket(np.array([index, 0, 0, 0]), 0, j) for j in (0, 1)]
+        with pytest.raises(ValueError, match=rf"step \* max\|index\| overflows in phase 0: 1e\+300 \* {abs(index)}$"):
+            decode(packets, make_config(step=1e300))
+        assert decoder_calls == {"rfft": 0, "draw": 0}
+        assert np.isfinite(decode(packets, make_config(step=1.0))).all()
+
     def test_numpy_integer_phases_decode_as_python_ones(self):
         cfg = make_config(k=4)
         packets, _ = encode(np.random.default_rng(9).standard_normal(256), cfg)

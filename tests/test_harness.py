@@ -1,6 +1,7 @@
 """Harness: config ingestion, runs, sweeps, entropy estimation, CSV contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,41 @@ class TestConfigParsing:
             ExperimentConfig(sigma_e2=0.01, tol_mse_rel=tol)
         assert ExperimentConfig(sigma_e2=0.01, tol_mse_rel=0.0).tol_mse_rel == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p", 8.0),
+            ("p", True),
+            ("oversampling", 2.0),
+            ("n_samples", 16384.0),
+            ("n_trials", 1.5),
+            ("n_trials", True),
+            ("master_seed", False),
+            ("master_seed", "99"),
+        ],
+    )
+    def test_integer_fields_reject_bools_and_non_integers(self, monkeypatch, field, value):
+        # rejected when the config is built, before any filter is designed
+        def no_design(*args):
+            raise AssertionError("a filter was designed")
+
+        monkeypatch.setattr(harness, "find_lambda_for_ratio", no_design)
+        monkeypatch.setattr(harness, "design_yule_walker", no_design)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            run(ExperimentConfig(**{**SMALL, field: value}))
+
+    def test_integer_fields_take_numpy_integers(self):
+        ints = dict(p=8, oversampling=2, n_samples=1 << 14, n_trials=1, master_seed=99)
+        numpy_ints = dict(
+            p=np.int64(8), oversampling=np.int8(2), n_samples=np.int32(1 << 14), n_trials=np.uint16(1),
+            master_seed=np.uint64(99),
+        )
+        assert harness._INT_FIELDS == tuple(ints)
+        config = ExperimentConfig(**{**SMALL, **numpy_ints})
+        assert config == ExperimentConfig(**{**SMALL, **ints})
+        assert all(type(getattr(config, name)) is int for name in ints)
+        assert run(config).to_csv() == run(ExperimentConfig(**{**SMALL, **ints})).to_csv()
+
     def test_step_and_sigma_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig(sigma_e2=0.01, quant_step=0.5)
@@ -258,6 +294,39 @@ def test_trial_results_do_not_depend_on_execution_order(three_trials, order):
             phases = _PATTERN_PHASES[config.oversampling][pat]
             mse = reconstruction_mse(decode([packets[j] for j in phases], cfg), x, cfg.guard)
             assert mse == result.pattern(pat).mse_trials[t], (t, pat)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("order", [[3, 2, 1, 0], [2, 0, 3, 1]], ids=["reversed", "shuffled"])
+def test_the_csv_does_not_depend_on_trial_order(monkeypatch, tmp_path, k, order):
+    # each trial's summary is a pure function of (config, filter, trial):
+    # computed in another order and reduced in trial order, the summaries
+    # give run()'s CSV byte for byte, index entropy included
+    config = ExperimentConfig(**{**SMALL, "n_trials": 4, "oversampling": k})
+    run(config, csv_path=tmp_path / "run.csv")
+    filt = build_filter(config)
+    subsets = [_PATTERN_PHASES[k][pat] for pat in config.patterns]
+    summaries = {t: harness._trial(config, filt, subsets, t) for t in order}
+    monkeypatch.setattr(harness, "_trial", lambda config, filt, subsets, trial: summaries.pop(trial))
+    result = run(config, csv_path=tmp_path / "reordered.csv")
+    assert not summaries and math.isfinite(result.index_entropy_bits)
+    assert (tmp_path / "reordered.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_peak_memory_does_not_grow_with_trials(k):
+    # a trial's index arrays die with it, so eight trials peak as high as one
+    def traced_peak(n_trials):
+        tracemalloc.start()
+        try:
+            run(ExperimentConfig(**{**SMALL, "n_samples": 1 << 16, "n_trials": n_trials, "oversampling": k}))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(ExperimentConfig(**{**SMALL, "n_samples": 1 << 16, "n_trials": 1, "oversampling": k}))  # warm
+    one, eight = traced_peak(1), traced_peak(8)
+    assert eight <= 1.05 * one, (one, eight)
 
 
 @pytest.mark.parametrize(
@@ -399,9 +468,13 @@ class TestSweep:
 # ---------------------------------------------------------------------------
 
 
+def histogram(indices):
+    return np.unique(indices, return_counts=True)[1]
+
+
 class TestIndexEntropy:
     def test_constant_indices(self):
-        est = estimate_index_entropy(np.zeros(10**5, dtype=np.int64))
+        est = estimate_index_entropy(np.array([10**5]))
         assert est.bits == 0.0
         assert est.n_symbols == 1
 
@@ -415,11 +488,11 @@ class TestIndexEntropy:
         s = rng.standard_normal(10**5)
         z = rng.uniform(-50.0, 50.0, 10**5)
         idx = delta_sigma_loop(s, ShapingFilter((1.0,)), z, 100.0).indices
-        assert estimate_index_entropy(idx).bits <= 0.1
+        assert estimate_index_entropy(histogram(idx)).bits <= 0.1
 
     def test_needs_bulk(self):
         with pytest.raises(ValueError, match="10\\^5"):
-            estimate_index_entropy(np.zeros(100, dtype=np.int64))
+            estimate_index_entropy(np.array([100]))
 
     @pytest.mark.parametrize("n, enough", [(49_998, False), (50_000, True)])
     def test_a_run_estimates_from_the_same_floor(self, n, enough):
@@ -428,16 +501,51 @@ class TestIndexEntropy:
         config = ExperimentConfig(**{**SMALL, "n_samples": n, "n_trials": 1})
         assert math.isfinite(run(config).index_entropy_bits) == enough
         if enough:
-            estimate_index_entropy(np.zeros(2 * n, dtype=np.int64))
+            estimate_index_entropy(np.array([2 * n]))
         else:
             with pytest.raises(ValueError, match=f"need at least 10\\^5 indices, got {2 * n}"):
-                estimate_index_entropy(np.zeros(2 * n, dtype=np.int64))
+                estimate_index_entropy(np.array([2 * n]))
 
     def test_miller_term_reported(self):
         rng = np.random.default_rng(9)
-        est = estimate_index_entropy(rng.integers(0, 16, 10**5))
+        est = estimate_index_entropy(histogram(rng.integers(0, 16, 10**5)))
         assert est.miller_correction_bits == pytest.approx(15 / (2 * 10**5 * np.log(2)))
         assert est.bits == pytest.approx(4.0, abs=0.01)
+
+    def test_empty_bins_are_skipped(self):
+        counts = histogram(np.random.default_rng(10).integers(0, 16, 10**5))
+        padded = np.zeros(3 * counts.shape[0], dtype=np.uint32)
+        padded[1::3] = counts
+        assert estimate_index_entropy(padded) == estimate_index_entropy(counts)
+        assert estimate_index_entropy(padded).n_symbols == 16
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.full((2, 2), 10**5),
+            np.array([10.0**5]),
+            np.array([True, True]),
+            np.array([10**5 + 1, -1]),
+            np.array(["100000"]),
+        ],
+        ids=["2-d", "float", "bool", "negative", "str"],
+    )
+    def test_takes_only_a_histogram(self, counts):
+        with pytest.raises(ValueError, match="counts must be a 1-D array of non-negative integers"):
+            estimate_index_entropy(counts)
+
+    def test_a_run_sums_its_trials_histograms(self, small_result):
+        # the trials' histograms summed bin by bin are np.unique's counts over
+        # every index of the run, so the estimate keeps its bits
+        config = small_result.config
+        filt = build_filter(config)
+        indices = []
+        for t in range(config.n_trials):
+            packets, _ = encode(_draw_source(config, t), _codec_config(config, filt, t))
+            indices += [pkt.indices for pkt in packets]
+        est = estimate_index_entropy(histogram(np.concatenate(indices)))
+        assert est.bits == small_result.index_entropy_bits
+        assert est.miller_correction_bits == small_result.index_entropy_miller_bits
 
 
 # ---------------------------------------------------------------------------
