@@ -381,9 +381,14 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     (-step/2, step/2], so |index| <= (max|a| + max|z| + sum|c_tail|
     step/2)/step + 1/2; from 2^52 on, float64 no longer resolves a
     fraction of a step.
+
+    The dither is let go once the kernel returns and the signal once
+    loop_input is formed, so where the caller keeps no reference to
+    either, the call holds at most five arrays of the block's length.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     z = np.ascontiguousarray(dither, dtype=np.float64)
+    del dither  # z is this frame's only name for the dither
     if a.shape != z.shape:
         raise ValueError("dither length must match the oversampled block")
     if not (step > 0 and math.isfinite(step)):
@@ -398,7 +403,9 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     if not (peak_a + peak_z + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
         raise ValueError("signal, dither and feedback could push an index past 2^52 steps")
     q, e, fb = _dsq_loop(a, c_tail, z, float(step))
+    del z
     loop_in = a + fb
+    del a
     return LoopResult(
         indices=q, quantized=loop_in + e, quant_error=e, loop_input=loop_in, feedback=fb
     )
@@ -431,6 +438,16 @@ class CodecConfig:
 
 @dataclass(frozen=True)
 class DescriptionPacket:
+    """One description: its indices as a read-only int64 array, and the
+    (seed, phase) pair that regenerates its dither.
+
+    int64 indices are kept as a read-only view of the given array, with no
+    copy; so are ``encode``'s, strided views of the loop's frozen indices.
+    The caller's array object stays as it was, and a packet made from a
+    writable array sees later writes to it.  Indices of any other integer
+    dtype are copied to int64.
+    """
+
     indices: np.ndarray
     dither_seed: int
     phase: int
@@ -446,7 +463,7 @@ class DescriptionPacket:
         for name, value in (("dither seed", self.dither_seed), ("phase", self.phase)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        idx = idx.view() if idx.dtype == np.int64 else idx.astype(np.int64)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -503,14 +520,22 @@ def _multiplier(cfg: CodecConfig, stride: int) -> float:
 def encode(x, cfg: CodecConfig):
     """Encode a base-rate block into K description packets and the
     oversampled loop's ``LoopResult``; phase j's dither is drawn from
-    ``DitherStream(cfg.dither_seed, step, j)``."""
+    ``DitherStream(cfg.dither_seed, step, j)``.
+
+    The loop's indices are frozen and packet j holds the read-only strided
+    view ``loop.indices[j::K]``, so the packets add no copy.  No name is
+    kept for the upsampled block or the dither, so the loop lets each go
+    once it is spent: at the peak, encode holds the five oversampled
+    arrays of the ``LoopResult``, 5K floats per source sample.
+    """
     base = np.asarray(x, dtype=np.float64)
     if not np.isfinite(base).all():
         raise ValueError("signal must be finite")
     k = cfg.oversampling
-    a = ideal_upsample(base, k)
-    z = _dither_block(cfg, base.shape[0])
-    loop = delta_sigma_loop(a, cfg.filter, z, cfg.quantizer.step)
+    loop = delta_sigma_loop(
+        ideal_upsample(base, k), cfg.filter, _dither_block(cfg, base.shape[0]), cfg.quantizer.step
+    )
+    loop.indices.flags.writeable = False
     packets = [
         DescriptionPacket(indices=loop.indices[j::k], dither_seed=cfg.dither_seed, phase=j)
         for j in range(k)
@@ -582,8 +607,8 @@ def decode_subsets(
     uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
     with one dither seed and equal, even and nonzero index counts.  Every
     subset, and the received packets (no phase twice, every named phase
-    received, step * max|index| finite), is checked before any dither is
-    drawn or any FFT runs.
+    received, no sum that decoding forms able to overflow), is checked
+    before any dither is drawn or any FFT runs.
 
     Each description that some subset names has its own reconstruction
     formed once, from its indices and the dither that its packet's
@@ -599,10 +624,17 @@ def decode_subsets(
     for pkt in packets:
         if pkt.phase in by_phase:
             raise ValueError(f"received packets repeat phase {pkt.phase}")
-        # Python ints: -(-2^63) does not wrap
+        # Every sum decoding forms from this packet is below K n (1 + ln n)
+        # step (max|index| + 1/2): a DFT bin adds n samples of at most
+        # step (max|index| + 1/2), a fractional delay raises a block's peak
+        # by less than 1 + ln n, and a subset adds up to K reconstructions
+        # or edge bins.  Python ints: -(-2^63) does not wrap.
+        n, step = pkt.indices.shape[0], cfg.quantizer.step
         peak = max(int(pkt.indices.max(initial=0)), -int(pkt.indices.min(initial=0)))
-        if not math.isfinite(cfg.quantizer.step * peak):
-            raise ValueError(f"step * max|index| overflows in phase {pkt.phase}: {cfg.quantizer.step!r} * {peak}")
+        if not math.isfinite(cfg.oversampling * n * (1.0 + math.log(max(n, 1))) * step * (peak + 0.5)):
+            raise ValueError(
+                f"decoding phase {pkt.phase} could overflow: {n} samples of up to {step!r} * ({peak} + 1/2)"
+            )
         by_phase[pkt.phase] = pkt
     plan = []
     for subset, s in zip(subsets, strides):

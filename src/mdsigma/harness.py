@@ -18,7 +18,9 @@ CSV schema (fixed column order):
 from __future__ import annotations
 
 import math
+import numbers
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,6 +129,15 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers wrap around
+        for name, optional in _FLOAT_FIELDS.items():
+            value = getattr(self, name)
+            if not (optional and value is None):
+                object.__setattr__(self, name, _real(name, value))
+        for name in _FLOAT_TUPLE_FIELDS:
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(_real(f"{name} entry", v) for v in values))
         if self.source_dist not in _SOURCE_DISTS:
             raise ConfigError(f"unknown source_dist {self.source_dist!r}")
         if self.filter_kind not in _FILTER_KINDS:
@@ -196,14 +207,33 @@ def _converter(hint):
     return conv
 
 
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
 # file key -> (field, converter); the key ``filter`` names ``filter_kind``
 _FILE_KEYS = {
     ("filter" if name == "filter_kind" else name): (name, _converter(hint))
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    for name, hint in _HINTS.items()
 }
 
 # the fields annotated ``int``, which take integers only (numpy ones as ints)
 _INT_FIELDS = tuple(name for name, conv in _FILE_KEYS.values() if conv is int)
+
+# the fields annotated ``float`` or ``float | None`` (True where None is
+# admitted) and ``tuple[float, ...]``, which take real numbers only, bools
+# excepted, and store them as Python floats
+_FLOAT_FIELDS = {
+    name: type(None) in typing.get_args(hint) for name, hint in _HINTS.items() if _converter(hint) is float
+}
+_FLOAT_TUPLE_FIELDS = tuple(name for name, hint in _HINTS.items() if hint == tuple[float, ...])
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of float range") from None
 
 
 def read_config_text(text: str) -> dict:
@@ -411,15 +441,32 @@ def estimate_index_entropy(counts) -> IndexEntropyEstimate:
     )
 
 
+def _variance_in_place(v: np.ndarray) -> float:
+    """np.var(v), bit for bit, overwriting v instead of allocating a
+    temporary of its size: the mean, the deviations, their squares in
+    place, and their mean."""
+    v -= v.mean()
+    v *= v
+    return float(v.mean())
+
+
 def _trial(config: ExperimentConfig, filt: ShapingFilter, subsets, trial: int):
     """A pure function: Var(quantized) past the cold start, one MSE per
-    subset, and the distinct indices of the K descriptions with counts."""
+    subset, and the distinct indices of the K descriptions with counts.
+
+    The variance is taken in place on the loop's own ``quantized`` array,
+    with np.var's operations in np.var's order, so it has np.var's bits.
+    The packets are views of the loop's indices, so the loop's indices are
+    all the trial keeps of it, and they are the K descriptions' indices
+    pooled.
+    """
     cfg = _codec_config(config, filt, trial)
     x = _draw_source(config, trial)
     packets, loop = encode(x, cfg)
-    var = float(np.var(loop.quantized[cfg.guard * config.oversampling :]))
-    del loop  # five oversampled arrays; only the variance is kept
-    values, counts = np.unique(np.concatenate([pkt.indices for pkt in packets]), return_counts=True)
+    var = _variance_in_place(loop.quantized[cfg.guard * config.oversampling :])
+    indices = loop.indices
+    del loop  # four oversampled float arrays
+    values, counts = np.unique(indices, return_counts=True)
     mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
     return var, mses, values, counts
 

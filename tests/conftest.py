@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,34 @@ import pytest
 from mdsigma import codec
 from mdsigma.ecdq import DitherStream
 from mdsigma.shaping import ShapingFilter, min_phase_check
+
+
+# oversampled arrays alive at encode's peak: the loop's five outputs, and,
+# before Python 3.11, whose caller holds a call's arguments until the call
+# returns, also the upsampled block and the dither that the loop lets go of
+ENCODE_PEAK_ARRAYS = 5 if sys.version_info >= (3, 11) else 7
+
+
+@pytest.fixture(params=["default", "python"])
+def loop_kernel(request, monkeypatch):
+    """Run the test on the kernel this process dispatches to, then on the
+    generated one; the value is the backend's name."""
+    if request.param == "python":
+        monkeypatch.setattr(codec, "_native_loop", lambda: None)
+    return codec.loop_backend()
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, over a call fn(*args) made after a
+    warm-up call: what the call holds at its peak beyond what was live
+    before it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture()

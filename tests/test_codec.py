@@ -29,7 +29,7 @@ from mdsigma.ecdq import DitherStream, QuantizerSpec
 from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import wiener_gain
 
-from conftest import bandlimited_noise
+from conftest import ENCODE_PEAK_ARRAYS, bandlimited_noise, traced_peak
 from reference import newest_first_loop
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
@@ -707,10 +707,46 @@ class TestDecoderContracts:
         # FFT, where both phases used to decode to NaN; -2^63 itself must
         # not wrap when its magnitude is taken
         packets = [DescriptionPacket(np.array([index, 0, 0, 0]), 0, j) for j in (0, 1)]
-        with pytest.raises(ValueError, match=rf"step \* max\|index\| overflows in phase 0: 1e\+300 \* {abs(index)}$"):
+        with pytest.raises(
+            ValueError, match=rf"decoding phase 0 could overflow: 4 samples of up to 1e\+300 \* \({abs(index)} \+ 1/2\)$"
+        ):
             decode(packets, make_config(step=1e300))
         assert decoder_calls == {"rfft": 0, "draw": 0}
         assert np.isfinite(decode(packets, make_config(step=1.0))).all()
+
+    @pytest.mark.parametrize("phases", [(1,), (0, 1)], ids=["odd", "central"])
+    def test_rejects_indices_whose_fft_sums_overflow(self, decoder_calls, phases):
+        # step * index = 1.5e308 is finite, but the FFTs' unnormalized sums
+        # over the block are not: rejected before any draw or FFT, where
+        # the odd phase and the central subset used to overflow in irfft
+        packets = [DescriptionPacket(np.array([150_000_000, 0, 0, 0]), 0, j) for j in phases]
+        with pytest.raises(ValueError, match=rf"decoding phase {phases[0]} could overflow: 4 samples"):
+            decode(packets, make_config(step=1e300))
+        assert decoder_calls == {"rfft": 0, "draw": 0}
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_a_block_just_inside_the_overflow_bound_decodes_to_finite_values(self, k, n):
+        # indices of +-1 signed as the delay's interpolation kernel, so that
+        # a delayed description peaks at its largest, and a step just below
+        # the one where K n (1 + ln n) step (1 + 1/2) reaches float64's
+        # largest: every subset decodes to finite values; just above that
+        # step, decoding is rejected
+        biggest = float(np.finfo(np.float64).max)
+        edge = biggest / (k * n * (1.0 + math.log(n)) * 1.5)
+        t = np.arange(n)
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        kernel = np.fft.irfft(np.fft.rfft(impulse) * np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n), n)
+        indices = np.where(kernel[-t % n] < 0, -1, 1)
+        packets = [DescriptionPacket(indices, 3, j) for j in range(k)]
+        subsets = [list(range(j, k, s)) for s in (1, 2, 4)[: k.bit_length()] for j in range(s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            blocks = decode_subsets(packets, make_config(step=edge * (1 - 1e-12), k=k), subsets)
+        assert len(blocks) == 2 * k - 1 and all(np.isfinite(b).all() for b in blocks)
+        with pytest.raises(ValueError, match="could overflow"):
+            decode_subsets(packets, make_config(step=edge * (1 + 1e-12), k=k), subsets)
 
     def test_numpy_integer_phases_decode_as_python_ones(self):
         cfg = make_config(k=4)
@@ -754,6 +790,35 @@ class TestDecoderContracts:
         assert all(p.indices.shape == (256,) for p in packets)
         assert {p.phase for p in packets} == {0, 1, 2, 3}
         assert len({p.dither_seed for p in packets}) == 1
+
+
+class TestEncoderMemory:
+    """encode holds each oversampled signal once: the loop lets go of the
+    upsampled block and the dither, and the packets view its indices."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_encode_peaks_at_the_loop_results_five_arrays(self, loop_kernel, k):
+        n = 1 << 16
+        peak = traced_peak(encode, np.random.default_rng(31).standard_normal(n), make_config(k=k))
+        assert peak <= (ENCODE_PEAK_ARRAYS * k + 0.5) * n * 8, (loop_kernel, peak / (8 * n))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_packets_are_read_only_views_of_the_loop_indices(self, k):
+        packets, loop = encode(np.random.default_rng(32).standard_normal(256), make_config(k=k))
+        assert not loop.indices.flags.writeable
+        for j, pkt in enumerate(packets):
+            assert np.shares_memory(pkt.indices, loop.indices)
+            assert not pkt.indices.flags.writeable
+            assert pkt.indices.dtype == np.int64 and np.array_equal(pkt.indices, loop.indices[j::k])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_packet_views_int64_indices_without_freezing_the_callers_array(self, stride):
+        caller = np.arange(8, dtype=np.int64)[::stride]
+        pkt = DescriptionPacket(caller, 0, 0)
+        assert caller.flags.writeable and not pkt.indices.flags.writeable
+        assert np.shares_memory(pkt.indices, caller) and pkt.indices is not caller
+        caller[0] = 9
+        assert pkt.indices[0] == 9
 
 
 # ---------------------------------------------------------------------------

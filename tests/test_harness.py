@@ -26,6 +26,8 @@ from mdsigma.harness import (
 )
 from mdsigma.theory import wiener_gain
 
+from conftest import ENCODE_PEAK_ARRAYS, traced_peak
+
 SMALL = dict(n_samples=1 << 15, n_trials=2, p=8, gamma=6.0, sigma_e2=0.01, master_seed=99)
 
 
@@ -177,6 +179,51 @@ class TestConfigParsing:
         assert all(type(getattr(config, name)) is int for name in ints)
         assert run(config).to_csv() == run(ExperimentConfig(**{**SMALL, **ints})).to_csv()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gamma", "17"),
+            ("lambda_ratio", "0.1"),
+            ("sigma_x2", True),
+            ("sigma_e2", np.True_),
+            ("tol_mse_rel", None),
+            ("gamma", 1j),
+            ("coeffs entry", (1.0, "-0.5")),
+            ("band_weights entry", (1.0, False)),
+        ],
+    )
+    def test_float_fields_reject_bools_and_non_reals(self, monkeypatch, field, value):
+        # rejected when the config is built, before any filter is designed
+        def no_design(*args):
+            raise AssertionError("a filter was designed")
+
+        monkeypatch.setattr(harness, "find_lambda_for_ratio", no_design)
+        monkeypatch.setattr(harness, "design_yule_walker", no_design)
+        name = field.split()[0]
+        bad = value[-1] if isinstance(value, tuple) else value
+        kind = {"filter_kind": "yule_walker"} if name == "lambda_ratio" else {}
+        with pytest.raises(ConfigError, match=f"{field} must be a real number, got {bad!r}"):
+            run(ExperimentConfig(**{**SMALL, **kind, name: value}))
+
+    def test_a_float_tuple_field_must_be_a_sequence(self):
+        with pytest.raises(ConfigError, match="coeffs must be a sequence of real numbers, got '1, 2'"):
+            ExperimentConfig(**{**SMALL, "coeffs": "1, 2"})
+
+    def test_float_fields_take_numpy_numbers_as_python_floats(self):
+        floats = dict(sigma_x2=2.0, sigma_e2=0.25, lambda_ratio=0.5, gamma=6.0, tol_mse_rel=0.125, coeffs=(1.0, -0.5))
+        numpy_floats = dict(
+            sigma_x2=np.float32(2.0), sigma_e2=np.float64(0.25), lambda_ratio=np.float16(0.5), gamma=np.int64(6),
+            tol_mse_rel=np.float32(0.125), coeffs=[np.float64(1.0), np.float32(-0.5)],
+        )
+        assert harness._FLOAT_FIELDS == dict(
+            sigma_x2=False, sigma_e2=True, quant_step=True, lambda_ratio=False, gamma=False, tol_mse_rel=False
+        )
+        assert harness._FLOAT_TUPLE_FIELDS == ("coeffs", "band_edges", "band_weights")
+        config = ExperimentConfig(**{**SMALL, **numpy_floats})
+        assert config == ExperimentConfig(**{**SMALL, **floats})
+        assert all(type(getattr(config, name)) is float for name in floats if name != "coeffs")
+        assert all(type(c) is float for c in config.coeffs) and config.quant_step is None
+
     def test_step_and_sigma_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig(sigma_e2=0.01, quant_step=0.5)
@@ -327,6 +374,27 @@ def test_peak_memory_does_not_grow_with_trials(k):
     run(ExperimentConfig(**{**SMALL, "n_samples": 1 << 16, "n_trials": 1, "oversampling": k}))  # warm
     one, eight = traced_peak(1), traced_peak(8)
     assert eight <= 1.05 * one, (one, eight)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_a_trial_peaks_at_the_loops_five_arrays_and_its_source(loop_kernel, k):
+    # the source and the loop's five oversampled arrays, no packet copies and
+    # no temporary for the variance or the histogram
+    n = 1 << 16
+    config = ExperimentConfig(**{**SMALL, "n_samples": n, "n_trials": 1, "oversampling": k})
+    subsets = [_PATTERN_PHASES[k][pat] for pat in config.patterns]
+    peak = traced_peak(harness._trial, config, build_filter(config), subsets, 0)
+    assert peak <= (ENCODE_PEAK_ARRAYS * k + 1.5) * n * 8, (loop_kernel, peak / (8 * n))
+
+
+@pytest.mark.parametrize("guard", [0, 4, 32, 192])
+def test_the_in_place_variance_is_np_var_bit_for_bit(guard):
+    rng = np.random.default_rng(guard)
+    for n in (guard + 1, guard + 7, 1000, 1 << 15):
+        for scale, offset in ((1.0, 0.0), (1e-3, 5.0), (30.0, -1e4)):
+            block = scale * rng.standard_normal(n) + offset
+            want = float(np.var(block[guard:]))
+            assert harness._variance_in_place(block[guard:]).hex() == want.hex(), (n, scale, offset)
 
 
 @pytest.mark.parametrize(
