@@ -375,12 +375,12 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     """Run the noise-feedback quantization recursion over a block.
 
     Past errors start at zero, so the first ``order`` outputs see a cold
-    feedback state; callers exclude them from statistics.  A non-finite
-    signal or dither sample, or a block whose index could reach 2^52, is
-    rejected before any kernel runs.  Every error lies in the cell
-    (-step/2, step/2], so |index| <= (max|a| + max|z| + sum|c_tail|
-    step/2)/step + 1/2; from 2^52 on, float64 no longer resolves a
-    fraction of a step.
+    feedback state; callers exclude them from statistics.  A step that
+    ``QuantizerSpec`` refuses, a non-finite signal or dither sample, or a
+    block whose index could reach 2^52, is rejected before any kernel
+    runs.  Every error lies in the cell (-step/2, step/2], so |index| <=
+    (max|a| + max|z| + sum|c_tail| step/2)/step + 1/2; from 2^52 on,
+    float64 no longer resolves a fraction of a step.
 
     The dither is let go once the kernel returns and the signal once
     loop_input is formed, so where the caller keeps no reference to
@@ -391,8 +391,7 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     del dither  # z is this frame's only name for the dither
     if a.shape != z.shape:
         raise ValueError("dither length must match the oversampled block")
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
+    step = QuantizerSpec(step).step
     # max|a| and max|z| without a temporary array the size of the block; a
     # NaN or an infinity anywhere makes its peak NaN or inf
     peak_a = max(a.max(initial=0.0), -a.min(initial=0.0))
@@ -402,7 +401,7 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
     if not (peak_a + peak_z + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
         raise ValueError("signal, dither and feedback could push an index past 2^52 steps")
-    q, e, fb = _dsq_loop(a, c_tail, z, float(step))
+    q, e, fb = _dsq_loop(a, c_tail, z, step)
     del z
     loop_in = a + fb
     del a
@@ -427,8 +426,10 @@ class CodecConfig:
     def __post_init__(self):
         if self.oversampling not in (2, 4):
             raise ValueError("oversampling must be 2 or 4")
-        if not self.source_variance > 0:
-            raise ValueError("source variance must be positive")
+        if isinstance(self.source_variance, bool) or not 0 < self.source_variance < math.inf:
+            raise ValueError(f"source variance must be positive and finite, got {self.source_variance!r}")
+        if not isinstance(self.quantizer, QuantizerSpec):
+            raise TypeError(f"quantizer must be a QuantizerSpec, got {self.quantizer!r}")
 
     @property
     def guard(self) -> int:
@@ -607,8 +608,7 @@ def decode_subsets(
     uniform subset {r, r+s, ...} with stride s = K/m and offset r < s,
     with one dither seed and equal, even and nonzero index counts.  Every
     subset, and the received packets (no phase twice, every named phase
-    received, no sum that decoding forms able to overflow), is checked
-    before any dither is drawn or any FFT runs.
+    received), is checked before any dither is drawn or any FFT runs.
 
     Each description that some subset names has its own reconstruction
     formed once, from its indices and the dither that its packet's
@@ -624,17 +624,9 @@ def decode_subsets(
     for pkt in packets:
         if pkt.phase in by_phase:
             raise ValueError(f"received packets repeat phase {pkt.phase}")
-        # Every sum decoding forms from this packet is below K n (1 + ln n)
-        # step (max|index| + 1/2): a DFT bin adds n samples of at most
-        # step (max|index| + 1/2), a fractional delay raises a block's peak
-        # by less than 1 + ln n, and a subset adds up to K reconstructions
-        # or edge bins.  Python ints: -(-2^63) does not wrap.
-        n, step = pkt.indices.shape[0], cfg.quantizer.step
-        peak = max(int(pkt.indices.max(initial=0)), -int(pkt.indices.min(initial=0)))
-        if not math.isfinite(cfg.oversampling * n * (1.0 + math.log(max(n, 1))) * step * (peak + 0.5)):
-            raise ValueError(
-                f"decoding phase {pkt.phase} could overflow: {n} samples of up to {step!r} * ({peak} + 1/2)"
-            )
+        # no sum decoding forms can overflow: QuantizerSpec holds step <= sqrt(DBL_MAX), so
+        # |step*index - dither| <= step (2^63 + 1/2) < 1.3e173, and an unnormalised DFT of n
+        # samples and its inverse stay below 1.3e173 n^2, finite for any n numpy can hold
         by_phase[pkt.phase] = pkt
     plan = []
     for subset, s in zip(subsets, strides):

@@ -7,10 +7,10 @@ half-ties rounded toward +inf by an exact rule, so the error
 e = step*index - z - s lies in (-step/2, step/2] for every input.  Under
 dither uniform on the cell the error is uniform, white, and independent of
 the input, which is what makes the feedback loop of the codec exactly
-linear.  This module holds the cell and the dither streams; the tests
-judge the loop's errors against that law.  The Gaussian rate of an
-output variance over the cell noise step^2/12 is
-``theory.gaussian_rate_bits``.
+linear.  This module holds the cell, ``QuantizerSpec``, the one rule that
+every step passes, and the dither streams; the tests judge the loop's
+errors against that law.  The Gaussian rate of an output variance over
+the cell noise step^2/12 is ``theory.gaussian_rate_bits``.
 
 The lattice is scalar (a product lattice behaves identically per
 dimension); shaped lattices are not constructed.
@@ -42,13 +42,17 @@ ROLE_DITHER = 1
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Scalar lattice with cell width ``step``."""
+    """Scalar lattice with cell width ``step``, kept as a Python float."""
 
     step: float
 
     def __post_init__(self):
-        if not (self.step > 0 and math.isfinite(self.step)):
+        step = float(self.step)  # a numpy step would square as numpy does
+        if not (step > 0 and math.isfinite(step)):
             raise ValueError("step must be positive and finite")
+        if not math.isfinite(step * step / 12.0):
+            raise ValueError(f"step {step!r} is past sqrt(DBL_MAX) ~ 1.34e154: its cell variance step^2/12 overflows")
+        object.__setattr__(self, "step", step)
 
     @property
     def noise_variance(self) -> float:
@@ -76,10 +80,8 @@ class DitherStream:
     """
 
     def __init__(self, seed: int, step: float, phase: int = 0):
-        if not (step > 0 and math.isfinite(step)):
-            raise ValueError("step must be positive and finite")
+        self.step = QuantizerSpec(step).step
         self.seed = int(seed)
-        self.step = float(step)
         self.phase = int(phase)
         self._rng = substream(self.seed, ROLE_DITHER, self.phase)
 

@@ -154,12 +154,15 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if (self.sigma_e2 is None) == (self.quant_step is None):
             raise ConfigError("specify exactly one of sigma_e2 / quant_step")
-        for name in ("sigma_x2", "sigma_e2", "quant_step"):
+        for name in ("sigma_x2", "sigma_e2"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.step):  # 12*sigma_e2 overflows from ~1.5e307 on
-            raise ConfigError(f"quantizer step sqrt(12*sigma_e2) overflows for sigma_e2={self.sigma_e2!r}")
+        try:
+            QuantizerSpec(self.step)
+        except ValueError as exc:
+            source = "quant_step" if self.sigma_e2 is None else "sqrt(12*sigma_e2)"
+            raise ConfigError(f"{source} = {self.step!r}: {exc}") from None
         if not self.tol_mse_rel >= 0:  # NaN fails too
             raise ConfigError(f"tol_mse_rel must be >= 0, got {self.tol_mse_rel!r}")
         for pat in self.erasure_patterns:
@@ -173,9 +176,7 @@ class ExperimentConfig:
 
     @property
     def step(self) -> float:
-        if self.quant_step is not None:
-            return float(self.quant_step)
-        return math.sqrt(12.0 * self.sigma_e2)
+        return self.quant_step if self.quant_step is not None else math.sqrt(12.0 * self.sigma_e2)
 
     @property
     def noise_variance(self) -> float:
@@ -452,7 +453,8 @@ def _variance_in_place(v: np.ndarray) -> float:
 
 def _trial(config: ExperimentConfig, filt: ShapingFilter, subsets, trial: int):
     """A pure function: Var(quantized) past the cold start, one MSE per
-    subset, and the distinct indices of the K descriptions with counts.
+    subset, and the distinct indices of the K descriptions with counts;
+    ValueError if any of it overflows float64.
 
     The variance is taken in place on the loop's own ``quantized`` array,
     with np.var's operations in np.var's order, so it has np.var's bits.
@@ -461,13 +463,17 @@ def _trial(config: ExperimentConfig, filt: ShapingFilter, subsets, trial: int):
     pooled.
     """
     cfg = _codec_config(config, filt, trial)
-    x = _draw_source(config, trial)
-    packets, loop = encode(x, cfg)
-    var = _variance_in_place(loop.quantized[cfg.guard * config.oversampling :])
-    indices = loop.indices
-    del loop  # four oversampled float arrays
-    values, counts = np.unique(indices, return_counts=True)
-    mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
+    try:
+        with np.errstate(over="raise"):
+            x = _draw_source(config, trial)
+            packets, loop = encode(x, cfg)
+            var = _variance_in_place(loop.quantized[cfg.guard * config.oversampling :])
+            indices = loop.indices
+            del loop  # four oversampled float arrays
+            values, counts = np.unique(indices, return_counts=True)
+            mses = [reconstruction_mse(block, x, cfg.guard) for block in decode_subsets(packets, cfg, subsets)]
+    except FloatingPointError as exc:
+        raise ValueError(f"statistics {exc} at sigma_x2={config.sigma_x2!r}, sigma_e2={config.noise_variance!r}") from None
     return var, mses, values, counts
 
 

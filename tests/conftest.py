@@ -24,6 +24,16 @@ def loop_kernel(request, monkeypatch):
     return codec.loop_backend()
 
 
+def loop_kernels():
+    """Every loop kernel this machine can run: the generated one always, and
+    the C one wherever a C compiler is found, which must then load."""
+    kernels = {"python": codec._dsq_loop_python}
+    if codec._compiler() is not None:
+        assert codec.loop_backend() == "c", "a C compiler is found but the C kernel did not load"
+        kernels["c"] = codec._dsq_loop
+    return kernels
+
+
 def traced_peak(fn, *args):
     """tracemalloc's peak, in bytes, over a call fn(*args) made after a
     warm-up call: what the call holds at its peak beyond what was live

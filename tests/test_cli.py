@@ -352,7 +352,8 @@ def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
         ("simulate", ["--tol", "nan"], "tol_mse_rel must be >= 0"),
         ("simulate", ["--sigma-e2", "-1"], "sigma_e2 must be positive and finite"),
         ("simulate", ["--sigma-e2", "0"], "sigma_e2 must be positive and finite"),
-        ("simulate", ["--step", "inf"], "quant_step must be positive and finite"),
+        ("simulate", ["--step", "inf"], "quant_step = inf: step must be positive and finite"),
+        ("simulate", ["--step", "1e160"], "quant_step = 1e+160: step 1e+160 is past sqrt(DBL_MAX)"),
         ("simulate", ["--sigma-x2", "0"], "sigma_x2 must be positive and finite"),
         ("simulate-k4", ["--sigma-e2", "-1"], "sigma_e2 must be positive and finite"),
         ("universality", ["--tol", "-0.5"], "tol_mse_rel must be >= 0"),
@@ -360,10 +361,10 @@ def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
         ("simulate-k4", ["--delta0", "-1"], "band levels must be positive"),
         ("simulate-k4", ["--delta1", "inf"], "band levels must be positive"),
         ("simulate", ["--seed", "-1", "--gamma", "3"], "master_seed must be >= 0"),
-        ("simulate", ["--sigma-e2", "1e308", "--gamma", "3"], "quantizer step sqrt(12*sigma_e2) overflows"),
+        ("simulate", ["--sigma-e2", "1e308", "--gamma", "3"], "sqrt(12*sigma_e2) = inf: step must be positive and finite"),
     ],
     ids=[
-        "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf",
+        "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf", "step-past-cell-rule",
         "sigma-x2-zero", "k4-sigma-e2-negative", "universality-tol-negative",
         "k4-delta0-zero", "k4-delta0-negative", "k4-delta1-inf", "seed-negative",
         "sigma-e2-step-overflow",
@@ -379,3 +380,11 @@ def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_a_run_whose_statistics_overflow_is_a_usage_error(capsys):
+    # the step passes the cell rule, but Var(quantized) overflows float64
+    argv = ["simulate", "--sigma-e2", "1e306", "--p", "2", "--gamma", "3", "--n-samples", "16384", "--trials", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: statistics overflow encountered in ") and "sigma_x2=1.0" in err

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -29,10 +30,11 @@ from mdsigma.ecdq import DitherStream, QuantizerSpec
 from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import wiener_gain
 
-from conftest import ENCODE_PEAK_ARRAYS, bandlimited_noise, traced_peak
+from conftest import ENCODE_PEAK_ARRAYS, bandlimited_noise, loop_kernels, traced_peak
 from reference import newest_first_loop
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
+TOP_STEP = math.sqrt(sys.float_info.max)  # the largest step whose cell variance is finite
 EPS = np.finfo(np.float64).eps
 
 
@@ -168,16 +170,6 @@ def _dsq_loop_py(a, c_tail, z, step):
     return q, e, fb
 
 
-def loop_kernels():
-    """Every loop kernel this machine can run: the generated one always, and
-    the C one wherever a C compiler is found, which must then load."""
-    kernels = {"python": codec._dsq_loop_python}
-    if codec._compiler() is not None:
-        assert codec.loop_backend() == "c", "a C compiler is found but the C kernel did not load"
-        kernels["c"] = codec._dsq_loop
-    return kernels
-
-
 def assert_same_bits(got, want, case):
     for name, g, w in zip(("indices", "quant_error", "feedback"), got, want):
         assert g.dtype == w.dtype, (case, name)
@@ -300,22 +292,6 @@ class TestLoop:
     def test_dither_length_validated(self):
         with pytest.raises(ValueError, match="dither"):
             delta_sigma_loop(np.ones(8), ShapingFilter((1.0,)), np.zeros(4), 1.0)
-
-    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0], ids=str)
-    def test_a_bad_step_is_rejected_before_any_kernel(self, monkeypatch, step):
-        # one message whichever kernel would run, and no kernel runs; a
-        # valid step runs each, so the patch is the one delta_sigma_loop calls
-        messages = {}
-        for backend, kernel in loop_kernels().items():
-            ran = []
-            monkeypatch.setattr(codec, "_dsq_loop", lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
-            with pytest.raises(ValueError) as info:
-                delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), step)
-            assert not ran, backend
-            messages[backend] = str(info.value)
-            delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), 1.0)
-            assert ran == [1], backend
-        assert set(messages.values()) == {"step must be positive and finite"}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["signal", "dither"])
@@ -595,6 +571,12 @@ class TestNoiselessChains:
 
 
 class TestDecoderContracts:
+    @pytest.mark.parametrize("variance", [math.inf, math.nan, 0.0, -1.0, True], ids=repr)
+    def test_config_rejects_a_source_variance_that_is_not_positive_and_finite(self, variance):
+        # an infinite one used to build, and a K=2 decode gave NaN blocks
+        with pytest.raises(ValueError, match=r"^source variance must be positive and finite, got "):
+            dataclasses.replace(make_config(), source_variance=variance)
+
     @pytest.mark.parametrize("phases", [(0, 1, 2), (0, 1, 3), (0, 0), (), (5,)], ids=str)
     def test_rejects_non_uniform_subsets(self, phases):
         import dataclasses
@@ -702,51 +684,53 @@ class TestDecoderContracts:
         assert DescriptionPacket(np.array([], dtype=np.uint64), 0, 0).indices.shape == (0,)
 
     @pytest.mark.parametrize("index", [2**62, -(2**63)], ids=["2^62", "-2^63"])
-    def test_rejects_indices_whose_reconstruction_overflows(self, decoder_calls, index):
-        # step * index lies past float64's range: rejected before any draw or
-        # FFT, where both phases used to decode to NaN; -2^63 itself must
-        # not wrap when its magnitude is taken
+    def test_a_step_past_the_cell_rule_fails_before_any_draw_or_fft(self, decoder_calls, index):
+        # step * index used to lie past float64's range and decode to NaN:
+        # now the step fails at QuantizerSpec, before a config exists, and
+        # the same indices decode to finite values at the largest step
         packets = [DescriptionPacket(np.array([index, 0, 0, 0]), 0, j) for j in (0, 1)]
-        with pytest.raises(
-            ValueError, match=rf"decoding phase 0 could overflow: 4 samples of up to 1e\+300 \* \({abs(index)} \+ 1/2\)$"
-        ):
+        with pytest.raises(ValueError, match=r"^step 1e\+300 is past sqrt\(DBL_MAX\)"):
             decode(packets, make_config(step=1e300))
         assert decoder_calls == {"rfft": 0, "draw": 0}
-        assert np.isfinite(decode(packets, make_config(step=1.0))).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for step in (1.0, TOP_STEP):
+                assert np.isfinite(decode(packets, make_config(step=step))).all()
 
     @pytest.mark.parametrize("phases", [(1,), (0, 1)], ids=["odd", "central"])
-    def test_rejects_indices_whose_fft_sums_overflow(self, decoder_calls, phases):
-        # step * index = 1.5e308 is finite, but the FFTs' unnormalized sums
-        # over the block are not: rejected before any draw or FFT, where
-        # the odd phase and the central subset used to overflow in irfft
+    def test_fft_sums_stay_finite_at_the_largest_step(self, decoder_calls, phases):
+        # step * index = 1.5e308 used to overflow the FFTs' unnormalized
+        # sums; at the largest step the same indices decode to finite values
         packets = [DescriptionPacket(np.array([150_000_000, 0, 0, 0]), 0, j) for j in phases]
-        with pytest.raises(ValueError, match=rf"decoding phase {phases[0]} could overflow: 4 samples"):
+        with pytest.raises(ValueError, match=r"^step 1e\+300 is past sqrt\(DBL_MAX\)"):
             decode(packets, make_config(step=1e300))
         assert decoder_calls == {"rfft": 0, "draw": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(decode(packets, make_config(step=TOP_STEP))).all()
+        assert decoder_calls == {"rfft": 1, "draw": len(phases)}
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("n", [2, 64, 1024])
-    def test_a_block_just_inside_the_overflow_bound_decodes_to_finite_values(self, k, n):
-        # indices of +-1 signed as the delay's interpolation kernel, so that
-        # a delayed description peaks at its largest, and a step just below
-        # the one where K n (1 + ln n) step (1 + 1/2) reaches float64's
-        # largest: every subset decodes to finite values; just above that
-        # step, decoding is rejected
-        biggest = float(np.finfo(np.float64).max)
-        edge = biggest / (k * n * (1.0 + math.log(n)) * 1.5)
+    def test_extreme_indices_at_the_largest_step_decode_to_finite_values(self, k, n):
+        # int64's extreme indices signed as the delay's interpolation kernel,
+        # so that a delayed description peaks at its largest, at the largest
+        # step the cell rule admits: every subset decodes to finite values,
+        # and the next step up fails at QuantizerSpec
         t = np.arange(n)
         impulse = np.zeros(n)
         impulse[0] = 1.0
         kernel = np.fft.irfft(np.fft.rfft(impulse) * np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n), n)
-        indices = np.where(kernel[-t % n] < 0, -1, 1)
+        indices = np.where(kernel[-t % n] < 0, -(2**63), 2**63 - 1)
+        indices[np.flatnonzero(indices < 0)[-1:]] = -(2**63 - 1)
         packets = [DescriptionPacket(indices, 3, j) for j in range(k)]
         subsets = [list(range(j, k, s)) for s in (1, 2, 4)[: k.bit_length()] for j in range(s)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            blocks = decode_subsets(packets, make_config(step=edge * (1 - 1e-12), k=k), subsets)
+            blocks = decode_subsets(packets, make_config(step=TOP_STEP, k=k), subsets)
         assert len(blocks) == 2 * k - 1 and all(np.isfinite(b).all() for b in blocks)
-        with pytest.raises(ValueError, match="could overflow"):
-            decode_subsets(packets, make_config(step=edge * (1 + 1e-12), k=k), subsets)
+        with pytest.raises(ValueError, match=r"is past sqrt\(DBL_MAX\)"):
+            make_config(step=math.nextafter(TOP_STEP, math.inf), k=k)
 
     def test_numpy_integer_phases_decode_as_python_ones(self):
         cfg = make_config(k=4)

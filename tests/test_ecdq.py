@@ -1,21 +1,39 @@
 """Dithered quantization: error law, statistics gates, rate over the cell noise."""
 
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from mdsigma.codec import delta_sigma_loop
+from mdsigma import codec
+from mdsigma.codec import CodecConfig, delta_sigma_loop
 from mdsigma.ecdq import DitherStream, QuantizerSpec, substream
+from mdsigma.harness import ConfigError, ExperimentConfig
 from mdsigma.shaping import ShapingFilter
 from mdsigma.theory import gaussian_rate_bits
 
+from conftest import loop_kernels
 from reference import error_statistics
 
 # the order-0 feedback loop is plain dithered quantization
 WHITE = ShapingFilter((1.0,))
+
+# steps the rule refuses, with its error: not positive, not finite, or with
+# a cell variance step^2/12 past float64's range (a numpy step as much as a
+# Python one)
+BAD_STEPS = [
+    *((step, "step must be positive and finite") for step in (0.0, -1.0, math.nan, math.inf)),
+    *(
+        (step, f"step {float(step)!r} is past sqrt(DBL_MAX) ~ 1.34e154: its cell variance step^2/12 overflows")
+        for step in (2e154, np.float64(1e160))
+    ),
+]
+# the largest step whose cell variance is finite
+TOP_STEP = math.sqrt(sys.float_info.max)
 
 
 class TestQuantizeDithered:
@@ -81,6 +99,52 @@ class TestQuantizerSpec:
             QuantizerSpec(step=0.0)
 
 
+class TestTheStepRule:
+    """QuantizerSpec is the one rule for a step: every consumer refuses a
+    step that it refuses, with its error, before any draw, kernel or design."""
+
+    @pytest.mark.parametrize("step,message", BAD_STEPS, ids=[repr(step) for step, _ in BAD_STEPS])
+    def test_every_consumer_refuses_a_bad_step_with_the_rule_s_error(self, monkeypatch, step, message):
+        with pytest.raises(ValueError) as info:
+            QuantizerSpec(step)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            DitherStream(0, step)
+        assert str(info.value) == message
+        # the same error whichever kernel would run, and no kernel runs; a
+        # valid step runs each, so the patch is the one delta_sigma_loop calls
+        for backend, kernel in loop_kernels().items():
+            ran = []
+            monkeypatch.setattr(codec, "_dsq_loop", lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
+            with pytest.raises(ValueError) as info:
+                delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), step)
+            assert str(info.value) == message and not ran, backend
+            delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), 1.0)
+            assert ran == [1], backend
+        # a codec config takes its step only as a QuantizerSpec, which the
+        # bad step cannot become
+        for quantizer in (step, SimpleNamespace(step=step, noise_variance=1.0)):
+            with pytest.raises(TypeError, match="^quantizer must be a QuantizerSpec"):
+                CodecConfig(1.0, quantizer, WHITE)
+        # an experiment config is refused as it is built, before any design
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(quant_step=step)
+        assert str(info.value) == f"quant_step = {float(step)!r}: {message}"
+
+    @pytest.mark.parametrize("step", [TOP_STEP, np.float64(TOP_STEP)], ids=repr)
+    def test_the_largest_admitted_step_is_kept_as_a_python_float(self, step):
+        above = math.nextafter(TOP_STEP, math.inf)
+        assert math.isfinite(TOP_STEP * TOP_STEP / 12.0) and not math.isfinite(above * above / 12.0)
+        spec = QuantizerSpec(step)
+        assert type(spec.step) is float and spec.step == TOP_STEP
+        assert spec.noise_variance == TOP_STEP * TOP_STEP / 12.0
+        assert type(DitherStream(0, step).step) is float
+        assert delta_sigma_loop(np.zeros(4), WHITE, np.zeros(4), step).indices.tolist() == [0, 0, 0, 0]
+        assert ExperimentConfig(quant_step=step).noise_variance == spec.noise_variance
+        with pytest.raises(ValueError, match=r"is past sqrt\(DBL_MAX\)"):
+            QuantizerSpec(above)
+
+
 class TestDitherStream:
     def test_reproducible(self):
         a = DitherStream(42, 1.0, phase=1).draw(1000)
@@ -95,14 +159,6 @@ class TestDitherStream:
     def test_support(self):
         z = DitherStream(7, 0.25).draw(10**5)
         assert z.min() >= -0.125 and z.max() < 0.125
-
-    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0], ids=str)
-    def test_a_bad_step_is_rejected_before_any_draw(self, step):
-        # QuantizerSpec's check and message, raised when the stream is made
-        with pytest.raises(ValueError, match="^step must be positive and finite$"):
-            DitherStream(0, step)
-        with pytest.raises(ValueError, match="^step must be positive and finite$"):
-            QuantizerSpec(step)
 
     def test_cursor_advances(self):
         ds = DitherStream(42, 1.0)

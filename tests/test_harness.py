@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,13 +129,14 @@ class TestConfigParsing:
         ],
     )
     def test_non_positive_or_non_finite_scales_rejected(self, field, value):
+        # quant_step is refused by QuantizerSpec's rule, named after the field
         noise = {} if field in ("sigma_e2", "quant_step") else {"sigma_e2": 0.01}
-        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+        with pytest.raises(ConfigError, match=f"{field} .*must be positive and finite"):
             ExperimentConfig(**noise, **{field: value})
 
     def test_noise_variance_whose_step_overflows_rejected(self):
         # 1e308 is finite, but sqrt(12*sigma_e2) is not
-        with pytest.raises(ConfigError, match="quantizer step sqrt\\(12\\*sigma_e2\\) overflows"):
+        with pytest.raises(ConfigError, match=r"^sqrt\(12\*sigma_e2\) = inf: step must be positive and finite$"):
             ExperimentConfig(sigma_e2=1e308, p=2, gamma=3.0)
         assert math.isfinite(ExperimentConfig(sigma_e2=1e307).step)
 
@@ -318,6 +320,22 @@ class TestRun:
         names = [p.pattern for p in res.patterns]
         assert names == ["central", "pair02", "pair13", "single0", "single1", "single2", "single3"]
         assert res.all_passed
+
+
+def test_a_trial_whose_statistics_overflow_raises_value_error_in_any_thread():
+    # the cell rule admits sigma_e2 = 1e306 (step^2/12 is finite), but the
+    # variance of the loop's output overflows float64 in its reduction: a
+    # ValueError naming both scales, from run and from a trial run on a
+    # thread of its own, which inherits no numpy error state from its caller
+    config = ExperimentConfig(sigma_e2=1e306, p=2, gamma=3.0, n_samples=1 << 14, n_trials=1)
+    message = r"^statistics overflow encountered in \w+ at sigma_x2=1\.0, sigma_e2=1(\.0*\d*)?e\+306$"
+    with pytest.raises(ValueError, match=message) as info:
+        run(config)
+    assert isinstance(info.value.__context__, FloatingPointError)
+    with ThreadPoolExecutor(1) as pool:
+        trial = pool.submit(harness._trial, config, build_filter(config), [(0, 1)], 0)
+        with pytest.raises(ValueError, match=message):
+            trial.result()
 
 
 @pytest.fixture(scope="module")
