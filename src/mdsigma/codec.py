@@ -32,26 +32,28 @@ array per subset; ``decode`` is its one-subset case.  Statistics skip
 the loop's cold start, ``CodecConfig.guard`` samples at each end
 (``reconstruction_mse``).
 
-The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it in
-a C kernel, compiled on first use with the system's C compiler and cached
-on disk, or, where no compiler is found or the build or load fails, in
-straight-line Python generated from the filter order.  Both perform the
-same float64 operations in the same order (the C one is built without
-contraction into fused multiply-adds), so they give the same bits; a
-test holds them to that.  The feedback sum fb_k = c_1 e_{k-1} + ... +
-c_p e_{k-p} is added in one fixed order: the terms j = 2..p go into four
-partial sums by (j - 2) mod 4, each started from 0.0 and added oldest
-first, and fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only the
-newest term waits on the error just computed.  The noise model treats
-the sum as exact; the order only fixes the bits.  ``loop_backend`` names
-the kernel that runs.  The loop is also the library's only dithered
-quantizer (an order-0 filter gives plain dithered quantization): with
-y = (s + z)/step it rounds half up, index = floor(y) + [y - floor(y) >=
-1/2].  y - floor(y) is exact wherever it lies below 1/2, so, unlike
-floor(y + 1/2), the rule never picks the far cell, and every error lies
-in (-step/2, step/2].  The C kernel finds floor(y) without libm and
-without a branch on the data, as the truncation of y less [trunc(y) > y],
-which is exact for |y| < 2^52.
+The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it
+in a C kernel, compiled on first use with the system's C compiler and
+cached on disk, or, where no compiler is found or the build or load
+fails, in straight-line Python generated from the filter order.  Both
+are called as kernel(a, z, n, c_tail, p, step, q, e, fb) and fill the
+arrays q, e and fb that ``_dsq_loop`` allocates, with the same float64
+operations in the same order (the C one is built without contraction
+into fused multiply-adds), so they give the same bits; a test holds them
+to that.  The feedback sum fb_k = c_1 e_{k-1} + ... + c_p e_{k-p} is
+added in one fixed order: the terms j = 2..p go into four partial sums
+by (j - 2) mod 4, each started from 0.0 and added oldest first, and
+fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only the newest term
+waits on the error just computed.  The noise model treats the sum as exact;
+the order only fixes the bits.  ``loop_backend`` names the kernel that
+runs.  The loop is also the library's only dithered quantizer (an
+order-0 filter gives plain dithered quantization): with y = (s + z)/step
+it rounds half up, index = floor(y) + [y - floor(y) >= 1/2].  y -
+floor(y) is exact wherever it lies below 1/2, so, unlike floor(y + 1/2),
+the rule never picks the far cell, and every error lies in (-step/2,
+step/2].  The C kernel finds floor(y) without libm and without a branch
+on the data, as the truncation of y less [trunc(y) > y], which is exact
+for |y| < 2^52.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,27 +266,38 @@ def loop_backend() -> str:
 
 
 def _unrolled_loop_source(p: int) -> str:
-    """Source of the straight-line feedback loop for filter order ``p``.
+    """Source of the straight-line feedback loop for filter order ``p``,
+    ``kernel(a, z, n, c_tail, p, step, q, e, fb)``, the C kernel's contract:
+    it fills the outputs q, e and fb that the caller allocates.
 
-    The last p errors live in locals h0..h{p-1}, written round-robin, and
-    the body is unrolled p times so that sub-step r finds e[k-j] in
-    h{(r-j) % p}: no value is ever shifted.  Each feedback sum adds the
-    terms c_j e[k-j], j = 2..p, into four partial sums by (j - 2) % 4, each
-    started from 0.0 and added oldest first (descending j), and then the
-    newest term: fb[k] = ((t0 + t1) + (t2 + t3)) + c_1 e[k-1].  Only the
-    newest term waits on the error just computed.  The source depends on p
-    alone; no data is formatted in.
+    Indexing a numpy array boxes a scalar per access, so the samples stream
+    as Python floats through memoryviews of the inputs and the results are
+    stored through memoryviews of the outputs.  The last p errors live in
+    locals h0..h{p-1}, written round-robin, and the body is unrolled p
+    times so that sub-step r finds e[k-j] in h{(r-j) % p}: no value is ever
+    shifted.  Each feedback sum adds the terms c_j e[k-j], j = 2..p, into
+    four partial sums by (j - 2) % 4, each started from 0.0 and added
+    oldest first (descending j), and then the newest term: fb[k] = ((t0 +
+    t1) + (t2 + t3)) + c_1 e[k-1].  Only the newest term waits on the error
+    just computed.  The history starts at 0.0 instead of a cold-start
+    branch: each sum starts from 0.0, so in round-to-nearest acc is never
+    -0.0, and adding a +-0.0 product (ShapingFilter rejects non-finite
+    coefficients) leaves it unchanged bit for bit, as if the term were
+    absent.  The source depends on p alone; no data is formatted in.
     """
-    lines = ["def kernel(it, c, step, q_append, e_append, fb_append, floor, next):"]
+    lines = [
+        "def kernel(a, z, n, c, p, step, q, e, fb, floor=floor, next=next):",
+        "    q, e, fb = memoryview(q), memoryview(e), memoryview(fb)",
+    ]
     if p:
-        lines.append("    " + ", ".join(f"c{i}" for i in range(p)) + ", = c")
+        lines.append("    " + ", ".join(f"c{i}" for i in range(p)) + ", = memoryview(c)")
         lines.append("    " + " = ".join(f"h{i}" for i in range(p)) + " = 0.0")
-    lines.append("    for ak, zk in it:")
+    lines += ["    it = zip(range(n), memoryview(a), memoryview(z))", "    for k, ak, zk in it:"]
     for r in range(max(p, 1)):
         if r:
             lines += [
                 "        try:",
-                "            ak, zk = next(it)",
+                "            k, ak, zk = next(it)",
                 "        except StopIteration:",
                 "            return",
             ]
@@ -302,9 +314,9 @@ def _unrolled_loop_source(p: int) -> str:
             "        if y - qk >= 0.5:",
             "            qk += 1",
             f"        {f'h{r} = ' if p else ''}ek = step * qk - zk - s",
-            "        q_append(qk)",
-            "        e_append(ek)",
-            "        fb_append(acc)",
+            "        q[k] = qk",
+            "        e[k] = ek",
+            "        fb[k] = acc",
         ]
     return "\n".join(lines) + "\n"
 
@@ -313,46 +325,19 @@ def _unrolled_loop_source(p: int) -> str:
 def _generated_kernel(p: int):
     """The generated kernel for order p, compiled once: the source grows as
     p^2, and compiling it takes about 0.1 s at p = 128."""
-    namespace = {}
+    namespace = {"floor": math.floor}
     exec(compile(_unrolled_loop_source(p), f"<dsq loop p={p}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-def _dsq_loop_python(a, c_tail, z, step):
-    """The generated kernel under ``_dsq_loop``'s contract; (q, e, fb) are
-    int64 and float64 views of the buffers it filled.
-
-    Indexing a numpy array boxes a scalar per access, so the samples stream
-    as Python floats through memoryviews of the inputs and the outputs
-    gather in array.array buffers.  The history starts at 0.0 instead of a
-    cold-start branch: each sum starts from 0.0, so in round-to-nearest acc
-    is never -0.0, and adding a +-0.0 product (ShapingFilter rejects
-    non-finite coefficients) leaves it unchanged bit for bit, as if the
-    term were absent.
-    """
-    q, e, fb = array("q"), array("d"), array("d")
-    it = zip(memoryview(a), memoryview(z))
-    _generated_kernel(c_tail.shape[0])(
-        it, c_tail.tolist(), step, q.append, e.append, fb.append, math.floor, next
-    )
-    return (
-        np.frombuffer(q, dtype=np.int64),
-        np.frombuffer(e, dtype=np.float64),
-        np.frombuffer(fb, dtype=np.float64),
-    )
 
 
 def _dsq_loop(a, c_tail, z, step):
     """Run the recursion over C-contiguous float64 arrays a and z of one
     length and the filter tail c_tail; return (q, e, fb) as int64 and
-    float64 arrays.  The C kernel fills arrays numpy allocates; where it
-    cannot be had, the generated kernel gives the same bits."""
-    native = _native_loop()
-    if native is None:
-        return _dsq_loop_python(a, c_tail, z, step)
-    n = a.shape[0]
+    float64 arrays.  The kernel, C or, where that cannot be had, the
+    generated one with the same bits, fills arrays numpy allocates here."""
+    n, p = a.shape[0], c_tail.shape[0]
     q, e, fb = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    native(a, z, n, c_tail, c_tail.shape[0], step, q, e, fb)
+    (_native_loop() or _generated_kernel(p))(a, z, n, c_tail, p, step, q, e, fb)
     return q, e, fb
 
 
@@ -393,13 +378,14 @@ def delta_sigma_loop(a, filt: ShapingFilter, dither, step: float) -> LoopResult:
         raise ValueError("dither length must match the oversampled block")
     step = QuantizerSpec(step).step
     # max|a| and max|z| without a temporary array the size of the block; a
-    # NaN or an infinity anywhere makes its peak NaN or inf
-    peak_a = max(a.max(initial=0.0), -a.min(initial=0.0))
-    peak_z = max(z.max(initial=0.0), -z.min(initial=0.0))
+    # NaN or an infinity anywhere makes its peak NaN or inf.  The bound is
+    # formed in Python floats, which overflow to inf without a warning
+    peak_a = float(max(a.max(initial=0.0), -a.min(initial=0.0)))
+    peak_z = float(max(z.max(initial=0.0), -z.min(initial=0.0)))
     if not (math.isfinite(peak_a) and math.isfinite(peak_z)):
         raise ValueError("signal and dither must be finite")
     c_tail = np.ascontiguousarray(filt.coeffs[1:], dtype=np.float64)
-    if not (peak_a + peak_z + np.abs(c_tail).sum() * step / 2) / step < 2.0**52:
+    if not (peak_a + peak_z + sum(map(abs, c_tail.tolist())) * step / 2) / step < 2.0**52:
         raise ValueError("signal, dither and feedback could push an index past 2^52 steps")
     q, e, fb = _dsq_loop(a, c_tail, z, step)
     del z

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from .codec import CodecConfig, decode_subsets, encode, reconstruction_mse
-from .ecdq import QuantizerSpec, ROLE_SOURCE, derive_seed, substream
+from .ecdq import QuantizerSpec, ROLE_DITHER, ROLE_SOURCE, derive_seed, substream
 from .shaping import (
     ShapingFilter,
     design_multiband,
@@ -133,11 +133,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (optional and value is None):
                 object.__setattr__(self, name, _real(name, value))
-        for name in _FLOAT_TUPLE_FIELDS:
+        for name, item in _TUPLE_FIELDS.items():
             values = getattr(self, name)
             if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-                raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
-            object.__setattr__(self, name, tuple(_real(f"{name} entry", v) for v in values))
+                noun = "real numbers" if item is float else "strings"
+                raise ConfigError(f"{name} must be a sequence of {noun}, got {values!r}")
+            object.__setattr__(self, name, tuple(_real(f"{name} entry", v) if item is float else v for v in values))
         if self.source_dist not in _SOURCE_DISTS:
             raise ConfigError(f"unknown source_dist {self.source_dist!r}")
         if self.filter_kind not in _FILTER_KINDS:
@@ -166,7 +167,7 @@ class ExperimentConfig:
         if not self.tol_mse_rel >= 0:  # NaN fails too
             raise ConfigError(f"tol_mse_rel must be >= 0, got {self.tol_mse_rel!r}")
         for pat in self.erasure_patterns:
-            if pat not in self.valid_patterns():
+            if not isinstance(pat, str) or pat not in self.valid_patterns():
                 raise ConfigError(f"pattern {pat!r} invalid for K={self.oversampling}")
         if len(set(self.erasure_patterns)) != len(self.erasure_patterns):
             raise ConfigError(f"duplicate erasure pattern in {self.erasure_patterns}")
@@ -220,12 +221,13 @@ _FILE_KEYS = {
 _INT_FIELDS = tuple(name for name, conv in _FILE_KEYS.values() if conv is int)
 
 # the fields annotated ``float`` or ``float | None`` (True where None is
-# admitted) and ``tuple[float, ...]``, which take real numbers only, bools
-# excepted, and store them as Python floats
+# admitted), which take real numbers only, bools excepted, and store them
+# as Python floats; and those annotated ``tuple[X, ...]``, mapped to X,
+# which take any sequence but a string and store a tuple (X = float: of floats)
 _FLOAT_FIELDS = {
     name: type(None) in typing.get_args(hint) for name, hint in _HINTS.items() if _converter(hint) is float
 }
-_FLOAT_TUPLE_FIELDS = tuple(name for name, hint in _HINTS.items() if hint == tuple[float, ...])
+_TUPLE_FIELDS = {name: typing.get_args(hint)[0] for name, hint in _HINTS.items() if typing.get_origin(hint) is tuple}
 
 
 def _real(name: str, value) -> float:
@@ -288,7 +290,7 @@ def _codec_config(config: ExperimentConfig, filt: ShapingFilter, trial: int) -> 
         quantizer=QuantizerSpec(step=config.step),
         filter=filt,
         oversampling=config.oversampling,
-        dither_seed=derive_seed(config.master_seed, trial, 1),
+        dither_seed=derive_seed(config.master_seed, trial, ROLE_DITHER),
     )
 
 

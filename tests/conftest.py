@@ -25,13 +25,28 @@ def loop_kernel(request, monkeypatch):
 
 
 def loop_kernels():
-    """Every loop kernel this machine can run: the generated one always, and
-    the C one wherever a C compiler is found, which must then load."""
-    kernels = {"python": codec._dsq_loop_python}
+    """Every loop kernel this machine can run, each called as kernel(a, z,
+    n, c_tail, p, step, q, e, fb): the generated one always, and the C one
+    wherever a C compiler is found, which must then load."""
+    kernels = {"python": lambda a, z, n, c, p, *out: codec._generated_kernel(p)(a, z, n, c, p, *out)}
     if codec._compiler() is not None:
         assert codec.loop_backend() == "c", "a C compiler is found but the C kernel did not load"
-        kernels["c"] = codec._dsq_loop
+        kernels["c"] = codec._native_loop()
     return kernels
+
+
+# no index, error or feedback sum of an admitted block takes these values
+Q_SENTINEL, F_SENTINEL = np.iinfo(np.int64).min, np.nan
+
+
+def run_kernel(kernel, a, c_tail, z, step):
+    """(q, e, fb) from one kernel call on outputs prefilled with sentinels,
+    which it must overwrite in every slot."""
+    n = a.shape[0]
+    q, e, fb = np.full(n, Q_SENTINEL), np.full(n, F_SENTINEL), np.full(n, F_SENTINEL)
+    kernel(a, z, n, c_tail, c_tail.shape[0], step, q, e, fb)
+    assert not (q == Q_SENTINEL).any() and not np.isnan(e).any() and not np.isnan(fb).any(), "a slot was not filled"
+    return q, e, fb
 
 
 def traced_peak(fn, *args):

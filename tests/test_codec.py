@@ -30,7 +30,15 @@ from mdsigma.ecdq import DitherStream, QuantizerSpec
 from mdsigma.shaping import MAX_ORDER, ShapingFilter, design_multiband, design_yule_walker, filter_powers
 from mdsigma.theory import wiener_gain
 
-from conftest import ENCODE_PEAK_ARRAYS, bandlimited_noise, loop_kernels, traced_peak
+from conftest import (
+    ENCODE_PEAK_ARRAYS,
+    F_SENTINEL,
+    Q_SENTINEL,
+    bandlimited_noise,
+    loop_kernels,
+    run_kernel,
+    traced_peak,
+)
 from reference import newest_first_loop
 
 STEP_001 = float(np.sqrt(12 * 0.01))  # sigma_e2 = 0.01
@@ -328,6 +336,25 @@ class TestLoop:
         with pytest.raises(ValueError, match=r"past 2\^52"):
             delta_sigma_loop(a, filt, dither=np.zeros(16), step=step)
 
+    @pytest.mark.parametrize(
+        "a,filt,z,step",
+        [
+            ([1e308, 0.0], ShapingFilter((1.0,)), [1e308, 0.0], 1.0),  # max|a| + max|z| overflows
+            ([0.0, 0.0], ShapingFilter((1.0, 1e300)), [0.0, 0.0], 1e10),  # sum|c_tail| step overflows
+            ([0.0, 0.0], ShapingFilter((1.0, 1e308, 1e308)), [0.0, 0.0], 1.0),  # sum|c_tail| overflows
+        ],
+        ids=["peaks", "tail-times-step", "tail-sum"],
+    )
+    def test_a_bound_past_float_range_is_rejected_before_the_kernel(self, monkeypatch, a, filt, z, step):
+        # the suite turns RuntimeWarnings into errors, so the bound itself
+        # must not overflow in numpy scalars
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel ran on a block whose index bound overflows")
+
+        monkeypatch.setattr(codec, "_dsq_loop", kernel_must_not_run)
+        with pytest.raises(ValueError, match=r"past 2\^52"):
+            delta_sigma_loop(a, filt, z, step)
+
     def test_index_just_below_2_52_runs(self):
         a = np.zeros(16)
         a[3] = 2.0**52 - 8
@@ -373,7 +400,8 @@ class TestLoop:
                             z = rng.uniform(-step / 2, step / 2, n)
                         ref = _dsq_loop_py(a, ct, z, step)
                         for backend, kernel in kernels.items():
-                            assert_same_bits(kernel(a, ct, z, step), ref, (backend, p, n, step, zeros))
+                            got = run_kernel(kernel, a, ct, z, step)
+                            assert_same_bits(got, ref, (backend, p, n, step, zeros))
 
     @given(block=loop_blocks())
     @example(block=(np.array([0.0]), np.zeros(0), np.array([10.999999999999998]), 22.0))
@@ -390,10 +418,32 @@ class TestLoop:
         a, c_tail, z, step = block
         # the block passes every check delta_sigma_loop makes before a kernel
         res = delta_sigma_loop(a, ShapingFilter((1.0, *c_tail.tolist())), z, step)
-        want = codec._dsq_loop_python(a, c_tail, z, step)
+        kernels = loop_kernels()
+        want = run_kernel(kernels.pop("python"), a, c_tail, z, step)
         assert_same_bits((res.indices, res.quant_error, res.feedback), want, "delta_sigma_loop")
+        for backend, kernel in kernels.items():
+            assert_same_bits(run_kernel(kernel, a, c_tail, z, step), want, backend)
+
+    def test_each_kernel_fills_every_slot_of_the_arrays_dsq_loop_returns(self, monkeypatch):
+        # _dsq_loop allocates q, e and fb, the kernel overwrites every slot
+        # (here prefilled with sentinels), and _dsq_loop returns those arrays
+        rng = np.random.default_rng(5)
+        ct = np.ascontiguousarray(np.array(design_yule_walker(12, 0.05).coeffs)[1:])
+        a, z = rng.standard_normal(999), rng.uniform(-0.5, 0.5, 999)
         for backend, kernel in loop_kernels().items():
-            assert_same_bits(kernel(a, c_tail, z, step), want, backend)
+            passed = []
+
+            def spy(*args, kernel=kernel):
+                for out, sentinel in zip(args[6:], (Q_SENTINEL, F_SENTINEL, F_SENTINEL)):
+                    out.fill(sentinel)
+                passed.append(args[6:])
+                kernel(*args)
+
+            monkeypatch.setattr(codec, "_native_loop", lambda: spy)
+            got = codec._dsq_loop(a, ct, z, 1.0)
+            (outs,) = passed
+            assert all(g is out for g, out in zip(got, outs)), backend
+            assert_same_bits(got, _dsq_loop_py(a, ct, z, 1.0), backend)
 
     def test_indices_match_the_newest_first_order_at_k4_p48(self):
         # the partial-sum order moves each feedback sum by rounding only; on
@@ -784,7 +834,7 @@ class TestEncoderMemory:
     def test_encode_peaks_at_the_loop_results_five_arrays(self, loop_kernel, k):
         n = 1 << 16
         peak = traced_peak(encode, np.random.default_rng(31).standard_normal(n), make_config(k=k))
-        assert peak <= (ENCODE_PEAK_ARRAYS * k + 0.5) * n * 8, (loop_kernel, peak / (8 * n))
+        assert peak <= (ENCODE_PEAK_ARRAYS * k + 0.1) * n * 8, (loop_kernel, peak / (8 * n))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_packets_are_read_only_views_of_the_loop_indices(self, k):

@@ -16,7 +16,7 @@ from mdsigma.harness import ConfigError, ExperimentConfig
 from mdsigma.shaping import ShapingFilter
 from mdsigma.theory import gaussian_rate_bits
 
-from conftest import loop_kernels
+from conftest import loop_kernels, run_kernel
 from reference import error_statistics
 
 # the order-0 feedback loop is plain dithered quantization
@@ -115,7 +115,7 @@ class TestTheStepRule:
         # valid step runs each, so the patch is the one delta_sigma_loop calls
         for backend, kernel in loop_kernels().items():
             ran = []
-            monkeypatch.setattr(codec, "_dsq_loop", lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
+            monkeypatch.setattr(codec, "_dsq_loop", lambda *args, kernel=kernel: ran.append(1) or run_kernel(kernel, *args))
             with pytest.raises(ValueError) as info:
                 delta_sigma_loop(np.zeros(4), ShapingFilter((1.0, -0.5)), np.zeros(4), step)
             assert str(info.value) == message and not ran, backend

@@ -1,6 +1,7 @@
 """Harness: config ingestion, runs, sweeps, entropy estimation, CSV contract."""
 
 import math
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -211,6 +212,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="coeffs must be a sequence of real numbers, got '1, 2'"):
             ExperimentConfig(**{**SMALL, "coeffs": "1, 2"})
 
+    @pytest.mark.parametrize("value", ["central", b"odd", 5, None], ids=repr)
+    def test_erasure_patterns_must_be_a_sequence_of_strings(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"erasure_patterns must be a sequence of strings, got {value!r}")):
+            ExperimentConfig(sigma_e2=0.01, erasure_patterns=value)
+
+    def test_erasure_patterns_are_kept_as_a_tuple_of_strings(self):
+        config = ExperimentConfig(sigma_e2=0.01, erasure_patterns=["central", "odd"])
+        assert config.erasure_patterns == ("central", "odd") and hash(config) == hash(
+            ExperimentConfig(sigma_e2=0.01, erasure_patterns=("central", "odd"))
+        )
+        for entry in (5, np.array(["central"])):  # the array would compare equal to "central"
+            with pytest.raises(ConfigError, match="invalid for K=2"):
+                ExperimentConfig(sigma_e2=0.01, erasure_patterns=[entry])
+
     def test_float_fields_take_numpy_numbers_as_python_floats(self):
         floats = dict(sigma_x2=2.0, sigma_e2=0.25, lambda_ratio=0.5, gamma=6.0, tol_mse_rel=0.125, coeffs=(1.0, -0.5))
         numpy_floats = dict(
@@ -220,7 +235,7 @@ class TestConfigParsing:
         assert harness._FLOAT_FIELDS == dict(
             sigma_x2=False, sigma_e2=True, quant_step=True, lambda_ratio=False, gamma=False, tol_mse_rel=False
         )
-        assert harness._FLOAT_TUPLE_FIELDS == ("coeffs", "band_edges", "band_weights")
+        assert harness._TUPLE_FIELDS == dict(coeffs=float, band_edges=float, band_weights=float, erasure_patterns=str)
         config = ExperimentConfig(**{**SMALL, **numpy_floats})
         assert config == ExperimentConfig(**{**SMALL, **floats})
         assert all(type(getattr(config, name)) is float for name in floats if name != "coeffs")
