@@ -33,14 +33,15 @@ the loop's cold start, ``CodecConfig.guard`` samples at each end
 (``reconstruction_mse``).
 
 The feedback recursion is sequential by nature.  ``_dsq_loop`` runs it
-in a C kernel, compiled on first use with the system's C compiler and
-cached on disk, or, where no compiler is found or the build or load
-fails, in straight-line Python generated from the filter order.  Both
-are called as kernel(a, z, n, c_tail, p, step, q, e, fb) and fill the
-arrays q, e and fb that ``_dsq_loop`` allocates, with the same float64
-operations in the same order (the C one is built without contraction
-into fused multiply-adds), so they give the same bits; a test holds them
-to that.  The feedback sum fb_k = c_1 e_{k-1} + ... + c_p e_{k-p} is
+in a C kernel, or, where no compiler is found or the build or load fails,
+in straight-line Python generated from the filter order.  The C kernel is
+part of the library that ``_native`` compiles on first use with the
+system's C compiler and caches on disk, which also holds the kernels of
+``shaping``'s designs.  Both kernels are called as kernel(a, z, n, c_tail,
+p, step, q, e, fb) and fill the arrays q, e and fb that ``_dsq_loop``
+allocates, with the same float64 operations in the same order (the C
+one is built without contraction into fused multiply-adds), so they give
+the same bits; a test holds them to that.  The feedback sum fb_k = c_1 e_{k-1} + ... + c_p e_{k-p} is
 added in one fixed order: the terms j = 2..p go into four partial sums
 by (j - 2) mod 4, each started from 0.0 and added oldest first, and
 fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only the newest term
@@ -58,21 +59,14 @@ for |y| < 2^52.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
-import logging
 import math
-import os
-import shlex
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .dsp import ideal_fractional_delay, ideal_upsample
 from .ecdq import QuantizerSpec, DitherStream
 from .shaping import MAX_ORDER, ShapingFilter, band_power
@@ -97,167 +91,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-_log = logging.getLogger(__name__)
-
-# The recursion in C, one statement per operation of the generated kernel
-# below and in the same order: terms j = m..2, where m = min(k, p), go to the
-# partial sum t[(j - 2) % 4], oldest first; the switch peels the oldest ones
-# until the rest come in whole groups of four.  It reads the history straight
-# from e, so the first k < p sums simply have fewer terms: with each partial
-# sum starting from 0.0, the generated kernel's zero history adds nothing to
-# them either.  Rounding needs no floor and no branch on the data: the
-# truncation (int64_t)y, less one where it lies above y, is floor(y), and the
-# comparison adds the half-up step.  Both casts are exact because
-# delta_sigma_loop admits no block whose index could reach 2^52.
-_LOOP_C_SOURCE = r"""
-#include <stdint.h>
-
-void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
-              int64_t p, double step, int64_t *q, double *e, double *fb)
-{
-    for (int64_t k = 0; k < n; k++) {
-        /* term j is c[j - 1] * h[-j], c_j e_{k-j} */
-        const double *h = e + k;
-        int64_t j = k < p ? k : p;
-        double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
-        if (j >= 2) {
-            switch ((j - 2) & 3) {
-            case 2:
-                t2 += c[j - 1] * h[-j];
-                j--;
-                /* fall through */
-            case 1:
-                t1 += c[j - 1] * h[-j];
-                j--;
-                /* fall through */
-            case 0:
-                t0 += c[j - 1] * h[-j];
-                j--;
-            }
-        }
-        for (; j >= 5; j -= 4) {
-            t3 += c[j - 1] * h[-j];
-            t2 += c[j - 2] * h[1 - j];
-            t1 += c[j - 3] * h[2 - j];
-            t0 += c[j - 4] * h[3 - j];
-        }
-        double acc = (t0 + t1) + (t2 + t3);
-        if (j == 1) /* m >= 1: the newest term, last */
-            acc += c[0] * h[-1];
-        double s = a[k] + acc;
-        double y = (s + z[k]) / step;
-        int64_t qi = (int64_t)y;
-        qi -= (double)qi > y;
-        qi += (y - (double)qi) >= 0.5;
-        q[k] = qi;
-        e[k] = step * (double)qi - z[k] - s;
-        fb[k] = acc;
-    }
-}
-"""
-
-# No -ffast-math, -Ofast or -march=native: reassociated sums or fused
-# multiply-adds would change the bits.
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_CC_TIMEOUT_S = 120
-
-
-class _NoNativeLoop(Exception):
-    """The C kernel cannot be built or loaded; the message says why."""
-
-
-def _compiler():
-    """argv prefix of the C compiler, ``$CC`` (default ``cc``) with its first
-    word resolved on PATH, or None where there is none."""
-    words = shlex.split(os.environ.get("CC") or "cc")
-    path = shutil.which(words[0]) if words else None
-    return None if path is None else [path, *words[1:]]
-
-
-def _library_name(cc) -> str:
-    """File name keyed by the source, the flags and the compiler's identity
-    (its resolved path, size and modification time), found without running
-    it, so a cache hit starts no process."""
-    exe = os.path.realpath(cc[0])
-    st = os.stat(exe)
-    key = "\0".join([_LOOP_C_SOURCE, *_CC_FLAGS, *cc, exe, str(st.st_size), str(st.st_mtime_ns)])
-    return f"dsq_loop-{hashlib.sha256(key.encode()).hexdigest()[:20]}.so"
-
-
-def _cache_dirs():
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "mdsigma"), os.path.join(tempfile.gettempdir(), "mdsigma")
-
-
-def _private_dir(directory: str) -> None:
-    """Make ``directory`` if need be; PermissionError unless this user owns
-    it and no one else can write to it, since the library it holds is
-    loaded into the process (the temporary directory is shared)."""
-    os.makedirs(directory, mode=0o700, exist_ok=True)
-    st = os.stat(directory)
-    if hasattr(os, "getuid") and (st.st_uid != os.getuid() or st.st_mode & 0o022):
-        raise PermissionError(f"{directory} is not private to this user")
-
-
-def _build(cc, path: str) -> None:
-    """Compile the kernel to ``path`` through a private directory beside it
-    and ``os.replace``, so no process ever loads a half-written library.
-
-    OSError means the directory cannot be written; a failed compiler run
-    raises _NoNativeLoop.
-    """
-    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
-        src, lib = os.path.join(work, "dsq_loop.c"), os.path.join(work, "dsq_loop.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_LOOP_C_SOURCE)
-        argv = [*cc, *_CC_FLAGS, "-o", lib, src]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=_CC_TIMEOUT_S)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise _NoNativeLoop(f"{' '.join(argv)} did not run: {exc}") from exc
-        if proc.returncode != 0:
-            raise _NoNativeLoop(
-                f"{' '.join(argv)} exited with {proc.returncode}: {proc.stderr.strip()[-400:]}"
-            )
-        os.replace(lib, path)
-
-
-def _bind(path: str):
-    try:
-        fn = ctypes.CDLL(path).dsq_loop
-    except (OSError, AttributeError) as exc:
-        raise _NoNativeLoop(f"cannot load {path}: {exc}") from exc
-    f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-    fn.argtypes = [f64, f64, ctypes.c_int64, f64, ctypes.c_int64, ctypes.c_double, i64, f64, f64]
-    fn.restype = None
-    return fn
-
-
-@functools.lru_cache(maxsize=None)
 def _native_loop():
-    """The compiled kernel, built on first use and cached on disk; None,
-    logged once with the reason, where it cannot be had."""
-    try:
-        cc = _compiler()
-        if cc is None:
-            raise _NoNativeLoop(f"no C compiler found (looked for {os.environ.get('CC') or 'cc'!r})")
-        name = _library_name(cc)
-        unwritable = []
-        for directory in _cache_dirs():
-            path = os.path.join(directory, name)
-            try:
-                _private_dir(directory)
-                if not os.path.isfile(path):
-                    _build(cc, path)
-            except OSError as exc:
-                unwritable.append(f"{directory} ({exc})")
-                continue
-            return _bind(path)
-        raise _NoNativeLoop("no writable cache directory: " + "; ".join(unwritable))
-    except _NoNativeLoop as exc:
-        _log.warning("the feedback loop runs on the generated Python kernel, with the same bits: %s", exc)
-        return None
+    """The C loop kernel, or None where the compiled library cannot be had
+    (``_native.library`` logs why, once)."""
+    lib = _native.library()
+    return None if lib is None else lib.dsq_loop
 
 
 def loop_backend() -> str:

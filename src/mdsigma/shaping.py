@@ -11,26 +11,40 @@ gives the normal equations
 which are standard autocorrelation (Yule-Walker) equations and therefore
 have a unique minimum-phase solution.  The Gram matrix is the
 autocorrelation of a strictly band-limited spectrum, so its conditioning
-collapses rapidly with the order; every design runs a Levinson-Durbin
-recursion in extended precision so that small-lambda, large-p designs
-remain well defined.  The recursion has two twins with one operation
-order: ``_levinson`` runs on Python floats for the bisection's float64
-steps, and ``_levinson_mp`` designs every filter and runs the
-extended-precision steps.  The extended twin, like the
+collapses rapidly with the order; the design is defined as the float64
+rounding of a Levinson-Durbin recursion run in extended precision (3p + 20
+digits), so that small-lambda, large-p designs remain well defined.  The
+recursion has two twins with one operation order: ``_levinson`` runs on
+Python floats for the bisection's float64 steps (in C where the compiled
+library loads, ``_levinson_f64``), and ``_levinson_mp`` runs the
+extended-precision steps and designs.  The extended twin, like the
 step-down in ``min_phase_check``, calls mpmath's libmp rounding functions
 on raw mantissa-exponent tuples, the calls the mpf operators make, so it
 gives their bits without building an mpf object per operation.  The
 half-band lags sinc(m/2) are computed once per order.
 
+Most designs need no extended-precision solve.  Both systems have a known
+eigenvalue floor: 2 lambda for G + 2 lambda I, since the half-band
+spectrum lies in [0, 2], and the smallest band weight for a multiband
+design.  So the compiled library solves them in double-double from the
+lags rounded once to double-double, and a double-double residual bounds
+the distance to the extended-precision solution by beta (``_dd_solution``
+derives it).  Where every interval [c_j - beta, c_j + beta] lies strictly
+inside one float64 rounding cell, its roundings are the design's, bit for
+bit (``_nearest_double``).  The extended-precision recursion still runs
+at lambda = 0, with a zero band weight, where the solve or the bound
+fails, and where no C compiler is found; so every design is the same on
+either path.
+
 The weight ratio lambda that hits a target P_ds/P_dc is found by
 bisection.  Adding 2*lambda to the diagonal bounds the condition number by
 1 + 1/lambda, so from lambda >= 1e-3 on, float64 runs of the same
-recursion decide the bisection steps; a step falls back to extended
-precision when lambda is below that floor or when the float64 ratio lies
-within its derived error margin of a decision threshold
+recursion (``_levinson_f64``) decide the bisection steps; a step falls
+back to extended precision when lambda is below that floor or when the
+float64 ratio lies within its derived error margin of a decision threshold
 (``find_lambda_for_ratio`` gives the derivation).  Every decision is then
 the one extended precision makes, so lambda comes out bit for bit the
-same, and the filter for that lambda is designed in extended precision.
+same, and the filter for that lambda is designed as above.
 
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
@@ -55,6 +69,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
+    dps_to_prec,
     fone,
     fzero,
     mpf_abs,
@@ -68,6 +83,8 @@ from mpmath.libmp import (
     mpf_sub,
 )
 from mpmath.libmp import round_nearest as _RND
+
+from . import _native
 
 __all__ = [
     "MAX_ORDER",
@@ -190,6 +207,19 @@ def _levinson_mp(r: list, p: int):
     return [mp.make_mpf(v) for v in a], mp.make_mpf(energy)
 
 
+def _levinson_f64(r: list, p: int):
+    """``_levinson`` on a list of floats: its C twin ``levinson_f64`` where
+    the compiled library loads, which gives the same bits and raises the
+    same error, else ``_levinson`` itself."""
+    lib = _native.library()
+    if lib is None:
+        return _levinson(r, p)
+    a, energy = np.empty(p + 1), np.empty(1)
+    if lib.levinson_f64(np.array(r, dtype=np.float64), p, a, energy):
+        raise ValueError("normal equations not positive definite")
+    return a.tolist(), float(energy[0])
+
+
 def _design_dps(p: int) -> int:
     # conditioning of the band-limited Gram matrix collapses roughly
     # exponentially in p; this leaves a wide precision margin up to MAX_ORDER
@@ -205,7 +235,7 @@ def _yule_walker(lags: list, lam, levinson):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
     c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, by
     ``levinson``: ``_levinson_mp`` on mpf lags at the current precision, or
-    ``_levinson`` on floats."""
+    ``_levinson_f64`` on floats."""
     return levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
 
 
@@ -217,15 +247,165 @@ def _half_band_lags(p: int) -> tuple:
         return tuple(_sinc_half_mp(m) for m in range(p + 1))
 
 
+# ---------------------------------------------------------------------------
+# Designs in double-double with a proven float64 rounding
+# ---------------------------------------------------------------------------
+
+
+_U = 2.0**-53
+# a lag's rounding to double-double, 2^-106 relative, with headroom
+_DD_LAG_REL = 2.0**-104
+# absolute slack for the roundings that underflow, far below any
+# coefficient whose rounding is checked
+_DD_TINY = 2.0**-1000
+# the floor, the lag sum and the level sum must lie in this range, where
+# no step of the solve or of the residual overflows
+_DD_SCALE = (2.0**-100, 2.0**100)
+# coefficients checked: zero and subnormal roundings are left to mpmath
+_NORMAL = (2.0**-1000, 2.0**1000)
+
+
+def _to_dd(values) -> tuple:
+    """(hi, lo) float64 arrays of mpf values, each rounded once to
+    double-double: hi = fl(v) and lo = fl(v - hi), so |v - hi - lo| <=
+    2^-106 |v| away from underflow.  v - hi is exact at the precision v was
+    computed at, which the caller holds."""
+    hi = [float(v) for v in values]
+    return np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)])
+
+
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _half_band_lags_dd(p: int) -> tuple:
+    """``_half_band_lags(p)`` rounded once to double-double, read-only."""
+    lags = _half_band_lags(p)
+    with mp.workdps(_design_dps(p)):
+        hi, lo = _to_dd(lags)
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
+
+
+def _nearest_double(hi: float, lo: float, beta: float):
+    """The double that every real within beta of hi + lo rounds to, or None
+    where that interval reaches the edge of a rounding cell, or where the
+    rounding of hi + lo is zero, subnormal or near overflow.
+
+    The cell of f is (f - d_down, f + d_up), with d_down and d_up half the
+    gaps to f's neighbours (where |f| is a power of two, the gap toward
+    zero is half the other).
+    Both tests, hi + lo - beta > f - d_down and hi + lo + beta < f + d_up,
+    are made on the sign of an exactly rounded sum of doubles, so exactly.
+    """
+    f = hi + lo
+    if not _NORMAL[0] <= abs(f) <= _NORMAL[1]:
+        return None
+    d_down = (f - math.nextafter(f, -math.inf)) / 2
+    d_up = (math.nextafter(f, math.inf) - f) / 2
+    if math.fsum((hi, lo, -f, -beta, d_down)) > 0 and math.fsum((f, d_up, -hi, -lo, -beta)) > 0:
+        return f
+    return None
+
+
+def _dd_solution(r_hi, r_lo, floor: float, level_sum: float):
+    """(a_hi, a_lo, beta): the double-double solution a of the monic normal
+    equations of the lags r = r_hi + r_lo, and a bound beta on |a_j - c_j|
+    for every j, with c the extended-precision design (``_levinson_mp`` at
+    ``_design_dps``).  None where the compiled library is absent, the system
+    lies outside ``_DD_SCALE``, or the solve fails.
+
+    floor is a lower bound on the smallest eigenvalue of the order-p
+    Toeplitz matrix T of r_0..r_{p-1}; level_sum sums the levels of the
+    weight function whose autocorrelation the lags are.  With rho^ the
+    residual of rows 1..p, T a_tail + (r_1..r_p), computed in double-double,
+
+        beta = 2 ((||rho^||_2 + e_rho + e_lag) / floor + eps_mp),
+
+    - e_rho = 16 (p+1) u^2 ||s||_2 bounds the residual's rounding, s_i the
+      row sums of |r| |a|: each of the p+1 products errs by under 7u^2 and
+      each sum by under 3u^2 (``_native``), 3p + 10 < 16 (p+1);
+    - e_lag = 2^-104 ||r||_1 ||a||_2 covers the lags' rounding to
+      double-double, ||r||_1 = |r_0| + 2 sum |r_m| bounding the norm of the
+      Toeplitz perturbation;
+    - residual over floor bounds ||a_tail - x||_2, x the exact solution;
+    - eps_mp = 2^(p+16-prec) (p+1)^2 (||r||_1 + level_sum) (||a||_2 + 1) /
+      floor is a generous bound on the extended-precision design's own
+      distance from x at its prec bits: Cybenko (1980) bounds Levinson's
+      residual by a multiple of p^2 2^-prec prod(1 + |k_i|) < p^2 2^(p-prec),
+      and the mpmath lags err by a few units in their last place, times a
+      sine's argument, below 2^9;
+    - the factor 2 covers the float64 evaluation of the bound and the
+      shift of the smallest eigenvalue by the mpmath lags' own error, which
+      is below floor/2 wherever eps_mp passes the rounding check.
+
+    Each term adds an absolute (p+1) 2^-1000 for roundings that underflow.
+    """
+    lib = _native.library()
+    p = r_hi.shape[0] - 1
+    lo_scale, hi_scale = _DD_SCALE
+    r_norm1 = abs(float(r_hi[0])) + 2.0 * float(np.abs(r_hi[1:]).sum())
+    if lib is None or not (lo_scale <= floor and r_norm1 <= hi_scale and level_sum <= hi_scale):
+        return None
+    a_hi, a_lo = np.empty(p + 1), np.empty(p + 1)
+    if lib.levinson_dd(r_hi, r_lo, p, a_hi, a_lo):
+        return None
+    # |x| <= ||r||_1 / floor <= 2^200 for the exact solution; a solve that
+    # left that range failed, and beyond it the bound's sums could overflow
+    if not (np.isfinite(a_hi).all() and np.isfinite(a_lo).all() and np.abs(a_hi).max() <= hi_scale**2):
+        return None
+    res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
+    lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
+    res = res_hi + res_lo
+    a_norm = math.sqrt(float(a_hi @ a_hi))
+    e_rho = 16 * (p + 1) * _U**2 * math.sqrt(float(abs_sum @ abs_sum)) + (p + 1) * _DD_TINY
+    e_lag = _DD_LAG_REL * r_norm1 * a_norm + (p + 1) * _DD_TINY
+    prec = dps_to_prec(_design_dps(p))
+    eps_mp = math.ldexp(
+        (p + 1) ** 2 * (r_norm1 + level_sum) * (a_norm + 1.0) / floor, max(p + 16 - prec, -1000)
+    )
+    beta = 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
+    return a_hi, a_lo, beta
+
+
+def _dd_design(r_hi, r_lo, floor: float, level_sum: float):
+    """The float64 coefficients of the extended-precision design, each
+    proven to be its rounding by ``_dd_solution``'s bound and
+    ``_nearest_double``; None where anything is not proven, and the caller
+    then designs in extended precision."""
+    solved = _dd_solution(r_hi, r_lo, floor, level_sum)
+    if solved is None:
+        return None
+    a_hi, a_lo, beta = solved
+    coeffs = [1.0]
+    for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
+        f = _nearest_double(hi, lo, beta)
+        if f is None:
+            return None
+        coeffs.append(f)
+    return tuple(coeffs)
+
+
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     """Order-p minimizer of P_dc + lambda_ratio * P_ds over monic filters,
-    i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g."""
+    i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g.
+
+    For lambda_ratio > 0 the eigenvalues of G + 2 lambda I are at least
+    2 lambda, and ``_dd_design`` gives the extended-precision design's
+    roundings wherever it can prove them; elsewhere the design runs in
+    extended precision."""
     _check_order(p)
     if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
         raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
     lags = _half_band_lags(p)
     with mp.workdps(_design_dps(p)):
-        coeffs, _ = _yule_walker(lags, mp.mpf(repr(float(lambda_ratio))), _levinson_mp)
+        # lambda is read from its shortest repr, as a decimal, not as its binary value
+        lam = mp.mpf(repr(float(lambda_ratio)))
+        if lam > 0:
+            r_hi, r_lo = (v.copy() for v in _half_band_lags_dd(p))
+            (r_hi[0],), (r_lo[0],) = _to_dd([lags[0] + 2 * lam])
+            floor = 2.0 * float(lam) * (1.0 - 2.0**-50)
+            coeffs = _dd_design(r_hi, r_lo, floor, 2.0 + floor)
+            if coeffs is not None:
+                return ShapingFilter(coeffs)
+        coeffs, _ = _yule_walker(lags, lam, _levinson_mp)
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -271,6 +451,15 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
                     sin_lo = sin_hi
                 lo_e = hi_e
             r.append(acc)
+        if min(weights) > 0:
+            # the weight function is at least min(weights) on (0, edges[-1]]; a
+            # last edge short of pi loses at most p (pi - edge)/pi of it, since
+            # |V(w)|^2 <= p ||v||^2 for the p taps v of a tail
+            short = max(mp.mpf(0), pi - edges_mp[-1])
+            floor = float(min(weights_mp) * (1 - p * short / pi)) * (1.0 - 2.0**-50)
+            coeffs = _dd_design(*_to_dd(r), floor, math.fsum(weights))
+            if coeffs is not None:
+                return ShapingFilter(coeffs)
         try:
             coeffs, _ = _levinson_mp(r, p)
         except ValueError as exc:
@@ -385,7 +574,7 @@ def _ratio_f64(lags64: list, lam: float) -> tuple:
     err = 16 (p+1) u (1 + 1/lam) (1 + 2 lam ratio) ratio, with u = 2^-53;
     ``find_lambda_for_ratio`` derives it.
     """
-    pds, pdc = _powers(lags64, lam, _levinson, math.fsum)
+    pds, pdc = _powers(lags64, lam, _levinson_f64, math.fsum)
     ratio = pds / pdc
     p = len(lags64) - 1
     eps = _F64_MARGIN_FACTOR * (p + 1) * 2.0**-53 * (1.0 + 1.0 / lam) * (1.0 + 2.0 * lam * ratio)
@@ -410,12 +599,15 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
     the achievable range, which comes from the extended-precision design at
     lambda = 0, made once per order.
 
-    Float64 decides, extended precision designs.  Each step needs one
-    decision on the ratio r at lambda: r < gamma while bracketing, then
-    |r/gamma - 1| <= _REL_TOL and r > gamma while bisecting.  A float64 run
-    of the same Levinson recursion on the float64 lags gives r^ (``_levinson``
-    on floats; ``_levinson_mp`` at 53 bits gives the same bits), and the
-    step trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
+    Float64 decides, and extended precision confirms where float64 cannot.
+    Each step needs one decision on the ratio r at lambda: r < gamma while
+    bracketing, then |r/gamma - 1| <= _REL_TOL and r > gamma while
+    bisecting.  A float64 run of the same Levinson recursion on the float64
+    lags gives r^ (``_levinson_f64``: the compiled library's
+    ``levinson_f64``, the C twin of ``_levinson`` with its operations in
+    its order, or ``_levinson`` itself on floats where the library cannot
+    be had; ``_levinson_mp`` at 53 bits gives the same bits), and the step
+    trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
     within err/gamma of 0 or of _REL_TOL (the margin), where
 
         err = 16 (p+1) u (1 + 1/lambda) (1 + 2 lambda r^) r^,  u = 2^-53.

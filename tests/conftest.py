@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdsigma import codec
+from mdsigma import _native, codec, shaping
 from mdsigma.ecdq import DitherStream
 from mdsigma.shaping import ShapingFilter, min_phase_check
 
@@ -29,7 +29,7 @@ def loop_kernels():
     n, c_tail, p, step, q, e, fb): the generated one always, and the C one
     wherever a C compiler is found, which must then load."""
     kernels = {"python": lambda a, z, n, c, p, *out: codec._generated_kernel(p)(a, z, n, c, p, *out)}
-    if codec._compiler() is not None:
+    if _native._compiler() is not None:
         assert codec.loop_backend() == "c", "a C compiler is found but the C kernel did not load"
         kernels["c"] = codec._native_loop()
     return kernels
@@ -60,6 +60,15 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def mp_solves(monkeypatch):
+    """The orders of the extended-precision design solves, as they run."""
+    calls = []
+    real = shaping._levinson_mp
+    monkeypatch.setattr(shaping, "_levinson_mp", lambda r, p: calls.append(p) or real(r, p))
+    return calls
 
 
 @pytest.fixture()

@@ -14,8 +14,15 @@ import pytest
 from mdsigma.codec import delta_sigma_loop
 from mdsigma.ecdq import QuantizerSpec
 from mdsigma.harness import ExperimentConfig, run
-from mdsigma.shaping import ShapingFilter, design_yule_walker, filter_powers
-from mdsigma.theory import K4Spec, brickwall_point, k4_point, ozarow_bounds
+from mdsigma.shaping import ShapingFilter, design_yule_walker, filter_powers, find_lambda_for_ratio
+from mdsigma.theory import (
+    K4Spec,
+    brickwall_point,
+    gaussian_rate_bits,
+    k4_point,
+    ozarow_bounds,
+    wiener_gain,
+)
 
 from conftest import zeros_within
 from reference import BrickWallSpec, error_statistics, truncated_fourier_brickwall_error
@@ -283,3 +290,50 @@ def test_criterion_10_determinism(mc_run, mc_config, tmp_path):
     identical = first_csv.read_bytes() == repeat.read_bytes()
     assert _verdict(10, identical, "repeated run produced byte-identical CSV")
     assert identical
+
+
+# the window for the log-log slope of the gap from p = 4 to p = 128,
+# around the -0.977 (gamma = 4) and -1.048 (gamma = 17) of these designs;
+# the design at 1/lambda, which weighs P_dc by lambda in place of P_ds,
+# reads -0.945 and -0.873
+OZAROW_GAP_SLOPE = (-1.08, -0.95)
+
+
+def test_criterion_11_designs_approach_ozarow_as_one_over_p():
+    # the Yule-Walker design at P_ds/P_dc = gamma, with sigma_E^2 = 0.01 and
+    # Wiener post-multipliers, lies above the two-description bound at its
+    # own rate and side distortion by a gap that falls as 1/p
+    start = time.perf_counter()
+    se2, sx2 = 0.01, 1.0
+    orders = (4, 8, 16, 32, 64, 128)
+    gaps, slopes, off_target = {}, {}, 0.0
+    for gamma in (4.0, 17.0):
+        gaps[gamma] = []
+        for p in orders:
+            pdc, pds = filter_powers(design_yule_walker(p, find_lambda_for_ratio(gamma, p)))
+            # the bisection stops within 1e-6 of gamma; rounding the design
+            # to float64 moves the ratio by far less than the slack
+            off_target = max(off_target, abs(pds / pdc / gamma - 1.0))
+            dc = wiener_gain(sx2, se2, pdc) * se2 * pdc
+            ds = wiener_gain(sx2, se2, pds) * se2 * pds
+            rate = gaussian_rate_bits(sx2 + se2 * pds, se2)
+            gaps[gamma].append(dc / ozarow_bounds(rate, ds, sx2).dc_bound - 1.0)
+        slopes[gamma] = math.log(gaps[gamma][-1] / gaps[gamma][0]) / math.log(orders[-1] / orders[0])
+    elapsed = time.perf_counter() - start
+    lo, hi = OZAROW_GAP_SLOPE
+    falling = all(g[0] > 0 and all(a > b > 0 for a, b in zip(g, g[1:])) for g in gaps.values())
+    in_window = all(lo <= s <= hi for s in slopes.values())
+    ok = off_target <= 1e-6 + 1e-9 and falling and in_window and elapsed < 2.0
+    assert _verdict(
+        11,
+        ok,
+        "gap to Ozarow's bound at p = 4..128: "
+        + "; ".join(
+            f"gamma {g:g} {vals[0]:.2e} -> {vals[-1]:.2e}, slope {slopes[g]:.3f}" for g, vals in gaps.items()
+        )
+        + f", ratio off gamma by {off_target:.1e} ({elapsed:.2f} s)",
+    )
+    assert off_target <= 1e-6 + 1e-9
+    assert falling
+    assert in_window
+    assert elapsed < 2.0

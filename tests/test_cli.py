@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mdsigma import cli, codec, harness
+from mdsigma import _native, cli, codec, harness
 from mdsigma.cli import main
 
 
@@ -240,11 +240,14 @@ def test_simulation_names_its_loop_backend_and_writes_the_same_csv_on_either(arg
     backend = codec.loop_backend()
     main([*argv, "--out", str(tmp_path / "default.csv")])
     default_out = capsys.readouterr().out
-    monkeypatch.setattr(codec, "_native_loop", lambda: None)  # the generated kernel
+    # no compiled library: the generated loop kernel, and designs in mpmath
+    monkeypatch.setattr(_native, "library", lambda: None)
     main([*argv, "--out", str(tmp_path / "python.csv")])
     python_out = capsys.readouterr().out
     for out, name in ((default_out, backend), (python_out, "python")):
         assert [ln for ln in out.splitlines() if ln.startswith("loop-backend=")] == [f"loop-backend={name}"]
+    same = default_out.replace(f"loop-backend={backend}", "loop-backend=python").replace("default.csv", "python.csv")
+    assert same == python_out
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
-from mdsigma import codec
+from mdsigma import _native, codec
 from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
@@ -471,18 +471,33 @@ def use_stand_in_cc(monkeypatch, tmp_path):
     monkeypatch.setenv("CC", str(cc))
 
 
+# a half-band and a multiband design, each with a positive floor
+DESIGNS = (
+    (design_yule_walker, (24, 0.05)),
+    (design_multiband, (24, [np.pi / 4, 3 * np.pi / 4, np.pi], [5.0, math.sqrt(0.2), 1.0])),
+)
+
+
+@pytest.fixture(scope="module")
+def default_designs():
+    """The DESIGNS as this process makes them, before any test breaks the
+    compiled library: in double-double wherever it loads."""
+    return [design(*args).coeffs for design, args in DESIGNS]
+
+
 class TestLoopBackend:
-    """Wherever the C kernel cannot be had, the generated one runs instead,
-    with the same bits, and the reason is logged once."""
+    """Wherever the compiled library cannot be had, the generated loop kernel
+    and the mpmath designs run instead, with the same bits, and the reason
+    is logged once."""
 
     @pytest.fixture(autouse=True)
-    def private_cache(self, monkeypatch, tmp_path):
+    def private_cache(self, monkeypatch, tmp_path, default_designs):
         # each test resolves the backend afresh, against its own directories
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-        codec._native_loop.cache_clear()
+        _native.library.cache_clear()
         yield
-        codec._native_loop.cache_clear()
+        _native.library.cache_clear()
 
     @pytest.fixture()
     def stand_in_cc(self, monkeypatch, tmp_path):
@@ -493,22 +508,33 @@ class TestLoopBackend:
         rng = np.random.default_rng(17)
         ct = np.ascontiguousarray(np.array(design_yule_walker(12, 0.05).coeffs)[1:])
         a, z = rng.standard_normal(500), rng.uniform(-0.5, 0.5, 500)
-        with caplog.at_level(logging.WARNING, logger="mdsigma.codec"):
+        with caplog.at_level(logging.WARNING, logger="mdsigma._native"):
             for _ in range(2):
                 assert_same_bits(codec._dsq_loop(a, ct, z, 1.0), _dsq_loop_py(a, ct, z, 1.0), reason)
             assert codec.loop_backend() == "python"
-        (message,) = [r.getMessage() for r in caplog.records if r.name == "mdsigma.codec"]
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "mdsigma._native"]
         assert reason in message
 
-    def test_missing_compiler(self, monkeypatch, tmp_path, caplog):
+    @staticmethod
+    def assert_mpmath_designs(mp_solves, default_designs):
+        # each design runs the extended-precision recursion, and gives the
+        # coefficients the double-double path gave
+        for (design, args), want in zip(DESIGNS, default_designs):
+            mp_solves.clear()
+            assert design(*args).coeffs == want, design.__name__
+            assert mp_solves == [args[0]], design.__name__
+
+    def test_missing_compiler(self, monkeypatch, tmp_path, caplog, mp_solves, default_designs):
         monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
         self.assert_python_fallback(caplog, "no C compiler found")
+        self.assert_mpmath_designs(mp_solves, default_designs)
 
-    def test_source_that_fails_to_compile(self, monkeypatch, tmp_path, caplog):
-        if codec._compiler() is None:
+    def test_source_that_fails_to_compile(self, monkeypatch, tmp_path, caplog, mp_solves, default_designs):
+        if _native._compiler() is None:
             use_stand_in_cc(monkeypatch, tmp_path)
-        monkeypatch.setattr(codec, "_LOOP_C_SOURCE", codec._LOOP_C_SOURCE + "\n#error broken on purpose\n")
+        monkeypatch.setattr(_native, "SOURCE", _native.SOURCE + "\n#error broken on purpose\n")
         self.assert_python_fallback(caplog, "exited with 1")
+        self.assert_mpmath_designs(mp_solves, default_designs)
 
     @pytest.mark.parametrize("how", ["under-a-file", "shared"])
     def test_unwritable_cache_directories(self, how, monkeypatch, tmp_path, stand_in_cc, caplog):
@@ -524,7 +550,7 @@ class TestLoopBackend:
         self.assert_python_fallback(caplog, "no writable cache directory")
 
     def test_truncated_cached_library(self, tmp_path, stand_in_cc, caplog):
-        lib = tmp_path / "xdg" / "mdsigma" / codec._library_name(codec._compiler())
+        lib = tmp_path / "xdg" / "mdsigma" / _native._library_name(_native._compiler())
         lib.parent.mkdir(parents=True)
         lib.write_bytes(b"\x7fELF\x02\x01\x01")  # an ELF header cut short
         self.assert_python_fallback(caplog, "cannot load")
@@ -533,13 +559,13 @@ class TestLoopBackend:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
-        has_cc = codec._compiler() is not None
+        has_cc = _native._compiler() is not None
         assert codec.loop_backend() == ("c" if has_cc else "python")
-        assert len(list((tmp_path / "tmp" / "mdsigma").glob("dsq_loop-*.so"))) == has_cc
+        assert len(list((tmp_path / "tmp" / "mdsigma").glob("mdsigma-native-*.so"))) == has_cc
 
     def test_cache_hit_starts_no_process(self, monkeypatch):
         backend = codec.loop_backend()  # builds where a compiler is found
-        codec._native_loop.cache_clear()
+        _native.library.cache_clear()
 
         def no_process(*args, **kwargs):
             raise AssertionError("a cache hit started a process")

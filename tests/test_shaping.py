@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mdsigma import shaping
+from mdsigma import _native, shaping
 from mdsigma.shaping import (
     MAX_ORDER,
     ShapingFilter,
@@ -607,3 +607,199 @@ class TestLevinsonTwins:
                 coeffs_mp, energy_mp = shaping._levinson_mp(r, p)
                 assert mpf_bits(coeffs_mp) == mpf_bits(coeffs), lam
                 assert energy_mp._mpf_ == mp.mpf(energy)._mpf_, lam
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 32, 64, MAX_ORDER])
+    def test_c_twin_is_the_float64_recursion(self, p):
+        # levinson_f64, where the compiled library loads, gives _levinson's
+        # bits, a NaN included, and raises its error on a system that is not
+        # positive definite; elsewhere _levinson_f64 is _levinson itself
+        if _native._compiler() is not None:
+            assert _native.library() is not None, "a C compiler is found but the library did not load"
+        rng = np.random.default_rng(p)
+        lags64 = [float(v) for v in half_band_lags(p)]
+        systems = [[lags64[0] + 2 * lam, *lags64[1:]] for lam in (1e-3, 0.05, 1.0, 1e4)]
+        systems += [rng.uniform(-1.0, 1.0, p + 1).tolist() for _ in range(4)]  # mostly indefinite
+        systems += [[math.nan, *lags64[1:]], [0.0, *lags64[1:]], [-0.0, *lags64[1:]]]
+        for r in systems:
+            try:
+                want = shaping._levinson(r, p)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    shaping._levinson_f64(r, p)
+                continue
+            coeffs, energy = shaping._levinson_f64(r, p)
+            assert [float(c).hex() for c in coeffs] == [float(c).hex() for c in want[0]]
+            assert energy.hex() == want[1].hex()
+
+
+# ---------------------------------------------------------------------------
+# double-double designs with a proven float64 rounding
+# ---------------------------------------------------------------------------
+
+
+def mpmath_design(monkeypatch, design, *args):
+    """The design made on the extended-precision path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(shaping, "_dd_design", lambda *a: None)
+        return design(*args)
+
+
+def multiband_grid():
+    """(p, edges, weights) of two to four bands, every weight positive."""
+    rng = np.random.default_rng(26)
+    grid = []
+    for p in (2, 8, 24, 48, 64, 96):
+        for _ in range(3):
+            nb = int(rng.integers(2, 5))
+            edges = [*(np.sort(rng.uniform(0.05, 0.95, nb - 1)) * np.pi).tolist(), np.pi]
+            grid.append((p, edges, (10.0 ** rng.uniform(-2.0, 2.0, nb)).tolist()))
+    return grid
+
+
+def random_toeplitz(rng, p, floor, scale=1.0):
+    """Lags r_0..r_p, at the current mp precision, of a symmetric Toeplitz
+    matrix whose eigenvalues are at least floor: scale times the
+    autocorrelation of a random FIR filter (a nonnegative spectrum), plus
+    floor on the diagonal."""
+    h = [mp.mpf(float(v)) for v in rng.standard_normal(int(rng.integers(1, p + 3)))]
+    r = [mp.fsum(h[i] * h[i + m] for i in range(len(h) - m)) if m < len(h) else mp.mpf(0) for m in range(p + 1)]
+    r = [scale * v for v in r]
+    r[0] += mp.mpf(floor)
+    return r
+
+
+class TestDoubleDoubleDesigns:
+    # every design with a positive floor is solved in double-double, and its
+    # float64 rounding is returned only where a residual bound proves it
+    # equal to the rounding of the extended-precision design
+
+    def test_both_paths_agree_bitwise_on_a_grid(self, monkeypatch, mp_solves):
+        # a p x log-lambda grid and a multiband grid; with the compiled
+        # library none falls back to mpmath
+        cases = [(design_yule_walker, (p, 10.0 ** k)) for p in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, MAX_ORDER)
+                 for k in range(-3, 4)]
+        cases += [(design_multiband, case) for case in multiband_grid()]
+        fallbacks = 0
+        for design, args in cases:
+            mp_solves.clear()
+            got = design(*args).coeffs
+            fallbacks += bool(mp_solves)
+            assert got == mpmath_design(monkeypatch, design, *args).coeffs, args
+        assert fallbacks == (0 if _native.library() is not None else len(cases))
+
+    @pytest.mark.parametrize("p", [1, 4, 16, 48, MAX_ORDER])
+    def test_bound_holds_on_random_well_posed_systems(self, p):
+        # |a_j - c_j| <= beta against the solve at the design precision (at
+        # least 60 digits), on systems with floors from 1e-8 to 1, and on
+        # systems scaled down, where the residual is small against the
+        # error it bounds
+        rng = np.random.default_rng(1000 + p)
+        worst = 0.0
+        with mp.workdps(shaping._design_dps(p)):
+            for floor, scale in ((1e-8, 1.0), (1e-5, 1.0), (1e-2, 1.0), (1.0, 1.0), (1e-9, 1e-6), (1e-7, 1e-6)):
+                r = random_toeplitz(rng, p, floor, scale)
+                solved = shaping._dd_solution(*shaping._to_dd(r), floor, float(mp.fsum(map(abs, r))))
+                if _native.library() is None:
+                    assert solved is None
+                    continue
+                a_hi, a_lo, beta = solved
+                c, _ = shaping._levinson_mp(r, p)
+                for j in range(p + 1):
+                    err = abs(float(c[j] - mp.mpf(a_hi[j]) - mp.mpf(a_lo[j])))
+                    assert err <= beta, (floor, j)
+                    worst = max(worst, err / beta)
+        # the dd solve is not exact, so the check is not vacuous
+        assert worst > 0.0 or _native.library() is None
+
+    @pytest.mark.parametrize("p", [1, 8, 64, MAX_ORDER])
+    def test_residual_within_its_rounding_bound(self, p):
+        # each row of the double-double residual lies within 16 (p+1) u^2 s_i
+        # of the exact residual of the same doubles, s_i the row's |r| |a| sum
+        lib = _native.library()
+        if lib is None:
+            assert _native._compiler() is None
+            return
+        rng = np.random.default_rng(p)
+        with mp.workdps(shaping._design_dps(p)):
+            r_hi, r_lo = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
+            a_hi, a_lo = np.empty(p + 1), np.empty(p + 1)
+            assert lib.levinson_dd(r_hi, r_lo, p, a_hi, a_lo) == 0
+            res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
+            lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
+            r = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(r_hi, r_lo)]
+            a = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(a_hi, a_lo)]
+            for i in range(1, p + 1):
+                exact = mp.fsum(r[abs(i - j)] * a[j] for j in range(p + 1))
+                err = abs(exact - mp.mpf(res_hi[i - 1]) - mp.mpf(res_lo[i - 1]))
+                assert err <= 16 * (p + 1) * mp.mpf(2) ** -106 * abs_sum[i - 1], i
+
+    @pytest.mark.parametrize(
+        "hi,lo,beta,want",
+        [
+            # halfway from 1 to 1 + 2^-52: on the edge, refused; a little
+            # below or above, accepted while beta stays short of the edge
+            (1.0, 2.0**-53, 0.0, None),
+            (1.0, 2.0**-53 - 2.0**-70, 2.0**-71, 1.0),
+            (1.0, 2.0**-53 - 2.0**-70, 2.0**-70, None),
+            (1.0, 2.0**-53 + 2.0**-70, 2.0**-71, 1.0 + 2.0**-52),
+            (1.0, 2.0**-53 + 2.0**-70, 2.0**-70, None),
+            # below a power of two the gap halves: halfway from 1 - 2^-53
+            # to 1 is 1 - 2^-54
+            (1.0, -(2.0**-54), 0.0, None),
+            (1.0, -(2.0**-54) + 2.0**-75, 2.0**-76, 1.0),
+            (1.0, -(2.0**-54) - 2.0**-75, 2.0**-76, 1.0 - 2.0**-53),
+            # accepted against the gap above 1, refused against the one below
+            (1.0, -(2.0**-54) + 2.0**-60, 2.0**-59, None),
+            # the same, mirrored
+            (-1.0, -(2.0**-53) + 2.0**-70, 2.0**-71, -1.0),
+            (-1.0, 2.0**-54 + 2.0**-75, 2.0**-76, -1.0 + 2.0**-53),
+            (-1.0, 2.0**-54, 0.0, None),
+            # zero, a subnormal and a NaN are left to mpmath
+            (0.0, 0.0, 0.0, None),
+            (5e-324, 0.0, 0.0, None),
+            (math.nan, 0.0, 0.0, None),
+        ],
+    )
+    def test_rounding_cell_at_a_midpoint(self, hi, lo, beta, want):
+        got = shaping._nearest_double(hi, lo, beta)
+        assert got == want if want is not None else got is None
+        if want is not None:
+            # every point of the interval rounds to it, as mpmath rounds
+            with mp.workprec(300):
+                for x in (mp.mpf(hi) + mp.mpf(lo) - mp.mpf(beta), mp.mpf(hi) + mp.mpf(lo) + mp.mpf(beta)):
+                    assert float(x) == want
+
+    def test_failed_bound_designs_in_mpmath(self, monkeypatch, mp_solves):
+        # a bound too wide for any rounding cell sends each design to the
+        # extended-precision path, which gives the same coefficients
+        want = [design(*args).coeffs for design, args in self.designs()]
+        monkeypatch.setattr(shaping, "_DD_LAG_REL", 1.0)
+        for (design, args), coeffs in zip(self.designs(), want):
+            mp_solves.clear()
+            assert design(*args).coeffs == coeffs
+            assert mp_solves == [args[0]]
+
+    @pytest.mark.parametrize("p", [2, 3, 24])
+    def test_last_edge_short_of_pi_lowers_the_floor(self, monkeypatch, mp_solves, p):
+        # the weight function is 0 above 0.6 pi, so the floor is the smallest
+        # weight times 1 - 0.4 p: positive at p = 2, gone from p = 3 on
+        args = (p, [0.3 * np.pi, 0.6 * np.pi], [1.0, 2.0])
+        got = design_multiband(*args).coeffs
+        assert mp_solves == ([] if p == 2 and _native.library() is not None else [p])
+        assert got == mpmath_design(monkeypatch, design_multiband, *args).coeffs
+
+    def test_zero_floor_designs_in_mpmath(self, monkeypatch, mp_solves):
+        # lambda = 0 and a zero band weight leave no floor to divide by
+        calls = []
+        real = shaping._dd_solution
+        monkeypatch.setattr(shaping, "_dd_solution", lambda *a: calls.append(a) or real(*a))
+        design_yule_walker(16, 0.0)
+        design_multiband(16, [np.pi / 2, np.pi], [1.0, 0.0])
+        assert calls == [] and mp_solves == [16, 16]
+
+    @staticmethod
+    def designs():
+        return [
+            (design_yule_walker, (32, 0.05)),
+            (design_multiband, (48, list(K4_EDGES), list(K4_WEIGHTS))),
+        ]
