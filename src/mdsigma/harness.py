@@ -599,7 +599,10 @@ def sweep_rates(rates: Sequence[float], delta: float, sigma_x2: float = 1.0, csv
     pds = brickwall_total_power(delta)
     sigma_e2s = []
     for r in rates:
-        denom = 4.0**r - pds
+        try:
+            denom = 4.0**r - pds
+        except OverflowError:
+            raise ValueError(f"rate {r} overflows float64: 4^R is past DBL_MAX") from None
         if denom <= 0:
             raise ValueError(f"rate {r} infeasible for delta={delta}")
         sigma_e2s.append(sigma_x2 / denom)

@@ -13,15 +13,13 @@ have a unique minimum-phase solution.  The Gram matrix is the
 autocorrelation of a strictly band-limited spectrum, so its conditioning
 collapses rapidly with the order; the design is defined as the float64
 rounding of a Levinson-Durbin recursion run in extended precision (3p + 20
-digits), so that small-lambda, large-p designs remain well defined.  The
-recursion has two twins with one operation order: ``_levinson`` runs on
-Python floats for the bisection's float64 steps (in C where the compiled
-library loads, ``_levinson_f64``), and ``_levinson_mp`` runs the
-extended-precision steps and designs.  The extended twin, like the
-step-down in ``min_phase_check``, calls mpmath's libmp rounding functions
-on raw mantissa-exponent tuples, the calls the mpf operators make, so it
-gives their bits without building an mpf object per operation.  The
-half-band lags sinc(m/2) are computed once per order.
+digits), so that small-lambda, large-p designs remain well defined.  One
+recursion, ``_levinson``, runs in the number type of its lags: on mpf lags
+for the extended-precision steps and designs, and on Python floats for the
+bisection's float64 steps (``_levinson_f64``, which runs its C twin with
+the same operation order where the compiled library loads).  The
+half-band lags sinc(m/2) and their rounding to double-double are computed
+once per order.
 
 Most designs need no extended-precision solve.  Both systems have a known
 eigenvalue floor: 2 lambda for G + 2 lambda I, since the half-band
@@ -73,13 +71,10 @@ from mpmath.libmp import (
     fone,
     fzero,
     mpf_abs,
-    mpf_add,
     mpf_div,
     mpf_ge,
     mpf_gt,
-    mpf_le,
     mpf_mul,
-    mpf_neg,
     mpf_sub,
 )
 from mpmath.libmp import round_nearest as _RND
@@ -153,10 +148,10 @@ def _levinson(r: list, p: int):
     """Solve the autocorrelation normal equations in the number type of ``r``.
 
     ``r`` holds r_0..r_p.  The recursion only adds, multiplies and divides,
-    so it runs in any number type; the float64 bisection steps run it on
-    Python floats, and ``_levinson_mp`` is its extended-precision twin.
-    Returns (monic coefficient list, final prediction error r_0 * prod(1 -
-    k_i^2)).
+    so it runs in any number type: on mpf lags at the current mp precision,
+    rounding each operation to it, for the extended-precision designs and
+    bisection steps, and on Python floats for the float64 steps.  Returns
+    (monic coefficient list, final prediction error r_0 * prod(1 - k_i^2)).
     """
     a = [1] + [0] * p  # a[j] is read only after step j has set it
     energy = r[0]
@@ -174,37 +169,6 @@ def _levinson(r: list, p: int):
         a = nxt
         energy = energy * (1 - k * k)
     return a, energy
-
-
-def _levinson_mp(r: list, p: int):
-    """``_levinson`` at the current mp precision, on r_0..r_p given as mpf
-    or float, returning mpf values.
-
-    Each operation calls the libmp function that the mpf operator of the
-    same step in ``_levinson`` calls (``mpf_mul``, ``mpf_add``,
-    ``mpf_div``, ...), on raw ``_mpf_`` tuples at the context precision
-    with round-to-nearest.  Every value keeps its bits; only the mpf object
-    each operator would wrap its result in is saved, which is most of the
-    cost of an O(p^2) recursion at this precision.
-    """
-    prec = mp.mp.prec
-    r = [mp.mpf(v)._mpf_ for v in r]
-    a = [fone] + [fzero] * p
-    energy = r[0]
-    for i in range(1, p + 1):
-        if mpf_le(energy, fzero):
-            raise ValueError("normal equations not positive definite")
-        acc = r[i]
-        for j in range(1, i):
-            acc = mpf_add(acc, mpf_mul(a[j], r[i - j], prec, _RND), prec, _RND)
-        k = mpf_div(mpf_neg(acc, prec, _RND), energy, prec, _RND)
-        nxt = a[:]
-        for j in range(1, i):
-            nxt[j] = mpf_add(a[j], mpf_mul(k, a[i - j], prec, _RND), prec, _RND)
-        nxt[i] = k
-        a = nxt
-        energy = mpf_mul(energy, mpf_sub(fone, mpf_mul(k, k, prec, _RND), prec, _RND), prec, _RND)
-    return [mp.make_mpf(v) for v in a], mp.make_mpf(energy)
 
 
 def _levinson_f64(r: list, p: int):
@@ -234,17 +198,21 @@ def _check_order(p: int) -> None:
 def _yule_walker(lags: list, lam, levinson):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
     c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, by
-    ``levinson``: ``_levinson_mp`` on mpf lags at the current precision, or
+    ``levinson``: ``_levinson`` on mpf lags at the current precision, or
     ``_levinson_f64`` on floats."""
     return levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _half_band_lags(p: int) -> tuple:
-    """The half-band lags sinc(m/2), m = 0..p, at the design precision of
-    order p: the same for every lambda."""
+    """(lags, hi, lo): the half-band lags sinc(m/2), m = 0..p, at the design
+    precision of order p, and their rounding to double-double (``_to_dd``),
+    read-only: the same for every lambda."""
     with mp.workdps(_design_dps(p)):
-        return tuple(_sinc_half_mp(m) for m in range(p + 1))
+        lags = tuple(_sinc_half_mp(m) for m in range(p + 1))
+        hi, lo = _to_dd(lags)
+    hi.flags.writeable = lo.flags.writeable = False
+    return lags, hi, lo
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +242,6 @@ def _to_dd(values) -> tuple:
     return np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)])
 
 
-@functools.lru_cache(maxsize=MAX_ORDER)
-def _half_band_lags_dd(p: int) -> tuple:
-    """``_half_band_lags(p)`` rounded once to double-double, read-only."""
-    lags = _half_band_lags(p)
-    with mp.workdps(_design_dps(p)):
-        hi, lo = _to_dd(lags)
-    hi.flags.writeable = lo.flags.writeable = False
-    return hi, lo
-
-
 def _nearest_double(hi: float, lo: float, beta: float):
     """The double that every real within beta of hi + lo rounds to, or None
     where that interval reaches the edge of a rounding cell, or where the
@@ -308,9 +266,9 @@ def _nearest_double(hi: float, lo: float, beta: float):
 def _dd_solution(r_hi, r_lo, floor: float, level_sum: float):
     """(a_hi, a_lo, beta): the double-double solution a of the monic normal
     equations of the lags r = r_hi + r_lo, and a bound beta on |a_j - c_j|
-    for every j, with c the extended-precision design (``_levinson_mp`` at
-    ``_design_dps``).  None where the compiled library is absent, the system
-    lies outside ``_DD_SCALE``, or the solve fails.
+    for every j, with c the extended-precision design (``_levinson`` on mpf
+    lags at ``_design_dps``).  None where the compiled library is absent,
+    the system lies outside ``_DD_SCALE``, or the solve fails.
 
     floor is a lower bound on the smallest eigenvalue of the order-p
     Toeplitz matrix T of r_0..r_{p-1}; level_sum sums the levels of the
@@ -394,18 +352,18 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     _check_order(p)
     if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
         raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
-    lags = _half_band_lags(p)
+    lags, hi, lo = _half_band_lags(p)
     with mp.workdps(_design_dps(p)):
         # lambda is read from its shortest repr, as a decimal, not as its binary value
         lam = mp.mpf(repr(float(lambda_ratio)))
         if lam > 0:
-            r_hi, r_lo = (v.copy() for v in _half_band_lags_dd(p))
+            r_hi, r_lo = hi.copy(), lo.copy()
             (r_hi[0],), (r_lo[0],) = _to_dd([lags[0] + 2 * lam])
             floor = 2.0 * float(lam) * (1.0 - 2.0**-50)
             coeffs = _dd_design(r_hi, r_lo, floor, 2.0 + floor)
             if coeffs is not None:
                 return ShapingFilter(coeffs)
-        coeffs, _ = _yule_walker(lags, lam, _levinson_mp)
+        coeffs, _ = _yule_walker(lags, lam, _levinson)
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -461,7 +419,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             if coeffs is not None:
                 return ShapingFilter(coeffs)
         try:
-            coeffs, _ = _levinson_mp(r, p)
+            coeffs, _ = _levinson(r, p)
         except ValueError as exc:
             raise ValueError(f"singular system: {exc}") from None
         return ShapingFilter(tuple(float(c) for c in coeffs))
@@ -520,8 +478,8 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
     says all that integral would.
     """
     with mp.workdps(_design_dps(filt.order)):
-        # libmp calls on raw _mpf_ tuples, as in _levinson_mp: the mpf
-        # operators' arithmetic without their objects
+        # libmp calls on raw _mpf_ tuples: the mpf operators' arithmetic
+        # without their objects
         prec = mp.mp.prec
         a = [mp.mpf(v)._mpf_ for v in filt.coeffs]
         max_k = fzero
@@ -563,7 +521,7 @@ def _powers(lags: list, lam, levinson, fsum) -> tuple:
 def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
     with mp.workdps(_design_dps(len(lags) - 1)):
-        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), _levinson_mp, mp.fsum)
+        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), _levinson, mp.fsum)
         return float(pds) / float(pdc)
 
 
@@ -584,9 +542,10 @@ def _ratio_f64(lags64: list, lam: float) -> tuple:
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _half_band_range(p: int) -> tuple:
     """(extended-precision lags, float64 lags, ratio at lambda = 0) of the
-    order-p half-band design: the same for every target ratio."""
-    lags = _half_band_lags(p)
-    return lags, tuple(float(v) for v in lags), _ratio_at(lags, 0.0)
+    order-p half-band design: the same for every target ratio.  The float64
+    lags are the high parts of the double-double ones, float(v) each."""
+    lags, hi, _ = _half_band_lags(p)
+    return lags, tuple(hi.tolist()), _ratio_at(lags, 0.0)
 
 
 def find_lambda_for_ratio(gamma: float, p: int) -> float:
@@ -606,16 +565,17 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
     lags gives r^ (``_levinson_f64``: the compiled library's
     ``levinson_f64``, the C twin of ``_levinson`` with its operations in
     its order, or ``_levinson`` itself on floats where the library cannot
-    be had; ``_levinson_mp`` at 53 bits gives the same bits), and the step
-    trusts it unless lambda < 1e-3 (the floor) or |r^/gamma - 1| lies
-    within err/gamma of 0 or of _REL_TOL (the margin), where
+    be had), and the step trusts it unless lambda < 1e-3 (the floor) or
+    |r^/gamma - 1| lies within err/gamma of 0 or of _REL_TOL (the margin),
+    where
 
         err = 16 (p+1) u (1 + 1/lambda) (1 + 2 lambda r^) r^,  u = 2^-53.
 
-    Those steps are recomputed in extended precision.  Outside the margin
-    r^ and the extended-precision r fall on the same side of both
-    thresholds, so the decisions, the midpoints and the returned lambda are
-    those of an all-extended-precision bisection, bit for bit.
+    Those steps are recomputed in extended precision, by ``_levinson`` on
+    the mpf lags.  Outside the margin r^ and the extended-precision r fall
+    on the same side of both thresholds, so the decisions, the midpoints
+    and the returned lambda are those of an all-extended-precision
+    bisection, bit for bit.
 
     Derivation of err:
     - G is the autocorrelation of the spectrum 2 on |w| <= pi/2 and 0

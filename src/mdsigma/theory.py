@@ -30,7 +30,7 @@ All rates are bits per description per source sample.  Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 __all__ = [
     "TheoryPoint",
@@ -116,7 +116,12 @@ class K4Point:
 
 
 def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> OzarowEvaluation:
-    """Side-distortion floor and central-distortion bound at the given rate."""
+    """Side-distortion floor and central-distortion bound at the given rate.
+
+    Non-finite inputs, and a bound that overflows float64, raise ValueError.
+    """
+    if not all(math.isfinite(v) for v in (rate_bits, ds, sigma_x2)):
+        raise ValueError(f"rate, ds and sigma_x2 must be finite, got {rate_bits!r}, {ds!r}, {sigma_x2!r}")
     if not rate_bits > 0:
         raise ValueError("rate must be positive")
     if not sigma_x2 > 0:
@@ -136,9 +141,14 @@ def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> OzarowEvaluat
         delta_term = 0.0
     if pi_term < delta_term:
         raise ValueError("degenerate region")
-    dc_bound = sigma_x2 * 2.0 ** (-4.0 * rate_bits) / (
-        1.0 - (math.sqrt(pi_term) - math.sqrt(delta_term)) ** 2
-    )
+    # positive wherever pi_term >= delta_term, but at high resolution it
+    # cancels to 0 in float64, and the bound then overflows
+    denom = 1.0 - (math.sqrt(pi_term) - math.sqrt(delta_term)) ** 2
+    dc_bound = sigma_x2 * 2.0 ** (-4.0 * rate_bits) / denom if denom > 0.0 else math.inf
+    if not math.isfinite(dc_bound):
+        raise ValueError(
+            f"central bound overflows float64 at rate {rate_bits!r}: 1 - (sqrt(Pi) - sqrt(Delta))^2 = {denom!r}"
+        )
     return OzarowEvaluation(
         rate_bits=rate_bits,
         ds=ds,
@@ -165,19 +175,28 @@ def brickwall_total_power(delta: float) -> float:
 
 
 def brickwall_point(delta: float, sigma_e2: float, sigma_x2: float) -> TheoryPoint:
-    """Exact operating point of the two-step (infinite-order) spectrum."""
-    if not (delta > 0 and sigma_e2 > 0 and sigma_x2 > 0):
-        raise ValueError("all parameters must be positive")
+    """Exact operating point of the two-step (infinite-order) spectrum.
+
+    The parameters must be positive and finite, and a point with a value
+    that overflows float64 raises ValueError.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (delta, sigma_e2, sigma_x2)):
+        raise ValueError("all parameters must be positive and finite")
     pdc = 0.5 / delta
     pds = brickwall_total_power(delta)
     ds = sigma_x2 * sigma_e2 * pds / (sigma_x2 + sigma_e2 * pds)
     dc = sigma_x2 * sigma_e2 / delta / (2.0 * sigma_x2 + sigma_e2 / delta)
-    return TheoryPoint(
+    point = TheoryPoint(
         rate_bits=gaussian_rate_bits(sigma_x2 + sigma_e2 * pds, sigma_e2),
         dc=dc, ds=ds, pdc=pdc, pds=pds,
         alpha=wiener_gain(sigma_x2, sigma_e2, pds),
         beta=wiener_gain(sigma_x2, sigma_e2, pdc),
     )
+    if not all(math.isfinite(v) for v in astuple(point)):
+        raise ValueError(
+            f"operating point overflows float64 at delta={delta!r}, sigma_e2={sigma_e2!r}, sigma_x2={sigma_x2!r}"
+        )
+    return point
 
 
 def k4_point(spec: K4Spec) -> K4Point:

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -64,10 +65,18 @@ def traced_peak(fn, *args):
 
 @pytest.fixture
 def mp_solves(monkeypatch):
-    """The orders of the extended-precision design solves, as they run."""
+    """The orders of the extended-precision solves, as they run: the calls
+    of ``_levinson`` on mpf lags, not those on floats that ``_levinson_f64``
+    makes where the compiled library is absent."""
     calls = []
-    real = shaping._levinson_mp
-    monkeypatch.setattr(shaping, "_levinson_mp", lambda r, p: calls.append(p) or real(r, p))
+    real = shaping._levinson
+
+    def spy(r, p):
+        if isinstance(r[0], mp.mpf):
+            calls.append(p)
+        return real(r, p)
+
+    monkeypatch.setattr(shaping, "_levinson", spy)
     return calls
 
 

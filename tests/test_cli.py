@@ -342,6 +342,27 @@ def test_sigma_e2_and_step_exclude_each_other(command, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["theory-point", "--delta", "inf", "--sigma-e2", "0.01"], "all parameters must be positive and finite"),
+        (["theory-point", "--delta", "4", "--sigma-e2", "0.01", "--sigma-x2", "inf"],
+         "all parameters must be positive and finite"),
+        (["theory-point", "--delta", "4", "--sigma-e2", "1e308"], "operating point overflows float64"),
+        (["sweep", "--rates", "600", "--delta", "4"], "rate 600.0 overflows float64"),
+        (["sweep", "--deltas", "4", "--sigma-e2", "1e308"], "operating point overflows float64"),
+    ],
+    ids=["theory-delta-inf", "theory-sigma-x2-inf", "theory-sigma-e2-overflow", "sweep-rate-overflow",
+         "sweep-sigma-e2-overflow"],
+)
+def test_non_finite_or_overflowing_closed_form_is_usage_error(argv, message, capsys):
+    # these printed R=inf and NaN distortions with exit 0, or, for the rate
+    # 600, an OverflowError traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("delta", ["0", "-1"])
 def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
     assert main(["sweep", "--rates", "1", "--delta", delta]) == 1

@@ -48,6 +48,21 @@ class TestOzarowBounds:
         with pytest.raises(ValueError, match="rate"):
             ozarow_bounds(0.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "args", [(math.inf, 0.1, 1.0), (1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (1.0, 0.25, math.inf)]
+    )
+    def test_non_finite_input_rejected(self, args):
+        # these used to give a NaN bound, or a zero one at an infinite rate
+        with pytest.raises(ValueError, match="must be finite"):
+            ozarow_bounds(*args)
+
+    def test_bound_that_overflows_rejected(self):
+        # at high resolution 1 - (sqrt(Pi) - sqrt(Delta))^2 cancels to 0 in
+        # float64, which used to raise ZeroDivisionError
+        pt = brickwall_point(4.0, 1e-20, 1.0)
+        with pytest.raises(ValueError, match=r"central bound overflows float64 .* = 0\.0$"):
+            ozarow_bounds(pt.rate_bits, pt.ds, 1.0)
+
 
 class TestBrickwallPoint:
     def test_reference_point(self):
@@ -88,6 +103,20 @@ class TestBrickwallPoint:
     def test_validation(self):
         with pytest.raises(ValueError):
             brickwall_point(0.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize(
+        "args", [(math.inf, 0.01, 1.0), (4.0, math.inf, 1.0), (4.0, 0.01, math.inf), (math.nan, 0.01, 1.0)]
+    )
+    def test_non_finite_input_rejected(self, args):
+        # these used to give R = inf and NaN distortions
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            brickwall_point(*args)
+
+    @pytest.mark.parametrize("args", [(4.0, 1e308, 1.0), (1e-310, 0.01, 1.0)])
+    def test_point_that_overflows_rejected(self, args):
+        # sigma_e2 * P_ds, or P_dc = 1/(2 delta), past DBL_MAX
+        with pytest.raises(ValueError, match="operating point overflows float64"):
+            brickwall_point(*args)
 
 
 class TestFinitePPoint:
