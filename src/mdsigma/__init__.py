@@ -26,7 +26,6 @@ from .shaping import (
 )
 from .theory import (
     K4Spec,
-    OzarowEvaluation,
     TheoryPoint,
     brickwall_point,
     gaussian_rate_bits,

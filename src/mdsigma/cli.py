@@ -8,8 +8,9 @@ Simulation configs merge, each layer over the last: subcommand defaults,
 the ``--config`` file, the flags (``dest`` = field name; a noise flag drops
 the file's noise keys, a shape flag sets the filter kind), then the keys
 the subcommand fixes.  With no noise key set, sigma_e2 = 0.01.  The
-config (scales, tolerance, seed) and the simulate-k4 band levels are
-checked before any work: a bad one exits 1 before any filter is designed.
+config (scales, tolerance, seed), the simulate-k4 band levels and their
+three-step point are checked before any work: a bad one exits 1 before
+any filter is designed.
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ def _cmd_design_filter(args) -> int:
 
 def _cmd_theory_point(args) -> int:
     pt = brickwall_point(args.delta, args.sigma_e2, args.sigma_x2)
-    oz = ozarow_bounds(pt.rate_bits, pt.ds, args.sigma_x2)
+    dc_bound = ozarow_bounds(pt.rate_bits, pt.ds, args.sigma_x2)
     print(
         f"delta={args.delta}: R={pt.rate_bits:.6f} bits  dc={pt.dc:.8e}  ds={pt.ds:.8e}  "
         f"alpha={pt.alpha:.6f} beta={pt.beta:.6f}"
     )
-    gap = pt.dc / oz.dc_bound - 1.0
-    print(f"bound: dc_bound={oz.dc_bound:.8e}  achievability gap={gap:.3e}")
+    gap = pt.dc / dc_bound - 1.0
+    print(f"bound: dc_bound={dc_bound:.8e}  achievability gap={gap:.3e}")
     return 0
 
 

@@ -561,8 +561,10 @@ SWEEP_COLUMNS = (
 def sweep(deltas: Sequence[float], sigma_e2: float, sigma_x2: float = 1.0, csv_path=None):
     """Analytic rate-distortion sweep over brick-wall operating points.
 
-    Each grid point carries its achievability bound columns for overlay;
-    degenerate bound evaluations are skipped with a NaN marker.
+    Each grid point carries its bound columns for overlay: the side floor
+    sx2*2^(-2R), and the central bound of ``theory.ozarow_bounds``, which
+    reads NaN where that raises (sx2*2^(-4R) below the smallest normal
+    double, past about R = 255.5 bits at sx2 = 1).
     """
     deltas = list(deltas)
     if not deltas:
@@ -570,11 +572,11 @@ def sweep(deltas: Sequence[float], sigma_e2: float, sigma_x2: float = 1.0, csv_p
     rows = []
     for d in deltas:
         pt = brickwall_point(d, sigma_e2, sigma_x2)
+        floor = sigma_x2 * 2.0 ** (-2 * pt.rate_bits)
         try:
-            oz = ozarow_bounds(pt.rate_bits, pt.ds, sigma_x2)
-            floor, bound = sigma_x2 * 2.0 ** (-2 * pt.rate_bits), oz.dc_bound
+            bound = ozarow_bounds(pt.rate_bits, pt.ds, sigma_x2)
         except ValueError:
-            floor, bound = float("nan"), float("nan")
+            bound = float("nan")
         rows.append(
             (d, sigma_e2, sigma_x2, pt.rate_bits, pt.dc, pt.ds, pt.pdc, pt.pds, floor, bound)
         )

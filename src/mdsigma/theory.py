@@ -21,20 +21,23 @@ All rates are bits per description per source sample.  Conventions:
   sx2/(sx2 + se2*P): ``gaussian_rate_bits`` and ``wiener_gain`` are their
   only implementations, shared with the harness and the codec.
 
-* Symmetric two-description Gaussian bound: side floor sx2*2^(-2R) and
-  central bound sx2*2^(-4R) / (1 - (sqrt(Pi) - sqrt(Dz))^2) with
-  Pi = (1 - d_s/sx2)^2 and Dz = (d_s/sx2)^2 - 2^(-4R).  The region is
-  degenerate when Pi < Dz, which is reported as an error, never clamped.
+* Symmetric two-description Gaussian bound (Ozarow): side floor
+  sx2*f with f = 2^(-2R), and, with d = d_s/sx2 >= f and
+  t = sqrt((d - f)(d + f)), central bound
+      d_c >= sx2*f^2 / ((d + t)(2 - d - t)),
+  the product form of sx2*f^2 / (1 - (1 - d - t)^2), which has no
+  cancellation.  The region is degenerate when d + t > 1, which is
+  reported as an error, never clamped.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 __all__ = [
     "TheoryPoint",
-    "OzarowEvaluation",
     "K4Spec",
     "K4Point",
     "ozarow_bounds",
@@ -65,15 +68,6 @@ class TheoryPoint:
 
 
 @dataclass(frozen=True)
-class OzarowEvaluation:
-    rate_bits: float
-    ds: float
-    pi_term: float
-    delta_term: float
-    dc_bound: float
-
-
-@dataclass(frozen=True)
 class K4Spec:
     """Three-step noise spectrum for the four-description codec.
 
@@ -94,8 +88,8 @@ class K4Spec:
             raise ValueError("delta0 must be <= 1")
         if self.delta0 * self.delta1 > 1.0 + 1e-12:
             raise ValueError("delta0*delta1 must be <= 1")
-        if not (self.sigma_e2 > 0 and self.sigma_x2 > 0):
-            raise ValueError("variances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.sigma_e2, self.sigma_x2)):
+            raise ValueError("variances must be positive and finite")
 
     @property
     def delta2(self) -> float:
@@ -115,10 +109,14 @@ class K4Point:
 # ---------------------------------------------------------------------------
 
 
-def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> OzarowEvaluation:
-    """Side-distortion floor and central-distortion bound at the given rate.
+def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> float:
+    """Ozarow's central-distortion bound at the given rate and side distortion.
 
-    Non-finite inputs, and a bound that overflows float64, raise ValueError.
+    The product form of the module docstring.  Outside the degenerate
+    region 2 - d - t >= 1 and d + t >= f, so the bound lies between
+    sx2*f^2 and about sx2*f and cannot overflow.  Non-finite inputs, a side
+    distortion below the floor sx2*f, a degenerate region, and sx2*f^2
+    below the smallest normal double raise ValueError.
     """
     if not all(math.isfinite(v) for v in (rate_bits, ds, sigma_x2)):
         raise ValueError(f"rate, ds and sigma_x2 must be finite, got {rate_bits!r}, {ds!r}, {sigma_x2!r}")
@@ -126,36 +124,26 @@ def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> OzarowEvaluat
         raise ValueError("rate must be positive")
     if not sigma_x2 > 0:
         raise ValueError("sigma_x2 must be positive")
-    floor = sigma_x2 * 2.0 ** (-2.0 * rate_bits)
-    if ds < floor * (1.0 - 1e-12):
+    f = 2.0 ** (-2.0 * rate_bits)
+    d = ds / sigma_x2
+    if d < f * (1.0 - 1e-12):
         raise ValueError("side distortion infeasible")
-    pi_term = (1.0 - ds / sigma_x2) ** 2
-    delta_term = (ds / sigma_x2) ** 2 - 2.0 ** (-4.0 * rate_bits)
-    # at the no-excess-rate corner ds equals the floor and delta_term is an
-    # exact zero; the float evaluation leaves O(eps)-level residue whose
-    # square root would destroy ~8 digits of the bound, so values below the
-    # rounding floor are snapped to the exact zero
-    if abs(delta_term) <= 1e-13 * (ds / sigma_x2) ** 2:
-        delta_term = 0.0
-    if delta_term < 0.0:
-        delta_term = 0.0
-    if pi_term < delta_term:
-        raise ValueError("degenerate region")
-    # positive wherever pi_term >= delta_term, but at high resolution it
-    # cancels to 0 in float64, and the bound then overflows
-    denom = 1.0 - (math.sqrt(pi_term) - math.sqrt(delta_term)) ** 2
-    dc_bound = sigma_x2 * 2.0 ** (-4.0 * rate_bits) / denom if denom > 0.0 else math.inf
-    if not math.isfinite(dc_bound):
+    numerator = sigma_x2 * f * f
+    if numerator < sys.float_info.min:
         raise ValueError(
-            f"central bound overflows float64 at rate {rate_bits!r}: 1 - (sqrt(Pi) - sqrt(Delta))^2 = {denom!r}"
+            f"central bound underflows float64 at rate {rate_bits!r}: sigma_x2*2^(-4R) = {numerator!r}"
         )
-    return OzarowEvaluation(
-        rate_bits=rate_bits,
-        ds=ds,
-        pi_term=pi_term,
-        delta_term=delta_term,
-        dc_bound=dc_bound,
-    )
+    # d - f is exact near the floor, where d*d - f*f cancels; at the
+    # no-excess-rate corner d = f, the square root would turn a few ulps of
+    # rounding into ~8 lost digits, so values below the rounding floor
+    # (negatives included) are snapped to the exact zero
+    excess = (d - f) * (d + f)
+    if excess <= 1e-13 * d * d:
+        excess = 0.0
+    s = d + math.sqrt(excess)  # d + t
+    if s > 1.0:
+        raise ValueError("degenerate region")
+    return numerator / (s * (2.0 - s))
 
 
 def gaussian_rate_bits(var: float, sigma_e2: float) -> float:
@@ -204,7 +192,9 @@ def k4_point(spec: K4Spec) -> K4Point:
 
     These are the raw (unit post-multiplier) values: full reception keeps
     the low band, two interleaved descriptions add the aliased top band,
-    and a single description collects the whole spectrum.
+    and a single description collects the whole spectrum.  Each step adds
+    a non-negative term, so dc <= d2 <= d1; a point with a value that
+    overflows float64 raises ValueError.
     """
     se2, sx2 = spec.sigma_e2, spec.sigma_x2
     d2l = spec.delta2
@@ -213,6 +203,9 @@ def k4_point(spec: K4Spec) -> K4Point:
     d1 = d2 + se2 * d2l / 2.0
     p_total = (spec.delta0 + spec.delta1 + 2.0 * d2l) / 4.0
     point = K4Point(dc=dc, d2=d2, d1=d1, rate_bits=gaussian_rate_bits(sx2 + se2 * p_total, se2))
-    if not (point.dc <= point.d2 <= point.d1):
-        raise ValueError("distortion ordering violated")
+    if not all(math.isfinite(v) for v in astuple(point)):
+        raise ValueError(
+            f"three-step point overflows float64 at delta0={spec.delta0!r}, delta1={spec.delta1!r}, "
+            f"sigma_e2={se2!r}, sigma_x2={sx2!r}"
+        )
     return point

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one verdict line
 per criterion.  The Monte-Carlo criteria share one seeded 2^20-sample,
-4-trial run (criterion 3's configuration).
+4-trial run (criterion 3's configuration).  The golden tests compare the
+criterion-3, -8 and -9 runs, and two ``mdsigma sweep`` CSVs, with the
+files under ``tests/golden/`` (see ``golden_outputs``).
 """
 
 import math
@@ -24,6 +26,7 @@ from mdsigma.theory import (
     wiener_gain,
 )
 
+import golden_outputs
 from conftest import zeros_within
 from reference import BrickWallSpec, error_statistics, truncated_fourier_brickwall_error
 
@@ -42,7 +45,7 @@ def _design_gap(pdc, pds, rate, se2, sx2):
     D_s."""
     dc = wiener_gain(sx2, se2, pdc) * se2 * pdc
     ds = wiener_gain(sx2, se2, pds) * se2 * pds
-    return dc / ozarow_bounds(rate, ds, sx2).dc_bound - 1.0
+    return dc / ozarow_bounds(rate, ds, sx2) - 1.0
 
 
 @pytest.fixture(scope="module")
@@ -54,41 +57,82 @@ def warm_codec():
     run(cfg)
 
 
-@pytest.fixture(scope="module")
-def mc_config():
-    # closed-loop Monte-Carlo configuration: sigma_x2 = 1, step = sqrt(0.12)
-    # (noise variance 0.01), order 32 targeting P_ds/P_dc = 17, 2^20 samples,
-    # 4 trials
+# closed-loop Monte-Carlo configuration: sigma_x2 = 1, step = sqrt(0.12)
+# (noise variance 0.01), order 32 targeting P_ds/P_dc = 17, 2^20 samples,
+# 4 trials
+MC_CONFIG = ExperimentConfig(
+    sigma_x2=1.0,
+    quant_step=math.sqrt(0.12),
+    filter_kind="yule_walker_gamma",
+    p=32,
+    gamma=17.0,
+    n_samples=1 << 20,
+    n_trials=4,
+    master_seed=MC_SEED,
+    tol_mse_rel=0.03,
+)
+
+# criterion 8: the three-step spectrum at delta0 = 0.2, delta1 = 1, K = 4
+K4_SPEC = K4Spec(delta0=0.2, delta1=1.0, sigma_e2=0.04, sigma_x2=1.0)
+K4_CONFIG = ExperimentConfig(
+    sigma_x2=1.0,
+    sigma_e2=0.04,
+    filter_kind="multiband",
+    p=48,
+    band_edges=(math.pi / 4, 3 * math.pi / 4, math.pi),
+    band_weights=(1.0 / K4_SPEC.delta0, 1.0 / K4_SPEC.delta2, 1.0 / K4_SPEC.delta1),
+    oversampling=4,
+    n_samples=1 << 20,
+    n_trials=1,
+    master_seed=MC_SEED,
+    tol_mse_rel=0.05,
+)
+
+
+def universality_config(dist):
+    """Criterion 9's run of a non-Gaussian source at high resolution."""
     return ExperimentConfig(
         sigma_x2=1.0,
-        quant_step=math.sqrt(0.12),
+        sigma_e2=1e-3,
         filter_kind="yule_walker_gamma",
         p=32,
         gamma=17.0,
         n_samples=1 << 20,
-        n_trials=4,
-        master_seed=MC_SEED,
+        n_trials=2,
+        master_seed=MC_SEED + 9,
+        source_dist=dist,
         tol_mse_rel=0.03,
     )
 
 
 @pytest.fixture(scope="module")
-def mc_run(warm_codec, mc_config, tmp_path_factory):
+def mc_run(warm_codec, tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance") / "mc.csv"
     start = time.perf_counter()
-    result = run(mc_config, csv_path=out)
+    result = run(MC_CONFIG, csv_path=out)
     elapsed = time.perf_counter() - start
     return result, out, elapsed
+
+
+@pytest.fixture(scope="module")
+def k4_run(warm_codec):
+    start = time.perf_counter()
+    result = run(K4_CONFIG)
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module", params=["laplace", "uniform"])
+def universality_run(warm_codec, request):
+    return request.param, run(universality_config(request.param))
 
 
 def test_criterion_01_ozarow_achievability():
     start = time.perf_counter()
     worst = 0.0
     for delta in (1.0, 2.0, 4.0, 8.0):
-        for se2 in (1e-1, 1e-2, 1e-3):
-            pt = brickwall_point(delta, se2, 1.0)
-            ev = ozarow_bounds(pt.rate_bits, pt.ds, 1.0)
-            worst = max(worst, abs(pt.dc / ev.dc_bound - 1.0))
+        for k in range(1, 31):
+            pt = brickwall_point(delta, 10.0**-k, 1.0)
+            worst = max(worst, abs(pt.dc / ozarow_bounds(pt.rate_bits, pt.ds, 1.0) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     assert _verdict(1, ok, f"central distortion meets the bound, max rel err {worst:.2e} ({elapsed:.2f} s)")
@@ -138,7 +182,7 @@ def test_criterion_03_monte_carlo_codec_vs_closed_form(mc_run):
     se2, sx2 = result.config.noise_variance, result.config.sigma_x2
     design_gap = _design_gap(result.pdc, result.pds, result.rate_theory_bits, se2, sx2)
     side = 0.5 * (even.mse_emp + odd.mse_emp)
-    mc_gap = central.mse_emp / ozarow_bounds(result.rate_gauss_emp_bits, side, sx2).dc_bound - 1.0
+    mc_gap = central.mse_emp / ozarow_bounds(result.rate_gauss_emp_bits, side, sx2) - 1.0
     print(
         f"criterion 03 gap to Ozarow's bound: design {design_gap:.3e} (R = {result.rate_theory_bits:.5f} bits), "
         f"Monte Carlo {mc_gap:.3e} (R = {result.rate_gauss_emp_bits:.5f} bits)"
@@ -239,26 +283,9 @@ def test_criterion_07_variance_and_rate_accounting(mc_run):
     assert 0.1 <= ent_gap <= 0.45
 
 
-def test_criterion_08_four_descriptions(warm_codec):
-    d0, d1 = 0.2, 1.0
-    spec = K4Spec(delta0=d0, delta1=d1, sigma_e2=0.04, sigma_x2=1.0)
-    ideal = k4_point(spec)
-    config = ExperimentConfig(
-        sigma_x2=1.0,
-        sigma_e2=0.04,
-        filter_kind="multiband",
-        p=48,
-        band_edges=(math.pi / 4, 3 * math.pi / 4, math.pi),
-        band_weights=(1.0 / d0, 1.0 / spec.delta2, 1.0 / d1),
-        oversampling=4,
-        n_samples=1 << 20,
-        n_trials=1,
-        master_seed=MC_SEED,
-        tol_mse_rel=0.05,
-    )
-    start = time.perf_counter()
-    result = run(config)
-    elapsed = time.perf_counter() - start
+def test_criterion_08_four_descriptions(k4_run):
+    result, elapsed = k4_run
+    ideal = k4_point(K4_SPEC)
     rels = {}
     rels["central"] = result.pattern("central").mse_emp / ideal.dc - 1.0
     for pat in ("pair02", "pair13"):
@@ -278,21 +305,8 @@ def test_criterion_08_four_descriptions(warm_codec):
     assert elapsed < 120.0
 
 
-@pytest.mark.parametrize("dist", ["laplace", "uniform"])
-def test_criterion_09_universality(warm_codec, dist):
-    config = ExperimentConfig(
-        sigma_x2=1.0,
-        sigma_e2=1e-3,
-        filter_kind="yule_walker_gamma",
-        p=32,
-        gamma=17.0,
-        n_samples=1 << 20,
-        n_trials=2,
-        master_seed=MC_SEED + 9,
-        source_dist=dist,
-        tol_mse_rel=0.03,
-    )
-    result = run(config)
+def test_criterion_09_universality(universality_run):
+    dist, result = universality_run
     rels = {
         pr.pattern: pr.mse_emp / pr.mse_theory - 1.0 for pr in result.patterns
     }
@@ -304,10 +318,10 @@ def test_criterion_09_universality(warm_codec, dist):
         assert abs(r) <= 0.03
 
 
-def test_criterion_10_determinism(mc_run, mc_config, tmp_path):
+def test_criterion_10_determinism(mc_run, tmp_path):
     _, first_csv, _ = mc_run
     repeat = tmp_path / "repeat.csv"
-    run(mc_config, csv_path=repeat)
+    run(MC_CONFIG, csv_path=repeat)
     identical = first_csv.read_bytes() == repeat.read_bytes()
     assert _verdict(10, identical, "repeated run produced byte-identical CSV")
     assert identical
@@ -356,3 +370,47 @@ def test_criterion_11_designs_approach_ozarow_as_one_over_p():
     assert falling
     assert in_window
     assert elapsed < 2.0
+
+
+def _golden(name, output):
+    how = golden_outputs.check(name, output)
+    print(f"golden {name}: compared {how}")
+
+
+def test_golden_criterion_03(mc_run):
+    _, csv_path, _ = mc_run
+    _golden("criterion_03.csv", csv_path.read_bytes())
+
+
+def test_golden_criterion_08(k4_run):
+    result, _ = k4_run
+    _golden("criterion_08.csv", result.to_csv().encode("utf-8"))
+
+
+def test_golden_criterion_09(universality_run):
+    dist, result = universality_run
+    _golden(f"criterion_09_{dist}.csv", result.to_csv().encode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(golden_outputs.SWEEPS))
+def test_golden_sweep(name):
+    _golden(name, golden_outputs.sweep_csv(golden_outputs.SWEEPS[name]))
+
+
+def test_golden_check_off_platform_compares_cells_to_1e_12(monkeypatch):
+    # where the platform lines differ, a cell may move by an ulp but not
+    # by 1e-11 relative
+    name = "sweep_deltas.csv"
+    body = golden_outputs.sweep_csv(golden_outputs.SWEEPS[name]).decode("utf-8")
+    monkeypatch.setattr(golden_outputs, "platform_lines", lambda: ["# numpy: elsewhere\n"])
+    header, first, *rest = body.splitlines(keepends=True)
+    cells = first.rstrip("\n").split(",")
+    bound = float(cells[-1])
+
+    def with_bound(value):
+        return "".join([header, ",".join([*cells[:-1], format(value, ".17g")]) + "\n", *rest]).encode("utf-8")
+
+    assert golden_outputs.check(name, body.encode("utf-8")).startswith("each numeric cell to 1e-12 relative")
+    golden_outputs.check(name, with_bound(math.nextafter(bound, math.inf)))
+    with pytest.raises(AssertionError, match="line 2 column 10"):
+        golden_outputs.check(name, with_bound(bound * (1.0 + 1e-11)))

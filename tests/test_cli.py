@@ -51,10 +51,13 @@ def test_design_filter_gamma_mode(capsys):
     assert "gamma=6" in capsys.readouterr().out
 
 
-def test_theory_point_achievability(capsys):
-    assert main(["theory-point", "--delta", "4", "--sigma-e2", "0.01"]) == 0
+@pytest.mark.parametrize("sigma_e2", ["0.01", "1e-12", "1e-20"])
+def test_theory_point_achievability(sigma_e2, capsys):
+    # the brick-wall point meets the bound; the gap printed at 1e-12 was
+    # -2.2e-5 of rounding, and at 1e-20 the bound did not evaluate
+    assert main(["theory-point", "--delta", "4", "--sigma-e2", sigma_e2]) == 0
     out = capsys.readouterr().out
-    assert "achievability gap" in out
+    assert abs(float(out.split("achievability gap=")[1])) < 1e-12
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -64,6 +67,17 @@ def test_sweep_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("delta,")
     assert len(lines) == 5
+
+
+def test_sweep_gives_the_side_floor_where_the_central_bound_underflows(tmp_path, capsys):
+    # sx2*2^(-4R) is below the smallest normal double at R = 332 bits; the
+    # floor sx2*2^(-2R), about 1e-200, was written as nan with the bound
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--deltas", "4", "--sigma-e2", "1e-200", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["ozarow_ds_floor"]) == pytest.approx(1e-200, rel=1e-12)
+    assert cells["ozarow_dc_bound"] == "nan"
 
 
 def test_simulate_small_run(tmp_path, capsys):
@@ -349,11 +363,12 @@ def test_sigma_e2_and_step_exclude_each_other(command, capsys):
         (["theory-point", "--delta", "4", "--sigma-e2", "0.01", "--sigma-x2", "inf"],
          "all parameters must be positive and finite"),
         (["theory-point", "--delta", "4", "--sigma-e2", "1e308"], "operating point overflows float64"),
+        (["theory-point", "--delta", "4", "--sigma-e2", "1e-200"], "central bound underflows float64"),
         (["sweep", "--rates", "600", "--delta", "4"], "rate 600.0 overflows float64"),
         (["sweep", "--deltas", "4", "--sigma-e2", "1e308"], "operating point overflows float64"),
     ],
-    ids=["theory-delta-inf", "theory-sigma-x2-inf", "theory-sigma-e2-overflow", "sweep-rate-overflow",
-         "sweep-sigma-e2-overflow"],
+    ids=["theory-delta-inf", "theory-sigma-x2-inf", "theory-sigma-e2-overflow", "theory-bound-underflow",
+         "sweep-rate-overflow", "sweep-sigma-e2-overflow"],
 )
 def test_non_finite_or_overflowing_closed_form_is_usage_error(argv, message, capsys):
     # these printed R=inf and NaN distortions with exit 0, or, for the rate
@@ -386,12 +401,14 @@ def test_sweep_rates_rejects_non_positive_delta(delta, capsys):
         ("simulate-k4", ["--delta1", "inf"], "band levels must be positive"),
         ("simulate", ["--seed", "-1", "--gamma", "3"], "master_seed must be >= 0"),
         ("simulate", ["--sigma-e2", "1e308", "--gamma", "3"], "sqrt(12*sigma_e2) = inf: step must be positive and finite"),
+        ("simulate-k4", ["--sigma-e2", "1e10", "--delta0", "1e-300", "--delta1", "1e300"],
+         "three-step point overflows float64"),
     ],
     ids=[
         "tol-negative", "tol-nan", "sigma-e2-negative", "sigma-e2-zero", "step-inf", "step-past-cell-rule",
         "sigma-x2-zero", "k4-sigma-e2-negative", "universality-tol-negative",
         "k4-delta0-zero", "k4-delta0-negative", "k4-delta1-inf", "seed-negative",
-        "sigma-e2-step-overflow",
+        "sigma-e2-step-overflow", "k4-point-overflow",
     ],
 )
 def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, capsys, command, flags, message):

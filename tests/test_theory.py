@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from mdsigma.codec import CodecConfig, pattern_noise_power
@@ -29,15 +31,30 @@ class TestOzarowBounds:
         ozarow_bounds(1.0, 0.25, 1.0)
 
     def test_hand_evaluated_point(self):
-        ev = ozarow_bounds(1.0, 0.25, 1.0)
-        assert ev.delta_term == pytest.approx(0.0, abs=1e-15)
-        assert ev.pi_term == pytest.approx(0.5625, abs=1e-15)
-        assert ev.dc_bound == pytest.approx(1.0 / 7.0, abs=1e-14)
+        # f = d = 1/4 at the corner: (1/16) / ((1/4)(7/4)) = 1/7
+        assert ozarow_bounds(1.0, 0.25, 1.0) == pytest.approx(1.0 / 7.0, abs=1e-14)
 
     def test_matches_brickwall_central(self):
         pt = brickwall_point(4.0, 0.01, 1.0)
-        ev = ozarow_bounds(pt.rate_bits, pt.ds, 1.0)
-        assert ev.dc_bound == pytest.approx(0.0012484394506866417, rel=1e-10)
+        assert ozarow_bounds(pt.rate_bits, pt.ds, 1.0) == pytest.approx(0.0012484394506866417, rel=1e-10)
+
+    def test_matches_80_digit_evaluation_to_4_ulps(self):
+        # on the same float f = 2^(-2R) and d = d_s, from just above the
+        # side floor to just inside the degenerate edge d = (1 + f^2)/2;
+        # the forms 1 - (1 - d - t)^2, at high rates, and d^2 - f^2, near
+        # the floor, cancel here
+        worst = 0.0
+        with mp.workdps(80):
+            for rate in np.linspace(0.1, 60.0, 40):
+                rate = float(rate)
+                f = 2.0 ** (-2.0 * rate)
+                for d in np.geomspace(f * (1.0 + 1e-12), 0.5 * (1.0 + f * f) * (1.0 - 1e-9), 25):
+                    d = float(d)
+                    fm, dm = mp.mpf(f), mp.mpf(d)
+                    s = dm + mp.sqrt((dm - fm) * (dm + fm))
+                    exact = fm * fm / (s * (2 - s))
+                    worst = max(worst, float(abs(ozarow_bounds(rate, d, 1.0) / exact - 1)))
+        assert worst <= 4 * 2.0**-52
 
     def test_degenerate_region_rejected(self):
         # large ds, high rate: Pi < Delta
@@ -56,12 +73,19 @@ class TestOzarowBounds:
         with pytest.raises(ValueError, match="must be finite"):
             ozarow_bounds(*args)
 
-    def test_bound_that_overflows_rejected(self):
-        # at high resolution 1 - (sqrt(Pi) - sqrt(Delta))^2 cancels to 0 in
-        # float64, which used to raise ZeroDivisionError
+    def test_high_resolution_bound_meets_brickwall_central(self):
+        # 1 - (1 - d - t)^2 cancelled to 0 in float64 here, which raised
         pt = brickwall_point(4.0, 1e-20, 1.0)
-        with pytest.raises(ValueError, match=r"central bound overflows float64 .* = 0\.0$"):
+        assert ozarow_bounds(pt.rate_bits, pt.ds, 1.0) == pytest.approx(pt.dc, rel=1e-12)
+
+    def test_bound_that_underflows_rejected(self):
+        # sx2*2^(-4R) below the smallest normal double; at rate 600 and
+        # ds = 0 the denominator is an exact 0
+        pt = brickwall_point(4.0, 1e-200, 1.0)
+        with pytest.raises(ValueError, match="central bound underflows float64"):
             ozarow_bounds(pt.rate_bits, pt.ds, 1.0)
+        with pytest.raises(ValueError, match="central bound underflows float64"):
+            ozarow_bounds(600.0, 0.0, 1.0)
 
 
 class TestBrickwallPoint:
@@ -152,11 +176,10 @@ class TestFinitePPoint:
 
 class TestBoundAchievabilityGrid:
     @pytest.mark.parametrize("delta", [1.0, 2.0, 4.0, 8.0])
-    @pytest.mark.parametrize("sigma_e2", [1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("sigma_e2", [10.0**-k for k in range(1, 31)])
     def test_central_distortion_meets_bound_exactly(self, delta, sigma_e2):
         pt = brickwall_point(delta, sigma_e2, 1.0)
-        ev = ozarow_bounds(pt.rate_bits, pt.ds, 1.0)
-        assert pt.dc / ev.dc_bound == pytest.approx(1.0, rel=1e-10)
+        assert pt.dc / ozarow_bounds(pt.rate_bits, pt.ds, 1.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_finite_p_never_beats_brickwall(self):
         # at equal power ratio the two-step spectrum minimizes the distortion
@@ -221,3 +244,18 @@ class TestK4Point:
         for d0, d1 in [(0.0, 1.0), (-1.0, 1.0), (0.2, math.inf), (math.nan, 1.0)]:
             with pytest.raises(ValueError, match="band levels must be positive"):
                 K4Spec(delta0=d0, delta1=d1, sigma_e2=0.1)
+
+    @pytest.mark.parametrize("se2,sx2", [(math.inf, 1.0), (0.04, math.inf), (math.nan, 1.0), (0.0, 1.0)])
+    def test_non_finite_or_non_positive_variance_rejected(self, se2, sx2):
+        # an infinite sigma_e2 gave dc = d2 = d1 = inf and a NaN rate
+        with pytest.raises(ValueError, match="variances must be positive and finite"):
+            K4Spec(delta0=0.2, delta1=1.0, sigma_e2=se2, sigma_x2=sx2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [K4Spec(delta0=1e-300, delta1=1e300, sigma_e2=1e10), K4Spec(delta0=0.2, delta1=1.0, sigma_e2=1e-300, sigma_x2=1e300)],
+        ids=["d2-overflows", "rate-overflows"],
+    )
+    def test_point_that_overflows_rejected(self, spec):
+        with pytest.raises(ValueError, match="three-step point overflows float64"):
+            k4_point(spec)
