@@ -1,8 +1,8 @@
 """The library's compiled code: one C source, built on first use and cached.
 
-The source holds the feedback-loop kernel that ``codec`` runs and the three
-Levinson kernels that ``shaping``'s designs run.  It is compiled with the
-system's C compiler (``$CC``, default ``cc``) into one shared library,
+The source holds the feedback-loop kernel that ``codec`` runs and the two
+double-double kernels that ``shaping``'s designs run.  It is compiled with
+the system's C compiler (``$CC``, default ``cc``) into one shared library,
 cached on disk under a name hashed from the source, the flags and the
 compiler's identity, and loaded with ctypes.  ``library()`` returns it,
 each function bound with its argument types, or None, logged once with the
@@ -17,12 +17,8 @@ format.
 
 - ``dsq_loop``: the noise-feedback recursion (``codec``'s module docstring
   gives its operation order).
-- ``levinson_f64``: ``shaping._levinson`` on doubles, one statement per
-  operation of the Python recursion and in its order, so each result keeps
-  its bits; it returns 1 where the Python one raises, at a prediction error
-  <= 0 (a NaN passes that test in both).
-- ``levinson_dd``: the same recursion in double-double arithmetic (a value
-  is an unevaluated sum hi + lo of two doubles).  Its accuracy is not
+- ``levinson_dd``: ``shaping._levinson`` in double-double arithmetic (a
+  value is an unevaluated sum hi + lo of two doubles).  Its accuracy is not
   assumed; ``toeplitz_residual_dd`` measures it.
 - ``toeplitz_residual_dd``: rho_i = sum_j r_|i-j| a_j, rows i = 1..p, in
   double-double, and s_i = sum_j |r_|i-j|| |a_j| in double, from which the
@@ -108,33 +104,6 @@ void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
         e[k] = step * (double)qi - z[k] - s;
         fb[k] = acc;
     }
-}
-
-/* shaping._levinson on doubles.  The coefficient update reads the previous
-   step's a[j] and a[i - j]; updating both ends of each pair together keeps
-   the old values without a copy. */
-int levinson_f64(const double *r, int64_t p, double *a, double *energy)
-{
-    double en = r[0];
-    a[0] = 1.0;
-    for (int64_t i = 1; i <= p; i++) {
-        if (en <= 0.0)
-            return 1;
-        double acc = r[i];
-        for (int64_t j = 1; j < i; j++)
-            acc += a[j] * r[i - j];
-        double k = -acc / en;
-        for (int64_t j = 1, m = i - 1; j <= m; j++, m--) {
-            double aj = a[j], am = a[m];
-            a[j] = aj + k * am;
-            if (m != j)
-                a[m] = am + k * aj;
-        }
-        a[i] = k;
-        en = en * (1.0 - k * k);
-    }
-    *energy = en;
-    return 0;
 }
 
 typedef struct {
@@ -345,8 +314,6 @@ def _bind(path: str):
     signatures = {
         # (a, z, n, c_tail, p, step, q, e, fb)
         "dsq_loop": ([f64, f64, n, f64, n, ctypes.c_double, i64, f64, f64], None),
-        # (r, p, a, energy) -> 0, or 1 where not positive definite
-        "levinson_f64": ([f64, n, f64, f64], ctypes.c_int),
         # (r_hi, r_lo, p, a_hi, a_lo) -> 0, or 1 where not positive definite
         "levinson_dd": ([f64, f64, n, f64, f64], ctypes.c_int),
         # (r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)

@@ -24,6 +24,7 @@ from .codec import loop_backend
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _csv_text,
     read_config_text,
     run,
     sweep,
@@ -106,12 +107,17 @@ def _print_sim(result) -> bool:
     return result.all_passed
 
 
+def _floats(text: str) -> list:
+    """The floats of a comma list, blank entries skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _cmd_design_filter(args) -> int:
     if (args.band_edges is None) != (args.band_weights is None):
         raise ValueError("--band-edges and --band-weights go together")
-    if args.band_edges:
-        edges = [float(v) * math.pi for v in args.band_edges.split(",")]
-        weights = [float(v) for v in args.band_weights.split(",")]
+    if args.band_edges is not None:
+        edges = [v * math.pi for v in _floats(args.band_edges)]
+        weights = _floats(args.band_weights)
         filt = design_multiband(args.p, edges, weights)
         label = f"multiband p={args.p}"
     elif args.gamma is not None:
@@ -128,9 +134,7 @@ def _cmd_design_filter(args) -> int:
     print("coeffs:", ",".join(format(c, ".17g") for c in filt.coeffs))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("i,c_i\n")
-            for i, c in enumerate(filt.coeffs):
-                fh.write(f"{i},{format(c, '.17g')}\n")
+            fh.write(_csv_text(("i", "c_i"), enumerate(filt.coeffs)))
     return 0
 
 
@@ -148,11 +152,9 @@ def _cmd_theory_point(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.rates:
-        rates = [float(v) for v in args.rates.split(",") if v.strip()]
-        rows = sweep_rates(rates, args.delta, args.sigma_x2, csv_path=args.out)
+        rows = sweep_rates(_floats(args.rates), args.delta, args.sigma_x2, csv_path=args.out)
     elif args.deltas and args.sigma_e2 is not None:
-        deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
-        rows = sweep(deltas, args.sigma_e2, args.sigma_x2, csv_path=args.out)
+        rows = sweep(_floats(args.deltas), args.sigma_e2, args.sigma_x2, csv_path=args.out)
     else:
         raise ValueError("provide either --rates or both --deltas and --sigma-e2")
     for row in rows:

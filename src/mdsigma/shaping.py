@@ -14,10 +14,7 @@ autocorrelation of a strictly band-limited spectrum, so its conditioning
 collapses rapidly with the order; the design is defined as the float64
 rounding of a Levinson-Durbin recursion run in extended precision (3p + 20
 digits), so that small-lambda, large-p designs remain well defined.  One
-recursion, ``_levinson``, runs in the number type of its lags: on mpf lags
-for the extended-precision steps and designs, and on Python floats for the
-bisection's float64 steps (``_levinson_f64``, which runs its C twin with
-the same operation order where the compiled library loads).  The
+recursion, ``_levinson``, runs every extended-precision solve.  The
 half-band lags sinc(m/2) and their rounding to double-double are computed
 once per order.
 
@@ -36,10 +33,11 @@ either path.
 
 The weight ratio lambda that hits a target P_ds/P_dc is found by
 bisection.  Adding 2*lambda to the diagonal bounds the condition number by
-1 + 1/lambda, so from lambda >= 1e-3 on, float64 runs of the same
-recursion (``_levinson_f64``) decide the bisection steps; a step falls
-back to extended precision when lambda is below that floor or when the
-float64 ratio lies within its derived error margin of a decision threshold
+1 + 1/lambda, so from lambda >= 1e-3 on, float64 decides the bisection
+steps, in closed form from one eigen-decomposition G = Q diag(Lambda) Q^T
+per order (``_half_band_range``), with no compiled code; a step falls back
+to extended precision when lambda is below that floor or when the float64
+ratio lies within its derived error margin of a decision threshold
 (``find_lambda_for_ratio`` gives the derivation).  Every decision is then
 the one extended precision makes, so lambda comes out bit for bit the
 same, and the filter for that lambda is designed as above.
@@ -145,13 +143,12 @@ def _sinc_half_mp(m: int) -> mp.mpf:
 
 
 def _levinson(r: list, p: int):
-    """Solve the autocorrelation normal equations in the number type of ``r``.
+    """Solve the autocorrelation normal equations at the current mp precision.
 
-    ``r`` holds r_0..r_p.  The recursion only adds, multiplies and divides,
-    so it runs in any number type: on mpf lags at the current mp precision,
-    rounding each operation to it, for the extended-precision designs and
-    bisection steps, and on Python floats for the float64 steps.  Returns
-    (monic coefficient list, final prediction error r_0 * prod(1 - k_i^2)).
+    ``r`` holds the mpf lags r_0..r_p, and each operation rounds to the
+    current precision; this makes the extended-precision designs and
+    bisection steps.  Returns (monic coefficient list, final prediction
+    error r_0 * prod(1 - k_i^2)).
     """
     a = [1] + [0] * p  # a[j] is read only after step j has set it
     energy = r[0]
@@ -171,19 +168,6 @@ def _levinson(r: list, p: int):
     return a, energy
 
 
-def _levinson_f64(r: list, p: int):
-    """``_levinson`` on a list of floats: its C twin ``levinson_f64`` where
-    the compiled library loads, which gives the same bits and raises the
-    same error, else ``_levinson`` itself."""
-    lib = _native.library()
-    if lib is None:
-        return _levinson(r, p)
-    a, energy = np.empty(p + 1), np.empty(1)
-    if lib.levinson_f64(np.array(r, dtype=np.float64), p, a, energy):
-        raise ValueError("normal equations not positive definite")
-    return a.tolist(), float(energy[0])
-
-
 def _design_dps(p: int) -> int:
     # conditioning of the band-limited Gram matrix collapses roughly
     # exponentially in p; this leaves a wide precision margin up to MAX_ORDER
@@ -195,12 +179,11 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
 
 
-def _yule_walker(lags: list, lam, levinson):
+def _yule_walker(lags: list, lam):
     """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
-    c^T (G + 2*lam*I) c, from the half-band lags sinc(m/2), m = 0..p, by
-    ``levinson``: ``_levinson`` on mpf lags at the current precision, or
-    ``_levinson_f64`` on floats."""
-    return levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
+    c^T (G + 2*lam*I) c, from the mpf half-band lags sinc(m/2), m = 0..p,
+    at the current precision."""
+    return _levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
@@ -363,7 +346,7 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
             coeffs = _dd_design(r_hi, r_lo, floor, 2.0 + floor)
             if coeffs is not None:
                 return ShapingFilter(coeffs)
-        coeffs, _ = _yule_walker(lags, lam, _levinson)
+        coeffs, _ = _yule_walker(lags, lam)
         return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
@@ -508,44 +491,55 @@ _F64_LAMBDA_FLOOR = 1e-3
 _F64_MARGIN_FACTOR = 16
 
 
-def _powers(lags: list, lam, levinson, fsum) -> tuple:
-    """(P_ds, P_dc) of the half-band design at lam, in the number type of
-    lags and lam, with ``levinson`` solving and ``fsum`` summing in that
-    type."""
-    coeffs, energy = _yule_walker(lags, lam, levinson)
-    pds = fsum(c * c for c in coeffs)
-    # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
-    return pds, (energy - 2 * lam * pds) / 2
-
-
 def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
     with mp.workdps(_design_dps(len(lags) - 1)):
-        pds, pdc = _powers(lags, mp.mpf(repr(float(lam))), _levinson, mp.fsum)
-        return float(pds) / float(pdc)
+        lam = mp.mpf(repr(float(lam)))
+        coeffs, energy = _yule_walker(lags, lam)
+        pds = mp.fsum(c * c for c in coeffs)
+        # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
+        return float(pds) / float((energy - 2 * lam * pds) / 2)
 
 
-def _ratio_f64(lags64: list, lam: float) -> tuple:
-    """(ratio, err): P_ds/P_dc of the float64 design at lam >= the floor, and
-    a bound on its distance from ``_ratio_at`` at the same lambda.
+def _ratio_f64(spectrum: tuple, lam: float) -> tuple:
+    """(ratio, err): P_ds/P_dc of the half-band design at lam >= the floor,
+    in float64 from the order's spectrum (Lambda, h^2) (``_half_band_range``),
+    and a bound on its distance from ``_ratio_at`` at the same lambda.
 
-    err = 16 (p+1) u (1 + 1/lam) (1 + 2 lam ratio) ratio, with u = 2^-53;
-    ``find_lambda_for_ratio`` derives it.
+    With x = -c_tail = Q diag(1/(Lambda + 2 lam)) h,
+
+        P_ds = 1 + |x|^2 = 1 + sum h^2 / (Lambda + 2 lam)^2,
+        2 P_dc = 1 - S,  S = sum h^2 (Lambda + 4 lam) / (Lambda + 2 lam)^2,
+
+    the second from 2 P_dc = c^T G_{p+1} c, G_{p+1} the order-(p+1) Gram
+    matrix.  err = 16 (p+1) u (1 + 1/lam) (1 + 2 lam ratio) ratio, with
+    u = 2^-53; ``find_lambda_for_ratio`` derives it.
     """
-    pds, pdc = _powers(lags64, lam, _levinson_f64, math.fsum)
+    eig, h2 = spectrum
+    shifted = eig + 2.0 * lam
+    weights = h2 / (shifted * shifted)
+    pds = 1.0 + float(weights.sum())
+    pdc = (1.0 - float((weights * (eig + 4.0 * lam)).sum())) / 2.0
     ratio = pds / pdc
-    p = len(lags64) - 1
+    p = eig.shape[0]
     eps = _F64_MARGIN_FACTOR * (p + 1) * 2.0**-53 * (1.0 + 1.0 / lam) * (1.0 + 2.0 * lam * ratio)
     return ratio, eps * ratio
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _half_band_range(p: int) -> tuple:
-    """(extended-precision lags, float64 lags, ratio at lambda = 0) of the
-    order-p half-band design: the same for every target ratio.  The float64
-    lags are the high parts of the double-double ones, float(v) each."""
+    """(extended-precision lags, spectrum, ratio at lambda = 0) of the order-p
+    half-band design: the same for every target ratio.  The spectrum
+    (Lambda, h^2), read-only, comes from ``np.linalg.eigh`` of the float64
+    Gram matrix G = Q diag(Lambda) Q^T, the Toeplitz matrix of the lags'
+    high parts float(r_0)..float(r_{p-1}), with h = Q^T (r_1..r_p)."""
     lags, hi, _ = _half_band_lags(p)
-    return lags, tuple(hi.tolist()), _ratio_at(lags, 0.0)
+    index = np.arange(p)
+    eig, q = np.linalg.eigh(hi[np.abs(index[:, None] - index)])
+    h = q.T @ hi[1:]
+    h2 = h * h
+    eig.flags.writeable = h2.flags.writeable = False
+    return lags, (eig, h2), _ratio_at(lags, 0.0)
 
 
 def find_lambda_for_ratio(gamma: float, p: int) -> float:
@@ -561,13 +555,10 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
     Float64 decides, and extended precision confirms where float64 cannot.
     Each step needs one decision on the ratio r at lambda: r < gamma while
     bracketing, then |r/gamma - 1| <= _REL_TOL and r > gamma while
-    bisecting.  A float64 run of the same Levinson recursion on the float64
-    lags gives r^ (``_levinson_f64``: the compiled library's
-    ``levinson_f64``, the C twin of ``_levinson`` with its operations in
-    its order, or ``_levinson`` itself on floats where the library cannot
-    be had), and the step trusts it unless lambda < 1e-3 (the floor) or
-    |r^/gamma - 1| lies within err/gamma of 0 or of _REL_TOL (the margin),
-    where
+    bisecting.  The float64 closed form of ``_ratio_f64`` on the order's
+    cached spectrum gives r^, and the step trusts it unless lambda < 1e-3
+    (the floor) or |r^/gamma - 1| lies within err/gamma of 0 or of _REL_TOL
+    (the margin), where
 
         err = 16 (p+1) u (1 + 1/lambda) (1 + 2 lambda r^) r^,  u = 2^-53.
 
@@ -575,36 +566,49 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
     the mpf lags.  Outside the margin r^ and the extended-precision r fall
     on the same side of both thresholds, so the decisions, the midpoints
     and the returned lambda are those of an all-extended-precision
-    bisection, bit for bit.
+    bisection, bit for bit.  No step calls the compiled library, so the
+    bisection takes the same path whether or not it loads.
 
     Derivation of err:
     - G is the autocorrelation of the spectrum 2 on |w| <= pi/2 and 0
-      beyond, so its eigenvalues lie in [0, 2] and those of G + 2 lambda I
-      in [2 lambda, 2 + 2 lambda]: the condition number is at most
-      kappa = 1 + 1/lambda, whatever p is.
-    - Levinson-Durbin on a symmetric positive-definite Toeplitz system is
-      weakly stable (Cybenko 1980; Bunch 1985): its relative forward error
-      is of order (p+1) u kappa.  The floor keeps this below 1.5e-11 up to
-      MAX_ORDER, so the float64 system stays positive definite and the
-      first-order analysis holds; below it the margin would near _REL_TOL
-      and the float64 work would mostly be wasted.
-    - P_ds = sum c_i^2 and the prediction error E = c^T (G + 2 lambda I) c
-      inherit that relative error.  P_dc = (E - 2 lambda P_ds)/2 multiplies
-      the error of E by E/(2 P_dc) = 1 + lambda r and that of 2 lambda P_ds
-      by lambda r, together 1 + 2 lambda r.  This factor is large only for
-      large lambda (gamma near 2), where kappa is near 1.
-    - The factor 16 covers the constants the order-of-magnitude statement
-      leaves out: the roundings of r_0 = 1 + 2 lambda, of each update of E,
-      of the sum of squares, and of r^/gamma.  Across p in 1..128 and
-      lambda in [1e-3, 1e4] the observed |r^ - r| stays below err/16, the
-      first-order bound itself (``tests/test_shaping.py``).  On the
-      half-band designs of the benchmark's grid err/r^ stays below 2e-11,
-      against _REL_TOL = 1e-6, so hardly any step falls back.
+      beyond, twice Slepian's discrete prolate concentration matrix at
+      W = 1/4 (Bell Syst. Tech. J. 57(5), 1978), so its eigenvalues lie in
+      (0, 2) and those of G + 2 lambda I in (2 lambda, 2 + 2 lambda): the
+      condition number is below kappa = 1 + 1/lambda, whatever p is.
+    - The symmetric eigensolver is backward stable: Lambda^ and Q^ lie
+      within O(p u) of the exact decomposition, with an orthogonal Q, of
+      G + E, ||E||_2 <= eta ||G||_2 < 2 eta, eta = O(p u) (LAPACK Users'
+      Guide, section 4.7).  By Weyl |Lambda^_i - Lambda_i| <= ||E||_2, so
+      each 1/(Lambda_i + 2 lambda) errs by O(p u (1 + 1/lambda)) relative,
+      and h = Q^T g by O(p u) ||g||_2, with ||g||_2 < 1.  The floor keeps
+      (p+1) u / lambda below 1.5e-11 up to MAX_ORDER, so every shifted
+      eigenvalue stays positive and the first-order analysis holds; below
+      it the margin would near _REL_TOL and the float64 work would mostly
+      be wasted.
+    - With x = (G + 2 lambda I)^-1 g, P_ds - 1 = |x|^2 changes under E by
+      at most |x|^2 ||E||_2 / lambda, so P_ds errs by O(p u / lambda)
+      relative.  P_dc = (1 - S)/2 amplifies an error of S by
+      S/(1 - S) < r/2, as 1 - S = 2 P_dc and S < 1 <= P_ds; but
+      S = x^T (G + 4 lambda I) x = 2 g^T x - x^T G x is stationary in x up
+      to its 4 lambda term, dS = -x^T E x - 4 lambda x^T (G + 2 lambda
+      I)^-1 E x, so |dS| <= 3 ||E||_2 |x|^2 and P_dc errs by at most
+      3 eta r relative, with no 1/lambda.  The error of h enters the same
+      two ways, below ||dh||_2 / (2 lambda) for P_ds and ||dh||_2 r for
+      P_dc, and the sums of p positive terms, each a few roundings, add
+      (p + 5) u to P_ds and (p + 5) u r/2 to P_dc.
+    - So r^ errs by O(p u) (1/lambda + r) relative, and err/r^ >= 16 (p+1)
+      u (1/lambda + 2 r) covers it with a factor 8 on each term for the
+      constants the order-of-magnitude statement leaves out.  Across p in
+      1..128 and lambda in [1e-3, 1e4] the observed |r^ - r| stays below
+      err/64, and ``tests/test_shaping.py`` holds it to the first-order
+      bound err/16.  On the half-band designs of the benchmark's grid
+      err/r^ stays below 2e-11, against _REL_TOL = 1e-6, so hardly any
+      step falls back.
     """
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     _check_order(p)
-    lags, lags64, hi_ratio = _half_band_range(p)
+    lags, spectrum, hi_ratio = _half_band_range(p)
     if not (2.0 < gamma <= hi_ratio):
         raise ValueError(
             f"ratio out of range for order {p}: achievable range is (2, {hi_ratio:.6g}]"
@@ -612,7 +616,7 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
 
     def ratio_at(lam: float) -> float:
         if lam >= _F64_LAMBDA_FLOOR:
-            ratio, err = _ratio_f64(lags64, lam)
+            ratio, err = _ratio_f64(spectrum, lam)
             dev, slack = abs(ratio / gamma - 1.0), err / gamma
             if slack < dev and slack < abs(dev - _REL_TOL):
                 return ratio

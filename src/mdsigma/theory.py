@@ -133,10 +133,13 @@ def ozarow_bounds(rate_bits: float, ds: float, sigma_x2: float) -> float:
         raise ValueError(
             f"central bound underflows float64 at rate {rate_bits!r}: sigma_x2*2^(-4R) = {numerator!r}"
         )
-    # d - f is exact near the floor, where d*d - f*f cancels; at the
-    # no-excess-rate corner d = f, the square root would turn a few ulps of
-    # rounding into ~8 lost digits, so values below the rounding floor
-    # (negatives included) are snapped to the exact zero
+    # at the no-excess-rate corner d = f the square root turns a few ulps
+    # of d - f into ~8 lost digits, and d and f come from different
+    # formulas: the brick-wall point at delta = 1 has d = f exactly, but
+    # its d_s/sx2 and 2^(-2R) round apart.  So a product below 1e-13 d^2,
+    # negatives included, is taken as rounding and snapped to the exact
+    # zero; without the snap 10 points of criterion 1's grid, all at
+    # delta = 1, miss its 1e-10 bound, by up to 9.2e-8
     excess = (d - f) * (d + f)
     if excess <= 1e-13 * d * d:
         excess = 0.0

@@ -1,7 +1,6 @@
 import sys
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -66,14 +65,12 @@ def traced_peak(fn, *args):
 @pytest.fixture
 def mp_solves(monkeypatch):
     """The orders of the extended-precision solves, as they run: the calls
-    of ``_levinson`` on mpf lags, not those on floats that ``_levinson_f64``
-    makes where the compiled library is absent."""
+    of ``_levinson``, which runs only on mpf lags."""
     calls = []
     real = shaping._levinson
 
     def spy(r, p):
-        if isinstance(r[0], mp.mpf):
-            calls.append(p)
+        calls.append(p)
         return real(r, p)
 
     monkeypatch.setattr(shaping, "_levinson", spy)

@@ -51,6 +51,16 @@ def test_design_filter_gamma_mode(capsys):
     assert "gamma=6" in capsys.readouterr().out
 
 
+def test_design_filter_writes_its_coefficients_csv(tmp_path, capsys):
+    out = tmp_path / "filter.csv"
+    assert main(["design-filter", "--p", "8", "--gamma", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"i,c_i\n0,1\n1,-0.53690565973704896\n2,0.16225406211849669\n3,0.14095762558035177\n"
+        b"4,-0.10917511783653606\n5,-0.062778969892011399\n6,0.084573681561364883\n"
+        b"7,0.024190631640489627\n8,-0.065750123576359246\n"
+    )
+
+
 @pytest.mark.parametrize("sigma_e2", ["0.01", "1e-12", "1e-20"])
 def test_theory_point_achievability(sigma_e2, capsys):
     # the brick-wall point meets the bound; the gap printed at 1e-12 was
@@ -177,6 +187,15 @@ def test_usage_error_exit_code():
 def test_band_edges_without_weights_is_usage_error(capsys):
     assert main(["design-filter", "--p", "8", "--band-edges", "0.25,0.75,1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("weights", ["1", ""], ids=["one-weight", "no-weights"])
+def test_empty_band_edges_are_a_usage_error(weights, capsys):
+    # an empty list is given, not absent: it must not fall through to the
+    # lambda = 0 Yule-Walker design
+    assert main(["design-filter", "--p", "4", "--band-edges", "", "--band-weights", weights]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: need one weight per band edge\n" and out.out == ""
 
 
 @pytest.mark.parametrize(

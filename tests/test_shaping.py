@@ -503,6 +503,18 @@ class TestFloat64Bisection:
         find_lambda_for_ratio(17.0, 32)
         assert calls == [0.0]
 
+    def test_float64_steps_need_neither_the_library_nor_the_recursion(self, monkeypatch):
+        # a float64 step is the closed form on the order's cached spectrum,
+        # so the bisection takes one path whether or not the library loads
+        expected = find_lambda_for_ratio(17.0, 32)
+
+        def unreachable(*args):
+            raise AssertionError("a float64 step left the closed form")
+
+        monkeypatch.setattr(_native, "library", unreachable)
+        monkeypatch.setattr(shaping, "_levinson", unreachable)
+        assert find_lambda_for_ratio(17.0, 32) == expected
+
     def test_explicit_lambda_runs_no_range_check(self, monkeypatch):
         # a design at a given lambda reads the cached lags alone, not the
         # lambda = 0 range that the bisection needs
@@ -514,7 +526,7 @@ class TestFloat64Bisection:
         filt = design_yule_walker(32, 0.05)
         assert calls == []
         with mp.workdps(shaping._design_dps(32)):
-            fresh, _ = shaping._yule_walker(half_band_lags(32), mp.mpf(repr(0.05)), shaping._levinson)
+            fresh, _ = shaping._yule_walker(half_band_lags(32), mp.mpf(repr(0.05)))
         assert filt.coeffs == tuple(float(c) for c in fresh)
 
     def test_second_target_at_one_order_runs_no_extended_precision(self, monkeypatch):
@@ -536,9 +548,9 @@ class TestFloat64Bisection:
         real_f64, real_mp = shaping._ratio_f64, shaping._ratio_at
         calls = {"f64": 0, "mp": 0}
 
-        def misplaced(lags64, lam):
+        def misplaced(spectrum, lam):
             calls["f64"] += 1
-            ratio, err = real_f64(lags64, lam)
+            ratio, err = real_f64(spectrum, lam)
             side = 1.0 if ratio > gamma else -1.0
             half = 0.5 * err / gamma
             if threshold == "zero":
@@ -558,20 +570,20 @@ class TestFloat64Bisection:
         assert calls["f64"] > 0
         assert calls["mp"] == calls["f64"] + 1  # plus the lambda = 0 range check
 
-    @pytest.mark.parametrize("p", [1, 8, 32, MAX_ORDER])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 13, 32, 48, 64, 100, MAX_ORDER])
     def test_float64_ratio_within_the_first_order_bound(self, p):
         # err carries a headroom of 16 over the first-order bound; the
-        # observed error stays inside the bound itself
-        lags = half_band_lags(p)
-        lags64 = [float(v) for v in lags]
+        # observed error of the closed form on the order's cached spectrum
+        # stays inside the bound itself
+        lags, spectrum, _ = shaping._half_band_range(p)
         for k in range(-6, 9):
             lam = 10.0 ** (k / 2)
-            ratio, err = shaping._ratio_f64(lags64, lam)
+            ratio, err = shaping._ratio_f64(spectrum, lam)
             assert abs(ratio - shaping._ratio_at(lags, lam)) <= err / 16, lam
 
 
 # ---------------------------------------------------------------------------
-# the Levinson recursion and its C twin
+# the extended-precision Levinson recursion
 # ---------------------------------------------------------------------------
 
 
@@ -610,29 +622,6 @@ class TestLevinsonTwins:
                 solves.append(",".join("%d*2^%d" % v.man_exp for v in [*coeffs[1:], energy]))
         digest = hashlib.sha256(";".join(solves).encode()).hexdigest()
         assert digest == "b877d121bec1131e08c39a12034085be6d635a7e1a3b04dc9639cf64f1d08500"
-
-    @pytest.mark.parametrize("p", [1, 2, 7, 32, 64, MAX_ORDER])
-    def test_c_twin_is_the_float64_recursion(self, p):
-        # levinson_f64, where the compiled library loads, gives _levinson's
-        # bits, a NaN included, and raises its error on a system that is not
-        # positive definite; elsewhere _levinson_f64 is _levinson itself
-        if _native._compiler() is not None:
-            assert _native.library() is not None, "a C compiler is found but the library did not load"
-        rng = np.random.default_rng(p)
-        lags64 = [float(v) for v in half_band_lags(p)]
-        systems = [[lags64[0] + 2 * lam, *lags64[1:]] for lam in (1e-3, 0.05, 1.0, 1e4)]
-        systems += [rng.uniform(-1.0, 1.0, p + 1).tolist() for _ in range(4)]  # mostly indefinite
-        systems += [[math.nan, *lags64[1:]], [0.0, *lags64[1:]], [-0.0, *lags64[1:]]]
-        for r in systems:
-            try:
-                want = shaping._levinson(r, p)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=f"^{exc}$"):
-                    shaping._levinson_f64(r, p)
-                continue
-            coeffs, energy = shaping._levinson_f64(r, p)
-            assert [float(c).hex() for c in coeffs] == [float(c).hex() for c in want[0]]
-            assert energy.hex() == want[1].hex()
 
 
 # ---------------------------------------------------------------------------
