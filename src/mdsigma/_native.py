@@ -1,10 +1,11 @@
 """The library's compiled code: one C source, built on first use and cached.
 
-The source holds the feedback-loop kernel that ``codec`` runs and the two
-double-double kernels that ``shaping``'s designs run.  It is compiled with
-the system's C compiler (``$CC``, default ``cc``) into one shared library,
-cached on disk under a name hashed from the source, the flags and the
-compiler's identity, and loaded with ctypes.  ``library()`` returns it,
+The source holds two kernels: the feedback loop that ``codec`` runs, and
+the double-double residual that ``shaping`` corrects its float64 designs
+against and proves their rounding with.  It is compiled with the system's
+C compiler (``$CC``, default ``cc``) into one shared library, cached on
+disk under a name hashed from the source, the flags and the compiler's
+identity, and loaded with ctypes.  ``library()`` returns it,
 each function bound with its argument types, or None, logged once with the
 reason, where no compiler is found or the build or load fails; then the
 loop runs on the generated Python kernel and the designs in mpmath, with
@@ -17,12 +18,10 @@ format.
 
 - ``dsq_loop``: the noise-feedback recursion (``codec``'s module docstring
   gives its operation order).
-- ``levinson_dd``: ``shaping._levinson`` in double-double arithmetic (a
-  value is an unevaluated sum hi + lo of two doubles).  Its accuracy is not
-  assumed; ``toeplitz_residual_dd`` measures it.
 - ``toeplitz_residual_dd``: rho_i = sum_j r_|i-j| a_j, rows i = 1..p, in
-  double-double, and s_i = sum_j |r_|i-j|| |a_j| in double, from which the
-  rounding bound of rho_i follows.  Products use Dekker's exact product
+  double-double (a value is an unevaluated sum hi + lo of two doubles),
+  and s_i = sum_j |r_|i-j|| |a_j| in double, from which the rounding bound
+  of rho_i follows.  Products use Dekker's exact product
   (Veltkamp's split) and sums the accurate double-word addition; with
   u = 2^-53 their relative errors are below 7u^2 (DWTimesDW1) and 3u^2
   (AccurateDWPlusDW) where nothing underflows (Joldes, Muller & Popescu,
@@ -152,62 +151,6 @@ static dd_t dd_mul(dd_t x, dd_t y)
     return fast_two_sum(c.hi, c.lo + (th + tl));
 }
 
-static dd_t dd_neg(dd_t x)
-{
-    dd_t r = {-x.hi, -x.lo};
-    return r;
-}
-
-/* x / y by three quotient digits, each taken off the remainder */
-static dd_t dd_div(dd_t x, dd_t y)
-{
-    dd_t minus_y = dd_neg(y);
-    double q1 = x.hi / y.hi;
-    dd_t q = {q1, 0.0};
-    dd_t rem = dd_add(x, dd_mul(minus_y, q));
-    double q2 = rem.hi / y.hi;
-    dd_t q2_dd = {q2, 0.0};
-    rem = dd_add(rem, dd_mul(minus_y, q2_dd));
-    dd_t q3 = {rem.hi / y.hi, 0.0};
-    return dd_add(fast_two_sum(q1, q2), q3);
-}
-
-/* The Levinson-Durbin recursion in double-double on the lags r_0..r_p;
-   returns 1 where a prediction error is not positive. */
-int levinson_dd(const double *r_hi, const double *r_lo, int64_t p,
-                double *a_hi, double *a_lo)
-{
-    const dd_t one = {1.0, 0.0};
-    dd_t en = {r_hi[0], r_lo[0]};
-    a_hi[0] = 1.0;
-    a_lo[0] = 0.0;
-    for (int64_t i = 1; i <= p; i++) {
-        if (!(en.hi > 0.0))
-            return 1;
-        dd_t acc = {r_hi[i], r_lo[i]};
-        for (int64_t j = 1; j < i; j++) {
-            dd_t aj = {a_hi[j], a_lo[j]}, rij = {r_hi[i - j], r_lo[i - j]};
-            acc = dd_add(acc, dd_mul(aj, rij));
-        }
-        dd_t k = dd_div(dd_neg(acc), en);
-        for (int64_t j = 1, m = i - 1; j <= m; j++, m--) {
-            dd_t aj = {a_hi[j], a_lo[j]}, am = {a_hi[m], a_lo[m]};
-            dd_t nj = dd_add(aj, dd_mul(k, am));
-            a_hi[j] = nj.hi;
-            a_lo[j] = nj.lo;
-            if (m != j) {
-                dd_t nm = dd_add(am, dd_mul(k, aj));
-                a_hi[m] = nm.hi;
-                a_lo[m] = nm.lo;
-            }
-        }
-        a_hi[i] = k.hi;
-        a_lo[i] = k.lo;
-        en = dd_mul(en, dd_add(one, dd_neg(dd_mul(k, k))));
-    }
-    return 0;
-}
-
 /* Rows 1..p of the symmetric Toeplitz matrix of r_0..r_p times a_0..a_p:
    rho_{i-1} = sum_j r_|i-j| a_j in double-double, added in the order
    j = 0..p, and s_{i-1} = sum_j |r_|i-j|| |a_j| over the high parts. */
@@ -314,8 +257,6 @@ def _bind(path: str):
     signatures = {
         # (a, z, n, c_tail, p, step, q, e, fb)
         "dsq_loop": ([f64, f64, n, f64, n, ctypes.c_double, i64, f64, f64], None),
-        # (r_hi, r_lo, p, a_hi, a_lo) -> 0, or 1 where not positive definite
-        "levinson_dd": ([f64, f64, n, f64, f64], ctypes.c_int),
         # (r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
         "toeplitz_residual_dd": ([f64, f64, f64, f64, n, f64, f64, f64], None),
     }

@@ -21,15 +21,17 @@ once per order.
 Most designs need no extended-precision solve.  Both systems have a known
 eigenvalue floor: 2 lambda for G + 2 lambda I, since the half-band
 spectrum lies in [0, 2], and the smallest band weight for a multiband
-design.  So the compiled library solves them in double-double from the
-lags rounded once to double-double, and a double-double residual bounds
-the distance to the extended-precision solution by beta (``_dd_solution``
-derives it).  Where every interval [c_j - beta, c_j + beta] lies strictly
-inside one float64 rounding cell, its roundings are the design's, bit for
-bit (``_nearest_double``).  The extended-precision recursion still runs
-at lambda = 0, with a zero band weight, where the solve or the bound
-fails, and where no C compiler is found; so every design is the same on
-either path.
+design.  So such a design is solved in float64 from the lags rounded once
+to double-double, and then corrected: the compiled library computes the
+residual in double-double, and a float64 solve turns it into a
+correction, kept as a double-double.  That residual also bounds each
+iterate's distance to the extended-precision solution by beta
+(``_dd_solutions`` derives it).  Where every interval
+[c_j - beta, c_j + beta] lies strictly inside one float64 rounding cell,
+its roundings are the design's, bit for bit (``_nearest_double``).  The
+extended-precision recursion still runs at lambda = 0, with a zero band
+weight, where the solve or the bound fails, and where no C compiler is
+found; so every design is the same on either path.
 
 The weight ratio lambda that hits a target P_ds/P_dc is found by
 bisection.  Adding 2*lambda to the diagonal bounds the condition number by
@@ -199,7 +201,7 @@ def _half_band_lags(p: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Designs in double-double with a proven float64 rounding
+# Float64 designs corrected in double-double, with a proven float64 rounding
 # ---------------------------------------------------------------------------
 
 
@@ -246,17 +248,42 @@ def _nearest_double(hi: float, lo: float, beta: float):
     return None
 
 
-def _dd_solution(r_hi, r_lo, floor: float, level_sum: float):
-    """(a_hi, a_lo, beta): the double-double solution a of the monic normal
-    equations of the lags r = r_hi + r_lo, and a bound beta on |a_j - c_j|
-    for every j, with c the extended-precision design (``_levinson`` on mpf
-    lags at ``_design_dps``).  None where the compiled library is absent,
-    the system lies outside ``_DD_SCALE``, or the solve fails.
+# corrections after the float64 solve.  Over orders 4..128 and lambda =
+# 10^(k/3) down to 1e-12, one certifies every design that ten do from
+# lambda = 1e-5 on, and two do it everywhere; five leave headroom
+_DD_CORRECTIONS = 5
+
+
+def _two_sum(a, b):
+    """(s, e), elementwise: s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _dd_solutions(r_hi, r_lo, floor: float, level_sum: float):
+    """Yield (a_hi, a_lo, beta): iterates a = a_hi + a_lo that approach the
+    solution of the monic normal equations of the lags r = r_hi + r_lo, each
+    with a bound beta on |a_j - c_j| for every j, c the extended-precision
+    design (``_levinson`` on mpf lags at ``_design_dps``).  Nothing is
+    yielded where the compiled library is absent or the system lies
+    outside ``_DD_SCALE``, and no more once a float64 solve fails.
+
+    The first iterate is the float64 solve a_tail = -T^-1 (r_1..r_p), T
+    the float64 Toeplitz matrix of r_hi[0..p-1].  Each of up to
+    ``_DD_CORRECTIONS`` more is a_tail - T^-1 rho^, rho^ the previous
+    iterate's residual, the sum kept as a double-double (``_two_sum``).
+    No step needs to be accurate, since beta reads the residual alone;
+    that the corrections converge is classical iterative refinement
+    (Moler, "Iterative refinement in floating point", J. ACM 14(2), 1967).
+    Each solve factors T afresh: an LU solve costs a third of an inverse,
+    and most designs stop after one correction.
 
     floor is a lower bound on the smallest eigenvalue of the order-p
     Toeplitz matrix T of r_0..r_{p-1}; level_sum sums the levels of the
     weight function whose autocorrelation the lags are.  With rho^ the
-    residual of rows 1..p, T a_tail + (r_1..r_p), computed in double-double,
+    residual of rows 1..p, T a_tail + (r_1..r_p), computed in double-double
+    by ``_native``'s ``toeplitz_residual_dd``,
 
         beta = 2 ((||rho^||_2 + e_rho + e_lag) / floor + eps_mp),
 
@@ -284,44 +311,53 @@ def _dd_solution(r_hi, r_lo, floor: float, level_sum: float):
     lo_scale, hi_scale = _DD_SCALE
     r_norm1 = abs(float(r_hi[0])) + 2.0 * float(np.abs(r_hi[1:]).sum())
     if lib is None or not (lo_scale <= floor and r_norm1 <= hi_scale and level_sum <= hi_scale):
-        return None
-    a_hi, a_lo = np.empty(p + 1), np.empty(p + 1)
-    if lib.levinson_dd(r_hi, r_lo, p, a_hi, a_lo):
-        return None
-    # |x| <= ||r||_1 / floor <= 2^200 for the exact solution; a solve that
-    # left that range failed, and beyond it the bound's sums could overflow
-    if not (np.isfinite(a_hi).all() and np.isfinite(a_lo).all() and np.abs(a_hi).max() <= hi_scale**2):
-        return None
+        return
+    index = np.arange(p)
+    t = r_hi[np.abs(index[:, None] - index)]
     res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
-    lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
-    res = res_hi + res_lo
-    a_norm = math.sqrt(float(a_hi @ a_hi))
-    e_rho = 16 * (p + 1) * _U**2 * math.sqrt(float(abs_sum @ abs_sum)) + (p + 1) * _DD_TINY
-    e_lag = _DD_LAG_REL * r_norm1 * a_norm + (p + 1) * _DD_TINY
     prec = dps_to_prec(_design_dps(p))
-    eps_mp = math.ldexp(
-        (p + 1) ** 2 * (r_norm1 + level_sum) * (a_norm + 1.0) / floor, max(p + 16 - prec, -1000)
-    )
-    beta = 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
-    return a_hi, a_lo, beta
+    # the float64 solve is the first step: the correction of a = (1, 0..0),
+    # whose residual is (r_1..r_p)
+    a_hi, a_lo, res = np.zeros(p + 1), np.zeros(p + 1), r_hi[1:]
+    a_hi[0] = 1.0
+    for _ in range(_DD_CORRECTIONS + 1):
+        try:
+            step = np.linalg.solve(t, res)
+        except np.linalg.LinAlgError:
+            return
+        a_hi, e = _two_sum(a_hi, np.concatenate(([0.0], -step)))
+        a_lo = a_lo + e
+        # |x| <= ||r||_1 / floor <= 2^200 for the exact solution; an iterate
+        # that left that range (or holds a NaN, which max passes on) failed,
+        # and beyond it the bound's sums could overflow
+        if not np.abs(a_hi).max() <= hi_scale**2:
+            return
+        lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
+        res = res_hi + res_lo
+        a_norm = math.sqrt(float(a_hi @ a_hi))
+        e_rho = 16 * (p + 1) * _U**2 * math.sqrt(float(abs_sum @ abs_sum)) + (p + 1) * _DD_TINY
+        e_lag = _DD_LAG_REL * r_norm1 * a_norm + (p + 1) * _DD_TINY
+        eps_mp = math.ldexp(
+            (p + 1) ** 2 * (r_norm1 + level_sum) * (a_norm + 1.0) / floor, max(p + 16 - prec, -1000)
+        )
+        yield a_hi, a_lo, 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
 
 
 def _dd_design(r_hi, r_lo, floor: float, level_sum: float):
     """The float64 coefficients of the extended-precision design, each
-    proven to be its rounding by ``_dd_solution``'s bound and
-    ``_nearest_double``; None where anything is not proven, and the caller
-    then designs in extended precision."""
-    solved = _dd_solution(r_hi, r_lo, floor, level_sum)
-    if solved is None:
-        return None
-    a_hi, a_lo, beta = solved
-    coeffs = [1.0]
-    for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
-        f = _nearest_double(hi, lo, beta)
-        if f is None:
-            return None
-        coeffs.append(f)
-    return tuple(coeffs)
+    proven to be its rounding by ``_dd_solutions``' bound and
+    ``_nearest_double`` at one iterate; None where no iterate proves them
+    all, and the caller then designs in extended precision."""
+    for a_hi, a_lo, beta in _dd_solutions(r_hi, r_lo, floor, level_sum):
+        coeffs = [1.0]
+        for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
+            f = _nearest_double(hi, lo, beta)
+            if f is None:
+                break
+            coeffs.append(f)
+        else:
+            return tuple(coeffs)
+    return None
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
@@ -631,7 +667,10 @@ def find_lambda_for_ratio(gamma: float, p: int) -> float:
         hi *= 2.0
     else:
         raise ValueError(f"ratio out of range for order {p}: could not bracket gamma={gamma}")
-    for _ in range(200):
+    # no cap on the steps: a target near the lambda = 0 ratio of a high
+    # order can lie below lambda = 2^-200, and the bracket collapses within
+    # about 1100 halvings
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break  # lo and hi are adjacent floats: no lambda left to try

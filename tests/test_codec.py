@@ -575,6 +575,20 @@ class TestLoopBackend:
         assert codec.loop_backend() == backend
 
 
+def test_native_source_compiles_without_a_warning(tmp_path):
+    # the library's own flags plus -Wall -Wextra -Werror: a static helper
+    # that no kernel calls any more fails here, not only in CI
+    cc = _native._compiler()
+    if cc is None:
+        assert _native.library() is None
+        return
+    src, lib = tmp_path / "native.c", tmp_path / "native.so"
+    src.write_text(_native.SOURCE, encoding="utf-8")
+    argv = [*cc, *_native.CC_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(lib), str(src)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # noiseless chains (tiny quantizer cell)
 # ---------------------------------------------------------------------------

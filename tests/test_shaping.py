@@ -394,6 +394,23 @@ class TestLambdaForRatio:
             find_lambda_for_ratio(17.0, 64)
         assert len(set(calls)) == len(calls) <= 64
 
+    def test_target_below_two_to_the_minus_200_is_reached(self, monkeypatch):
+        # a monotone stand-in ratio, 2 + 1e3 / (1 + lambda 2^300), puts the
+        # target 2 + 500 at lambda = 2^-300: the bisection must halve past
+        # 200 times to get there
+        def ratio(lags, lam):
+            return 2.0 + 1e3 / (1.0 + math.ldexp(float(lam), 300))
+
+        monkeypatch.setattr(shaping, "_ratio_at", ratio)
+        monkeypatch.setattr(shaping, "_F64_LAMBDA_FLOOR", math.inf)
+        shaping._half_band_range.cache_clear()
+        try:
+            lam = find_lambda_for_ratio(502.0, 8)
+        finally:
+            shaping._half_band_range.cache_clear()
+        assert abs(ratio(None, lam) / 502.0 - 1.0) <= shaping._REL_TOL
+        assert lam == pytest.approx(2.0**-300, rel=1e-3)
+
     def test_ratio_monotone_in_lambda(self):
         ratios = []
         for lam in (0.01, 0.1, 1.0, 10.0):
@@ -661,15 +678,16 @@ def random_toeplitz(rng, p, floor, scale=1.0):
 
 
 class TestDoubleDoubleDesigns:
-    # every design with a positive floor is solved in double-double, and its
-    # float64 rounding is returned only where a residual bound proves it
-    # equal to the rounding of the extended-precision design
+    # every design with a positive floor is solved in float64 and corrected
+    # against a double-double residual, and its float64 rounding is returned
+    # only where that residual's bound proves it equal to the rounding of
+    # the extended-precision design
 
     def test_both_paths_agree_bitwise_on_a_grid(self, monkeypatch, mp_solves):
         # a p x log-lambda grid and a multiband grid; with the compiled
         # library none falls back to mpmath
         cases = [(design_yule_walker, (p, 10.0 ** k)) for p in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, MAX_ORDER)
-                 for k in range(-3, 4)]
+                 for k in range(-6, 4)]
         cases += [(design_multiband, case) for case in multiband_grid()]
         fallbacks = 0
         for design, args in cases:
@@ -681,26 +699,28 @@ class TestDoubleDoubleDesigns:
 
     @pytest.mark.parametrize("p", [1, 4, 16, 48, MAX_ORDER])
     def test_bound_holds_on_random_well_posed_systems(self, p):
-        # |a_j - c_j| <= beta against the solve at the design precision (at
-        # least 60 digits), on systems with floors from 1e-8 to 1, and on
-        # systems scaled down, where the residual is small against the
-        # error it bounds
+        # |a_j - c_j| <= beta at every iterate offered for certification,
+        # the float64 solve and each correction, against the solve at the
+        # design precision (at least 60 digits), on systems with floors
+        # from 1e-8 to 1, and on systems scaled down, where the residual is
+        # small against the error it bounds
         rng = np.random.default_rng(1000 + p)
         worst = 0.0
         with mp.workdps(shaping._design_dps(p)):
             for floor, scale in ((1e-8, 1.0), (1e-5, 1.0), (1e-2, 1.0), (1.0, 1.0), (1e-9, 1e-6), (1e-7, 1e-6)):
                 r = random_toeplitz(rng, p, floor, scale)
-                solved = shaping._dd_solution(*shaping._to_dd(r), floor, float(mp.fsum(map(abs, r))))
+                iterates = list(shaping._dd_solutions(*shaping._to_dd(r), floor, float(mp.fsum(map(abs, r)))))
                 if _native.library() is None:
-                    assert solved is None
+                    assert iterates == []
                     continue
-                a_hi, a_lo, beta = solved
+                assert len(iterates) == shaping._DD_CORRECTIONS + 1, floor
                 c, _ = shaping._levinson(r, p)
-                for j in range(p + 1):
-                    err = abs(float(c[j] - mp.mpf(a_hi[j]) - mp.mpf(a_lo[j])))
-                    assert err <= beta, (floor, j)
-                    worst = max(worst, err / beta)
-        # the dd solve is not exact, so the check is not vacuous
+                for step, (a_hi, a_lo, beta) in enumerate(iterates):
+                    for j in range(p + 1):
+                        err = abs(float(c[j] - mp.mpf(a_hi[j]) - mp.mpf(a_lo[j])))
+                        assert err <= beta, (floor, step, j)
+                        worst = max(worst, err / beta)
+        # no iterate is exact, so the check is not vacuous
         assert worst > 0.0 or _native.library() is None
 
     @pytest.mark.parametrize("p", [1, 8, 64, MAX_ORDER])
@@ -714,8 +734,10 @@ class TestDoubleDoubleDesigns:
         rng = np.random.default_rng(p)
         with mp.workdps(shaping._design_dps(p)):
             r_hi, r_lo = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
-            a_hi, a_lo = np.empty(p + 1), np.empty(p + 1)
-            assert lib.levinson_dd(r_hi, r_lo, p, a_hi, a_lo) == 0
+            # a float64 solve, given low parts below half its last place
+            index = np.arange(p)
+            a_hi = np.concatenate(([1.0], -np.linalg.solve(r_hi[np.abs(index[:, None] - index)], r_hi[1:])))
+            a_lo = np.concatenate(([0.0], a_hi[1:] * rng.uniform(-(2.0**-54), 2.0**-54, p)))
             res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
             lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
             r = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(r_hi, r_lo)]
@@ -771,6 +793,20 @@ class TestDoubleDoubleDesigns:
             assert design(*args).coeffs == coeffs
             assert mp_solves == [args[0]]
 
+    def test_failed_factorization_designs_in_mpmath(self, monkeypatch, mp_solves):
+        # a float64 solve that fails is no error: each design runs
+        # in extended precision and gives the same coefficients
+        want = [mpmath_design(monkeypatch, design, *args).coeffs for design, args in self.designs()]
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        for (design, args), coeffs in zip(self.designs(), want):
+            mp_solves.clear()
+            assert design(*args).coeffs == coeffs
+            assert mp_solves == [args[0]]
+
     @pytest.mark.parametrize("p", [2, 3, 24])
     def test_last_edge_short_of_pi_lowers_the_floor(self, monkeypatch, mp_solves, p):
         # the weight function is 0 above 0.6 pi, so the floor is the smallest
@@ -783,8 +819,8 @@ class TestDoubleDoubleDesigns:
     def test_zero_floor_designs_in_mpmath(self, monkeypatch, mp_solves):
         # lambda = 0 and a zero band weight leave no floor to divide by
         calls = []
-        real = shaping._dd_solution
-        monkeypatch.setattr(shaping, "_dd_solution", lambda *a: calls.append(a) or real(*a))
+        real = shaping._dd_solutions
+        monkeypatch.setattr(shaping, "_dd_solutions", lambda *a: calls.append(a) or real(*a))
         design_yule_walker(16, 0.0)
         design_multiband(16, [np.pi / 2, np.pi], [1.0, 0.0])
         assert calls == [] and mp_solves == [16, 16]
