@@ -1,20 +1,22 @@
 """The library's compiled code: one C source, built on first use and cached.
 
-The source holds two kernels: the feedback loop that ``codec`` runs, and
-the double-double residual that ``shaping`` corrects its float64 designs
-against and proves their rounding with.  It is compiled with the system's
-C compiler (``$CC``, default ``cc``) into one shared library, cached on
-disk under a name hashed from the source, the flags and the compiler's
-identity, and loaded with ctypes.  ``library()`` returns it,
-each function bound with its argument types, or None, logged once with the
-reason, where no compiler is found or the build or load fails; then the
-loop runs on the generated Python kernel and the designs in mpmath, with
-the same bits.
+The source holds three kernels: the feedback loop that ``codec`` runs, the
+double-double residual that ``shaping`` corrects its float64 designs
+against and proves their rounding with, and the double-double step-down
+with a running error bound that ``shaping`` decides minimum phase with.  It
+is compiled with the system's C compiler (``$CC``, default ``cc``) into one
+shared library, cached on disk under a name hashed from the source, the
+flags and the compiler's identity, and loaded with ctypes.  ``library()``
+returns it, each function bound with its argument types, or None, logged
+once with the reason, where no compiler is found or the build or load
+fails; then the loop runs on the generated Python kernel and the designs
+and the step-down in mpmath, with the same bits.
 
 Every function performs its float64 operations in the order the source
 states them: the flags forbid contraction into fused multiply-adds, and the
 source refuses to build where double expressions are evaluated in a wider
-format.
+format.  The double-double kernels take each pair of arrays as the two rows
+of one, so a call passes few arrays for ctypes to check.
 
 - ``dsq_loop``: the noise-feedback recursion (``codec``'s module docstring
   gives its operation order).
@@ -27,6 +29,11 @@ format.
   (AccurateDWPlusDW) where nothing underflows (Joldes, Muller & Popescu,
   "Tight and rigorous error bounds for basic building blocks of
   double-word arithmetic", ACM TOMS 44(2), 2017).
+- ``stepdown_dd``: the Schur-Cohn step-down k_i = a_i/a_0, a_j <- a_j -
+  k_i a_{i-j} in double-double, with the same products and sums and a
+  division whose error below 13u^2 the source derives, and a float64 bound
+  on each k_i's distance from the step-down mpmath runs
+  (``shaping.min_phase_check`` derives it).
 """
 
 from __future__ import annotations
@@ -151,13 +158,36 @@ static dd_t dd_mul(dd_t x, dd_t y)
     return fast_two_sum(c.hi, c.lo + (th + tl));
 }
 
-/* Rows 1..p of the symmetric Toeplitz matrix of r_0..r_p times a_0..a_p:
-   rho_{i-1} = sum_j r_|i-j| a_j in double-double, added in the order
-   j = 0..p, and s_{i-1} = sum_j |r_|i-j|| |a_j| over the high parts. */
-void toeplitz_residual_dd(const double *r_hi, const double *r_lo,
-                          const double *a_hi, const double *a_lo, int64_t p,
-                          double *res_hi, double *res_lo, double *abs_sum)
+static double mag(double x)
 {
+    return x < 0.0 ? -x : x;
+}
+
+/* x / y for double-words (|lo| <= u |hi|, u = 2^-53): q1 = RN(xh / yh),
+   then q2 = RN(r / yh), r the remainder x - q1 y.  Its part xh - q1 yh is
+   exact: p.hi lies within 2.01u |xh| of xh, so xh - p.hi is exact
+   (Sterbenz), and the remainder of a rounded quotient is a double.  The
+   three roundings of r err by under 2.01u (|xh - q1 yh| + |xl| + |q1 yl|)
+   < 6.1u^2 |q1 yh|, the one of r / yh by under 3.1u^2 |q1|, and r / yh
+   differs from r / y by |yl / y| |r / yh| < 3.1u^2 |q1|.  So where nothing
+   under- or overflows, |q1 + q2 - x/y| < 12.3u^2 |q1| < 13u^2 |x/y|, and
+   fast_two_sum is exact since |q2| < 4u |q1|. */
+static dd_t dd_div(dd_t x, dd_t y)
+{
+    double q1 = x.hi / y.hi;
+    dd_t p = two_prod(q1, y.hi);
+    double r = (((x.hi - p.hi) - p.lo) + x.lo) - q1 * y.lo;
+    return fast_two_sum(q1, r / y.hi);
+}
+
+/* Rows 1..p of the symmetric Toeplitz matrix of the lags r_0..r_p (row 0
+   of r the high parts, row 1 the low parts) times a_0..a_p (rows as in
+   r): rho_{i-1} = sum_j r_|i-j| a_j in double-double, added in the order
+   j = 0..p, goes to out[0][i-1] (high) and out[1][i-1] (low), and
+   s_{i-1} = sum_j |r_|i-j|| |a_j| over the high parts to out[2][i-1]. */
+void toeplitz_residual_dd(const double *r, const double *a, int64_t p, double *out)
+{
+    const double *r_lo = r + p + 1, *a_lo = a + p + 1;
     for (int64_t i = 1; i <= p; i++) {
         dd_t s = {0.0, 0.0};
         double m = 0.0;
@@ -165,16 +195,70 @@ void toeplitz_residual_dd(const double *r_hi, const double *r_lo,
             int64_t d = i > j ? i - j : j - i;
             /* two_sum leaves each value as it is and makes it a double-word,
                which the error bounds of dd_mul and dd_add assume */
-            dd_t rd = two_sum(r_hi[d], r_lo[d]), aj = two_sum(a_hi[j], a_lo[j]);
+            dd_t rd = two_sum(r[d], r_lo[d]), aj = two_sum(a[j], a_lo[j]);
             s = dd_add(s, dd_mul(rd, aj));
-            double ar = rd.hi < 0.0 ? -rd.hi : rd.hi;
-            double aa = aj.hi < 0.0 ? -aj.hi : aj.hi;
-            m += ar * aa;
+            m += mag(rd.hi) * mag(aj.hi);
         }
-        res_hi[i - 1] = s.hi;
-        res_lo[i - 1] = s.lo;
-        abs_sum[i - 1] = m;
+        out[i - 1] = s.hi;
+        out[p + i - 1] = s.lo;
+        out[2 * p + i - 1] = m;
     }
+}
+
+/* The Schur-Cohn step-down of c_0..c_p in double-double: for i = p..1,
+   k_i = a_i / a_0 and a_j <- a_j - k_i a_{i-j}, j < i, with a running
+   bound s_j on the distance of a_j from both the exact step-down and the
+   one mpmath runs at prec bits, u_mp >= 2^(1-prec).  k_i's high part goes
+   to out[0][n], its low part to out[1][n] and the bound dk on its distance
+   from mpmath's k_i to out[2][n], n = p - i.  Returns the number of steps
+   run, up to and including the first with |k_hi| >= 1, or -1 where a
+   coefficient exceeds 2^100, the pivot a_0 falls below 2^-100 or its bound
+   passes 2^-20 a_0, outside the range the bound is derived for
+   (shaping.min_phase_check derives it). */
+int64_t stepdown_dd(const double *c, int64_t p, double u_mp, double *out)
+{
+    const double u2 = 0x1p-106, up = 1.0 + 0x1p-52, slack = 1.0 + 0x1p-40, tiny = 0x1p-900;
+    const double e_div = 16.0 * u2 + u_mp, e_add = 4.0 * u2 + u_mp, e_mul = 12.0 * u2 + 2.0 * u_mp;
+    double buf[6 * (p + 1)];
+    double *ah = buf, *al = ah + p + 1, *s = al + p + 1;
+    double *bh = s + p + 1, *bl = bh + p + 1, *t = bl + p + 1, *swap;
+    for (int64_t j = 0; j <= p; j++) {
+        if (!(mag(c[j]) <= 0x1p100))
+            return -1;
+        ah[j] = c[j];
+        al[j] = s[j] = 0.0;
+    }
+    int64_t n = 0;
+    for (int64_t i = p; i >= 1; i--) {
+        double a0 = mag(ah[0]) * (1.0 - 0x1p-52);
+        if (!(a0 >= 0x1p-100 && s[0] <= 0x1p-20 * a0))
+            return -1;
+        double den = a0 - s[0];
+        double g = (mag(ah[i]) * up + s[i]) / den;
+        dd_t x = {ah[i], al[i]}, y = {ah[0], al[0]};
+        dd_t k = dd_div(x, y);
+        double dk = (e_div * g + (s[i] + g * s[0]) / den + tiny) * slack;
+        out[n] = k.hi;
+        out[p + n] = k.lo;
+        out[2 * p + n] = dk;
+        n++;
+        if (mag(k.hi) >= 1.0)
+            break;
+        double km = mag(k.hi) * up + dk;
+        dd_t neg_k = {-k.hi, -k.lo};
+        for (int64_t j = 0; j < i; j++) {
+            dd_t aj = {ah[j], al[j]}, am = {ah[i - j], al[i - j]};
+            dd_t v = dd_add(aj, dd_mul(neg_k, am));
+            bh[j] = v.hi;
+            bl[j] = v.lo;
+            double xj = mag(ah[j]) * up + s[j], xm = mag(ah[i - j]) * up + s[i - j];
+            t[j] = (s[j] + km * s[i - j] + (dk + e_mul * km) * xm + e_add * xj + tiny) * slack;
+        }
+        swap = ah, ah = bh, bh = swap;
+        swap = al, al = bl, bl = swap;
+        swap = s, s = t, t = swap;
+    }
+    return n;
 }
 """
 
@@ -252,13 +336,16 @@ def _bind(path: str):
     arguments are C-contiguous numpy arrays) and result type; ctypes keeps
     one function object per name, so later lookups find them set."""
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    f64_2d = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
     signatures = {
         # (a, z, n, c_tail, p, step, q, e, fb)
         "dsq_loop": ([f64, f64, n, f64, n, ctypes.c_double, i64, f64, f64], None),
-        # (r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
-        "toeplitz_residual_dd": ([f64, f64, f64, f64, n, f64, f64, f64], None),
+        # (r, a, p, out): (2, p+1) lags and iterate, (3, p) output
+        "toeplitz_residual_dd": ([f64_2d, f64_2d, n, f64_2d], None),
+        # (c, p, u_mp, out): (3, p) output, returns the number of steps or -1
+        "stepdown_dd": ([f64, n, ctypes.c_double, f64_2d], n),
     }
     try:
         lib = ctypes.CDLL(path)
@@ -293,8 +380,8 @@ def library():
         raise _NoLibrary("no writable cache directory: " + "; ".join(unwritable))
     except _NoLibrary as exc:
         _log.warning(
-            "the feedback loop runs on the generated Python kernel and the filter designs"
-            " in mpmath, with the same bits: %s",
+            "the feedback loop runs on the generated Python kernel, and the filter designs"
+            " and minimum-phase tests in mpmath, with the same bits: %s",
             exc,
         )
         return None

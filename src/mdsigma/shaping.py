@@ -46,15 +46,23 @@ same, and the filter for that lambda is designed as above.
 
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
-function, which is still Toeplitz and handled by the same recursion.
+function, which is still Toeplitz and handled by the same recursion.  Its
+lags are weighted sums of sines sin(e d) of the band edges e and lags d,
+in mpmath; the sines depend on the order and the edges alone, so they are
+computed once per (p, edges), and a sweep of band weights reuses them.
 
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
 exactly on the float64 coefficients the feedback loop runs.  Minimum phase
-is decided on them too, by the Levinson recursion run in reverse.  The
-module holds what the codec, the harness and the command line call; the
-brick-wall targets and quadrature grids that judge the designs are test
-references.
+is decided on them too, by the Levinson recursion run in reverse (the
+Schur-Cohn step-down) at the design precision.  The compiled library runs
+it in double-double with a running bound on each reflection coefficient's
+distance from the extended-precision one, and its report is taken where
+that bound proves both fields; elsewhere, and where no C compiler is
+found, the step-down runs in mpmath, with the same bits
+(``min_phase_check`` derives the bound).  The module holds what the codec,
+the harness and the command line call; the brick-wall targets and
+quadrature grids that judge the designs are test references.
 """
 
 from __future__ import annotations
@@ -190,14 +198,14 @@ def _yule_walker(lags: list, lam):
 
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _half_band_lags(p: int) -> tuple:
-    """(lags, hi, lo): the half-band lags sinc(m/2), m = 0..p, at the design
+    """(lags, dd): the half-band lags sinc(m/2), m = 0..p, at the design
     precision of order p, and their rounding to double-double (``_to_dd``),
     read-only: the same for every lambda."""
     with mp.workdps(_design_dps(p)):
         lags = tuple(_sinc_half_mp(m) for m in range(p + 1))
-        hi, lo = _to_dd(lags)
-    hi.flags.writeable = lo.flags.writeable = False
-    return lags, hi, lo
+        dd = _to_dd(lags)
+    dd.flags.writeable = False
+    return lags, dd
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +226,13 @@ _DD_SCALE = (2.0**-100, 2.0**100)
 _NORMAL = (2.0**-1000, 2.0**1000)
 
 
-def _to_dd(values) -> tuple:
-    """(hi, lo) float64 arrays of mpf values, each rounded once to
-    double-double: hi = fl(v) and lo = fl(v - hi), so |v - hi - lo| <=
-    2^-106 |v| away from underflow.  v - hi is exact at the precision v was
-    computed at, which the caller holds."""
+def _to_dd(values):
+    """The mpf values, each rounded once to double-double, as the rows hi
+    and lo of one float64 array: hi = fl(v) and lo = fl(v - hi), so
+    |v - hi - lo| <= 2^-106 |v| away from underflow.  v - hi is exact at
+    the precision v was computed at, which the caller holds."""
     hi = [float(v) for v in values]
-    return np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)])
+    return np.array([hi, [float(v - h) for v, h in zip(values, hi)]])
 
 
 def _nearest_double(hi: float, lo: float, beta: float):
@@ -261,9 +269,10 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _dd_solutions(r_hi, r_lo, floor: float, level_sum: float):
+def _dd_solutions(r, floor: float, level_sum: float):
     """Yield (a_hi, a_lo, beta): iterates a = a_hi + a_lo that approach the
-    solution of the monic normal equations of the lags r = r_hi + r_lo, each
+    solution of the monic normal equations of the lags r = r_hi + r_lo, the
+    rows of r (``_to_dd``), each
     with a bound beta on |a_j - c_j| for every j, c the extended-precision
     design (``_levinson`` on mpf lags at ``_design_dps``).  Nothing is
     yielded where the compiled library is absent or the system lies
@@ -307,6 +316,7 @@ def _dd_solutions(r_hi, r_lo, floor: float, level_sum: float):
     Each term adds an absolute (p+1) 2^-1000 for roundings that underflow.
     """
     lib = _native.library()
+    r_hi = r[0]
     p = r_hi.shape[0] - 1
     lo_scale, hi_scale = _DD_SCALE
     r_norm1 = abs(float(r_hi[0])) + 2.0 * float(np.abs(r_hi[1:]).sum())
@@ -314,25 +324,26 @@ def _dd_solutions(r_hi, r_lo, floor: float, level_sum: float):
         return
     index = np.arange(p)
     t = r_hi[np.abs(index[:, None] - index)]
-    res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
+    out = np.empty((3, p))
     prec = dps_to_prec(_design_dps(p))
     # the float64 solve is the first step: the correction of a = (1, 0..0),
     # whose residual is (r_1..r_p)
-    a_hi, a_lo, res = np.zeros(p + 1), np.zeros(p + 1), r_hi[1:]
-    a_hi[0] = 1.0
+    a, res = np.zeros((2, p + 1)), r_hi[1:]
+    a[0, 0] = 1.0
     for _ in range(_DD_CORRECTIONS + 1):
         try:
             step = np.linalg.solve(t, res)
         except np.linalg.LinAlgError:
             return
-        a_hi, e = _two_sum(a_hi, np.concatenate(([0.0], -step)))
-        a_lo = a_lo + e
+        a_hi, e = _two_sum(a[0], np.concatenate(([0.0], -step)))
+        a = np.array([a_hi, a[1] + e])
         # |x| <= ||r||_1 / floor <= 2^200 for the exact solution; an iterate
         # that left that range (or holds a NaN, which max passes on) failed,
         # and beyond it the bound's sums could overflow
         if not np.abs(a_hi).max() <= hi_scale**2:
             return
-        lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
+        lib.toeplitz_residual_dd(r, a, p, out)
+        res_hi, res_lo, abs_sum = out
         res = res_hi + res_lo
         a_norm = math.sqrt(float(a_hi @ a_hi))
         e_rho = 16 * (p + 1) * _U**2 * math.sqrt(float(abs_sum @ abs_sum)) + (p + 1) * _DD_TINY
@@ -340,15 +351,15 @@ def _dd_solutions(r_hi, r_lo, floor: float, level_sum: float):
         eps_mp = math.ldexp(
             (p + 1) ** 2 * (r_norm1 + level_sum) * (a_norm + 1.0) / floor, max(p + 16 - prec, -1000)
         )
-        yield a_hi, a_lo, 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
+        yield a[0], a[1], 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
 
 
-def _dd_design(r_hi, r_lo, floor: float, level_sum: float):
+def _dd_design(r, floor: float, level_sum: float):
     """The float64 coefficients of the extended-precision design, each
     proven to be its rounding by ``_dd_solutions``' bound and
     ``_nearest_double`` at one iterate; None where no iterate proves them
     all, and the caller then designs in extended precision."""
-    for a_hi, a_lo, beta in _dd_solutions(r_hi, r_lo, floor, level_sum):
+    for a_hi, a_lo, beta in _dd_solutions(r, floor, level_sum):
         coeffs = [1.0]
         for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
             f = _nearest_double(hi, lo, beta)
@@ -371,19 +382,28 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     _check_order(p)
     if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
         raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
-    lags, hi, lo = _half_band_lags(p)
+    lags, dd = _half_band_lags(p)
     with mp.workdps(_design_dps(p)):
         # lambda is read from its shortest repr, as a decimal, not as its binary value
         lam = mp.mpf(repr(float(lambda_ratio)))
         if lam > 0:
-            r_hi, r_lo = hi.copy(), lo.copy()
-            (r_hi[0],), (r_lo[0],) = _to_dd([lags[0] + 2 * lam])
+            r = dd.copy()
+            r[:, :1] = _to_dd([lags[0] + 2 * lam])
             floor = 2.0 * float(lam) * (1.0 - 2.0**-50)
-            coeffs = _dd_design(r_hi, r_lo, floor, 2.0 + floor)
+            coeffs = _dd_design(r, floor, 2.0 + floor)
             if coeffs is not None:
                 return ShapingFilter(coeffs)
         coeffs, _ = _yule_walker(lags, lam)
         return ShapingFilter(tuple(float(c) for c in coeffs))
+
+
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _band_sines(p: int, edges: tuple) -> tuple:
+    """sin(e d) for each band edge e, read from its shortest repr, and lag
+    d = 1..p, at the design precision of order p: one tuple per edge, the
+    same for every set of band weights."""
+    with mp.workdps(_design_dps(p)):
+        return tuple(tuple(mp.sin(mp.mpf(repr(e)) * d) for d in range(1, p + 1)) for e in edges)
 
 
 def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence[float]) -> ShapingFilter:
@@ -408,6 +428,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             raise ValueError("band edges must be strictly increasing in (0, pi]")
         lo = e
 
+    sines = _band_sines(p, tuple(edges))
     with mp.workdps(_design_dps(p)):
         # autocorrelation of the piecewise-constant weight function:
         # m_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), m_0 = sum_b w_b*(hi-lo)/pi;
@@ -419,11 +440,11 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
         for d in range(p + 1):
             acc = mp.mpf(0)
             lo_e = sin_lo = mp.mpf(0)
-            for hi_e, w in zip(edges_mp, weights_mp):
+            for hi_e, w, sin_edge in zip(edges_mp, weights_mp, sines):
                 if d == 0:
                     acc += w * (hi_e - lo_e) / pi
                 else:
-                    sin_hi = mp.sin(hi_e * d)
+                    sin_hi = sin_edge[d - 1]
                     acc += w * (sin_hi - sin_lo) / (pi * d)
                     sin_lo = sin_hi
                 lo_e = hi_e
@@ -434,7 +455,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             # |V(w)|^2 <= p ||v||^2 for the p taps v of a tail
             short = max(mp.mpf(0), pi - edges_mp[-1])
             floor = float(min(weights_mp) * (1 - p * short / pi)) * (1.0 - 2.0**-50)
-            coeffs = _dd_design(*_to_dd(r), floor, math.fsum(weights))
+            coeffs = _dd_design(_to_dd(r), floor, math.fsum(weights))
             if coeffs is not None:
                 return ShapingFilter(coeffs)
         try:
@@ -483,26 +504,16 @@ def filter_powers(filt: ShapingFilter) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
-    """Schur-Cohn test of c(z).
-
-    The step-down (reverse Levinson) recursion peels one reflection
-    coefficient k = a_i/a_0 off the top of the polynomial, a_j <- a_j -
-    k a_{i-j}, until it is constant; c(z) is minimum phase, every zero
-    strictly inside the unit circle, iff every |k_i| < 1.  It runs on the
-    float64 coefficients the loop runs, at the design precision, and stops
-    at the first |k_i| >= 1; a trailing zero coefficient gives k = 0.  By
-    Jensen's formula the log-spectrum integral (1/2pi) int log|c|^2 dw of
-    the monic c(z) is 0 exactly when it is minimum phase, so the verdict
-    says all that integral would.
-    """
-    with mp.workdps(_design_dps(filt.order)):
-        # libmp calls on raw _mpf_ tuples: the mpf operators' arithmetic
-        # without their objects
+def _step_down_mp(coeffs) -> MinPhaseReport:
+    """The step-down of ``min_phase_check`` in mpmath at the design
+    precision of the order, on libmp calls on raw _mpf_ tuples: the mpf
+    operators' arithmetic without their objects."""
+    p = len(coeffs) - 1
+    with mp.workdps(_design_dps(p)):
         prec = mp.mp.prec
-        a = [mp.mpf(v)._mpf_ for v in filt.coeffs]
+        a = [mp.mpf(v)._mpf_ for v in coeffs]
         max_k = fzero
-        for i in range(filt.order, 0, -1):
+        for i in range(p, 0, -1):
             k = mpf_div(a[i], a[0], prec, _RND)
             abs_k = mpf_abs(k, prec, _RND)
             if mpf_gt(abs_k, max_k):
@@ -512,6 +523,102 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
             a = [mpf_sub(a[j], mpf_mul(k, a[i - j], prec, _RND), prec, _RND) for j in range(i)]
     max_k = mp.make_mpf(max_k)
     return MinPhaseReport(is_min_phase=bool(max_k < 1), max_reflection=float(max_k))
+
+
+def _step_down_dd(coeffs):
+    """``_step_down_mp``'s report, from the compiled double-double
+    step-down wherever its bound proves both fields; None elsewhere, and
+    where the library is absent.  ``min_phase_check`` derives the bound."""
+    lib = _native.library()
+    if lib is None:
+        return None
+    p = len(coeffs) - 1
+    out = np.empty((3, p))
+    u_mp = math.ldexp(1.0, max(1 - dps_to_prec(_design_dps(p)), -1000))
+    n = lib.stepdown_dd(np.array(coeffs), p, u_mp, out)
+    if n <= 0:
+        return None
+    k_hi, k_lo, dk = out[:, :n]
+    # |k| as the double-double (|k_hi|, k_lo sign(k_hi))
+    abs_hi, abs_lo = np.abs(k_hi), k_lo * np.sign(k_hi)
+    stopped = bool(abs_hi[-1] >= 1.0)
+    # |k| <= |k_hi| (1 + u), and the sum and the product round by u each
+    if not ((abs_hi[: n - stopped] + dk[: n - stopped]) * (1.0 + 2.0**-50) < 1.0).all():
+        return None
+    if stopped and not math.fsum((abs_hi[-1], abs_lo[-1], -dk[-1])) > 1.0:
+        return None
+    # every |k_i| lies within max(dk) of the largest |k|
+    top = np.lexsort((abs_lo, abs_hi))[-1]
+    max_k = _nearest_double(float(abs_hi[top]), float(abs_lo[top]), float(dk.max()))
+    if max_k is None:
+        return None
+    return MinPhaseReport(is_min_phase=not stopped, max_reflection=max_k)
+
+
+def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
+    """Schur-Cohn test of c(z).
+
+    The step-down (reverse Levinson) recursion peels one reflection
+    coefficient k = a_i/a_0 off the top of the polynomial, a_j <- a_j -
+    k a_{i-j}, until it is constant; c(z) is minimum phase, every zero
+    strictly inside the unit circle, iff every |k_i| < 1.  The report is
+    that of the step-down run on the float64 coefficients the loop runs, at
+    the design precision, in mpmath (``_step_down_mp``), which stops at the
+    first |k_i| >= 1; a trailing zero coefficient gives k = 0.  By Jensen's
+    formula the log-spectrum integral (1/2pi) int log|c|^2 dw of the monic
+    c(z) is 0 exactly when it is minimum phase, so the verdict says all that
+    integral would.
+
+    The compiled library runs the same step-down in double-double
+    (``_native``'s ``stepdown_dd``), with a bound dk_i on the distance of
+    each of its k_i from mpmath's.  The verdict is taken from it where every
+    interval [|k_i| - dk_i, |k_i| + dk_i] lies clear of 1, and
+    max_reflection where ``_nearest_double`` proves the rounding of the
+    largest |k_i| within max_i dk_i; everywhere else, and where the library
+    is absent, the mpmath step-down runs, so the report has the same bits.
+
+    Derivation of dk.  Let a_j be the exact step-down's coefficients, a^_j
+    the double-double ones and a~_j mpmath's at prec bits, and s_j a bound
+    on |a^_j - a_j| + |a~_j - a_j|, 0 at the start, where all three are
+    the coefficients.  With u = 2^-53, double-double products, sums and
+    quotients err by under 7u^2, 3u^2 + 13u^3 and 13u^2 relative (the
+    kernel's source derives the last), and libmp's operations by under
+    u_mp = 2^-prec.  At step i, with |a^_0| - s_0 > 0 a lower bound on
+    every path's pivot,
+
+        g = (|a^_i| + s_i) / (|a^_0| - s_0)
+
+    bounds |a_i/a_0| on every path, and x'/y' - x/y = ((x' - x) - (x'/y')
+    (y' - y)) / y bounds each ratio's distance from the exact one; so
+
+        dk = (13u^2 + u_mp) g + (s_i + g s_0) / (|a^_0| - s_0)
+
+    bounds |k^_i - k_i| + |k~_i - k_i|, hence |k^_i - k~_i|.  With
+    K = |k^_i| + dk >= |k| on every path, the update's error splits into
+    the old errors carried, s_j + K s_{i-j}, the quotient's error times the
+    coefficient, dk (|a^_{i-j}| + s_{i-j}), and the new roundings, under
+    3u^2 |a^_j| + 10u^2 K |a^_{i-j}| in double-double and u_mp |a~_j| +
+    2u_mp K |a~_{i-j}| in mpmath:
+
+        s'_j = s_j + K s_{i-j} + (dk + e_mul K)(|a^_{i-j}| + s_{i-j})
+               + e_add (|a^_j| + s_j),
+
+    with e_mul = 12u^2 + 2 u_mp' and e_add = 4u^2 + u_mp', u_mp' =
+    2^(1-prec) covering the products of roundings.  The kernel evaluates
+    both in float64 from |hi| (1 + 2^-52) >= |hi + lo|, adds 2^-900 for
+    roundings that underflow (a quotient over a pivot of at least 2^-100
+    errs by far less), and multiplies each by 1 + 2^-40, far above the
+    few float64 roundings of its own evaluation.  It gives up where a
+    coefficient exceeds 2^100, the pivot falls below 2^-100 or s_0 passes
+    2^-20 |a^_0|: within those, while every |k| < 1, no coefficient
+    exceeds 2^228 and no quotient 2^328, so no split, product or quotient
+    overflows.
+    This is the running error analysis of Higham, "Accuracy and Stability
+    of Numerical Algorithms" (SIAM, 2nd ed. 2002), ch. 3, carried for two
+    computations at once.
+    """
+    report = _step_down_dd(filt.coeffs)
+    return report if report is not None else _step_down_mp(filt.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +676,8 @@ def _half_band_range(p: int) -> tuple:
     (Lambda, h^2), read-only, comes from ``np.linalg.eigh`` of the float64
     Gram matrix G = Q diag(Lambda) Q^T, the Toeplitz matrix of the lags'
     high parts float(r_0)..float(r_{p-1}), with h = Q^T (r_1..r_p)."""
-    lags, hi, _ = _half_band_lags(p)
+    lags, dd = _half_band_lags(p)
+    hi = dd[0]
     index = np.arange(p)
     eig, q = np.linalg.eigh(hi[np.abs(index[:, None] - index)])
     h = q.T @ hi[1:]

@@ -194,17 +194,26 @@ def newest_first_loop(a, c_tail, z, step):
 # ---------------------------------------------------------------------------
 
 
-def step_down_mpf(coeffs, dps):
-    """(is_min_phase, max_reflection) of the monic polynomial ``coeffs`` by
-    the step-down k = a_i/a_0, a_j <- a_j - k a_{i-j}, run with mpf
-    operators at ``dps`` digits; stops at the first |k| >= 1."""
+def reflections_mpf(coeffs, dps):
+    """The reflection coefficients k_p, k_{p-1}, ... of the monic polynomial
+    ``coeffs`` by the step-down k = a_i/a_0, a_j <- a_j - k a_{i-j}, run
+    with mpf operators at ``dps`` digits, up to the first |k| >= 1; mpf
+    values at that precision."""
     with mp.workdps(dps):
         a = [mp.mpf(v) for v in coeffs]
-        max_k = mp.mpf(0)
+        ks = []
         for i in range(len(a) - 1, 0, -1):
             k = a[i] / a[0]
-            max_k = max(max_k, abs(k))
-            if max_k >= 1:
+            ks.append(k)
+            if abs(k) >= 1:
                 break
             a = [a[j] - k * a[i - j] for j in range(i)]
+    return ks
+
+
+def step_down_mpf(coeffs, dps):
+    """(is_min_phase, max_reflection) of the monic polynomial ``coeffs``
+    from ``reflections_mpf``: every |k| < 1, and the largest |k|."""
+    with mp.workdps(dps):
+        max_k = max((abs(k) for k in reflections_mpf(coeffs, dps)), default=mp.mpf(0))
     return bool(max_k < 1), float(max_k)

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +14,7 @@ import pytest
 from mdsigma import _native, shaping
 from mdsigma.shaping import (
     MAX_ORDER,
+    MinPhaseReport,
     ShapingFilter,
     band_power,
     design_multiband,
@@ -26,6 +30,7 @@ from reference import (
     BrickWallSpec,
     brickwall_autocorrelation,
     quadrature_grid,
+    reflections_mpf,
     spectrum_power,
     step_down_mpf,
     truncated_fourier_brickwall_error,
@@ -307,6 +312,204 @@ class TestMinPhase:
             assert pds >= 0.5 * (math.sqrt(gamma - 1.0) + 1.0 / math.sqrt(gamma - 1.0)) - 1e-12
 
 
+def design_grid_filters(seed):
+    """The 24 filters of a round of the benchmark's ``design_grid`` workload
+    at ``seed``: Yule-Walker designs at p in {8, 16, 32, 48, 64} x gamma in
+    {4, 8, 17, 32}, then K=4 multiband designs at p in {16, 32, 48, 64},
+    each gamma and delta0 = 0.2 jittered by up to +-5 % in that order."""
+    rng = np.random.default_rng(seed)
+    filters = []
+    for p in (8, 16, 32, 48, 64):
+        for g in (4.0, 8.0, 17.0, 32.0):
+            gamma = g * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))
+            filters.append(design_yule_walker(p, find_lambda_for_ratio(gamma, p)))
+    for p in (16, 32, 48, 64):
+        d0 = 0.2 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))
+        d2 = 1.0 / math.sqrt(d0 * 1.0)
+        filters.append(design_multiband(p, K4_EDGES, (1.0 / d0, 1.0 / d2, 1.0 / 1.0)))
+    return filters
+
+
+def random_monic(rng, p, radii):
+    """A real monic polynomial of order p with zeros of magnitude drawn from
+    ``radii`` (low, high): complex pairs and real zeros of random sign."""
+    zeros = []
+    while len(zeros) < p:
+        r = rng.uniform(*radii)
+        if p - len(zeros) >= 2 and rng.uniform() < 0.8:
+            z = r * np.exp(1j * rng.uniform(0.0, np.pi))
+            zeros += [z, z.conjugate()]
+        else:
+            zeros.append(r * rng.choice([-1.0, 1.0]))
+    return ShapingFilter(tuple(np.real(np.poly(zeros)).tolist()))
+
+
+def report_bits(report):
+    return type(report.is_min_phase), report.is_min_phase, type(report.max_reflection), report.max_reflection.hex()
+
+
+@pytest.fixture
+def mp_step_downs(monkeypatch):
+    """The orders of the mpmath step-downs, as they run."""
+    calls = []
+    real = shaping._step_down_mp
+    monkeypatch.setattr(shaping, "_step_down_mp", lambda coeffs: calls.append(len(coeffs) - 1) or real(coeffs))
+    return calls
+
+
+class TestCertifiedStepDown:
+    # the compiled double-double step-down gives the report only where its
+    # bound proves both fields equal to the mpmath step-down's
+
+    def test_benchmark_grid_decided_without_mpmath(self, monkeypatch, mp_step_downs):
+        filters = [f for seed in (1, 2, 3) for f in design_grid_filters(seed)]
+        got = [report_bits(min_phase_check(f)) for f in filters]
+        assert got == [report_bits(shaping._step_down_mp(f.coeffs)) for f in filters]
+        assert all(bits[1] is True and bits[2] is float for bits in got)
+        mp_step_downs.clear()
+        [min_phase_check(f) for f in filters]
+        assert mp_step_downs == ([] if _native.library() is not None else [f.order for f in filters])
+        # without the library every report comes from mpmath, the same bits
+        monkeypatch.setattr(_native, "library", lambda: None)
+        mp_step_downs.clear()
+        assert [report_bits(min_phase_check(f)) for f in filters] == got
+        assert mp_step_downs == [f.order for f in filters]
+
+    def test_random_polynomials_of_every_order(self):
+        # zeros inside the unit circle at even orders, some outside at odd
+        # ones; the running bound grows with the order and as |k| nears 1,
+        # so from about p = 24 on many of these fall back, and every order
+        # up to 20 is decided in double-double
+        rng = np.random.default_rng(32)
+        decided = []
+        for p in range(1, MAX_ORDER + 1):
+            filt = random_monic(rng, p, (0.05, 0.9) if p % 2 == 0 else (0.3, 1.2))
+            fast = shaping._step_down_dd(filt.coeffs)
+            want = report_bits(shaping._step_down_mp(filt.coeffs))
+            assert report_bits(min_phase_check(filt)) == want, p
+            if fast is not None:
+                decided.append(p)
+                assert report_bits(fast) == want, p
+        assert decided[:20] == (list(range(1, 21)) if _native.library() is not None else [])
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1.0,),
+            (1.0, 0.0),
+            (1.0, 0.0, 0.0, 0.0),
+            (1.0, -0.5, 0.0, 0.0),
+            (1.0, 0.99995),
+            (1.0, -1.0),
+            (1.0, 1.00005),
+            (1.0, 0.3, -1.0),
+            (1.0, 0.5, 0.25, 2.0),
+            (1.0, 2.0**-1074),
+            (1.0, 1e300),
+        ],
+    )
+    def test_edge_cases(self, coeffs):
+        filt = ShapingFilter(coeffs)
+        assert report_bits(min_phase_check(filt)) == report_bits(shaping._step_down_mp(coeffs))
+
+    @pytest.mark.parametrize("p", [38, 42, 44])
+    def test_zeros_next_to_the_unit_circle_fall_back(self, p, mp_step_downs):
+        # the lambda = 0 designs: too ill-conditioned for the bound
+        filt = design_yule_walker(p, 0.0)
+        mp_step_downs.clear()
+        rep = min_phase_check(filt)
+        assert mp_step_downs == [p]
+        assert report_bits(rep) == report_bits(shaping._step_down_mp(filt.coeffs))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 32, 64, MAX_ORDER])
+    def test_every_reflection_within_its_bound(self, p):
+        # each double-double k_i lies within its bound dk_i of the mpf
+        # step-down's k_i at the design precision, at every step, on
+        # polynomials with zeros well inside, near and outside the circle
+        lib = _native.library()
+        if lib is None:
+            assert _native._compiler() is None
+            return
+        rng = np.random.default_rng(3200 + p)
+        dps = shaping._design_dps(p)
+        u_mp = math.ldexp(1.0, max(1 - mp.libmp.dps_to_prec(dps), -1000))
+        steps, worst = 0, 0.0
+        # the kernel takes any leading coefficient: a_0 = 3 makes even the
+        # first quotient inexact
+        for radii in ((0.05, 0.9), (0.9, 0.999), (0.5, 1.1), (0.99, 0.99999)):
+            for lead in (1.0, 3.0):
+                coeffs = np.array(random_monic(rng, p, radii).coeffs) * lead
+                out = np.empty((3, p))
+                n = lib.stepdown_dd(coeffs, p, u_mp, out)
+                if n < 0:
+                    continue
+                ks = reflections_mpf(coeffs.tolist(), dps)
+                assert n == len(ks)
+                with mp.workdps(dps):
+                    for k, (hi, lo, dk) in zip(ks, out[:, :n].T):
+                        err = abs(mp.mpf(hi) + mp.mpf(lo) - k)
+                        assert err <= dk, (radii, lead, steps)
+                        worst = max(worst, float(err / dk))
+                        steps += 1
+        # the bound is met by errors that are not all zero
+        assert steps >= p and worst > 0.0
+
+    @pytest.mark.parametrize("p", [1, 8, MAX_ORDER])
+    def test_first_bound_covers_its_float64_evaluation(self, p):
+        # the first step starts from exact coefficients, so its bound is
+        # (16u^2 + u_mp) |c_p| (1 + 2^-52) / (|c_0| (1 - 2^-52)) + 2^-900;
+        # the kernel's float64 value must not fall below it evaluated exactly
+        lib = _native.library()
+        if lib is None:
+            assert _native._compiler() is None
+            return
+        rng = np.random.default_rng(3300 + p)
+        u_mp = math.ldexp(1.0, max(1 - mp.libmp.dps_to_prec(shaping._design_dps(p)), -1000))
+        out = np.empty((3, p))
+        with mp.workprec(400):
+            for _ in range(20):
+                coeffs = np.concatenate(([rng.uniform(0.5, 3.0)], rng.uniform(-0.4, 0.4, p)))
+                assert lib.stepdown_dd(coeffs, p, u_mp, out) >= 1
+                up, down = 1 + mp.mpf(2) ** -52, 1 - mp.mpf(2) ** -52
+                g = abs(mp.mpf(coeffs[p])) * up / (mp.mpf(coeffs[0]) * down)
+                want = (16 * mp.mpf(2) ** -106 + mp.mpf(u_mp)) * g + mp.mpf(2) ** -900
+                assert mp.mpf(out[2, 0]) >= want
+
+    @pytest.mark.parametrize(
+        "k_hi, k_lo, want",
+        [
+            # |k| = 0.5 - 2^-55 - 2^-70 lies below the midpoint 0.5 - 2^-55
+            # between 0.5 and its lower neighbour, where the gap halves
+            (-0.5, 2.0**-55 + 2.0**-70, MinPhaseReport(True, 0.5 - 2.0**-54)),
+            (0.5, -(2.0**-55) - 2.0**-70, MinPhaseReport(True, 0.5 - 2.0**-54)),
+            (0.5, 2.0**-55 + 2.0**-70, MinPhaseReport(True, 0.5)),
+            # |k_hi| = 1 stops the step-down, but |k| < 1: not decided
+            (-1.0, 2.0**-60, None),
+            (-2.0, 2.0**-60, MinPhaseReport(False, 2.0)),
+        ],
+    )
+    def test_reflection_read_with_the_sign_of_its_low_part(self, monkeypatch, k_hi, k_lo, want):
+        # the kernel's last k, as given: |k| is |k_hi| + k_lo sign(k_hi)
+        class Kernel:
+            def stepdown_dd(self, c, p, u_mp, out):
+                out[:, 0] = k_hi, k_lo, 2.0**-80
+                return 1
+
+        monkeypatch.setattr(_native, "library", Kernel)
+        assert shaping._step_down_dd((1.0, 0.5)) == want
+
+    def test_step_down_stops_at_the_first_unit_reflection(self):
+        # k_2 = -1 exactly: one step, where going on would divide by a
+        # pivot of 0
+        lib = _native.library()
+        if lib is None:
+            assert _native._compiler() is None
+            return
+        out = np.empty((3, 2))
+        assert lib.stepdown_dd(np.array([1.0, 0.3, -1.0]), 2, 2.0**-200, out) == 1
+        assert out[0, 0] == -1.0 and out[1, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # brick-wall targets and Gibbs behavior
 # ---------------------------------------------------------------------------
@@ -458,6 +661,34 @@ class TestMultiband:
         assert band_power(filt, 0, np.pi / 4) == pytest.approx(d0 / 4, rel=0.04)
         assert band_power(filt, np.pi / 4, 3 * np.pi / 4) == pytest.approx(d2 / 2, rel=0.04)
         assert band_power(filt, 3 * np.pi / 4, np.pi) == pytest.approx(d1 / 4, rel=0.04)
+
+    def test_sine_table_is_kept_per_order_and_edges(self):
+        # designs on two sets of edges at one order, alternating, each equal
+        # to the recursion run on lags whose sines are taken afresh
+        def fresh_design(p, edges, weights):
+            with mp.workdps(shaping._design_dps(p)):
+                pi = mp.pi
+                edges_mp = [mp.mpf(repr(e)) for e in edges]
+                weights_mp = [mp.mpf(repr(w)) for w in weights]
+                r = []
+                for d in range(p + 1):
+                    acc = lo = sin_lo = mp.mpf(0)
+                    for hi, w in zip(edges_mp, weights_mp):
+                        if d == 0:
+                            acc += w * (hi - lo) / pi
+                        else:
+                            sin_hi = mp.sin(hi * d)
+                            acc += w * (sin_hi - sin_lo) / (pi * d)
+                            sin_lo = sin_hi
+                        lo = hi
+                    r.append(acc)
+                coeffs, _ = shaping._levinson(r, p)
+            return tuple(float(c) for c in coeffs)
+
+        cases = [(K4_EDGES, K4_WEIGHTS), ((np.pi / 3, np.pi), (4.0, 1.0))]
+        for edges, weights in cases + cases:
+            assert design_multiband(16, edges, weights).coeffs == fresh_design(16, edges, weights)
+        assert shaping._band_sines.cache_info().hits >= 2
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -709,7 +940,7 @@ class TestDoubleDoubleDesigns:
         with mp.workdps(shaping._design_dps(p)):
             for floor, scale in ((1e-8, 1.0), (1e-5, 1.0), (1e-2, 1.0), (1.0, 1.0), (1e-9, 1e-6), (1e-7, 1e-6)):
                 r = random_toeplitz(rng, p, floor, scale)
-                iterates = list(shaping._dd_solutions(*shaping._to_dd(r), floor, float(mp.fsum(map(abs, r)))))
+                iterates = list(shaping._dd_solutions(shaping._to_dd(r), floor, float(mp.fsum(map(abs, r)))))
                 if _native.library() is None:
                     assert iterates == []
                     continue
@@ -733,13 +964,15 @@ class TestDoubleDoubleDesigns:
             return
         rng = np.random.default_rng(p)
         with mp.workdps(shaping._design_dps(p)):
-            r_hi, r_lo = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
+            r_dd = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
+            r_hi, r_lo = r_dd
             # a float64 solve, given low parts below half its last place
             index = np.arange(p)
             a_hi = np.concatenate(([1.0], -np.linalg.solve(r_hi[np.abs(index[:, None] - index)], r_hi[1:])))
             a_lo = np.concatenate(([0.0], a_hi[1:] * rng.uniform(-(2.0**-54), 2.0**-54, p)))
-            res_hi, res_lo, abs_sum = np.empty(p), np.empty(p), np.empty(p)
-            lib.toeplitz_residual_dd(r_hi, r_lo, a_hi, a_lo, p, res_hi, res_lo, abs_sum)
+            out = np.empty((3, p))
+            lib.toeplitz_residual_dd(r_dd, np.array([a_hi, a_lo]), p, out)
+            res_hi, res_lo, abs_sum = out
             r = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(r_hi, r_lo)]
             a = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(a_hi, a_lo)]
             for i in range(1, p + 1):
@@ -831,3 +1064,20 @@ class TestDoubleDoubleDesigns:
             (design_yule_walker, (32, 0.05)),
             (design_multiband, (48, list(K4_EDGES), list(K4_WEIGHTS))),
         ]
+
+
+class TestImportTime:
+    def test_import_builds_and_fills_nothing(self):
+        # the library, the lag and sine tables and the half-band spectra are
+        # made on first use, so importing mdsigma adds none of them to the
+        # start-up of a process that never designs a filter
+        code = (
+            "import mdsigma; from mdsigma import _native, shaping; "
+            "print(*(f.cache_info().currsize for f in (_native.library, shaping._band_sines,"
+            " shaping._half_band_lags, shaping._half_band_range)))"
+        )
+        path = [os.path.dirname(os.path.dirname(shaping.__file__)), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "0", "0", "0"]
