@@ -21,8 +21,8 @@ once per order.
 Most designs need no extended-precision solve.  Both systems have a known
 eigenvalue floor: 2 lambda for G + 2 lambda I, since the half-band
 spectrum lies in [0, 2], and the smallest band weight for a multiband
-design.  So such a design is solved in float64 from the lags rounded once
-to double-double, and then corrected: the compiled library computes the
+design.  So such a design is solved in float64 from its lags in
+double-double, and then corrected: the compiled library computes the
 residual in double-double, and a float64 solve turns it into a
 correction, kept as a double-double.  That residual also bounds each
 iterate's distance to the extended-precision solution by beta
@@ -47,9 +47,15 @@ same, and the filter for that lambda is designed as above.
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
 function, which is still Toeplitz and handled by the same recursion.  Its
-lags are weighted sums of sines sin(e d) of the band edges e and lags d,
-in mpmath; the sines depend on the order and the edges alone, so they are
-computed once per (p, edges), and a sweep of band weights reuses them.
+lag d is sum_b w_b B_bd, B_bd band b's share per unit weight, a difference
+of sines sin(e d) of the band edges e over pi d.  The basis B depends on
+the order and the edges alone, so it is computed once per (p, edges) in
+mpmath and rounded to double-double, and a sweep of band weights reuses
+it.  Where every weight is positive and the library loads, each design
+sums its lags in double-double from it, with a bound on each lag's error
+that the certificate above takes in (``_multiband_lags_dd``); elsewhere,
+and where the certificate fails, the lags are mpmath sums of the cached
+sines, and the recursion runs on them.
 
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
@@ -269,7 +275,48 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _dd_solutions(r, floor: float, level_sum: float):
+def _fast_two_sum(a, b):
+    """(s, e), elementwise: s = fl(a + b) and s + e = a + b exactly where
+    |a| >= |b| or a == 0."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """(p, e), elementwise: p = fl(a b) and p + e = a b exactly where nothing
+    over- or underflows (Dekker's product with Veltkamp's split at 2^27 + 1)."""
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(x_hi, x_lo, y_hi, y_lo):
+    """DWTimesDW1, elementwise: relative error below 7u^2 where nothing
+    underflows; the same operations as ``_native``'s dd_mul."""
+    p, e = _two_prod(x_hi, y_hi)
+    return _fast_two_sum(p, e + (x_lo * y_hi + x_hi * y_lo))
+
+
+def _dd_add(x_hi, x_lo, y_hi, y_lo):
+    """AccurateDWPlusDW, elementwise: error below 3u^2/(1 - 4u) of |x + y|
+    where nothing underflows; the same operations as ``_native``'s dd_add."""
+    s_hi, s_lo = _two_sum(x_hi, y_hi)
+    t_hi, t_lo = _two_sum(x_lo, y_lo)
+    v_hi, v_lo = _fast_two_sum(s_hi, s_lo + t_hi)
+    return _fast_two_sum(v_hi, t_lo + v_lo)
+
+
+def _toeplitz_norm(v) -> float:
+    """|v_0| + 2 sum_{d >= 1} |v_d|: a bound on the 2-norm of every Toeplitz
+    matrix, square or p x (p + 1), whose entries are the v_|i-j|."""
+    return abs(float(v[0])) + 2.0 * float(np.abs(v[1:]).sum())
+
+
+def _dd_solutions(r, floor: float, level_sum: float, lag_err: float):
     """Yield (a_hi, a_lo, beta): iterates a = a_hi + a_lo that approach the
     solution of the monic normal equations of the lags r = r_hi + r_lo, the
     rows of r (``_to_dd``), each
@@ -290,18 +337,25 @@ def _dd_solutions(r, floor: float, level_sum: float):
 
     floor is a lower bound on the smallest eigenvalue of the order-p
     Toeplitz matrix T of r_0..r_{p-1}; level_sum sums the levels of the
-    weight function whose autocorrelation the lags are.  With rho^ the
-    residual of rows 1..p, T a_tail + (r_1..r_p), computed in double-double
-    by ``_native``'s ``toeplitz_residual_dd``,
+    weight function whose autocorrelation the lags are; lag_err bounds the
+    2-norm of the Toeplitz perturbation from the exact lags to r.  With
+    rho^ the residual of rows 1..p, T a_tail + (r_1..r_p), computed in
+    double-double by ``_native``'s ``toeplitz_residual_dd``,
 
         beta = 2 ((||rho^||_2 + e_rho + e_lag) / floor + eps_mp),
 
     - e_rho = 16 (p+1) u^2 ||s||_2 bounds the residual's rounding, s_i the
       row sums of |r| |a|: each of the p+1 products errs by under 7u^2 and
       each sum by under 3u^2 (``_native``), 3p + 10 < 16 (p+1);
-    - e_lag = 2^-104 ||r||_1 ||a||_2 covers the lags' rounding to
-      double-double, ||r||_1 = |r_0| + 2 sum |r_m| bounding the norm of the
-      Toeplitz perturbation;
+    - e_lag = lag_err ||a||_2 covers the lags' distance from the exact
+      ones.  Where each lag r_d errs by at most delta_d, the perturbation's
+      norm is below ``_toeplitz_norm`` of delta, (delta_0 + 2 sum
+      delta_d).  The half-band lags, rounded once to double-double, have
+      delta_d = 2^-104 |r_d| (``design_yule_walker``), so lag_err = 2^-104
+      ||r||_1 with ||r||_1 = |r_0| + 2 sum |r_m|.  The multiband lags are
+      summed in double-double from the band basis, and delta_d = (3n + 7)
+      u^2 m_d + (2n + 2) 2^-1000 for n bands, m_d = sum_b |w_b| |B_bd|
+      (``_multiband_lags_dd`` derives it);
     - residual over floor bounds ||a_tail - x||_2, x the exact solution;
     - eps_mp = 2^(p+16-prec) (p+1)^2 (||r||_1 + level_sum) (||a||_2 + 1) /
       floor is a generous bound on the extended-precision design's own
@@ -319,7 +373,7 @@ def _dd_solutions(r, floor: float, level_sum: float):
     r_hi = r[0]
     p = r_hi.shape[0] - 1
     lo_scale, hi_scale = _DD_SCALE
-    r_norm1 = abs(float(r_hi[0])) + 2.0 * float(np.abs(r_hi[1:]).sum())
+    r_norm1 = _toeplitz_norm(r_hi)
     if lib is None or not (lo_scale <= floor and r_norm1 <= hi_scale and level_sum <= hi_scale):
         return
     index = np.arange(p)
@@ -347,19 +401,19 @@ def _dd_solutions(r, floor: float, level_sum: float):
         res = res_hi + res_lo
         a_norm = math.sqrt(float(a_hi @ a_hi))
         e_rho = 16 * (p + 1) * _U**2 * math.sqrt(float(abs_sum @ abs_sum)) + (p + 1) * _DD_TINY
-        e_lag = _DD_LAG_REL * r_norm1 * a_norm + (p + 1) * _DD_TINY
+        e_lag = lag_err * a_norm + (p + 1) * _DD_TINY
         eps_mp = math.ldexp(
             (p + 1) ** 2 * (r_norm1 + level_sum) * (a_norm + 1.0) / floor, max(p + 16 - prec, -1000)
         )
         yield a[0], a[1], 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
 
 
-def _dd_design(r, floor: float, level_sum: float):
+def _dd_design(r, floor: float, level_sum: float, lag_err: float):
     """The float64 coefficients of the extended-precision design, each
     proven to be its rounding by ``_dd_solutions``' bound and
     ``_nearest_double`` at one iterate; None where no iterate proves them
     all, and the caller then designs in extended precision."""
-    for a_hi, a_lo, beta in _dd_solutions(r, floor, level_sum):
+    for a_hi, a_lo, beta in _dd_solutions(r, floor, level_sum, lag_err):
         coeffs = [1.0]
         for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
             f = _nearest_double(hi, lo, beta)
@@ -390,7 +444,7 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
             r = dd.copy()
             r[:, :1] = _to_dd([lags[0] + 2 * lam])
             floor = 2.0 * float(lam) * (1.0 - 2.0**-50)
-            coeffs = _dd_design(r, floor, 2.0 + floor)
+            coeffs = _dd_design(r, floor, 2.0 + floor, _DD_LAG_REL * _toeplitz_norm(r[0]))
             if coeffs is not None:
                 return ShapingFilter(coeffs)
         coeffs, _ = _yule_walker(lags, lam)
@@ -406,32 +460,77 @@ def _band_sines(p: int, edges: tuple) -> tuple:
         return tuple(tuple(mp.sin(mp.mpf(repr(e)) * d) for d in range(1, p + 1)) for e in edges)
 
 
-def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence[float]) -> ShapingFilter:
-    """Minimize a weighted sum of band powers of |c|^2 over monic filters.
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _band_basis(p: int, edges: tuple):
+    """The band basis B_bd, band b's share of lag d per unit weight: (e_b -
+    e_{b-1}) / pi at d = 0 and (sin(e_b d) - sin(e_{b-1} d)) / (pi d) for
+    d = 1..p, e_0 = 0, from the cached sines at the design precision of
+    order p, each rounded once to double-double (``_to_dd``).  One read-only
+    array (2, bands, p + 1), rows hi and lo, the same for every set of band
+    weights."""
+    sines = _band_sines(p, edges)
+    rows = []
+    with mp.workdps(_design_dps(p)):
+        pi = mp.pi
+        lo_e, sin_lo = mp.mpf(0), (mp.mpf(0),) * p
+        for e, sin_hi in zip(edges, sines):
+            hi_e = mp.mpf(repr(e))
+            diffs = [(s - t) / (pi * d) for d, s, t in zip(range(1, p + 1), sin_hi, sin_lo)]
+            rows.append(_to_dd([(hi_e - lo_e) / pi, *diffs]))
+            lo_e, sin_lo = hi_e, sin_hi
+    basis = np.stack(rows, axis=1)
+    basis.flags.writeable = False
+    return basis
 
-    Bands are (previous_edge, edge] starting from 0, with edges strictly
-    increasing in (0, pi].  Weights must be nonnegative with at least one
-    strictly positive (a zero weight leaves that band unconstrained).
+
+def _multiband_lags_dd(basis, weights_mp):
+    """(r, delta): the lags r_d = sum_b w_b B_bd, d = 0..p, summed in
+    double-double from the band basis (``_band_basis``) and the mpf weights
+    rounded once to double-double, as the rows hi and lo of one array, and
+    delta_d, a bound on each lag's distance from the exact sum of the mpf
+    weights times the mpf basis.
+
+    Derivation, with u = 2^-53, n bands, t_b = w_b B_bd exact and m_d =
+    sum_b |t_b|, where nothing underflows:
+    - the two roundings to double-double err by under u^2 |w_b| and
+      u^2 |B_bd|, and DWTimesDW1 (``_dd_mul``) by under 7u^2 of the product
+      of the rounded factors, so each product p_b errs by under 9.01u^2
+      |t_b|;
+    - each of the n - 1 AccurateDWPlusDW sums (``_dd_add``) errs by under
+      3u^2/(1 - 4u) of the magnitude of its exact result, taken as under
+      that times the sum of its operands' magnitudes, since the band terms
+      can cancel; the running sum's magnitude stays below (1 + 2^-80) m_d,
+      so the sums err by under 3 (1 + 2^-49) (n - 1) u^2 m_d together, and
+      the lag by under (3n + 6.02) u^2 m_d;
+    - m_d is evaluated in float64 from the high parts, within (n + 4) u of
+      the exact m_d relative, which the last 0.98 u^2 m_d covers,
+    so |r_d - sum_b t_b| < (3n + 7) u^2 m_d, for every n below 2^20.
+    Joldes, Muller & Popescu ("Tight and rigorous error bounds for basic
+    building blocks of double-word arithmetic", ACM TOMS 44(2), 2017) give
+    the bounds of both operations.  delta adds an absolute (2n + 2) 2^-1000
+    for roundings that underflow.  Every product and split stays finite
+    where the weights sum to at most 2^100 (``_DD_SCALE``), since |B_bd| <= 1.
     """
-    _check_order(p)
-    edges = [float(e) for e in band_edges]
-    weights = [float(w) for w in band_weights]
-    if len(edges) != len(weights) or not edges:
-        raise ValueError("need one weight per band edge")
-    if not all(math.isfinite(w) for w in weights):
-        raise ValueError(f"band weights must be finite, got {weights}")
-    if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-        raise ValueError("weights must be nonnegative with at least one positive")
-    lo = 0.0
-    for e in edges:
-        if not (lo < e <= np.pi + 1e-12):
-            raise ValueError("band edges must be strictly increasing in (0, pi]")
-        lo = e
+    n = basis.shape[1]
+    w_hi, w_lo = _to_dd(weights_mp)[:, :, None]
+    b_hi, b_lo = basis
+    t_hi, t_lo = _dd_mul(w_hi, w_lo, b_hi, b_lo)
+    r_hi, r_lo = t_hi[0], t_lo[0]
+    for b in range(1, n):
+        r_hi, r_lo = _dd_add(r_hi, r_lo, t_hi[b], t_lo[b])
+    m = (np.abs(w_hi) * np.abs(b_hi)).sum(axis=0)
+    delta = (3 * n + 7) * _U**2 * m + (2 * n + 2) * _DD_TINY
+    return np.array([r_hi, r_lo]), delta
 
-    sines = _band_sines(p, tuple(edges))
+
+def _multiband_lags_mp(p: int, edges: tuple, weights: Sequence[float]) -> list:
+    """The lags r_0..r_p of the multiband weight function, as mpf sums at the
+    design precision of order p from the cached sines: the lags of the
+    extended-precision design."""
+    sines = _band_sines(p, edges)
     with mp.workdps(_design_dps(p)):
         # autocorrelation of the piecewise-constant weight function:
-        # m_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), m_0 = sum_b w_b*(hi-lo)/pi;
+        # r_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), r_0 = sum_b w_b*(hi-lo)/pi;
         # band b's upper edge is band b+1's lower edge, so each sine is taken once
         pi = mp.pi
         edges_mp = [mp.mpf(repr(e)) for e in edges]
@@ -449,15 +548,56 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
                     sin_lo = sin_hi
                 lo_e = hi_e
             r.append(acc)
-        if min(weights) > 0:
+        return r
+
+
+def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence[float]) -> ShapingFilter:
+    """Minimize a weighted sum of band powers of |c|^2 over monic filters.
+
+    Bands are (previous_edge, edge] starting from 0, with edges strictly
+    increasing in (0, pi].  Weights must be nonnegative with at least one
+    strictly positive (a zero weight leaves that band unconstrained).
+
+    The design is the float64 rounding of ``_levinson`` on the mpf lags
+    (``_multiband_lags_mp``).  Where every weight is positive and the
+    library loads, the lags are summed in double-double from the band basis
+    of (p, edges) instead (``_multiband_lags_dd``, which bounds their
+    error), and ``_dd_design`` proves the rounding from them; the mpf lags
+    and the recursion run only where it cannot, where a weight is zero and
+    where no C compiler is found, with the same bits.
+    """
+    _check_order(p)
+    edges = tuple(float(e) for e in band_edges)
+    weights = [float(w) for w in band_weights]
+    if len(edges) != len(weights) or not edges:
+        raise ValueError("need one weight per band edge")
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError(f"band weights must be finite, got {weights}")
+    if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
+        raise ValueError("weights must be nonnegative with at least one positive")
+    lo = 0.0
+    for e in edges:
+        if not (lo < e <= np.pi + 1e-12):
+            raise ValueError("band edges must be strictly increasing in (0, pi]")
+        lo = e
+
+    level_sum = math.fsum(weights)
+    # beyond _DD_SCALE the double-double lags' splits could overflow
+    if min(weights) > 0 and level_sum <= _DD_SCALE[1] and _native.library() is not None:
+        with mp.workdps(_design_dps(p)):
+            pi = mp.pi
+            weights_mp = [mp.mpf(repr(w)) for w in weights]
             # the weight function is at least min(weights) on (0, edges[-1]]; a
             # last edge short of pi loses at most p (pi - edge)/pi of it, since
             # |V(w)|^2 <= p ||v||^2 for the p taps v of a tail
-            short = max(mp.mpf(0), pi - edges_mp[-1])
+            short = max(mp.mpf(0), pi - mp.mpf(repr(edges[-1])))
             floor = float(min(weights_mp) * (1 - p * short / pi)) * (1.0 - 2.0**-50)
-            coeffs = _dd_design(_to_dd(r), floor, math.fsum(weights))
-            if coeffs is not None:
-                return ShapingFilter(coeffs)
+            r, delta = _multiband_lags_dd(_band_basis(p, edges), weights_mp)
+        coeffs = _dd_design(r, floor, level_sum, _toeplitz_norm(delta))
+        if coeffs is not None:
+            return ShapingFilter(coeffs)
+    r = _multiband_lags_mp(p, edges, weights)
+    with mp.workdps(_design_dps(p)):
         try:
             coeffs, _ = _levinson(r, p)
         except ValueError as exc:

@@ -23,6 +23,7 @@ from mdsigma.shaping import (
     find_lambda_for_ratio,
     min_phase_check,
 )
+from mdsigma.theory import K4Spec
 
 from conftest import zeros_within
 from reference import (
@@ -312,22 +313,30 @@ class TestMinPhase:
             assert pds >= 0.5 * (math.sqrt(gamma - 1.0) + 1.0 / math.sqrt(gamma - 1.0)) - 1e-12
 
 
-def design_grid_filters(seed):
-    """The 24 filters of a round of the benchmark's ``design_grid`` workload
-    at ``seed``: Yule-Walker designs at p in {8, 16, 32, 48, 64} x gamma in
-    {4, 8, 17, 32}, then K=4 multiband designs at p in {16, 32, 48, 64},
-    each gamma and delta0 = 0.2 jittered by up to +-5 % in that order."""
+def design_grid_items(seed):
+    """(gammas, multiband): the 24 designs of a round of the benchmark's
+    ``design_grid`` workload at ``seed``, as (p, gamma) for the Yule-Walker
+    designs at p in {8, 16, 32, 48, 64} x gamma in {4, 8, 17, 32}, and as
+    (p, edges, weights) for the K=4 multiband designs at p in {16, 32, 48,
+    64}, each gamma and delta0 = 0.2 jittered by up to +-5 % in that order."""
     rng = np.random.default_rng(seed)
-    filters = []
-    for p in (8, 16, 32, 48, 64):
-        for g in (4.0, 8.0, 17.0, 32.0):
-            gamma = g * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))
-            filters.append(design_yule_walker(p, find_lambda_for_ratio(gamma, p)))
+    gammas = [
+        (p, g * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))) for p in (8, 16, 32, 48, 64) for g in (4.0, 8.0, 17.0, 32.0)
+    ]
+    multiband = []
     for p in (16, 32, 48, 64):
         d0 = 0.2 * (1.0 + 0.05 * rng.uniform(-1.0, 1.0))
         d2 = 1.0 / math.sqrt(d0 * 1.0)
-        filters.append(design_multiband(p, K4_EDGES, (1.0 / d0, 1.0 / d2, 1.0 / 1.0)))
-    return filters
+        multiband.append((p, K4_EDGES, (1.0 / d0, 1.0 / d2, 1.0 / 1.0)))
+    return gammas, multiband
+
+
+def design_grid_filters(seed):
+    """The 24 filters of ``design_grid_items``' round at ``seed``."""
+    gammas, multiband = design_grid_items(seed)
+    return [design_yule_walker(p, find_lambda_for_ratio(g, p)) for p, g in gammas] + [
+        design_multiband(*args) for args in multiband
+    ]
 
 
 def random_monic(rng, p, radii):
@@ -664,7 +673,8 @@ class TestMultiband:
 
     def test_sine_table_is_kept_per_order_and_edges(self):
         # designs on two sets of edges at one order, alternating, each equal
-        # to the recursion run on lags whose sines are taken afresh
+        # to the recursion run on lags whose sines are taken afresh; the
+        # double-double path reads the band basis, the mpmath path the sines
         def fresh_design(p, edges, weights):
             with mp.workdps(shaping._design_dps(p)):
                 pi = mp.pi
@@ -688,7 +698,8 @@ class TestMultiband:
         cases = [(K4_EDGES, K4_WEIGHTS), ((np.pi / 3, np.pi), (4.0, 1.0))]
         for edges, weights in cases + cases:
             assert design_multiband(16, edges, weights).coeffs == fresh_design(16, edges, weights)
-        assert shaping._band_sines.cache_info().hits >= 2
+        table = shaping._band_basis if _native.library() is not None else shaping._band_sines
+        assert table.cache_info().hits >= 2
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -940,7 +951,9 @@ class TestDoubleDoubleDesigns:
         with mp.workdps(shaping._design_dps(p)):
             for floor, scale in ((1e-8, 1.0), (1e-5, 1.0), (1e-2, 1.0), (1.0, 1.0), (1e-9, 1e-6), (1e-7, 1e-6)):
                 r = random_toeplitz(rng, p, floor, scale)
-                iterates = list(shaping._dd_solutions(shaping._to_dd(r), floor, float(mp.fsum(map(abs, r)))))
+                r_dd = shaping._to_dd(r)
+                lag_err = shaping._DD_LAG_REL * shaping._toeplitz_norm(r_dd[0])
+                iterates = list(shaping._dd_solutions(r_dd, floor, float(mp.fsum(map(abs, r))), lag_err))
                 if _native.library() is None:
                     assert iterates == []
                     continue
@@ -1017,10 +1030,11 @@ class TestDoubleDoubleDesigns:
                     assert float(x) == want
 
     def test_failed_bound_designs_in_mpmath(self, monkeypatch, mp_solves):
-        # a bound too wide for any rounding cell sends each design to the
-        # extended-precision path, which gives the same coefficients
+        # a lag error bound too wide for any rounding cell sends each design
+        # to the extended-precision path, which gives the same coefficients
         want = [design(*args).coeffs for design, args in self.designs()]
-        monkeypatch.setattr(shaping, "_DD_LAG_REL", 1.0)
+        real = shaping._dd_design
+        monkeypatch.setattr(shaping, "_dd_design", lambda r, floor, level_sum, lag_err: real(r, floor, level_sum, 1.0))
         for (design, args), coeffs in zip(self.designs(), want):
             mp_solves.clear()
             assert design(*args).coeffs == coeffs
@@ -1066,18 +1080,110 @@ class TestDoubleDoubleDesigns:
         ]
 
 
+# ---------------------------------------------------------------------------
+# multiband lags summed in double-double from the band basis
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def mp_lag_sums(monkeypatch):
+    """The orders of the multiband lag sums made in mpmath, as they run."""
+    calls = []
+    real = shaping._multiband_lags_mp
+    monkeypatch.setattr(shaping, "_multiband_lags_mp", lambda p, *a: calls.append(p) or real(p, *a))
+    return calls
+
+
+MULTIBAND_EDGE_SETS = [K4_EDGES, (np.pi / 4, np.pi / 2, 0.9 * np.pi), (np.pi / 2, np.pi), (np.pi / 3, np.pi)]
+
+
+def criterion_8_weights():
+    """The band weights of criterion 8's p = 48 design, as the harness reads
+    them: 1/delta0, 1/delta2 and 1/delta1 of the three-step spectrum."""
+    spec = K4Spec(delta0=0.2, delta1=1.0, sigma_e2=0.04)
+    return (1.0 / spec.delta0, 1.0 / spec.delta2, 1.0 / spec.delta1)
+
+
+class TestDoubleDoubleMultiband:
+    # with the library loaded, a multiband design with every weight positive
+    # sums its lags in double-double from the cached band basis; where the
+    # certificate holds, neither the mpmath lag sum nor the recursion runs
+
+    @staticmethod
+    def grid():
+        """(p, edges, weights): orders 1..128 on four edge sets, one with its
+        last edge short of pi, and weights log-uniform in 1e-3..1e3."""
+        rng = np.random.default_rng(33)
+        orders = (1, 2, 3, 5, 8, 13, 16, 21, 32, 34, 48, 55, 64, 89, 100, MAX_ORDER)
+        return [(p, edges, (10.0 ** rng.uniform(-3.0, 3.0, len(edges))).tolist())
+                for p in orders for edges in MULTIBAND_EDGE_SETS]
+
+    def test_grid_keeps_the_bits_of_the_mpmath_path(self, monkeypatch):
+        cases = self.grid() + [args for seed in (1, 2, 3) for args in design_grid_items(seed)[1]]
+        for args in cases:
+            got = [c.hex() for c in design_multiband(*args).coeffs]
+            assert got == [c.hex() for c in mpmath_design(monkeypatch, design_multiband, *args).coeffs], args
+
+    def test_benchmark_and_criterion_8_designs_run_no_mpmath(self, monkeypatch, mp_solves, mp_lag_sums):
+        cases = [args for seed in (1, 2, 3) for args in design_grid_items(seed)[1]]
+        cases.append((48, K4_EDGES, criterion_8_weights()))
+        got = [design_multiband(*args).coeffs for args in cases]
+        if _native.library() is not None:
+            assert mp_solves == [] and mp_lag_sums == []
+        monkeypatch.setattr(_native, "library", lambda: None)
+        mp_solves.clear()
+        mp_lag_sums.clear()
+        assert [design_multiband(*args).coeffs for args in cases] == got
+        assert mp_solves == mp_lag_sums == [args[0] for args in cases]
+
+    @pytest.mark.parametrize("p", [1, 16, 48, MAX_ORDER])
+    def test_lags_within_their_bound(self, p):
+        # each double-double lag lies within delta_d of the lag evaluated at
+        # 3p + 40 digits, and the bound is not so loose that it is vacuous
+        rng = np.random.default_rng(p)
+        worst = 0.0
+        for edges in MULTIBAND_EDGE_SETS:
+            for weights in (criterion_8_weights()[: len(edges)], (10.0 ** rng.uniform(-3.0, 3.0, len(edges))).tolist()):
+                with mp.workdps(shaping._design_dps(p)):
+                    weights_mp = [mp.mpf(repr(w)) for w in weights]
+                    r, delta = shaping._multiband_lags_dd(shaping._band_basis(p, edges), weights_mp)
+                with mp.workdps(3 * p + 40):
+                    pi = mp.pi
+                    edges_mp = [mp.mpf(0), *(mp.mpf(repr(e)) for e in edges)]
+                    weights_mp = [mp.mpf(repr(w)) for w in weights]
+                    pairs = list(zip(edges_mp, edges_mp[1:]))
+                    for d in range(p + 1):
+                        if d == 0:
+                            bands = [(hi - lo) / pi for lo, hi in pairs]
+                        else:
+                            bands = [(mp.sin(hi * d) - mp.sin(lo * d)) / (pi * d) for lo, hi in pairs]
+                        exact = mp.fsum(w * b for w, b in zip(weights_mp, bands))
+                        err = float(abs(mp.mpf(r[0, d]) + mp.mpf(r[1, d]) - exact))
+                        assert err <= delta[d], (edges, weights, d)
+                        worst = max(worst, err / delta[d])
+        assert worst > 1e-3
+
+    def test_zero_weight_sums_lags_in_mpmath(self, mp_solves, mp_lag_sums):
+        # a zero weight leaves no floor, so the double-double lags are not made
+        basis = shaping._band_basis.cache_info().currsize
+        design_multiband(24, K4_EDGES, (5.0, 0.0, 1.0))
+        assert mp_solves == mp_lag_sums == [24]
+        assert shaping._band_basis.cache_info().currsize == basis
+
+
 class TestImportTime:
     def test_import_builds_and_fills_nothing(self):
-        # the library, the lag and sine tables and the half-band spectra are
-        # made on first use, so importing mdsigma adds none of them to the
-        # start-up of a process that never designs a filter
+        # the library, the lag and sine tables, the band basis and the
+        # half-band spectra are made on first use, so importing mdsigma adds
+        # none of them to the start-up of a process that never designs a
+        # filter
         code = (
             "import mdsigma; from mdsigma import _native, shaping; "
             "print(*(f.cache_info().currsize for f in (_native.library, shaping._band_sines,"
-            " shaping._half_band_lags, shaping._half_band_range)))"
+            " shaping._band_basis, shaping._half_band_lags, shaping._half_band_range)))"
         )
         path = [os.path.dirname(os.path.dirname(shaping.__file__)), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["0", "0", "0", "0"]
+        assert run.stdout.split() == ["0", "0", "0", "0", "0"]
