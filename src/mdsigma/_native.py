@@ -54,13 +54,32 @@ _log = logging.getLogger(__name__)
 # The loop kernel is one statement per operation of codec's generated
 # kernel, in the same order: terms j = m..2, where m = min(k, p), go to the
 # partial sum t[(j - 2) % 4], oldest first; the switch peels the oldest ones
-# until the rest come in whole groups of four.  It reads the history straight
-# from e, so the first k < p sums simply have fewer terms: with each partial
-# sum starting from 0.0, the generated kernel's zero history adds nothing to
-# them either.  Rounding needs no floor and no branch on the data: the
-# truncation (int64_t)y, less one where it lies above y, is floor(y), and the
-# comparison adds the half-up step.  Both casts are exact because
-# delta_sigma_loop admits no block whose index could reach 2^52.
+# until the rest come in whole groups of four.  A group runs as two 2-lane
+# vectors (GCC/Clang vector extensions, SSE2 on x86-64), (t3, t2) and (t1,
+# t0), over a copy of the tail reversed once per call, so that a group's
+# four coefficients ascend in memory as its four errors do.  Each lane
+# performs the scalar kernel's multiply and add in the same order, and the
+# lanes are added as ((t0 + t1) + (t2 + t3)), so no bit moves.  The history
+# is read straight from e, so the first k < p sums simply have fewer terms:
+# with each partial sum starting from 0.0, the generated kernel's zero
+# history adds nothing to them either.  The newest error, the one term that
+# waits on the step before, is kept in a register rather than read back.
+#
+# Rounding is done in floating point, with no conversion to an integer on
+# the error's path.  Let ay = |y| < 2^52.  Then ay + 2^52 lies in [2^52,
+# 2^53], where the doubles are the integers, so it rounds ay to the nearest
+# integer, ties to even (2^52 is even), and taking 2^52 off again is exact;
+# rounding to nearest-even is odd-symmetric, so r = copysign(that, y) is y
+# rounded to nearest-even.  y - r is exact: it is y where r = 0, and
+# otherwise y and r share a sign and |r|/2 <= |y| <= 2|r| (Sterbenz).
+# Rounding half up differs from nearest-even only at a tie that went down,
+# y - r = +1/2, so qf = r + [y - r == 1/2] is floor(y) + [y - floor(y) >=
+# 1/2]; adding 0.0 turns r = -0.0 into +0.0, the value of the generated
+# kernel's integer 0.  From 2^52 on every double is an integer and r = y;
+# the guard is needed, since the shift would take 2^52 + 1 to 2^52.  So qf
+# is exact at every finite y, and the index (int64_t)qf, stored off the
+# error's path, wherever |qf| < 2^63; delta_sigma_loop admits no block
+# whose index could reach 2^52.
 SOURCE = r"""
 #include <float.h>
 #include <stdint.h>
@@ -69,14 +88,27 @@ SOURCE = r"""
 #error "double expressions must be evaluated in double precision"
 #endif
 
+typedef double v2d __attribute__((vector_size(16)));
+
+static v2d load2(const double *x)
+{
+    v2d v;
+    __builtin_memcpy(&v, x, sizeof v);
+    return v;
+}
+
 void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
               int64_t p, double step, int64_t *q, double *e, double *fb)
 {
+    double cr[p + 1]; /* cr[p - j] = c[j - 1]: term j's coefficient */
+    for (int64_t i = 0; i < p; i++)
+        cr[i] = c[p - 1 - i];
+    double prev = 0.0; /* e[k - 1] */
     for (int64_t k = 0; k < n; k++) {
         /* term j is c[j - 1] * h[-j], c_j e_{k-j} */
         const double *h = e + k;
         int64_t j = k < p ? k : p;
-        double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+        double t0 = 0.0, t1 = 0.0, t2 = 0.0;
         if (j >= 2) {
             switch ((j - 2) & 3) {
             case 2:
@@ -92,22 +124,25 @@ void dsq_loop(const double *a, const double *z, int64_t n, const double *c,
                 j--;
             }
         }
+        /* lanes (t3, t2) take terms j, j - 1 and lanes (t1, t0) terms
+           j - 2, j - 3: coefficients and errors both ascend in memory */
+        v2d t32 = {0.0, t2}, t10 = {t1, t0};
         for (; j >= 5; j -= 4) {
-            t3 += c[j - 1] * h[-j];
-            t2 += c[j - 2] * h[1 - j];
-            t1 += c[j - 3] * h[2 - j];
-            t0 += c[j - 4] * h[3 - j];
+            const double *cj = cr + (p - j), *hj = h - j;
+            t32 += load2(cj) * load2(hj);
+            t10 += load2(cj + 2) * load2(hj + 2);
         }
-        double acc = (t0 + t1) + (t2 + t3);
+        double acc = (t10[1] + t10[0]) + (t32[1] + t32[0]);
         if (j == 1) /* m >= 1: the newest term, last */
-            acc += c[0] * h[-1];
+            acc += c[0] * prev;
         double s = a[k] + acc;
         double y = (s + z[k]) / step;
-        int64_t qi = (int64_t)y;
-        qi -= (double)qi > y;
-        qi += (y - (double)qi) >= 0.5;
-        q[k] = qi;
-        e[k] = step * (double)qi - z[k] - s;
+        double ay = __builtin_fabs(y);
+        double r = ay < 0x1p52 ? __builtin_copysign((ay + 0x1p52) - 0x1p52, y) : y;
+        double qf = r + (y - r == 0.5 ? 1.0 : 0.0);
+        q[k] = (int64_t)qf;
+        prev = step * qf - z[k] - s;
+        e[k] = prev;
         fb[k] = acc;
     }
 }
@@ -262,9 +297,12 @@ int64_t stepdown_dd(const double *c, int64_t p, double u_mp, double *out)
 }
 """
 
-# No -ffast-math, -Ofast or -march=native: reassociated sums or fused
-# multiply-adds would change the bits, and double-double arithmetic needs
-# every rounding where the source puts it.
+# No -ffast-math or -Ofast: reassociated sums or fused multiply-adds would
+# change the bits, and double-double arithmetic needs every rounding where
+# the source puts it.  -ffp-contract=off keeps products unfused even where
+# the target has FMA, so neither the -O level nor -march moves a bit (a
+# test builds at -O0 and at -O3 -march=native); -march=native stays out
+# because the cache name does not key on the CPU.
 CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CC_TIMEOUT_S = 120
 

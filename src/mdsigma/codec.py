@@ -39,22 +39,32 @@ part of the library that ``_native`` compiles on first use with the
 system's C compiler and caches on disk, which also holds the kernels of
 ``shaping``'s designs.  Both kernels are called as kernel(a, z, n, c_tail,
 p, step, q, e, fb) and fill the arrays q, e and fb that ``_dsq_loop``
-allocates, with the same float64 operations in the same order (the C
-one is built without contraction into fused multiply-adds), so they give
-the same bits; a test holds them to that.  The feedback sum fb_k = c_1 e_{k-1} + ... + c_p e_{k-p} is
-added in one fixed order: the terms j = 2..p go into four partial sums
-by (j - 2) mod 4, each started from 0.0 and added oldest first, and
-fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only the newest term
-waits on the error just computed.  The noise model treats the sum as exact;
-the order only fixes the bits.  ``loop_backend`` names the kernel that
-runs.  The loop is also the library's only dithered quantizer (an
-order-0 filter gives plain dithered quantization): with y = (s + z)/step
-it rounds half up, index = floor(y) + [y - floor(y) >= 1/2].  y -
-floor(y) is exact wherever it lies below 1/2, so, unlike floor(y + 1/2),
-the rule never picks the far cell, and every error lies in (-step/2,
-step/2].  The C kernel finds floor(y) without libm and without a branch
-on the data, as the truncation of y less [trunc(y) > y], which is exact
-for |y| < 2^52.
+allocates.  They add the feedback with the same float64 operations in the
+same order (the C one runs its partial sums as two 2-lane vectors, each
+lane doing the scalar multiply and add, and is built without contraction
+into fused multiply-adds), and both round exactly, so they give the same
+bits; a test holds them to that.  The feedback sum fb_k = c_1 e_{k-1} +
+... + c_p e_{k-p} is added in one fixed order: the terms j = 2..p go into
+four partial sums by (j - 2) mod 4, each started from 0.0 and added
+oldest first, and fb_k = ((t0 + t1) + (t2 + t3)) + c_1 e_{k-1}, so only
+the newest term waits on the error just computed.  The noise model treats
+the sum as exact; the order only fixes the bits.  ``loop_backend`` names
+the kernel that runs.  The loop is also the library's only dithered
+quantizer (an order-0 filter gives plain dithered quantization): with y =
+(s + z)/step it rounds half up, index = floor(y) + [y - floor(y) >= 1/2].
+y - floor(y) is exact wherever it lies below 1/2, so, unlike floor(y +
+1/2), the rule never picks the far cell, and every error lies in
+(-step/2, step/2].  The generated kernel takes ``math.floor``.  The C
+kernel rounds in floating point, without libm and with no conversion to
+an integer on the error's path.  Where ay = |y| < 2^52, ay + 2^52 lies in
+[2^52, 2^53], where the doubles are the integers, so (ay + 2^52) - 2^52 is
+ay rounded to the nearest integer, ties to even, exactly, and r, that
+value with the sign of y, is y rounded to nearest-even.  y - r is exact
+(Sterbenz, where r != 0).  The two rules differ only at a tie that went
+down, so the index is r + [y - r == 1/2], the + 0.0 of a non-tie turning
+r = -0.0 into +0.0.  From 2^52 on every double is an integer and r = y;
+without that guard the shift would round 2^52 + 1 to 2^52.  The index is
+stored as the truncation of that exact integer, off the error's path.
 """
 
 from __future__ import annotations

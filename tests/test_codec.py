@@ -187,7 +187,17 @@ def assert_same_bits(got, want, case):
 @st.composite
 def loop_blocks(draw):
     """(a, c_tail, z, step) that delta_sigma_loop admits: orders up to
-    MAX_ORDER, signed zeros, and samples up to the 2^52 index bound."""
+    MAX_ORDER, signed zeros, and samples up to the 2^52 index bound; or
+    rounding ties: with p = 0, step 1.0 and z = 0, y = a, here multiples of
+    1/2 (most of them odd ones) in every binade up to the bound."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        binade = rng.integers(0, 53, n)  # 2^b <= 2|a| < 2^(b+1)
+        halves = (1 << binade) + rng.integers(0, 1 << binade)
+        halves |= rng.random(n) < 0.75
+        a = np.where(rng.random(n) < 0.5, -1.0, 1.0) * halves / 2.0
+        return a, np.zeros(0), np.zeros(n), 1.0
     p = draw(st.integers(0, MAX_ORDER))
     n = draw(st.integers(0, p + 40))
     step = draw(st.sampled_from([1.0, 0.37, 22.0]))
@@ -406,13 +416,17 @@ class TestLoop:
     @given(block=loop_blocks())
     @example(block=(np.array([0.0]), np.zeros(0), np.array([10.999999999999998]), 22.0))
     @example(block=(np.array([0.5, -0.5, 1.5, -0.0]), np.array([-0.0]), np.zeros(4), 1.0))
-    # the C kernel's branch-free rounding at its edges: y = -0.5 and -1.5,
-    # y = -0.0 (a tiny negative sum underflows), one ulp below k + 1/2 for
-    # k = 2 and k = -3, and |y| just under 2^52
+    # the C kernel's rounding at its edges: y = -0.5 and -1.5, y = -0.0 (a
+    # tiny negative sum underflows), one ulp below k + 1/2 for k = 2 and
+    # k = -3, and |y| just under 2^52
     @example(block=(np.array([-0.5, -1.5]), np.zeros(0), np.zeros(2), 1.0))
     @example(block=(np.array([-5e-324]), np.zeros(0), np.array([0.0]), 22.0))
     @example(block=(np.array([np.nextafter(2.5, 0.0), np.nextafter(-2.5, -3.0)]), np.zeros(0), np.zeros(2), 1.0))
     @example(block=(np.array([2.0**52 - 0.5, -(2.0**52 - 0.5)]), np.zeros(0), np.zeros(2), 1.0))
+    # ties in the top two binades below the 2^52 bound
+    @example(block=(np.array([2.0**51 + 0.5]), np.zeros(0), np.zeros(1), 1.0))
+    @example(block=(np.array([-(2.0**51 + 0.5)]), np.zeros(0), np.zeros(1), 1.0))
+    @example(block=(np.array([3 * 2.0**50 + 1.5]), np.zeros(0), np.zeros(1), 1.0))
     @settings(max_examples=300, deadline=None)
     def test_backends_agree_bitwise(self, block):
         a, c_tail, z, step = block
@@ -423,6 +437,17 @@ class TestLoop:
         assert_same_bits((res.indices, res.quant_error, res.feedback), want, "delta_sigma_loop")
         for backend, kernel in kernels.items():
             assert_same_bits(run_kernel(kernel, a, c_tail, z, step), want, backend)
+
+    def test_kernels_stay_exact_a_few_ulps_past_the_admitted_range(self):
+        # delta_sigma_loop forms its 2^52 bound in floats, so a kernel may
+        # meet y a few ulps past 2^52, where every double is an integer;
+        # the C kernel's shift by 2^52 would round 2^52 + 1 to 2^52
+        a = np.array([2.0**52, 2.0**52 + 1, -(2.0**52 + 1), 2.0**53 + 2])
+        c_tail, z = np.zeros(0), np.zeros(4)
+        want = _dsq_loop_py(a, c_tail, z, 1.0)
+        assert want[0].tolist() == [2**52, 2**52 + 1, -(2**52 + 1), 2**53 + 2]
+        for backend, kernel in loop_kernels().items():
+            assert_same_bits(run_kernel(kernel, a, c_tail, z, 1.0), want, backend)
 
     def test_each_kernel_fills_every_slot_of_the_arrays_dsq_loop_returns(self, monkeypatch):
         # _dsq_loop allocates q, e and fb, the kernel overwrites every slot
@@ -575,18 +600,42 @@ class TestLoopBackend:
         assert codec.loop_backend() == backend
 
 
-def test_native_source_compiles_without_a_warning(tmp_path):
-    # the library's own flags plus -Wall -Wextra -Werror: a static helper
-    # that no kernel calls any more fails here, not only in CI
+def build_without_a_warning(tmp_path, *flags):
+    """Path of the source built with the library's own flags, then
+    ``flags``, under -Wall -Wextra -Werror; None, with the library checked
+    absent, where no compiler is found."""
     cc = _native._compiler()
     if cc is None:
         assert _native.library() is None
-        return
+        return None
     src, lib = tmp_path / "native.c", tmp_path / "native.so"
     src.write_text(_native.SOURCE, encoding="utf-8")
-    argv = [*cc, *_native.CC_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(lib), str(src)]
+    argv = [*cc, *_native.CC_FLAGS, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(lib), str(src)]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return str(lib)
+
+
+def test_native_source_compiles_without_a_warning(tmp_path):
+    # a static helper that no kernel calls any more fails here, not only in CI
+    build_without_a_warning(tmp_path)
+
+
+@pytest.mark.parametrize("opt", [("-O0",), ("-O3", "-march=native")], ids=["O0", "O3-native"])
+def test_loop_bits_do_not_depend_on_the_optimizer(tmp_path, opt):
+    # the source fixes every rounding, so neither the optimization level nor
+    # the vector unit of the build machine moves a bit
+    lib = build_without_a_warning(tmp_path, *opt)
+    if lib is None:
+        return
+    kernel = _native._bind(lib).dsq_loop
+    rng = np.random.default_rng(2024)
+    for p in (0, 1, 5, 48, 128):
+        ct = rng.uniform(-1.0, 1.0, p)
+        for n in sorted({0, 1, max(p - 1, 0), p, p + 1, 4099}):
+            a, z = 10.0 * rng.standard_normal(n), rng.uniform(-0.185, 0.185, n)
+            want = _dsq_loop_py(a, ct, z, 0.37)
+            assert_same_bits(run_kernel(kernel, a, ct, z, 0.37), want, (opt, p, n))
 
 
 # ---------------------------------------------------------------------------
