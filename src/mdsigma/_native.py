@@ -1,16 +1,17 @@
 """The library's compiled code: one C source, built on first use and cached.
 
-The source holds three kernels: the feedback loop that ``codec`` runs, the
-double-double residual that ``shaping`` corrects its float64 designs
-against and proves their rounding with, and the double-double step-down
-with a running error bound that ``shaping`` decides minimum phase with.  It
-is compiled with the system's C compiler (``$CC``, default ``cc``) into one
-shared library, cached on disk under a name hashed from the source, the
-flags and the compiler's identity, and loaded with ctypes.  ``library()``
-returns it, each function bound with its argument types, or None, logged
-once with the reason, where no compiler is found or the build or load
-fails; then the loop runs on the generated Python kernel and the designs
-and the step-down in mpmath, with the same bits.
+The source holds four kernels: the feedback loop that ``codec`` runs, and
+three in double-double for ``shaping``: the multiband lags it designs from,
+the residual it corrects its float64 designs against and proves their
+rounding with, and the step-down with a running error bound that it
+decides minimum phase with; the package writes double-double arithmetic
+here alone.  It is compiled with the system's C compiler (``$CC``, default
+``cc``) into one shared library, cached on disk under a name hashed from
+the source, the flags and the compiler's identity, and loaded with
+ctypes.  ``library()`` returns it, each function bound with its argument
+types, or None, logged once with the reason, where no compiler is found or
+the build or load fails; then the loop runs on the generated Python kernel
+and the designs and the step-down in mpmath, with the same bits.
 
 Every function performs its float64 operations in the order the source
 states them: the flags forbid contraction into fused multiply-adds, and the
@@ -20,15 +21,21 @@ of one, so a call passes few arrays for ctypes to check.
 
 - ``dsq_loop``: the noise-feedback recursion (``codec``'s module docstring
   gives its operation order).
-- ``toeplitz_residual_dd``: rho_i = sum_j r_|i-j| a_j, rows i = 1..p, in
-  double-double (a value is an unevaluated sum hi + lo of two doubles),
-  and s_i = sum_j |r_|i-j|| |a_j| in double, from which the rounding bound
-  of rho_i follows.  Products use Dekker's exact product
+- ``toeplitz_residual_dd``: first the iterate's update a_j <- a_j -
+  step_{j-1}, j = 1..p, in place, the high part by an exact ``two_sum``
+  whose error goes into the low part; then rho_i = sum_j r_|i-j| a_j, rows
+  i = 1..p, in double-double (a value is an unevaluated sum hi + lo of two
+  doubles), and s_i = sum_j |r_|i-j|| |a_j| in double, from which the
+  rounding bound of rho_i follows.  Products use Dekker's exact product
   (Veltkamp's split) and sums the accurate double-word addition; with
   u = 2^-53 their relative errors are below 7u^2 (DWTimesDW1) and 3u^2
   (AccurateDWPlusDW) where nothing underflows (Joldes, Muller & Popescu,
   "Tight and rigorous error bounds for basic building blocks of
   double-word arithmetic", ACM TOMS 44(2), 2017).
+- ``multiband_lags_dd``: the lags r_d = sum_b w_b B_bd of n bands from the
+  band basis B, with the same products and sums, added from band 0's
+  product on, and m_d = sum_b |w_b| |B_bd| in double, from which
+  ``shaping._multiband_lags_dd`` bounds each lag's error.
 - ``stepdown_dd``: the Schur-Cohn step-down k_i = a_i/a_0, a_j <- a_j -
   k_i a_{i-j} in double-double, with the same products and sums and a
   division whose error below 13u^2 the source derives, and a float64 bound
@@ -84,7 +91,10 @@ SOURCE = r"""
 #include <float.h>
 #include <stdint.h>
 
-#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+/* 16 (ISO/IEC TS 18661-3) widens only _Float16: GCC sets it where the
+   target has half-precision arithmetic, as -march=native does on an
+   AVX512-FP16 CPU, and evaluates double as double there too */
+#if !defined(FLT_EVAL_METHOD) || (FLT_EVAL_METHOD != 0 && FLT_EVAL_METHOD != 16)
 #error "double expressions must be evaluated in double precision"
 #endif
 
@@ -215,14 +225,22 @@ static dd_t dd_div(dd_t x, dd_t y)
     return fast_two_sum(q1, r / y.hi);
 }
 
-/* Rows 1..p of the symmetric Toeplitz matrix of the lags r_0..r_p (row 0
-   of r the high parts, row 1 the low parts) times a_0..a_p (rows as in
-   r): rho_{i-1} = sum_j r_|i-j| a_j in double-double, added in the order
-   j = 0..p, goes to out[0][i-1] (high) and out[1][i-1] (low), and
+/* The iterate's update, a_j <- a_j - step_{j-1} for j = 1..p in place (row
+   0 of a the high parts, row 1 the low parts): two_sum gives the new high
+   part, and its error is added to the low part.  Then rows 1..p of the
+   symmetric Toeplitz matrix of the lags r_0..r_p (rows as in a) times
+   a_0..a_p: rho_{i-1} = sum_j r_|i-j| a_j in double-double, added in the
+   order j = 0..p, goes to out[0][i-1] (high) and out[1][i-1] (low), and
    s_{i-1} = sum_j |r_|i-j|| |a_j| over the high parts to out[2][i-1]. */
-void toeplitz_residual_dd(const double *r, const double *a, int64_t p, double *out)
+void toeplitz_residual_dd(const double *r, double *a, const double *step, int64_t p, double *out)
 {
-    const double *r_lo = r + p + 1, *a_lo = a + p + 1;
+    const double *r_lo = r + p + 1;
+    double *a_lo = a + p + 1;
+    for (int64_t j = 1; j <= p; j++) {
+        dd_t v = two_sum(a[j], -step[j - 1]);
+        a[j] = v.hi;
+        a_lo[j] += v.lo;
+    }
     for (int64_t i = 1; i <= p; i++) {
         dd_t s = {0.0, 0.0};
         double m = 0.0;
@@ -237,6 +255,29 @@ void toeplitz_residual_dd(const double *r, const double *a, int64_t p, double *o
         out[i - 1] = s.hi;
         out[p + i - 1] = s.lo;
         out[2 * p + i - 1] = m;
+    }
+}
+
+/* The lags r_d = sum_b w_b B_bd, d = 0..p, of n bands: w the weights (row
+   0 the high parts, row 1 the low parts) and B the band basis, an array
+   (2, n, p + 1) of high and low parts.  The products dd_mul(w_b, B_bd) are
+   summed by dd_add from band 0's product on, to out[0][d] (high) and
+   out[1][d] (low), and m_d = sum_b |w_b| |B_bd| over the high parts to
+   out[2][d] (shaping._multiband_lags_dd bounds the lags' error by it). */
+void multiband_lags_dd(const double *w, const double *basis, int64_t n, int64_t p, double *out)
+{
+    const double *w_lo = w + n, *b_lo = basis + n * (p + 1);
+    for (int64_t d = 0; d <= p; d++) {
+        dd_t s = {0.0, 0.0};
+        double m = 0.0;
+        for (int64_t b = 0, k = d; b < n; b++, k += p + 1) {
+            dd_t wb = {w[b], w_lo[b]}, bd = {basis[k], b_lo[k]}, t = dd_mul(wb, bd);
+            s = b == 0 ? t : dd_add(s, t);
+            m += mag(wb.hi) * mag(bd.hi);
+        }
+        out[d] = s.hi;
+        out[p + 1 + d] = s.lo;
+        out[2 * (p + 1) + d] = m;
     }
 }
 
@@ -380,8 +421,11 @@ def _bind(path: str):
     signatures = {
         # (a, z, n, c_tail, p, step, q, e, fb)
         "dsq_loop": ([f64, f64, n, f64, n, ctypes.c_double, i64, f64, f64], None),
-        # (r, a, p, out): (2, p+1) lags and iterate, (3, p) output
-        "toeplitz_residual_dd": ([f64_2d, f64_2d, n, f64_2d], None),
+        # (r, a, step, p, out): (2, p+1) lags and iterate, updated in place
+        # by the (p,) step, and (3, p) output
+        "toeplitz_residual_dd": ([f64_2d, f64_2d, f64, n, f64_2d], None),
+        # (w, basis, n, p, out): (2, n) weights, (2, n, p+1) basis, (3, p+1) output
+        "multiband_lags_dd": ([f64_2d, f64, n, n, f64_2d], None),
         # (c, p, u_mp, out): (3, p) output, returns the number of steps or -1
         "stepdown_dd": ([f64, n, ctypes.c_double, f64_2d], n),
     }

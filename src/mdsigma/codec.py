@@ -55,16 +55,9 @@ quantizer (an order-0 filter gives plain dithered quantization): with y =
 y - floor(y) is exact wherever it lies below 1/2, so, unlike floor(y +
 1/2), the rule never picks the far cell, and every error lies in
 (-step/2, step/2].  The generated kernel takes ``math.floor``.  The C
-kernel rounds in floating point, without libm and with no conversion to
-an integer on the error's path.  Where ay = |y| < 2^52, ay + 2^52 lies in
-[2^52, 2^53], where the doubles are the integers, so (ay + 2^52) - 2^52 is
-ay rounded to the nearest integer, ties to even, exactly, and r, that
-value with the sign of y, is y rounded to nearest-even.  y - r is exact
-(Sterbenz, where r != 0).  The two rules differ only at a tie that went
-down, so the index is r + [y - r == 1/2], the + 0.0 of a non-tie turning
-r = -0.0 into +0.0.  From 2^52 on every double is an integer and r = y;
-without that guard the shift would round 2^52 + 1 to 2^52.  The index is
-stored as the truncation of that exact integer, off the error's path.
+kernel rounds in floating point, exactly, without libm and with no
+conversion to an integer on the error's path; the comment above
+``_native.SOURCE`` derives it.
 """
 
 from __future__ import annotations

@@ -51,11 +51,11 @@ lag d is sum_b w_b B_bd, B_bd band b's share per unit weight, a difference
 of sines sin(e d) of the band edges e over pi d.  The basis B depends on
 the order and the edges alone, so it is computed once per (p, edges) in
 mpmath and rounded to double-double, and a sweep of band weights reuses
-it.  Where every weight is positive and the library loads, each design
-sums its lags in double-double from it, with a bound on each lag's error
-that the certificate above takes in (``_multiband_lags_dd``); elsewhere,
-and where the certificate fails, the lags are mpmath sums of the cached
-sines, and the recursion runs on them.
+it.  Where every weight is positive and the library loads, it sums each
+design's lags in double-double from the basis, with a bound on each lag's
+error that the certificate above takes in (``_multiband_lags_dd``);
+elsewhere, and where the certificate fails, the lags are mpmath sums of
+the cached sines, and the recursion runs on them.
 
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
@@ -268,48 +268,6 @@ def _nearest_double(hi: float, lo: float, beta: float):
 _DD_CORRECTIONS = 5
 
 
-def _two_sum(a, b):
-    """(s, e), elementwise: s = fl(a + b) and s + e = a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    """(s, e), elementwise: s = fl(a + b) and s + e = a + b exactly where
-    |a| >= |b| or a == 0."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    """(p, e), elementwise: p = fl(a b) and p + e = a b exactly where nothing
-    over- or underflows (Dekker's product with Veltkamp's split at 2^27 + 1)."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(x_hi, x_lo, y_hi, y_lo):
-    """DWTimesDW1, elementwise: relative error below 7u^2 where nothing
-    underflows; the same operations as ``_native``'s dd_mul."""
-    p, e = _two_prod(x_hi, y_hi)
-    return _fast_two_sum(p, e + (x_lo * y_hi + x_hi * y_lo))
-
-
-def _dd_add(x_hi, x_lo, y_hi, y_lo):
-    """AccurateDWPlusDW, elementwise: error below 3u^2/(1 - 4u) of |x + y|
-    where nothing underflows; the same operations as ``_native``'s dd_add."""
-    s_hi, s_lo = _two_sum(x_hi, y_hi)
-    t_hi, t_lo = _two_sum(x_lo, y_lo)
-    v_hi, v_lo = _fast_two_sum(s_hi, s_lo + t_hi)
-    return _fast_two_sum(v_hi, t_lo + v_lo)
-
-
 def _toeplitz_norm(v) -> float:
     """|v_0| + 2 sum_{d >= 1} |v_d|: a bound on the 2-norm of every Toeplitz
     matrix, square or p x (p + 1), whose entries are the v_|i-j|."""
@@ -328,7 +286,8 @@ def _dd_solutions(r, floor: float, level_sum: float, lag_err: float):
     The first iterate is the float64 solve a_tail = -T^-1 (r_1..r_p), T
     the float64 Toeplitz matrix of r_hi[0..p-1].  Each of up to
     ``_DD_CORRECTIONS`` more is a_tail - T^-1 rho^, rho^ the previous
-    iterate's residual, the sum kept as a double-double (``_two_sum``).
+    iterate's residual, the sum kept as a double-double (``_native``'s
+    ``toeplitz_residual_dd`` makes it with ``two_sum``, then the residual).
     No step needs to be accurate, since beta reads the residual alone;
     that the corrections converge is classical iterative refinement
     (Moler, "Iterative refinement in floating point", J. ACM 14(2), 1967).
@@ -389,14 +348,16 @@ def _dd_solutions(r, floor: float, level_sum: float, lag_err: float):
             step = np.linalg.solve(t, res)
         except np.linalg.LinAlgError:
             return
-        a_hi, e = _two_sum(a[0], np.concatenate(([0.0], -step)))
-        a = np.array([a_hi, a[1] + e])
+        # the kernel updates a in place, and each yield keeps its own iterate
+        a = a.copy()
+        lib.toeplitz_residual_dd(r, a, step, p, out)
+        a_hi = a[0]
         # |x| <= ||r||_1 / floor <= 2^200 for the exact solution; an iterate
         # that left that range (or holds a NaN, which max passes on) failed,
-        # and beyond it the bound's sums could overflow
+        # its residual is not read, and beyond it the bound's sums could
+        # overflow
         if not np.abs(a_hi).max() <= hi_scale**2:
             return
-        lib.toeplitz_residual_dd(r, a, p, out)
         res_hi, res_lo, abs_sum = out
         res = res_hi + res_lo
         a_norm = math.sqrt(float(a_hi @ a_hi))
@@ -485,23 +446,25 @@ def _band_basis(p: int, edges: tuple):
 
 def _multiband_lags_dd(basis, weights_mp):
     """(r, delta): the lags r_d = sum_b w_b B_bd, d = 0..p, summed in
-    double-double from the band basis (``_band_basis``) and the mpf weights
-    rounded once to double-double, as the rows hi and lo of one array, and
-    delta_d, a bound on each lag's distance from the exact sum of the mpf
-    weights times the mpf basis.
+    double-double by ``_native``'s ``multiband_lags_dd`` (the caller has
+    loaded the library) from the band basis (``_band_basis``) and the mpf
+    weights rounded once to double-double, as the rows hi and lo of one
+    array, and delta_d, a bound on each lag's distance from the exact sum
+    of the mpf weights times the mpf basis.
 
     Derivation, with u = 2^-53, n bands, t_b = w_b B_bd exact and m_d =
     sum_b |t_b|, where nothing underflows:
     - the two roundings to double-double err by under u^2 |w_b| and
-      u^2 |B_bd|, and DWTimesDW1 (``_dd_mul``) by under 7u^2 of the product
-      of the rounded factors, so each product p_b errs by under 9.01u^2
-      |t_b|;
-    - each of the n - 1 AccurateDWPlusDW sums (``_dd_add``) errs by under
-      3u^2/(1 - 4u) of the magnitude of its exact result, taken as under
-      that times the sum of its operands' magnitudes, since the band terms
-      can cancel; the running sum's magnitude stays below (1 + 2^-80) m_d,
-      so the sums err by under 3 (1 + 2^-49) (n - 1) u^2 m_d together, and
-      the lag by under (3n + 6.02) u^2 m_d;
+      u^2 |B_bd|, and DWTimesDW1 (``_native``'s ``dd_mul``) by under 7u^2
+      of the product of the rounded factors, so each product p_b errs by
+      under 9.01u^2 |t_b|;
+    - each of the n - 1 AccurateDWPlusDW sums (``_native``'s ``dd_add``,
+      from band 0's product on) errs by under 3u^2/(1 - 4u) of the
+      magnitude of its exact result, taken as under that times the sum of
+      its operands' magnitudes, since the band terms can cancel; the
+      running sum's magnitude stays below (1 + 2^-80) m_d, so the sums err
+      by under 3 (1 + 2^-49) (n - 1) u^2 m_d together, and the lag by
+      under (3n + 6.02) u^2 m_d;
     - m_d is evaluated in float64 from the high parts, within (n + 4) u of
       the exact m_d relative, which the last 0.98 u^2 m_d covers,
     so |r_d - sum_b t_b| < (3n + 7) u^2 m_d, for every n below 2^20.
@@ -511,16 +474,11 @@ def _multiband_lags_dd(basis, weights_mp):
     for roundings that underflow.  Every product and split stays finite
     where the weights sum to at most 2^100 (``_DD_SCALE``), since |B_bd| <= 1.
     """
-    n = basis.shape[1]
-    w_hi, w_lo = _to_dd(weights_mp)[:, :, None]
-    b_hi, b_lo = basis
-    t_hi, t_lo = _dd_mul(w_hi, w_lo, b_hi, b_lo)
-    r_hi, r_lo = t_hi[0], t_lo[0]
-    for b in range(1, n):
-        r_hi, r_lo = _dd_add(r_hi, r_lo, t_hi[b], t_lo[b])
-    m = (np.abs(w_hi) * np.abs(b_hi)).sum(axis=0)
-    delta = (3 * n + 7) * _U**2 * m + (2 * n + 2) * _DD_TINY
-    return np.array([r_hi, r_lo]), delta
+    _, n, lags = basis.shape
+    out = np.empty((3, lags))
+    _native.library().multiband_lags_dd(_to_dd(weights_mp), basis, n, lags - 1, out)
+    delta = (3 * n + 7) * _U**2 * out[2] + (2 * n + 2) * _DD_TINY
+    return out[:2], delta
 
 
 def _multiband_lags_mp(p: int, edges: tuple, weights: Sequence[float]) -> list:

@@ -4,12 +4,13 @@ The files are the criterion-3 CSV that the acceptance run writes,
 ``SimResult.to_csv()`` of the criterion-8 run and of both criterion-9
 runs, and the CSVs of the ``mdsigma sweep`` commands in ``SWEEPS``.  Each
 starts with ``#`` lines naming the platform that wrote it: the numpy
-version, the machine and its C library, the CPU features numpy reports,
-and the loop backend.  Where the first three match this process, an
-output must equal its file byte for byte.  Elsewhere the bits of numpy's
-FFTs and of the transcendental functions may differ, so each numeric cell
-must agree to 1e-12 relative.  The loop backend is named but does not
-decide the comparison: both kernels must give the same bits.
+version, the machine and its C library, a hash of the float64 primitives
+the outputs go through (``numeric_probe``), and the loop backend.  Where
+the first three match this process, an output must equal its file byte
+for byte.  Elsewhere the bits of numpy's FFTs and of the transcendental
+functions may differ, so each numeric cell must agree to 1e-12 relative.
+The loop backend is named but does not decide the comparison: both
+kernels must give the same bits.
 
 Regenerate every file, after a change that moves the arithmetic, with
 
@@ -17,6 +18,8 @@ Regenerate every file, after a change that moves the arithmetic, with
 """
 
 import csv
+import functools
+import hashlib
 import io
 import platform
 import sys
@@ -37,12 +40,40 @@ SWEEPS = {
 }
 
 
-def _cpu_features() -> str:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    return " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+@functools.lru_cache(maxsize=None)
+def numeric_probe() -> str:
+    """sha256 of the numpy primitives whose bits may differ between hosts
+    and that the outputs go through, on fixed inputs: the Philox draws of
+    the sources and the dither, exp of real and complex arguments, sin,
+    cos, log and log2, rfft and irfft, the sums, means and variances of
+    the statistics, and np.unique.  numpy picks the SIMD code of several
+    of them by the CPU, so the probe follows the CPU where it moves a bit
+    and ignores the features that move none.  A primitive missed here can
+    only make the byte comparison fail on a host whose probe matches,
+    never let a changed bit pass."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
+    x = rng.standard_normal(4096)
+    ax = np.abs(x)
+    spec = np.fft.rfft(x)
+    parts = [
+        x,
+        rng.laplace(0.0, 0.5, 4096),
+        rng.uniform(-0.5, 0.5, 4096),
+        np.exp(x),
+        np.exp(50j * x),
+        np.sin(50.0 * x),
+        np.cos(50.0 * x),
+        np.log(ax),
+        np.log2(ax),
+        spec,
+        np.fft.irfft(spec, 4096),
+        np.array([x.sum(), x.mean(), x.var(), x.std(ddof=1), (x * x).mean()]),
+        *np.unique(np.rint(8.0 * x).astype(np.int64), return_counts=True),
+    ]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.tobytes())
+    return digest.hexdigest()
 
 
 def platform_lines() -> list:
@@ -51,7 +82,7 @@ def platform_lines() -> list:
     return [
         f"# numpy: {np.__version__}\n",
         f"# machine: {platform.system()} {platform.machine()}, {libc}\n",
-        f"# cpu-features: {_cpu_features()}\n",
+        f"# numeric-probe: {numeric_probe()}\n",
     ]
 
 

@@ -8,11 +8,15 @@ files under ``tests/golden/`` (see ``golden_outputs``).
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import mdsigma
 from mdsigma.codec import delta_sigma_loop
 from mdsigma.ecdq import QuantizerSpec
 from mdsigma.harness import ExperimentConfig, run
@@ -414,3 +418,24 @@ def test_golden_check_off_platform_compares_cells_to_1e_12(monkeypatch):
     golden_outputs.check(name, with_bound(math.nextafter(bound, math.inf)))
     with pytest.raises(AssertionError, match="line 2 column 10"):
         golden_outputs.check(name, with_bound(bound * (1.0 + 1e-11)))
+
+
+def test_numeric_probe_sees_the_vector_code_numpy_picks():
+    # numpy's float64 exp and log have AVX-512 loops only: with them
+    # switched off they give other bits, so the probe differs and the
+    # golden files are compared cell by cell.  Where numpy reports no
+    # X86_V4 (an AVX2-only CPU, or numpy before the X86_V* names) there is
+    # nothing that moves a bit to switch off
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V4"):
+        return
+    path = [os.path.dirname(golden_outputs.__file__), os.path.dirname(os.path.dirname(mdsigma.__file__))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}
+    code = "import golden_outputs; print(golden_outputs.numeric_probe())"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.strip()) == 64
+    assert run.stdout.strip() != golden_outputs.numeric_probe()

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
-from mdsigma import _native, codec
+from mdsigma import _native, codec, shaping
 from mdsigma.codec import (
     CodecConfig,
     DescriptionPacket,
@@ -621,14 +621,49 @@ def test_native_source_compiles_without_a_warning(tmp_path):
     build_without_a_warning(tmp_path)
 
 
+def double_double_outputs(lib):
+    """Every output of the double-double kernels of ``lib`` on a small
+    seeded grid: the multiband lags, the updated iterate with its residual,
+    and the step-down's report."""
+    rng = np.random.default_rng(38)
+    outputs = []
+    for p in (1, 5, 16, 48, MAX_ORDER):
+        for edges in ((np.pi / 4, 3 * np.pi / 4, np.pi), (np.pi / 3, 0.9 * np.pi)):
+            n = len(edges)
+            w_hi = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            w = np.array([w_hi, w_hi * rng.uniform(-(2.0**-54), 2.0**-54, n)])
+            out = np.empty((3, p + 1))
+            lib.multiband_lags_dd(w, shaping._band_basis(p, edges), n, p, out)
+            outputs.append(out)
+        # the half-band lags, an iterate and a nonzero step
+        r = shaping._half_band_lags(p)[1]
+        a_hi = np.concatenate(([1.0], rng.standard_normal(p)))
+        a = np.array([a_hi, np.concatenate(([0.0], a_hi[1:] * rng.uniform(-(2.0**-54), 2.0**-54, p)))])
+        out = np.empty((3, p))
+        lib.toeplitz_residual_dd(r, a, 1e-3 * rng.standard_normal(p), p, out)
+        outputs += [a, out]
+        # zeros well inside the unit circle, so every step runs
+        c = np.concatenate(([1.0], rng.uniform(-1.0, 1.0, p) * 0.5 ** np.arange(1, p + 1)))
+        out = np.zeros((3, p))
+        steps = lib.stepdown_dd(c, p, 2.0**-200, out)
+        assert steps == p
+        outputs.append(out)
+    return outputs
+
+
 @pytest.mark.parametrize("opt", [("-O0",), ("-O3", "-march=native")], ids=["O0", "O3-native"])
-def test_loop_bits_do_not_depend_on_the_optimizer(tmp_path, opt):
+def test_kernel_bits_do_not_depend_on_the_optimizer(tmp_path, opt):
     # the source fixes every rounding, so neither the optimization level nor
-    # the vector unit of the build machine moves a bit
+    # the vector unit of the build machine moves a bit; double-double
+    # arithmetic needs every rounding where the source puts it, so those
+    # kernels lean on -ffp-contract=off more than the loop does
     lib = build_without_a_warning(tmp_path, *opt)
     if lib is None:
         return
-    kernel = _native._bind(lib).dsq_loop
+    built = _native._bind(lib)
+    for i, (got, want) in enumerate(zip(double_double_outputs(built), double_double_outputs(_native.library()))):
+        assert got.tobytes() == want.tobytes(), (opt, i)
+    kernel = built.dsq_loop
     rng = np.random.default_rng(2024)
     for p in (0, 1, 5, 48, 128):
         ct = rng.uniform(-1.0, 1.0, p)

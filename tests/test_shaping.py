@@ -919,6 +919,13 @@ def random_toeplitz(rng, p, floor, scale=1.0):
     return r
 
 
+def double_double_grid():
+    """(design, args): a p x log-lambda grid and a multiband grid."""
+    cases = [(design_yule_walker, (p, 10.0**k)) for p in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, MAX_ORDER)
+             for k in range(-6, 4)]
+    return cases + [(design_multiband, case) for case in multiband_grid()]
+
+
 class TestDoubleDoubleDesigns:
     # every design with a positive floor is solved in float64 and corrected
     # against a double-double residual, and its float64 rounding is returned
@@ -926,11 +933,8 @@ class TestDoubleDoubleDesigns:
     # the extended-precision design
 
     def test_both_paths_agree_bitwise_on_a_grid(self, monkeypatch, mp_solves):
-        # a p x log-lambda grid and a multiband grid; with the compiled
-        # library none falls back to mpmath
-        cases = [(design_yule_walker, (p, 10.0 ** k)) for p in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, MAX_ORDER)
-                 for k in range(-6, 4)]
-        cases += [(design_multiband, case) for case in multiband_grid()]
+        # with the compiled library none falls back to mpmath
+        cases = double_double_grid()
         fallbacks = 0
         for design, args in cases:
             mp_solves.clear()
@@ -938,6 +942,53 @@ class TestDoubleDoubleDesigns:
             fallbacks += bool(mp_solves)
             assert got == mpmath_design(monkeypatch, design, *args).coeffs, args
         assert fallbacks == (0 if _native.library() is not None else len(cases))
+
+    def test_iterates_keep_their_own_arrays(self, monkeypatch):
+        # the kernel updates an iterate in place, so each yield must hold
+        # arrays of its own: every iterate the grid's designs read still
+        # equals a copy taken when it was yielded, after every design ran
+        if _native.library() is None:
+            return
+        iterates = []
+        real = shaping._dd_solutions
+
+        def spy(*args):
+            iterates.append([])
+            for it in real(*args):
+                iterates[-1].append((it, [np.copy(v) for v in it]))
+                yield it
+
+        monkeypatch.setattr(shaping, "_dd_solutions", spy)
+        for design, args in double_double_grid():
+            design(*args)
+        # some design reads a second iterate, which an alias would overwrite
+        assert max(map(len, iterates)) >= 2
+        for design_iterates in iterates:
+            for it, copies in design_iterates:
+                assert all(np.array_equal(v, c) for v, c in zip(it, copies))
+
+    def test_update_and_residual_keep_their_bits(self):
+        # the updated iterates and their residuals on seeded inputs keep
+        # their pinned bits, so a change to the update's or the residual's
+        # operations moves the digest; no LAPACK or BLAS routine is on the
+        # path, so the bits are the same on every host
+        lib = _native.library()
+        if lib is None:
+            return
+        digest = hashlib.sha256()
+        for p in (1, 8, 64, MAX_ORDER):
+            rng = np.random.default_rng(p)
+            with mp.workdps(shaping._design_dps(p)):
+                r_dd = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
+            a = np.zeros((2, p + 1))
+            a[0, 0] = 1.0
+            a[0, 1:] = rng.standard_normal(p)
+            a[1, 1:] = a[0, 1:] * rng.uniform(-(2.0**-54), 2.0**-54, p)
+            step = a[0, 1:] * rng.uniform(-(2.0**-40), 2.0**-40, p)
+            out = np.empty((3, p))
+            lib.toeplitz_residual_dd(r_dd, a, step, p, out)
+            digest.update(a.tobytes() + out.tobytes())
+        assert digest.hexdigest() == "3908508a583f4807d4f543239f48dd1352a058c75b02d2b8d5ca56faf410d5b2"
 
     @pytest.mark.parametrize("p", [1, 4, 16, 48, MAX_ORDER])
     def test_bound_holds_on_random_well_posed_systems(self, p):
@@ -969,8 +1020,10 @@ class TestDoubleDoubleDesigns:
 
     @pytest.mark.parametrize("p", [1, 8, 64, MAX_ORDER])
     def test_residual_within_its_rounding_bound(self, p):
-        # each row of the double-double residual lies within 16 (p+1) u^2 s_i
-        # of the exact residual of the same doubles, s_i the row's |r| |a| sum
+        # the update a - step is exact up to the one rounding of the low
+        # part, and each row of the double-double residual of the updated
+        # iterate lies within 16 (p+1) u^2 s_i of the exact residual of the
+        # same doubles, s_i the row's |r| |a| sum
         lib = _native.library()
         if lib is None:
             assert _native._compiler() is None
@@ -979,12 +1032,21 @@ class TestDoubleDoubleDesigns:
         with mp.workdps(shaping._design_dps(p)):
             r_dd = shaping._to_dd(random_toeplitz(rng, p, 1e-3))
             r_hi, r_lo = r_dd
-            # a float64 solve, given low parts below half its last place
+            # a float64 solve, given low parts below half its last place,
+            # and a step that moves it in its last few places
             index = np.arange(p)
-            a_hi = np.concatenate(([1.0], -np.linalg.solve(r_hi[np.abs(index[:, None] - index)], r_hi[1:])))
-            a_lo = np.concatenate(([0.0], a_hi[1:] * rng.uniform(-(2.0**-54), 2.0**-54, p)))
+            x = -np.linalg.solve(r_hi[np.abs(index[:, None] - index)], r_hi[1:])
+            step = x * rng.uniform(-(2.0**-48), 2.0**-48, p)
+            a_old = np.array([np.concatenate(([1.0], x + step)), np.zeros(p + 1)])
+            a_old[1, 1:] = x * rng.uniform(-(2.0**-54), 2.0**-54, p)
+            a_dd = a_old.copy()
             out = np.empty((3, p))
-            lib.toeplitz_residual_dd(r_dd, np.array([a_hi, a_lo]), p, out)
+            lib.toeplitz_residual_dd(r_dd, a_dd, step, p, out)
+            a_hi, a_lo = a_dd
+            assert (a_hi == a_old[0] - np.concatenate(([0.0], step))).all()
+            for j in range(1, p + 1):
+                exact = mp.mpf(a_old[0, j]) + mp.mpf(a_old[1, j]) - mp.mpf(step[j - 1])
+                assert abs(mp.mpf(a_hi[j]) + mp.mpf(a_lo[j]) - exact) <= 2.0**-53 * abs(a_lo[j]) + 2.0**-1074, j
             res_hi, res_lo, abs_sum = out
             r = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(r_hi, r_lo)]
             a = [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(a_hi, a_lo)]
@@ -1136,10 +1198,26 @@ class TestDoubleDoubleMultiband:
         assert [design_multiband(*args).coeffs for args in cases] == got
         assert mp_solves == mp_lag_sums == [args[0] for args in cases]
 
+    def test_lags_keep_their_bits(self):
+        # the lags and their bounds over the grid, in grid order, keep
+        # their pinned bits, so a change to the sum's operations or their
+        # order moves the digest
+        if _native.library() is None:
+            return
+        digest = hashlib.sha256()
+        for p, edges, weights in self.grid():
+            with mp.workdps(shaping._design_dps(p)):
+                weights_mp = [mp.mpf(repr(w)) for w in weights]
+                r, delta = shaping._multiband_lags_dd(shaping._band_basis(p, tuple(map(float, edges))), weights_mp)
+            digest.update(r.tobytes() + delta.tobytes())
+        assert digest.hexdigest() == "902e8111c6ffc4ced8085bb5a3601718aafd8564042deee901567c5c36e98eb6"
+
     @pytest.mark.parametrize("p", [1, 16, 48, MAX_ORDER])
     def test_lags_within_their_bound(self, p):
         # each double-double lag lies within delta_d of the lag evaluated at
         # 3p + 40 digits, and the bound is not so loose that it is vacuous
+        if _native.library() is None:
+            return
         rng = np.random.default_rng(p)
         worst = 0.0
         for edges in MULTIBAND_EDGE_SETS:
