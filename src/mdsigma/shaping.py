@@ -47,15 +47,17 @@ same, and the filter for that lambda is designed as above.
 The multiband generalization replaces the half-band Gram matrix by the
 autocorrelation of an arbitrary nonnegative piecewise-constant weight
 function, which is still Toeplitz and handled by the same recursion.  Its
-lag d is sum_b w_b B_bd, B_bd band b's share per unit weight, a difference
-of sines sin(e d) of the band edges e over pi d.  The basis B depends on
-the order and the edges alone, so it is computed once per (p, edges) in
-mpmath and rounded to double-double, and a sweep of band weights reuses
-it.  Where every weight is positive and the library loads, it sums each
-design's lags in double-double from the basis, with a bound on each lag's
-error that the certificate above takes in (``_multiband_lags_dd``);
-elsewhere, and where the certificate fails, the lags are mpmath sums of
-the cached sines, and the recursion runs on them.
+lag d is sum_b w_b B_bd, B_bd band b's share per unit weight: its span,
+the difference of the sines sin(e d) of its edges e (of the edges
+themselves at d = 0), over pi d (over pi at d = 0).  The spans depend on
+the order and the edges alone, so they are computed once per (p, edges) in
+mpmath (``_band_spans``), and a sweep of band weights reuses them.  Where
+every weight is positive and the library loads, each design's lags are
+summed in double-double from B, rounded to double-double once per
+(p, edges), with a bound on each lag's error that the certificate above
+takes in (``_multiband_lags_dd``); elsewhere, and where the certificate
+fails, the lags are mpmath sums of w_b times span over pi d, and the
+recursion runs on them.
 
 Every noise power the codec and the harness report (P_dc, P_ds and the
 power behind each reception pattern) comes from ``band_power``, evaluated
@@ -80,18 +82,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    fzero,
-    mpf_abs,
-    mpf_div,
-    mpf_ge,
-    mpf_gt,
-    mpf_mul,
-    mpf_sub,
-)
-from mpmath.libmp import round_nearest as _RND
+from mpmath.libmp import dps_to_prec
 
 from . import _native
 
@@ -413,32 +404,32 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
-def _band_sines(p: int, edges: tuple) -> tuple:
-    """sin(e d) for each band edge e, read from its shortest repr, and lag
-    d = 1..p, at the design precision of order p: one tuple per edge, the
-    same for every set of band weights."""
+def _band_spans(p: int, edges: tuple) -> tuple:
+    """Per band b, with e_0 = 0 and each edge e_b read from its shortest
+    repr, the span e_b - e_{b-1} at d = 0 and sin(e_b d) - sin(e_{b-1} d)
+    for d = 1..p, at the design precision of order p: band b's share of lag
+    d per unit weight is span_bd / (pi d), and span_b0 / pi at d = 0.  One
+    tuple per band, the same for every set of band weights."""
     with mp.workdps(_design_dps(p)):
-        return tuple(tuple(mp.sin(mp.mpf(repr(e)) * d) for d in range(1, p + 1)) for e in edges)
+        spans, lo = [], [mp.mpf(0)] * (p + 1)
+        for e in edges:
+            e = mp.mpf(repr(e))
+            hi = [e, *(mp.sin(e * d) for d in range(1, p + 1))]
+            spans.append(tuple(h - l for h, l in zip(hi, lo)))
+            lo = hi
+        return tuple(spans)
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _band_basis(p: int, edges: tuple):
-    """The band basis B_bd, band b's share of lag d per unit weight: (e_b -
-    e_{b-1}) / pi at d = 0 and (sin(e_b d) - sin(e_{b-1} d)) / (pi d) for
-    d = 1..p, e_0 = 0, from the cached sines at the design precision of
-    order p, each rounded once to double-double (``_to_dd``).  One read-only
-    array (2, bands, p + 1), rows hi and lo, the same for every set of band
-    weights."""
-    sines = _band_sines(p, edges)
-    rows = []
+    """The band basis B_bd, band b's share of lag d per unit weight: the
+    cached span over pi d (over pi at d = 0, ``_band_spans``), each rounded
+    once to double-double (``_to_dd``).  One read-only array (2, bands,
+    p + 1), rows hi and lo, the same for every set of band weights."""
+    spans = _band_spans(p, edges)
     with mp.workdps(_design_dps(p)):
         pi = mp.pi
-        lo_e, sin_lo = mp.mpf(0), (mp.mpf(0),) * p
-        for e, sin_hi in zip(edges, sines):
-            hi_e = mp.mpf(repr(e))
-            diffs = [(s - t) / (pi * d) for d, s, t in zip(range(1, p + 1), sin_hi, sin_lo)]
-            rows.append(_to_dd([(hi_e - lo_e) / pi, *diffs]))
-            lo_e, sin_lo = hi_e, sin_hi
+        rows = [_to_dd([s / (pi * d) if d else s / pi for d, s in enumerate(span)]) for span in spans]
     basis = np.stack(rows, axis=1)
     basis.flags.writeable = False
     return basis
@@ -482,29 +473,20 @@ def _multiband_lags_dd(basis, weights_mp):
 
 
 def _multiband_lags_mp(p: int, edges: tuple, weights: Sequence[float]) -> list:
-    """The lags r_0..r_p of the multiband weight function, as mpf sums at the
-    design precision of order p from the cached sines: the lags of the
-    extended-precision design."""
-    sines = _band_sines(p, edges)
+    """The lags r_0..r_p of the multiband weight function, the mpf sums
+    r_d = sum_b w_b span_bd / (pi d), and r_0 = sum_b w_b span_b0 / pi, at
+    the design precision of order p from the cached spans (``_band_spans``):
+    the lags of the extended-precision design."""
+    spans = _band_spans(p, edges)
     with mp.workdps(_design_dps(p)):
-        # autocorrelation of the piecewise-constant weight function:
-        # r_d = sum_b w_b * (sin(hi*d) - sin(lo*d)) / (pi*d), r_0 = sum_b w_b*(hi-lo)/pi;
-        # band b's upper edge is band b+1's lower edge, so each sine is taken once
         pi = mp.pi
-        edges_mp = [mp.mpf(repr(e)) for e in edges]
         weights_mp = [mp.mpf(repr(w)) for w in weights]
         r = []
         for d in range(p + 1):
+            scale = pi * d if d else pi
             acc = mp.mpf(0)
-            lo_e = sin_lo = mp.mpf(0)
-            for hi_e, w, sin_edge in zip(edges_mp, weights_mp, sines):
-                if d == 0:
-                    acc += w * (hi_e - lo_e) / pi
-                else:
-                    sin_hi = sin_edge[d - 1]
-                    acc += w * (sin_hi - sin_lo) / (pi * d)
-                    sin_lo = sin_hi
-                lo_e = hi_e
+            for w, span in zip(weights_mp, spans):
+                acc += w * span[d] / scale
             r.append(acc)
         return r
 
@@ -533,13 +515,16 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
         raise ValueError(f"band weights must be finite, got {weights}")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
         raise ValueError("weights must be nonnegative with at least one positive")
+    try:
+        level_sum = math.fsum(weights)
+    except OverflowError:
+        raise ValueError(f"band weights must have a finite sum, got {weights}") from None
     lo = 0.0
     for e in edges:
         if not (lo < e <= np.pi + 1e-12):
             raise ValueError("band edges must be strictly increasing in (0, pi]")
         lo = e
 
-    level_sum = math.fsum(weights)
     # beyond _DD_SCALE the double-double lags' splits could overflow
     if min(weights) > 0 and level_sum <= _DD_SCALE[1] and _native.library() is not None:
         with mp.workdps(_design_dps(p)):
@@ -603,24 +588,19 @@ def filter_powers(filt: ShapingFilter) -> tuple:
 
 
 def _step_down_mp(coeffs) -> MinPhaseReport:
-    """The step-down of ``min_phase_check`` in mpmath at the design
-    precision of the order, on libmp calls on raw _mpf_ tuples: the mpf
-    operators' arithmetic without their objects."""
+    """The step-down of ``min_phase_check`` on mpf operators at the design
+    precision of the order, each rounding to nearest at that precision."""
     p = len(coeffs) - 1
     with mp.workdps(_design_dps(p)):
-        prec = mp.mp.prec
-        a = [mp.mpf(v)._mpf_ for v in coeffs]
-        max_k = fzero
+        a = [mp.mpf(v) for v in coeffs]
+        max_k = mp.mpf(0)
         for i in range(p, 0, -1):
-            k = mpf_div(a[i], a[0], prec, _RND)
-            abs_k = mpf_abs(k, prec, _RND)
-            if mpf_gt(abs_k, max_k):
-                max_k = abs_k
-            if mpf_ge(max_k, fone):
+            k = a[i] / a[0]
+            max_k = max(max_k, abs(k))
+            if max_k >= 1:
                 break
-            a = [mpf_sub(a[j], mpf_mul(k, a[i - j], prec, _RND), prec, _RND) for j in range(i)]
-    max_k = mp.make_mpf(max_k)
-    return MinPhaseReport(is_min_phase=bool(max_k < 1), max_reflection=float(max_k))
+            a = [a[j] - k * a[i - j] for j in range(i)]
+        return MinPhaseReport(is_min_phase=bool(max_k < 1), max_reflection=float(max_k))
 
 
 def _step_down_dd(coeffs):
@@ -680,7 +660,7 @@ def min_phase_check(filt: ShapingFilter) -> MinPhaseReport:
     on |a^_j - a_j| + |a~_j - a_j|, 0 at the start, where all three are
     the coefficients.  With u = 2^-53, double-double products, sums and
     quotients err by under 7u^2, 3u^2 + 13u^3 and 13u^2 relative (the
-    kernel's source derives the last), and libmp's operations by under
+    kernel's source derives the last), and the mpf operations by under
     u_mp = 2^-prec.  At step i, with |a^_0| - s_0 > 0 a lower bound on
     every path's pivot,
 

@@ -240,6 +240,20 @@ def test_non_finite_band_weight_is_usage_error(value, capsys):
     assert "band weights must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["design-filter", "simulate"])
+def test_overflowing_band_weight_sum_is_usage_error(command, tmp_path, capsys):
+    # each weight is finite but their sum is not; this was an OverflowError
+    # traceback from the design's level sum
+    if command == "design-filter":
+        argv = ["design-filter", "--p", "8", "--band-edges", "0.5,1", "--band-weights", "1e308,1e308"]
+    else:
+        text = f"filter = multiband\nband_edges = {math.pi / 2}, {math.pi}\nband_weights = 1e308, 1e308\n"
+        argv = ["simulate", "--config", _write(tmp_path, text), "--p", "8", "--n-samples", "16384", "--trials", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: band weights must have a finite sum") and "Traceback" not in captured.err
+
+
 def test_simulate_k4_small(capsys):
     rc = main(
         [

@@ -671,11 +671,14 @@ class TestMultiband:
         assert band_power(filt, np.pi / 4, 3 * np.pi / 4) == pytest.approx(d2 / 2, rel=0.04)
         assert band_power(filt, 3 * np.pi / 4, np.pi) == pytest.approx(d1 / 4, rel=0.04)
 
-    def test_sine_table_is_kept_per_order_and_edges(self):
-        # designs on two sets of edges at one order, alternating, each equal
-        # to the recursion run on lags whose sines are taken afresh; the
-        # double-double path reads the band basis, the mpmath path the sines
-        def fresh_design(p, edges, weights):
+    def test_span_table_is_kept_per_order_and_edges(self):
+        # designs for four sets of edges and weights at one order, taken in
+        # turn twice, each equal to the recursion run on lags whose sines are
+        # taken afresh, and the mpmath path's lags equal to those, bit for
+        # bit, zero weights (which take that path wherever the library loads)
+        # included; the double-double path reads the band basis, the mpmath
+        # path the spans
+        def fresh_lags(p, edges, weights):
             with mp.workdps(shaping._design_dps(p)):
                 pi = mp.pi
                 edges_mp = [mp.mpf(repr(e)) for e in edges]
@@ -692,13 +695,22 @@ class TestMultiband:
                             sin_lo = sin_hi
                         lo = hi
                     r.append(acc)
-                coeffs, _ = shaping._levinson(r, p)
-            return tuple(float(c) for c in coeffs)
+            return r
 
-        cases = [(K4_EDGES, K4_WEIGHTS), ((np.pi / 3, np.pi), (4.0, 1.0))]
+        p = 16
+        cases = [
+            (K4_EDGES, K4_WEIGHTS),
+            ((np.pi / 3, np.pi), (4.0, 1.0)),
+            (K4_EDGES, (5.0, 0.0, 1.0)),
+            ((0.1, 0.5, 1.0, 2.0, np.pi), (4.847065183879213, 0.0, 0.0, 0.0, 0.0)),
+        ]
         for edges, weights in cases + cases:
-            assert design_multiband(16, edges, weights).coeffs == fresh_design(16, edges, weights)
-        table = shaping._band_basis if _native.library() is not None else shaping._band_sines
+            r = fresh_lags(p, edges, weights)
+            assert shaping._multiband_lags_mp(p, tuple(map(float, edges)), weights) == r, (edges, weights)
+            with mp.workdps(shaping._design_dps(p)):
+                coeffs, _ = shaping._levinson(r, p)
+            assert design_multiband(p, edges, weights).coeffs == tuple(float(c) for c in coeffs), (edges, weights)
+        table = shaping._band_basis if _native.library() is not None else shaping._band_spans
         assert table.cache_info().hits >= 2
 
     def test_bad_edges_rejected(self):
@@ -718,6 +730,15 @@ class TestMultiband:
         monkeypatch.setattr(shaping, "_design_dps", no_precision)
         with pytest.raises(ValueError, match="band weights must be finite"):
             design_multiband(8, [np.pi / 2, np.pi], [bad, 1.0])
+
+    def test_overflowing_weight_sum_rejected_before_mpmath(self, monkeypatch):
+        # each weight is finite, but their sum overflows float64
+        def no_precision(p):
+            raise AssertionError("extended-precision work started")
+
+        monkeypatch.setattr(shaping, "_design_dps", no_precision)
+        with pytest.raises(ValueError, match="band weights must have a finite sum"):
+            design_multiband(8, [np.pi / 2, np.pi], [1e308, 1e308])
 
 
 # ---------------------------------------------------------------------------
@@ -1198,6 +1219,28 @@ class TestDoubleDoubleMultiband:
         assert [design_multiband(*args).coeffs for args in cases] == got
         assert mp_solves == mp_lag_sums == [args[0] for args in cases]
 
+    def test_warm_benchmark_round_reaches_no_span_table_or_mpmath(self, monkeypatch):
+        # after one round of the benchmark's design_grid, a timed round with
+        # the library reads no span table (the band basis is cached), sums
+        # no lags and runs no step-down in mpmath; without it, each multiband
+        # design reads the cached spans and every report comes from mpmath
+        def designs_and_reports():
+            return [min_phase_check(f) for f in design_grid_filters(1)]
+
+        designs_and_reports()
+        calls = []
+        for name in ("_band_spans", "_multiband_lags_mp", "_step_down_mp"):
+            real = getattr(shaping, name)
+            monkeypatch.setattr(shaping, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        designs_and_reports()
+        gammas, multiband = design_grid_items(1)
+        if _native.library() is not None:
+            assert calls == []
+        else:
+            assert calls == ["_multiband_lags_mp", "_band_spans"] * len(multiband) + ["_step_down_mp"] * (
+                len(gammas) + len(multiband)
+            )
+
     def test_lags_keep_their_bits(self):
         # the lags and their bounds over the grid, in grid order, keep
         # their pinned bits, so a change to the sum's operations or their
@@ -1251,13 +1294,13 @@ class TestDoubleDoubleMultiband:
 
 class TestImportTime:
     def test_import_builds_and_fills_nothing(self):
-        # the library, the lag and sine tables, the band basis and the
+        # the library, the lag and span tables, the band basis and the
         # half-band spectra are made on first use, so importing mdsigma adds
         # none of them to the start-up of a process that never designs a
         # filter
         code = (
             "import mdsigma; from mdsigma import _native, shaping; "
-            "print(*(f.cache_info().currsize for f in (_native.library, shaping._band_sines,"
+            "print(*(f.cache_info().currsize for f in (_native.library, shaping._band_spans,"
             " shaping._band_basis, shaping._half_band_lags, shaping._half_band_range)))"
         )
         path = [os.path.dirname(os.path.dirname(shaping.__file__)), os.environ.get("PYTHONPATH", "")]
