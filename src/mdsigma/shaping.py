@@ -28,10 +28,11 @@ correction, kept as a double-double.  That residual also bounds each
 iterate's distance to the extended-precision solution by beta
 (``_dd_solutions`` derives it).  Where every interval
 [c_j - beta, c_j + beta] lies strictly inside one float64 rounding cell,
-its roundings are the design's, bit for bit (``_nearest_double``).  The
-extended-precision recursion still runs at lambda = 0, with a zero band
-weight, where the solve or the bound fails, and where no C compiler is
-found; so every design is the same on either path.
+its roundings are the design's, bit for bit (``_nearest_double``).  One
+routine, ``_design``, finishes every design of either kind: it proves the
+rounding that way, or runs the extended-precision recursion, at lambda =
+0, with a zero band weight, where the solve or the bound fails, and where
+no C compiler is found; so every design is the same on either path.
 
 The weight ratio lambda that hits a target P_ds/P_dc is found by
 bisection.  Adding 2*lambda to the diagonal bounds the condition number by
@@ -142,13 +143,6 @@ class MinPhaseReport:
 # ---------------------------------------------------------------------------
 
 
-def _sinc_half_mp(m: int) -> mp.mpf:
-    if m == 0:
-        return mp.mpf(1)
-    x = mp.mpf(m) / 2
-    return mp.sin(mp.pi * x) / (mp.pi * x)
-
-
 def _levinson(r: list, p: int):
     """Solve the autocorrelation normal equations at the current mp precision.
 
@@ -186,20 +180,13 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
 
 
-def _yule_walker(lags: list, lam):
-    """Monic solution of (G + 2*lam*I) c_tail = -g and its prediction error
-    c^T (G + 2*lam*I) c, from the mpf half-band lags sinc(m/2), m = 0..p,
-    at the current precision."""
-    return _levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
-
-
 @functools.lru_cache(maxsize=MAX_ORDER)
 def _half_band_lags(p: int) -> tuple:
     """(lags, dd): the half-band lags sinc(m/2), m = 0..p, at the design
     precision of order p, and their rounding to double-double (``_to_dd``),
     read-only: the same for every lambda."""
     with mp.workdps(_design_dps(p)):
-        lags = tuple(_sinc_half_mp(m) for m in range(p + 1))
+        lags = (mp.mpf(1), *(mp.sin(mp.pi * m / 2) / (mp.pi * m / 2) for m in range(1, p + 1)))
         dd = _to_dd(lags)
     dd.flags.writeable = False
     return lags, dd
@@ -360,12 +347,14 @@ def _dd_solutions(r, floor: float, level_sum: float, lag_err: float):
         yield a[0], a[1], 2.0 * ((math.sqrt(float(res @ res)) + e_rho + e_lag) / floor + eps_mp)
 
 
-def _dd_design(r, floor: float, level_sum: float, lag_err: float):
-    """The float64 coefficients of the extended-precision design, each
-    proven to be its rounding by ``_dd_solutions``' bound and
-    ``_nearest_double`` at one iterate; None where no iterate proves them
-    all, and the caller then designs in extended precision."""
-    for a_hi, a_lo, beta in _dd_solutions(r, floor, level_sum, lag_err):
+def _design(p: int, lags_mp, certificate=()) -> ShapingFilter:
+    """The order-p design: the float64 rounding of ``_levinson`` on the mpf
+    lags ``lags_mp()`` at the design precision.  With a certificate (r,
+    floor, level_sum, lag_err) for ``_dd_solutions``, it is read from the
+    first iterate whose every coefficient ``_nearest_double`` proves; the
+    lags are made and the recursion runs only where no iterate does, and
+    where there is no certificate."""
+    for a_hi, a_lo, beta in _dd_solutions(*certificate) if certificate else ():
         coeffs = [1.0]
         for hi, lo in zip(a_hi.tolist()[1:], a_lo.tolist()[1:]):
             f = _nearest_double(hi, lo, beta)
@@ -373,8 +362,13 @@ def _dd_design(r, floor: float, level_sum: float, lag_err: float):
                 break
             coeffs.append(f)
         else:
-            return tuple(coeffs)
-    return None
+            return ShapingFilter(tuple(coeffs))
+    with mp.workdps(_design_dps(p)):
+        try:
+            coeffs, _ = _levinson(lags_mp(), p)
+        except ValueError as exc:
+            raise ValueError(f"singular system: {exc}") from None
+        return ShapingFilter(tuple(float(c) for c in coeffs))
 
 
 def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
@@ -382,13 +376,14 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
     i.e. the unique solution of (G + 2*lambda_ratio*I) c_tail = -g.
 
     For lambda_ratio > 0 the eigenvalues of G + 2 lambda I are at least
-    2 lambda, and ``_dd_design`` gives the extended-precision design's
+    2 lambda, and ``_design`` gives the extended-precision design's
     roundings wherever it can prove them; elsewhere the design runs in
     extended precision."""
     _check_order(p)
     if not (math.isfinite(lambda_ratio) and lambda_ratio >= 0):
         raise ValueError(f"lambda ratio must be finite and >= 0, got {lambda_ratio}")
     lags, dd = _half_band_lags(p)
+    certificate = ()
     with mp.workdps(_design_dps(p)):
         # lambda is read from its shortest repr, as a decimal, not as its binary value
         lam = mp.mpf(repr(float(lambda_ratio)))
@@ -396,11 +391,8 @@ def design_yule_walker(p: int, lambda_ratio: float) -> ShapingFilter:
             r = dd.copy()
             r[:, :1] = _to_dd([lags[0] + 2 * lam])
             floor = 2.0 * float(lam) * (1.0 - 2.0**-50)
-            coeffs = _dd_design(r, floor, 2.0 + floor, _DD_LAG_REL * _toeplitz_norm(r[0]))
-            if coeffs is not None:
-                return ShapingFilter(coeffs)
-        coeffs, _ = _yule_walker(lags, lam)
-        return ShapingFilter(tuple(float(c) for c in coeffs))
+            certificate = (r, floor, 2.0 + floor, _DD_LAG_REL * _toeplitz_norm(r[0]))
+    return _design(p, lambda: [lags[0] + 2 * lam, *lags[1:]], certificate)
 
 
 @functools.lru_cache(maxsize=MAX_ORDER)
@@ -502,7 +494,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
     (``_multiband_lags_mp``).  Where every weight is positive and the
     library loads, the lags are summed in double-double from the band basis
     of (p, edges) instead (``_multiband_lags_dd``, which bounds their
-    error), and ``_dd_design`` proves the rounding from them; the mpf lags
+    error), and ``_design`` proves the rounding from them; the mpf lags
     and the recursion run only where it cannot, where a weight is zero and
     where no C compiler is found, with the same bits.
     """
@@ -525,6 +517,7 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             raise ValueError("band edges must be strictly increasing in (0, pi]")
         lo = e
 
+    certificate = ()
     # beyond _DD_SCALE the double-double lags' splits could overflow
     if min(weights) > 0 and level_sum <= _DD_SCALE[1] and _native.library() is not None:
         with mp.workdps(_design_dps(p)):
@@ -536,16 +529,8 @@ def design_multiband(p: int, band_edges: Sequence[float], band_weights: Sequence
             short = max(mp.mpf(0), pi - mp.mpf(repr(edges[-1])))
             floor = float(min(weights_mp) * (1 - p * short / pi)) * (1.0 - 2.0**-50)
             r, delta = _multiband_lags_dd(_band_basis(p, edges), weights_mp)
-        coeffs = _dd_design(r, floor, level_sum, _toeplitz_norm(delta))
-        if coeffs is not None:
-            return ShapingFilter(coeffs)
-    r = _multiband_lags_mp(p, edges, weights)
-    with mp.workdps(_design_dps(p)):
-        try:
-            coeffs, _ = _levinson(r, p)
-        except ValueError as exc:
-            raise ValueError(f"singular system: {exc}") from None
-        return ShapingFilter(tuple(float(c) for c in coeffs))
+        certificate = (r, floor, level_sum, _toeplitz_norm(delta))
+    return _design(p, lambda: _multiband_lags_mp(p, edges, weights), certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +701,7 @@ def _ratio_at(lags: list, lam: float) -> float:
     # P_ds/P_dc of the extended-precision design, not of its float64 rounding
     with mp.workdps(_design_dps(len(lags) - 1)):
         lam = mp.mpf(repr(float(lam)))
-        coeffs, energy = _yule_walker(lags, lam)
+        coeffs, energy = _levinson([lags[0] + 2 * lam, *lags[1:]], len(lags) - 1)
         pds = mp.fsum(c * c for c in coeffs)
         # energy = c^T (G + 2 lambda I) c = 2*Pdc + 2*lambda*Pds
         return float(pds) / float((energy - 2 * lam * pds) / 2)

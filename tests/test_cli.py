@@ -456,6 +456,34 @@ def test_bad_scale_or_tolerance_is_usage_error_before_any_work(monkeypatch, caps
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--trials", "0"], None, "n_trials must be >= 1"),
+        (["simulate", "--n-samples", "16385"], None, "n_samples must be even"),
+        (["simulate"], "oversampling = 3", "K must be 2 or 4"),
+        (["simulate"], "filter = foo", "unknown filter 'foo'"),
+        (["simulate"], "source_dist = cauchy", "unknown source_dist 'cauchy'"),
+        (["simulate"], "filter = explicit", "explicit filter needs coeffs"),
+        (["simulate"], "filter = multiband", "multiband filter needs band_edges and band_weights"),
+        (["sweep"], None, "provide either --rates or both --deltas and --sigma-e2"),
+    ],
+    ids=["no-trials", "odd-block", "k3", "unknown-filter", "unknown-source", "explicit-without-coeffs",
+         "multiband-without-bands", "sweep-without-grid"],
+)
+def test_rejected_config_is_usage_error_before_any_design(monkeypatch, tmp_path, capsys, argv, config, message):
+    def no_design(*args):
+        raise AssertionError("a filter was designed for an invalid configuration")
+
+    for name in ("find_lambda_for_ratio", "design_yule_walker", "design_multiband"):
+        monkeypatch.setattr(harness, name, no_design)
+    if config is not None:
+        argv = [*argv, "--config", _write(tmp_path, config + "\n")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and "Traceback" not in captured.out + captured.err
+
+
 def test_a_run_whose_statistics_overflow_is_a_usage_error(capsys):
     # the step passes the cell rule, but Var(quantized) overflows float64
     argv = ["simulate", "--sigma-e2", "1e306", "--p", "2", "--gamma", "3", "--n-samples", "16384", "--trials", "1"]

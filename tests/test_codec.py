@@ -751,6 +751,10 @@ class TestDecoderContracts:
         with pytest.raises(ValueError, match=r"^source variance must be positive and finite, got "):
             dataclasses.replace(make_config(), source_variance=variance)
 
+    def test_config_rejects_an_oversampling_factor_other_than_2_or_4(self):
+        with pytest.raises(ValueError, match=r"^oversampling must be 2 or 4$"):
+            make_config(k=3)
+
     @pytest.mark.parametrize("phases", [(0, 1, 2), (0, 1, 3), (0, 0), (), (5,)], ids=str)
     def test_rejects_non_uniform_subsets(self, phases):
         import dataclasses

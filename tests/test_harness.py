@@ -74,6 +74,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="2\\^14"):
             ExperimentConfig(sigma_e2=0.01, n_samples=4096)
 
+    def test_a_real_past_float_range_rejected(self):
+        with pytest.raises(ConfigError, match=r"^sigma_x2 is out of float range$"):
+            ExperimentConfig(sigma_e2=0.01, sigma_x2=10**400)
+
     def test_bad_pattern_rejected(self):
         with pytest.raises(ConfigError, match="invalid for K=2"):
             ExperimentConfig(sigma_e2=0.01, erasure_patterns=("pair02",))

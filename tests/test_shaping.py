@@ -507,6 +507,17 @@ class TestCertifiedStepDown:
         monkeypatch.setattr(_native, "library", Kernel)
         assert shaping._step_down_dd((1.0, 0.5)) == want
 
+    def test_every_step_before_the_stop_lies_clear_of_one(self, monkeypatch):
+        # the step-down stops clear of 1 at its second step, but its first
+        # |k| + dk reaches 1, so the verdict is left to mpmath
+        class Kernel:
+            def stepdown_dd(self, c, p, u_mp, out):
+                out[:, :2] = [(1.0 - 2.0**-53, 1.5), (2.0**-55, 0.0), (1.5 * 2.0**-54, 2.0**-80)]
+                return 2
+
+        monkeypatch.setattr(_native, "library", Kernel)
+        assert shaping._step_down_dd((1.0, 0.5, 0.25)) is None
+
     def test_step_down_stops_at_the_first_unit_reflection(self):
         # k_2 = -1 exactly: one step, where going on would divide by a
         # pivot of 0
@@ -749,7 +760,8 @@ class TestMultiband:
 def half_band_lags(p):
     """sinc(m/2), m = 0..p, at the design precision of order p."""
     with mp.workdps(shaping._design_dps(p)):
-        return [shaping._sinc_half_mp(m) for m in range(p + 1)]
+        x = [mp.mpf(m) / 2 for m in range(1, p + 1)]
+        return [mp.mpf(1), *(mp.sin(mp.pi * v) / (mp.pi * v) for v in x)]
 
 
 class TestFloat64Bisection:
@@ -805,8 +817,9 @@ class TestFloat64Bisection:
         shaping._half_band_range.cache_clear()
         filt = design_yule_walker(32, 0.05)
         assert calls == []
+        lags = half_band_lags(32)
         with mp.workdps(shaping._design_dps(32)):
-            fresh, _ = shaping._yule_walker(half_band_lags(32), mp.mpf(repr(0.05)))
+            fresh, _ = shaping._levinson([lags[0] + 2 * mp.mpf(repr(0.05)), *lags[1:]], 32)
         assert filt.coeffs == tuple(float(c) for c in fresh)
 
     def test_second_target_at_one_order_runs_no_extended_precision(self, monkeypatch):
@@ -912,7 +925,7 @@ class TestLevinsonTwins:
 def mpmath_design(monkeypatch, design, *args):
     """The design made on the extended-precision path alone."""
     with monkeypatch.context() as m:
-        m.setattr(shaping, "_dd_design", lambda *a: None)
+        m.setattr(shaping, "_dd_solutions", lambda *a: iter(()))
         return design(*args)
 
 
@@ -1116,8 +1129,8 @@ class TestDoubleDoubleDesigns:
         # a lag error bound too wide for any rounding cell sends each design
         # to the extended-precision path, which gives the same coefficients
         want = [design(*args).coeffs for design, args in self.designs()]
-        real = shaping._dd_design
-        monkeypatch.setattr(shaping, "_dd_design", lambda r, floor, level_sum, lag_err: real(r, floor, level_sum, 1.0))
+        real = shaping._dd_solutions
+        monkeypatch.setattr(shaping, "_dd_solutions", lambda r, floor, level_sum, lag_err: real(r, floor, level_sum, 1.0))
         for (design, args), coeffs in zip(self.designs(), want):
             mp_solves.clear()
             assert design(*args).coeffs == coeffs
